@@ -11,9 +11,10 @@ value is recomputable from its parents.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import dataclass, field, replace
-from decimal import ROUND_DOWN, Decimal, getcontext
+from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 
@@ -23,6 +24,8 @@ from .cliques import ramsey_check
 GRAPH = "graph_exists"
 RAMSEY = "ramsey_lower_bound"
 GAMMA = "gamma_lower_bound"
+
+_log = logging.getLogger(__name__)
 
 
 class LedgerError(ValueError):
@@ -45,11 +48,12 @@ class GammaValue:
             raise LedgerError(f"root must be >= 1, got {self.root}")
 
     def render(self, places: int = 6) -> str:
-        getcontext().prec = 50
-        x = Decimal(self.base.numerator) / Decimal(self.base.denominator)
-        val = x ** (Decimal(1) / Decimal(self.root)) if self.root > 1 else x
-        quantum = Decimal(1).scaleb(-places)
-        return str(val.quantize(quantum, rounding=ROUND_DOWN))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            x = Decimal(self.base.numerator) / Decimal(self.base.denominator)
+            val = x ** (Decimal(1) / Decimal(self.root)) if self.root > 1 else x
+            quantum = Decimal(1).scaleb(-places)
+            return str(val.quantize(quantum, rounding=ROUND_DOWN))
 
     def __float__(self) -> float:
         return float(self.base) ** (1.0 / self.root)
@@ -86,6 +90,10 @@ class BoundFact:
             raise LedgerError("gamma facts need a GammaValue")
         if self.kind != GAMMA and not isinstance(self.value, int):
             raise LedgerError("order/bound facts need an integer value")
+        idx = self.flags.get("special_degree_index")
+        if idx is not None and not 0 <= idx < len(self.parameters):
+            raise LedgerError(f"special_degree_index {idx} is not a "
+                              f"position in {self.parameters}")
 
     @property
     def sorted_parameters(self) -> tuple[int, ...]:
@@ -125,9 +133,17 @@ def _is_linear_graph(f: BoundFact) -> bool:
     return f.kind == GRAPH and (f.flags.get("linear") or f.flags.get("cyclic"))
 
 
+def _is_cyclic_graph(f: BoundFact) -> bool:
+    return f.kind == GRAPH and bool(f.flags.get("cyclic"))
+
+
+def _is_template_graph(f: BoundFact) -> bool:
+    return f.kind == GRAPH and bool(f.flags.get("template"))
+
+
 def _rule_giraud(f: BoundFact, k_new: int = 3):
     """Add one colour with bound k_new to a cyclic graph: order x (2k-3)."""
-    if f.kind != GRAPH or not f.flags.get("cyclic"):
+    if not _is_cyclic_graph(f):
         return None
     params = f.parameters + (k_new,)
     value = (2 * k_new - 3) * f.value
@@ -162,8 +178,7 @@ def _rule_product_linear(f1: BoundFact, f2: BoundFact):
 
 
 def _rule_product_cyclic(f1: BoundFact, f2: BoundFact):
-    if not (f1.kind == GRAPH and f2.kind == GRAPH
-            and f1.flags.get("cyclic") and f2.flags.get("cyclic")):
+    if not (_is_cyclic_graph(f1) and _is_cyclic_graph(f2)):
         return None
     params = f1.parameters + f2.parameters
     return BoundFact(GRAPH, params, _product_value(f1.value, f2.value),
@@ -174,8 +189,7 @@ def _rule_product_cyclic(f1: BoundFact, f2: BoundFact):
 def _rule_template_compound(ft: BoundFact, fg: BoundFact):
     """Template of order t with offset phi, times a linear graph of order n:
     order (t-1)(n-1) + 1 + phi."""
-    if not (ft.kind == GRAPH and ft.flags.get("template")
-            and ft.flags.get("phi") is not None
+    if not (_is_template_graph(ft) and ft.flags.get("phi") is not None
             and ft.parameters and ft.parameters[-1] == 3):
         return None
     if not _is_linear_graph(fg):
@@ -218,7 +232,7 @@ def _rule_quadruple_twice(f: BoundFact):
     triangle-free colour).  A known colour-degree in that colour propagates
     through the composite degree formula 9*d + 7*n + 5.
     """
-    if f.kind != GRAPH or not f.flags.get("cyclic"):
+    if not _is_cyclic_graph(f):
         return None
     if f.parameters.count(3) != 1 or len(f.parameters) < 2:
         return None
@@ -252,7 +266,7 @@ def _rule_degree_neighbourhood(f: BoundFact):
 
 def _rule_gamma_from_template(f: BoundFact):
     """Diagonal (k x p, 3)-template of order t gives Gamma(k) >= (t-1)**(1/p)."""
-    if f.kind != GRAPH or not f.flags.get("template"):
+    if not _is_template_graph(f):
         return None
     non_template = tuple(k for k in f.parameters if k != 3)
     p = len(non_template)
@@ -299,21 +313,55 @@ BINARY_RULES = {
 ALL_RULES = tuple(sorted(UNARY_RULES | BINARY_RULES))
 
 
+def _room(f: BoundFact, max_colours: int) -> int:
+    return max_colours - len(f.parameters)
+
+
+# The parents each binary rule can accept, left and right, and the most
+# colours a right parent may have, given the left one, for the product to
+# fit in max_colours.  All three are read before a product is built, so the
+# closure never builds a product it would drop for length.
+_JOINS = {
+    "r2": (_is_linear_graph, _is_linear_graph, _room),
+    "r3": (_is_linear_graph, _is_linear_graph, _room),
+    "r4": (_is_cyclic_graph, _is_cyclic_graph, _room),
+    "r5": (_is_template_graph, _is_linear_graph,
+           lambda ft, max_colours: _room(ft, max_colours) + 1),
+    # r6 keeps the length of its parents, which must be equal
+    "r6": (lambda f: f.kind == RAMSEY, lambda f: f.kind == RAMSEY,
+           lambda f, max_colours: len(f.parameters)),
+}
+
+
+def dominance_key(f: BoundFact) -> tuple:
+    """Everything a rule reads of a fact except its value, plus its rule.
+
+    Each rule is non-decreasing in its parents' values, and its output's key
+    depends only on its parents' keys; the one exception is r8, whose
+    output's special_degree rises with its parent's value, and r9 is
+    non-decreasing in that.  So among facts of one key only the best can
+    give a best product.  The rule label keeps a rule's facts apart from
+    another rule's better facts of the same shape, such as r10's template
+    rate beside r11's squared rate for Gamma(5).
+    """
+    flags = f.flags
+    template = _is_template_graph(f)
+    idx = flags.get("special_degree_index")
+    return (f.kind, f.sorted_parameters, f.certificate.get("rule"),
+            bool(flags.get("cyclic")), bool(flags.get("linear")), template,
+            flags.get("phi"),
+            template and bool(f.parameters) and f.parameters[-1] == 3,
+            flags.get("special_degree"),
+            None if idx is None else f.parameters[idx])
+
+
 class Ledger:
     """In-memory fact set with optional append-only file persistence."""
 
     def __init__(self):
         self.facts: list[BoundFact] = []
-        self._identities: set = set()
-        # value-level dedup: (kind, sorted params, value key) already present
-        self._value_keys: set = set()
-
-    def _value_key(self, f: BoundFact):
-        value_key = (
-            (f.value.base, f.value.root) if isinstance(f.value, GammaValue)
-            else f.value
-        )
-        return (f.kind, f.sorted_parameters, value_key)
+        self._ids: dict = {}  # identity -> fact_id
+        self._best: dict = {}  # dominance key -> first fact of the best value
 
     def add_fact(self, f: BoundFact, base_dir: str = ".") -> int:
         """Store a fact; idempotent on identical facts.
@@ -321,23 +369,22 @@ class Ledger:
         Explicit certificates are re-verified on ingest: the referenced
         colouring file must pass the fact's parameter vector.
         """
-        probe = replace(f, fact_id=None)
-        if probe.identity() in self._identities:
-            for existing in self.facts:
-                if replace(existing, fact_id=None).identity() == probe.identity():
-                    return existing.fact_id
+        identity = replace(f, fact_id=None).identity()
+        if identity in self._ids:
+            return self._ids[identity]
         if f.certificate.get("type") == "explicit":
             self._verify_explicit(f, base_dir)
             f = replace(f, certificate={**f.certificate, "verified": True})
-            probe = replace(f, fact_id=None)
-            if probe.identity() in self._identities:
-                for existing in self.facts:
-                    if replace(existing, fact_id=None).identity() == probe.identity():
-                        return existing.fact_id
+            identity = replace(f, fact_id=None).identity()
+            if identity in self._ids:
+                return self._ids[identity]
         fact = replace(f, fact_id=len(self.facts) + 1)
         self.facts.append(fact)
-        self._identities.add(probe.identity())
-        self._value_keys.add(self._value_key(fact))
+        self._ids[identity] = fact.fact_id
+        key = dominance_key(fact)
+        best = self._best.get(key)
+        if best is None or best.value < fact.value:
+            self._best[key] = fact
         return fact.fact_id
 
     def _verify_explicit(self, f: BoundFact, base_dir: str) -> None:
@@ -368,42 +415,78 @@ class Ledger:
                        max_colours: int = 16) -> list[BoundFact]:
         """Apply the rule set to fixpoint, bounded by `depth` passes.
 
-        Facts are processed in id order, so the result is deterministic for
-        a given insertion order.  Re-running is idempotent.
+        The closure is semi-naive over each key's best fact (see
+        `dominance_key`).  Only the best fact of a key is a parent, and a
+        product is stored only if it beats the best fact of its key, so
+        dominated facts are never stored.  The first pass of a call joins
+        all best facts, since a store does not record which pairs were
+        joined; each later pass applies unary rules to the facts new in the
+        previous pass, and binary rules to the pairs with at least one new
+        fact.  Pairs a rule cannot accept, or whose product would have more
+        than `max_colours` colours, are skipped before a product is built.
+
+        Parents are taken in id order, so the result is deterministic for a
+        given insertion order, one call of depth d leaves the same facts as
+        d calls of depth 1, and re-running is idempotent.
         """
         enabled = list(rules) if rules is not None else list(ALL_RULES)
         for r in enabled:
             if r not in UNARY_RULES and r not in BINARY_RULES:
                 raise LedgerError(f"unknown rule {r!r}")
         new_facts: list[BoundFact] = []
-        for _ in range(depth):
-            produced: list[BoundFact] = []
-            snapshot = list(self.facts)
+        new_ids = None  # first pass: every best fact counts as new
+        for pass_no in range(1, depth + 1):
+            parents = sorted(self._best.values(), key=lambda f: f.fact_id)
+            if new_ids is None:
+                new_ids = {f.fact_id for f in parents}
+            fresh = [f for f in parents if f.fact_id in new_ids]
+            counts = dict.fromkeys(("pairs", "by_length", "built",
+                                    "dominated"), 0)
+            added: list[BoundFact] = []
+
+            def offer(out):
+                if out is None:
+                    return
+                counts["built"] += 1
+                if len(out.parameters) > max_colours:
+                    counts["by_length"] += 1
+                    return
+                best = self._best.get(dominance_key(out))
+                if best is not None and not best.value < out.value:
+                    counts["dominated"] += 1
+                    return
+                added.append(self.get(self.add_fact(out)))
+
             for rule_id in enabled:
                 if rule_id in UNARY_RULES:
                     fn = UNARY_RULES[rule_id]
-                    for f in snapshot:
-                        out = fn(f)
-                        if out is not None:
-                            produced.append(out)
-                else:
-                    fn = BINARY_RULES[rule_id]
-                    for f1 in snapshot:
-                        for f2 in snapshot:
-                            out = fn(f1, f2)
-                            if out is not None:
-                                produced.append(out)
-            added_any = False
-            for out in produced:
-                if len(out.parameters) > max_colours:
+                    for f in fresh:
+                        offer(fn(f))
                     continue
-                if self._value_key(out) in self._value_keys:
-                    continue
-                self.add_fact(out)
-                new_facts.append(self.facts[-1])
-                added_any = True
-            if not added_any:
+                fn = BINARY_RULES[rule_id]
+                accept_left, accept_right, room = _JOINS[rule_id]
+                fits = _by_room([f for f in parents if accept_right(f)])
+                fits_new = _by_room([f for f in fresh if accept_right(f)])
+                for f1 in parents:
+                    if not accept_left(f1):
+                        continue
+                    # pairs of two old parents were joined in the last pass
+                    pool = fits if f1.fact_id in new_ids else fits_new
+                    n = min(room(f1, max_colours), len(pool) - 1)
+                    partners = pool[n] if n >= 0 else []
+                    counts["by_length"] += len(pool[-1]) - len(partners)
+                    counts["pairs"] += len(partners)
+                    for f2 in partners:
+                        offer(fn(f1, f2))
+            _log.debug("derive pass %d: %d pairs tried, %d skipped by "
+                       "length, %d products built, %d kept, %d dominated",
+                       pass_no, counts["pairs"], counts["by_length"],
+                       counts["built"], len(added), counts["dominated"])
+            new_facts.extend(added)
+            if not added:
                 break
+            new_ids = {f.fact_id for f in added
+                       if self._best[dominance_key(f)] is f}
         return new_facts
 
     # -- queries ----------------------------------------------------------
@@ -415,7 +498,7 @@ class Ledger:
         for f in self.facts:
             if f.kind != kind or f.sorted_parameters != key:
                 continue
-            if best is None or _value_less(best.value, f.value):
+            if best is None or best.value < f.value:
                 best = f
         return best
 
@@ -500,10 +583,11 @@ class Ledger:
         return ledger
 
 
-def _value_less(a, b) -> bool:
-    if isinstance(a, GammaValue) and isinstance(b, GammaValue):
-        return a < b
-    return a < b
+def _by_room(facts: list[BoundFact]) -> list[list[BoundFact]]:
+    """Entry n: the facts with at most n colours, in the given order."""
+    longest = max((len(f.parameters) for f in facts), default=0)
+    return [[f for f in facts if len(f.parameters) <= n]
+            for n in range(longest + 1)]
 
 
 def _fact_to_json(f: BoundFact) -> dict:

@@ -206,3 +206,23 @@ def test_pipeline_stores_only_on_success(store, tmp_path, capsys):
 
 def test_pipeline_missing_recipe(capsys):
     assert dispatch(["pipeline", "no_such_recipe"]) == 2
+
+
+def test_module_entry_point_returns_dispatch_codes():
+    import os
+    import subprocess
+    import sys
+
+    import ramseykit
+
+    src = os.path.dirname(os.path.dirname(ramseykit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "ramseykit.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    assert run().returncode == 2
+    helped = run("--help")
+    assert helped.returncode == 0 and "usage:" in helped.stdout

@@ -1,17 +1,25 @@
+import json
+import logging
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ramseykit.colouring import pentagon, save_colouring
 from ramseykit.ledger import (
+    ALL_RULES,
+    BINARY_RULES,
     GAMMA,
     GRAPH,
     RAMSEY,
+    UNARY_RULES,
     BoundFact,
     GammaValue,
     Ledger,
     LedgerError,
     asserted,
+    dominance_key,
     graph_fact,
     load_seed_pack,
 )
@@ -203,3 +211,252 @@ def test_save_load_roundtrip(tmp_path):
     g6 = back.best_bound(GAMMA, (6,))
     assert g6.value.render() == "15.297058"
     back.recompute_check()
+
+
+def test_gamma_render_keeps_global_precision():
+    from decimal import getcontext
+
+    ctx = getcontext()
+    saved = ctx.prec
+    ctx.prec = 17
+    try:
+        GammaValue(Fraction(976), 3).render()
+        assert getcontext().prec == 17
+    finally:
+        ctx.prec = saved
+
+
+def test_special_degree_index_must_name_a_colour():
+    with pytest.raises(LedgerError, match="special_degree_index"):
+        graph_fact((3, 3), 5, asserted("x"), special_degree=2,
+                   special_degree_index=2)
+
+
+# -- the closure against a naive oracle ---------------------------------------
+
+def _exact(f):
+    """Everything a rule reads of a fact: only exact repeats are dropped."""
+    return (f.kind, f.parameters, json.dumps(f.flags, sort_keys=True),
+            f.value)
+
+
+def _naive_closure(facts, rules, depth, max_colours):
+    """Every rule on every fact and ordered pair of facts, in each pass."""
+    facts = [replace(f, fact_id=i) for i, f in enumerate(facts, 1)]
+    seen = {_exact(f) for f in facts}
+    for _ in range(depth):
+        produced = []
+        for r in rules:
+            if r in UNARY_RULES:
+                produced += [UNARY_RULES[r](f) for f in facts]
+            else:
+                fn = BINARY_RULES[r]
+                produced += [fn(a, b) for a in facts for b in facts]
+        added = False
+        for out in produced:
+            if (out is None or len(out.parameters) > max_colours
+                    or _exact(out) in seen):
+                continue
+            seen.add(_exact(out))
+            facts.append(replace(out, fact_id=len(facts) + 1))
+            added = True
+        if not added:
+            break
+    return facts
+
+
+def _best_values(facts):
+    best = {}
+    for f in facts:
+        key = (f.kind, f.sorted_parameters)
+        if key not in best or best[key] < f.value:
+            best[key] = f.value
+    return best
+
+
+def _random_pack(rng):
+    """Cyclic, linear and template graphs over few shapes and orders, so
+    that facts of one key collide; some with a special degree, and Gamma(3).
+    """
+    facts = []
+    for _ in range(rng.randint(3, 4)):
+        shape = rng.choice(("cyclic", "linear", "template"))
+        params = tuple(rng.randint(3, 4) for _ in range(rng.randint(1, 2)))
+        if shape == "template":
+            params += (3,)
+            flags = {"template": True, "cyclic": rng.random() < 0.5,
+                     "phi": rng.choice((None, 0, 1))}
+        else:
+            flags = {shape: True}
+        order = rng.randint(5, 30)
+        if rng.random() < 0.4:
+            flags["special_degree"] = rng.randint(2, order - 1)
+            flags["special_degree_index"] = rng.randrange(len(params))
+        facts.append(graph_fact(params, order, asserted("random"), **flags))
+    if rng.random() < 0.5:
+        base = Fraction(rng.randint(5, 40), rng.randint(1, 4))
+        facts.append(BoundFact(GAMMA, (3,), GammaValue(base, rng.randint(1, 2)),
+                               asserted("random")))
+    return facts
+
+
+def _ledger_of(facts):
+    ledger = Ledger()
+    for f in facts:
+        ledger.add_fact(f)
+    return ledger
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_closure_matches_naive_oracle(seed):
+    pack = _random_pack(random.Random(seed))
+    for depth in (1, 2, 3):
+        oracle = _naive_closure(pack, ALL_RULES, depth, max_colours=6)
+        ledger = _ledger_of(pack)
+        ledger.derive_closure(depth=depth, max_colours=6)
+        assert _best_values(ledger.facts) == _best_values(oracle), depth
+
+
+def _raised(f, step):
+    if isinstance(f.value, GammaValue):
+        return replace(f, value=GammaValue(f.value.base * (1 + step),
+                                           f.value.root))
+    return replace(f, value=f.value + step)
+
+
+def _degree_free_key(f):
+    flags = {k: v for k, v in f.flags.items() if k != "special_degree"}
+    return dominance_key(replace(f, flags=flags))
+
+
+def test_rules_are_monotone_within_a_key():
+    facts = []
+    for seed in range(12):
+        ledger = _ledger_of(_random_pack(random.Random(seed)))
+        ledger.derive_closure(depth=2, max_colours=6)
+        facts += ledger.facts
+    seeded = _seeded()
+    seeded.derive_closure(rules=["r7", "r8"], depth=1)
+    facts += seeded.facts
+    rng = random.Random(0)
+    for rule_id in ALL_RULES:
+        if rule_id in UNARY_RULES:
+            fn = UNARY_RULES[rule_id]
+            cases = [(f,) for f in facts]
+        else:
+            fn = BINARY_RULES[rule_id]
+            cases = [(rng.choice(facts), rng.choice(facts))
+                     for _ in range(20000)]
+        cases = [c for c in cases if fn(*c) is not None]
+        assert cases, rule_id
+        for parents in cases[:300]:
+            out = fn(*parents)
+            for i in range(len(parents)):
+                for step in (1, 7):
+                    bumped = list(parents)
+                    bumped[i] = _raised(parents[i], step)
+                    up = fn(*bumped)
+                    assert up is not None and not up.value < out.value
+                    if rule_id == "r8":
+                        # r8 carries the value into special_degree, and r9
+                        # is non-decreasing in it
+                        assert _degree_free_key(up) == _degree_free_key(out)
+                        assert (up.flags.get("special_degree", 0)
+                                >= out.flags.get("special_degree", 0))
+                    else:
+                        assert dominance_key(up) == dominance_key(out)
+
+
+def test_depth_one_passes_equal_one_deep_closure():
+    one = _seeded()
+    one.derive_closure(depth=3)
+    stepped = _seeded()
+    for _ in range(3):
+        stepped.derive_closure(depth=1)
+    assert ([(f.fact_id, f.identity()) for f in stepped.facts]
+            == [(f.fact_id, f.identity()) for f in one.facts])
+
+
+def test_closure_is_byte_deterministic(tmp_path):
+    paths = []
+    for name in ("a.jsonl", "b.jsonl"):
+        ledger = _seeded()
+        ledger.derive_closure(depth=2)
+        ledger.save(tmp_path / name)
+        paths.append(tmp_path / name)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_cyclic_product_kept_beside_linear_product():
+    # r3 and r4 give the same order; the linear one must not hide the
+    # cyclic one, which only r1, r4 and r8 can extend
+    ledger = Ledger()
+    ledger.add_fact(graph_fact((3, 3), 5, asserted("test"), cyclic=True))
+    ledger.add_fact(graph_fact((4, 4), 17, asserted("test"), cyclic=True))
+    new = ledger.derive_closure(rules=["r3", "r4"], depth=1)
+    products = {(f.certificate["rule"], tuple(sorted(f.flags)))
+                for f in new if f.sorted_parameters == (3, 3, 4, 4)}
+    assert products == {("r3", ("linear",)), ("r4", ("cyclic",))}
+    assert {f.value for f in new if f.sorted_parameters == (3, 3, 4, 4)} == {149}
+
+
+def test_dominated_products_are_not_stored():
+    ledger = Ledger()
+    ledger.add_fact(graph_fact((3, 3), 5, asserted("test"), cyclic=True))
+    ledger.add_fact(graph_fact((3, 3), 4, asserted("test"), cyclic=True))
+    new = ledger.derive_closure(rules=["r1"], depth=1)
+    assert [(f.parameters, f.value) for f in new] == [((3, 3, 3), 15)]
+
+
+def test_closure_logs_one_record_per_pass(caplog):
+    ledger = _seeded()
+    with caplog.at_level(logging.DEBUG, logger="ramseykit.ledger"):
+        ledger.derive_closure(rules=["r8", "r9"], depth=3)
+    messages = [r.getMessage() for r in caplog.records]
+    # r8 then r9 each add facts; the third pass finds nothing new
+    assert len(messages) == 3
+    assert all("pairs tried" in m and "dominated" in m for m in messages)
+
+
+def test_rule_label_keeps_each_rules_best_fact():
+    # r11's Gamma(5) >= 10.7584 is better than r10's cube-root template
+    # rate, but the r10 fact is still kept when r11 runs first
+    ledger = _seeded()
+    ledger.derive_closure(rules=["r11", "r10"], depth=1)
+    rates = {f.certificate["rule"]: f.value.render() for f in ledger.facts
+             if f.kind == GAMMA and f.parameters == (5,)}
+    assert rates == {"r11": "10.758400", "r10": "9.919351"}
+
+
+T = {"template": True}
+
+
+@pytest.mark.parametrize("weak, weak_flags, strong, strong_flags, rule", [
+    # cyclic: r1 extends only the cyclic template
+    ((3, 3), dict(T, cyclic=True, phi=None), (3, 3), dict(T, phi=None), "r1"),
+    # linear: r3 multiplies only linear graphs
+    ((3, 3), {"linear": True}, (3, 3), {}, "r3"),
+    # template: r10 reads only templates
+    ((3, 4), dict(T, phi=None), (3, 4), {}, "r10"),
+    # phi: r5 needs an offset
+    ((4, 3), dict(T, phi=0), (4, 3), dict(T, phi=None), "r5"),
+    # the last bound: r5 drops it and needs it to be 3
+    ((4, 3), dict(T, phi=0), (3, 4), dict(T, phi=0), "r5"),
+    # special_degree: r9 gives it as the order
+    ((4, 4), {"special_degree": 3, "special_degree_index": 0},
+     (4, 4), {"special_degree": 2, "special_degree_index": 0}, "r9"),
+    # the bound at special_degree_index, which r9 lowers
+    ((3, 4), {"special_degree": 3, "special_degree_index": 1},
+     (3, 4), {"special_degree": 3, "special_degree_index": 0}, "r9"),
+])
+def test_facts_apart_in_what_a_rule_reads(weak, weak_flags, strong,
+                                          strong_flags, rule):
+    """A better fact that a rule reads differently does not hide a worse
+    one from it."""
+    ledger = Ledger()
+    ledger.add_fact(graph_fact((3, 3), 5, asserted("partner"), linear=True))
+    weak_id = ledger.add_fact(
+        graph_fact(weak, 10, asserted("weak"), **weak_flags))
+    ledger.add_fact(graph_fact(strong, 20, asserted("strong"), **strong_flags))
+    new = ledger.derive_closure(rules=[rule], depth=1)
+    assert any(weak_id in f.certificate["parents"] for f in new)
