@@ -25,6 +25,7 @@ from .cliques import (
     ramsey_check,
 )
 from .templates import (
+    TemplateFailure,
     TemplateGraph,
     double_to_template,
     is_tf_template,
@@ -32,6 +33,7 @@ from .templates import (
     rainbow_colouring,
     repetition_check,
     template_usable,
+    validate_template,
 )
 from .constructions import (
     paley_colouring,

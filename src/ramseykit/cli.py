@@ -10,7 +10,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from importlib import resources
 
 from . import colouring as col
@@ -19,11 +20,10 @@ from . import ledger as led
 from . import sat
 from .cliques import CliqueReport, ramsey_check
 from .templates import (
+    TF,
     TemplateGraph,
-    TemplateError,
     double_to_template,
-    repetition_check,
-    template_usable,
+    validate_template,
 )
 
 PASS, FAIL, ERROR = 0, 1, 2
@@ -43,7 +43,7 @@ def _print_report(report: CliqueReport, avoid) -> None:
     for s, (size, k, exact) in enumerate(
             zip(report.per_colour_max, avoid, report.exact), start=1):
         rel = "=" if exact else ">="
-        verdict = "ok" if (exact and size < k) or size < k else "CLIQUE"
+        verdict = "ok" if size < k else "CLIQUE"
         print(f"colour {s}: max clique {rel} {size} (bound {k}) {verdict}")
         if report.witness[s - 1]:
             print(f"  witness: {list(report.witness[s - 1])}")
@@ -71,56 +71,81 @@ def cmd_template_check(args) -> int:
         print("error: file does not carry a template_colour", file=sys.stderr)
         return ERROR
     avoid = _parse_avoid(args.avoid)
-    try:
-        T = TemplateGraph(c.as_linear(), c.template_colour)
-    except TemplateError as e:
-        print(f"not a template: {e}")
+    base = c.as_linear()
+    failure = validate_template(base, c.template_colour, avoid,
+                                reps=args.reps, rainbow_n=args.rainbow_n)
+    if failure is not None and failure.stage == TF:
+        print(f"not a template: {failure}")
         return FAIL
+    T = TemplateGraph(base, c.template_colour)
     print(f"template order {T.order}, phi {T.phi}")
-    ok = template_usable(T, avoid, reps=args.reps, rainbow_n=args.rainbow_n)
-    for q in range(1, args.reps + 1):
-        rep = repetition_check(T, q, avoid)
-        print(f"repetition q={q}: {'ok' if rep.passes else 'FAIL'}")
-    print("PASS" if ok else "FAIL")
-    return PASS if ok else FAIL
+    ok_reps = failure.q - 1 if failure and failure.q else args.reps
+    for q in range(1, ok_reps + 1):
+        print(f"repetition q={q}: ok")
+    if failure is not None:
+        print(failure)
+    print("PASS" if failure is None else "FAIL")
+    return PASS if failure is None else FAIL
 
 
-def _emit_colouring(c, args, default_comment=None) -> None:
+def _emit_colouring(c, args) -> None:
     if args.out:
         col.save_colouring(c, args.out)
     else:
         sys.stdout.write(col.serialize_colouring(c))
 
 
-def cmd_construct(args) -> int:
-    if args.rule == "paley":
-        if args.q is None:
-            print("error: paley needs --q", file=sys.stderr)
-            return ERROR
-        out = cons.paley_colouring(args.q)
-        _emit_colouring(out, args)
-        return PASS
-    a = col.load_colouring(args.a)
-    if args.rule == "song":
-        b = col.load_colouring(args.b)
-        ga = a if isinstance(a, col.ExplicitColouring) else col.expand_to_explicit(a)
-        gb = b if isinstance(b, col.ExplicitColouring) else col.expand_to_explicit(b)
-        out = cons.song_product(ga, gb)
-    elif args.rule == "product":
-        b = col.load_colouring(args.b)
-        if a.kind == col.CYCLIC and b.kind == col.CYCLIC:
-            out = cons.product_cyclic(a, b)
-        else:
-            out = cons.product_linear(a, b)
-    elif args.rule == "template":
-        if a.template_colour is not None:
-            T = TemplateGraph(a.as_linear(), a.template_colour)
-        else:
-            T = double_to_template(a)
-        b = col.load_colouring(args.b)
-        out = cons.template_compound(T, b)
+def _require(what: str, operands, names) -> None:
+    """ValueError (exit 2) naming the first of `names` missing or None."""
+    for name in names:
+        if operands.get(name) is None:
+            raise ValueError(f"{what}: missing operand {name!r}")
+
+
+def _explicit(c):
+    if isinstance(c, col.ExplicitColouring):
+        return c
+    return col.expand_to_explicit(c)
+
+
+def _product(a, b):
+    if a.kind == col.CYCLIC and b.kind == col.CYCLIC:
+        return cons.product_cyclic(a, b)
+    return cons.product_linear(a, b)
+
+
+def _template(a, b):
+    # a colouring without a template colour is doubled into a template
+    if a.template_colour is not None:
+        T = TemplateGraph(a.as_linear(), a.template_colour)
     else:
-        raise SystemExit(f"error: unknown construction {args.rule!r}")
+        T = double_to_template(a)
+    return cons.template_compound(T, b)
+
+
+# rule -> (operand names, builder); operands a and b are colourings
+CONSTRUCTIONS = {
+    "paley": (("q",), cons.paley_colouring),
+    "product": (("a", "b"), _product),
+    "template": (("a", "b"), _template),
+    "song": (("a", "b"), lambda a, b: cons.song_product(_explicit(a),
+                                                        _explicit(b))),
+}
+
+
+def construct(rule: str, operands, resolve):
+    """Build `rule` from the named `operands`; `resolve` turns operand a or
+    b into a colouring (a file path for the CLI, a step name in a recipe)."""
+    if rule not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction rule {rule!r}")
+    names, build = CONSTRUCTIONS[rule]
+    _require(f"construct {rule}", operands, names)
+    return build(*(operands[n] if n == "q" else resolve(operands[n])
+                   for n in names))
+
+
+def cmd_construct(args) -> int:
+    out = construct(args.rule, vars(args), col.load_colouring)
     if out.avoid is not None and not args.no_verify:
         report = ramsey_check(out, out.avoid)
         if not report.passes:
@@ -128,31 +153,22 @@ def cmd_construct(args) -> int:
                   file=sys.stderr)
             return FAIL
     elif args.no_verify:
-        if isinstance(out, col.LengthColouring):
-            out = col.LengthColouring(out.kind, out.order, out.num_colours,
-                                      out.colour_of, avoid=out.avoid,
-                                      template_colour=out.template_colour,
-                                      comment="unverified")
-        else:
-            out = col.ExplicitColouring(out.order, out.num_colours,
-                                        out.edge_colour, avoid=out.avoid,
-                                        comment="unverified")
+        out = replace(out, comment="unverified")
     _emit_colouring(out, args)
     return PASS
 
 
 def cmd_encode(args) -> int:
     avoid = _parse_avoid(args.avoid)
+    _require(f"encode {args.kind}", vars(args),
+             ("prototype", "t") if args.kind == "extension" else ("order",))
     if args.kind == "cyclic":
         inst = sat.encode_cyclic(args.order, avoid, clause_cap=args.clause_cap)
     elif args.kind == "linear":
         inst = sat.encode_linear(args.order, avoid, clause_cap=args.clause_cap)
     else:
-        proto = col.load_colouring(args.prototype)
-        if proto.kind != col.CYCLIC:
-            proto = col.to_cyclic(proto)
-        spec = sat.SearchSpec(proto, args.t, proto.num_colours + 1, avoid)
-        inst = sat.encode_extension(spec, clause_cap=args.clause_cap)
+        inst = sat.encode_extension(_extension_spec(args, avoid),
+                                    clause_cap=args.clause_cap)
     text = sat.write_dimacs(inst)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
@@ -168,12 +184,11 @@ def cmd_solve(args) -> int:
     result = sat.solve_internal(inst, conflict_budget=args.budget)
     print(f"s {result.status}")
     if result.status == sat.SAT:
-        print("v " + " ".join(str(lit) for lit in result.model) + " 0")
+        values = "v " + " ".join(str(lit) for lit in result.model) + " 0"
+        print(values)
         if args.model_out:
             with open(args.model_out, "w", encoding="utf-8", newline="\n") as f:
-                f.write("s SATISFIABLE\n")
-                f.write("v " + " ".join(str(lit) for lit in result.model)
-                        + " 0\n")
+                f.write(f"s SATISFIABLE\n{values}\n")
         return PASS
     return FAIL
 
@@ -192,30 +207,24 @@ def cmd_decode(args) -> int:
         print("decoded model fails verification; refusing to emit",
               file=sys.stderr)
         return FAIL
-    if args.out:
-        col.save_colouring(decoded, args.out)
-    else:
-        sys.stdout.write(col.serialize_colouring(decoded))
+    _emit_colouring(decoded, args)
     return PASS
 
 
+def _extension_spec(args, avoid) -> sat.SearchSpec:
+    proto = col.to_cyclic(col.load_colouring(args.prototype))
+    return sat.SearchSpec(proto, args.t, proto.num_colours + 1, avoid)
+
+
 def cmd_search(args) -> int:
-    proto = col.load_colouring(args.prototype)
-    if proto.kind != col.CYCLIC:
-        proto = col.to_cyclic(proto)
-    avoid = _parse_avoid(args.avoid)
-    spec = sat.SearchSpec(proto, args.t, proto.num_colours + 1, avoid)
+    spec = _extension_spec(args, _parse_avoid(args.avoid))
     result = sat.search_template(spec, reps=args.reps,
                                  rainbow_n=args.rainbow_n,
                                  conflict_budget=args.budget)
     for line in result.log:
         print(line)
     if result.status == "found":
-        out = result.template.base
-        if args.out:
-            col.save_colouring(out, args.out)
-        else:
-            sys.stdout.write(col.serialize_colouring(out))
+        _emit_colouring(result.template.base, args)
         return PASS
     return FAIL
 
@@ -243,9 +252,7 @@ def _store_path(args) -> str:
 
 
 def _load_store(path) -> led.Ledger:
-    if os.path.exists(path):
-        return led.Ledger.load(path)
-    return led.Ledger()
+    return led.Ledger.load(path) if os.path.exists(path) else led.Ledger()
 
 
 def cmd_ledger(args) -> int:
@@ -259,23 +266,19 @@ def cmd_ledger(args) -> int:
             return PASS
         if args.ledger_cmd == "add":
             avoid = _parse_avoid(args.avoid)
-            flags = {}
-            if args.cyclic:
-                flags["cyclic"] = True
-            else:
-                flags["linear"] = True
+            flags = {"cyclic": True} if args.cyclic else {"linear": True}
+            store_dir = os.path.dirname(path) or "."
             fact = led.graph_fact(
-                avoid, _order_of(args.file),
-                {"type": "explicit", "path": args.file}, **flags)
-            fid = ledger.add_fact(fact)
+                avoid, col.load_colouring(args.file).order,
+                {"type": "explicit",
+                 "path": os.path.relpath(args.file, store_dir)}, **flags)
+            fid = ledger.add_fact(fact, base_dir=store_dir)
             print(f"fact {fid}: graph {avoid}; order {fact.value} (explicit)")
             ledger.save(path)
             return PASS
         if args.ledger_cmd == "assert":
             params = _parse_avoid(args.params)
-            flags = {}
-            if args.cyclic:
-                flags["cyclic"] = True
+            flags = {"cyclic": True} if args.cyclic else {}
             if args.template:
                 flags["template"] = True
                 flags["phi"] = args.phi
@@ -314,12 +317,8 @@ def cmd_ledger(args) -> int:
     raise SystemExit(f"error: unknown ledger command {args.ledger_cmd!r}")
 
 
-def _order_of(path) -> int:
-    return col.load_colouring(path).order
-
-
 def _fact_line(f: led.BoundFact) -> str:
-    value = f.value.render() if isinstance(f.value, led.GammaValue) else f.value
+    value = _render(f.value)
     cert = f.certificate
     if cert["type"] == "derived":
         prov = f"derived[{cert['rule']}] from {cert['parents']}"
@@ -384,7 +383,7 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                 log.append(f"step {i}: colouring '{step['name']}' "
                            f"order {c.order}")
             elif op == "construct":
-                c = _pipeline_construct(step, bag)
+                c = construct(step["rule"], step, bag.__getitem__)
                 bag[step["name"]] = c
                 log.append(f"step {i}: built '{step['name']}' via "
                            f"{step['rule']}, order {c.order}")
@@ -457,26 +456,6 @@ def _resolve_colouring(step: dict):
     return col.load_colouring(step["path"])
 
 
-def _pipeline_construct(step: dict, bag: dict):
-    rule = step["rule"]
-    if rule == "paley":
-        return cons.paley_colouring(step["q"])
-    a = bag[step["a"]]
-    if rule == "product":
-        if a.kind == col.CYCLIC and bag[step["b"]].kind == col.CYCLIC:
-            return cons.product_cyclic(a, bag[step["b"]])
-        return cons.product_linear(a, bag[step["b"]])
-    if rule == "template":
-        T = double_to_template(a)
-        return cons.template_compound(T, bag[step["b"]])
-    if rule == "song":
-        ga = a if isinstance(a, col.ExplicitColouring) else col.expand_to_explicit(a)
-        b = bag[step["b"]]
-        gb = b if isinstance(b, col.ExplicitColouring) else col.expand_to_explicit(b)
-        return cons.song_product(ga, gb)
-    raise ValueError(f"unknown construction rule {rule!r}")
-
-
 def _load_recipe(name_or_path: str) -> dict:
     if os.path.exists(name_or_path):
         with open(name_or_path, encoding="utf-8") as f:
@@ -490,7 +469,8 @@ def _load_recipe(name_or_path: str) -> dict:
 def cmd_pipeline(args) -> int:
     recipe = _load_recipe(args.recipe)
     store = _store_path(args) if args.use_store else None
-    failed_step, log = run_pipeline(recipe, store_path=store)
+    with _locked_store(store) if store else nullcontext():
+        failed_step, log = run_pipeline(recipe, store_path=store)
     for line in log:
         print(line)
     if failed_step:

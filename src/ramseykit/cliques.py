@@ -37,6 +37,11 @@ class CliqueReport:
     passes: bool
     exact: tuple[bool, ...]
 
+    def first_failure(self, avoid) -> int:
+        """Index of the first colour whose clique reaches its bound."""
+        return next(i for i, (size, k) in enumerate(
+            zip(self.per_colour_max, avoid)) if size >= k)
+
 
 def _colour_bitrows(g: ExplicitColouring, s: int) -> list[int]:
     """Adjacency of the colour-s subgraph as one bitmask per vertex."""

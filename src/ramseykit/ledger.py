@@ -572,6 +572,9 @@ class Ledger:
 
     @classmethod
     def load(cls, path) -> "Ledger":
+        """Read a store; explicit certificate paths resolve against its
+        directory."""
+        base_dir = os.path.dirname(path) or "."
         ledger = cls()
         with open(path, encoding="utf-8") as f:
             for line in f:
@@ -579,7 +582,7 @@ class Ledger:
                 if not line:
                     continue
                 fact = _fact_from_json(json.loads(line))
-                ledger.add_fact(replace(fact, fact_id=None))
+                ledger.add_fact(replace(fact, fact_id=None), base_dir)
         return ledger
 
 

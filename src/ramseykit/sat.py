@@ -11,6 +11,7 @@ translation (linear) or rotation (cyclic) invariant.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -22,7 +23,12 @@ from .colouring import (
     cyclic_length,
 )
 from .cliques import ramsey_check
-from .templates import TemplateGraph, is_tf_template, repetition_check
+from .templates import (
+    RAINBOW,
+    TF,
+    TemplateGraph,
+    validate_template,
+)
 
 DEFAULT_CLAUSE_CAP = 10_000_000
 DEFAULT_CONFLICT_BUDGET = 1_000_000
@@ -77,9 +83,6 @@ class CnfInstance:
     var_map: VarMap
     fixed: dict  # length -> colour, over canonical fixed lengths
     meta: dict   # encoding kind, target order, parameters, extension data
-
-    def is_trivially_unsat(self) -> bool:
-        return any(len(cl) == 0 for cl in self.clauses)
 
 
 @dataclass(frozen=True)
@@ -255,13 +258,11 @@ def write_dimacs(instance: CnfInstance) -> str:
     models can be decoded from the .cnf alone.  A pure function of the
     instance: identical instances serialize to identical bytes.
     """
-    import json as _json
-
     lines = []
     for var in range(1, instance.var_map.num_vars + 1):
         l, s = instance.var_map.decode(var)
         lines.append(f"c map {l} {s} {var}")
-    lines.append("c meta " + _json.dumps(instance.meta, sort_keys=True))
+    lines.append("c meta " + json.dumps(instance.meta, sort_keys=True))
     for l in sorted(instance.fixed):
         lines.append(f"c fixed {l} {instance.fixed[l]}")
     lines.append(f"p cnf {instance.num_vars} {len(instance.clauses)}")
@@ -272,8 +273,6 @@ def write_dimacs(instance: CnfInstance) -> str:
 
 def read_dimacs(text: str) -> CnfInstance:
     """Reconstruct a CnfInstance from `write_dimacs` output."""
-    import json as _json
-
     mapping: dict[int, tuple[int, int]] = {}
     fixed: dict[int, int] = {}
     meta: dict = {}
@@ -287,7 +286,7 @@ def read_dimacs(text: str) -> CnfInstance:
             l, s, var = (int(x) for x in line[6:].split())
             mapping[var] = (l, s)
         elif line.startswith("c meta "):
-            meta = _json.loads(line[7:])
+            meta = json.loads(line[7:])
         elif line.startswith("c fixed "):
             l, s = (int(x) for x in line[8:].split())
             fixed[l] = s
@@ -544,14 +543,10 @@ def search_template(spec: SearchSpec,
     """Encode, solve, validate, refine: loop until a validated template graph
     comes out or the encoding is exhausted.
 
-    Validation is is_tf_template + the repetition and rainbow-compound
-    checks; each failure adds a clause (clique-specific where any free length
-    participates, whole-model blocking otherwise) and the instance is
-    re-solved.
+    Validation is `validate_template`; each failure adds a clause
+    (clique-specific where any free length participates, whole-model
+    blocking otherwise) and the instance is re-solved.
     """
-    from .templates import rainbow_colouring
-    from .constructions import template_compound
-
     n = spec.prototype.order
     t = spec.t
     N = spec.target_order
@@ -592,8 +587,7 @@ def search_template(spec: SearchSpec,
         # soundness gate: never trust a decoded model
         report = ramsey_check(colouring, spec.avoid, want_witness=True)
         if not report.passes:
-            bad = next(s for s in range(1, len(spec.avoid) + 1)
-                       if report.per_colour_max[s - 1] >= spec.avoid[s - 1])
+            bad = report.first_failure(spec.avoid) + 1
             wit = report.witness[bad - 1]
             lengths = {abs(j - i) for i, j in combinations(wit, 2)}
             cl = _violation_clause(lengths, bad, instance, n, t)
@@ -606,57 +600,35 @@ def search_template(spec: SearchSpec,
                        f"{bad}, refined")
             continue
 
-        if not is_tf_template(colouring, spec.template_colour):
-            cls = sorted(colouring.colour_class(spec.template_colour))
-            clset = set(cls)
-            triple = next(
-                ((x, y, x + y) for x in cls for y in cls
-                 if x <= y and x + y in clset), None)
-            if triple is None:
-                log.append(f"iteration {iteration}: template class misses the "
-                           "top length despite the unit constraint")
-                return TemplateSearchResult("none", None, iteration, log)
-            cl = _violation_clause(triple, spec.template_colour, instance, n, t)
-            if cl is None:
-                log.append(f"iteration {iteration}: fixed template lengths "
-                           "form a triangle; unsatisfiable as posed")
-                return TemplateSearchResult("none", None, iteration, log)
-            extra.append(cl)
-            log.append(f"iteration {iteration}: template triangle at lengths "
-                       f"{triple}, refined")
+        failure = validate_template(colouring, spec.template_colour,
+                                    non_template_avoid, reps, rainbow_n)
+        if failure is None:
+            template = TemplateGraph(colouring, spec.template_colour)
+            log.append(f"iteration {iteration}: validated template of order "
+                       f"{N}, phi {template.phi}")
+            return TemplateSearchResult("found", template, iteration, log)
+        if failure.stage == RAINBOW:
+            extra.append(_block_model(result.model))
+            log.append(f"iteration {iteration}: rainbow compound failed, "
+                       "blocked model")
             continue
-
-        template = TemplateGraph(colouring, spec.template_colour)
-        ok = True
-        for q in range(1, reps + 1):
-            rep = repetition_check(template, q, non_template_avoid)
-            if not rep.passes:
-                ok = False
-                cl = _repetition_violation(template, q, non_template_avoid,
-                                           instance, n, t)
-                if cl is None:
-                    log.append(f"iteration {iteration}: repetition q={q} "
-                               "fails on fixed lengths; unsatisfiable as posed")
-                    return TemplateSearchResult("none", None, iteration, log)
-                extra.append(cl)
-                log.append(f"iteration {iteration}: repetition q={q} failed, "
-                           "refined")
-                break
-        if not ok:
-            continue
-
-        if rainbow_n >= 2:
-            compound = template_compound(template, rainbow_colouring(rainbow_n))
-            compound_avoid = tuple(non_template_avoid) + (3,) * (rainbow_n - 1)
-            if not ramsey_check(compound, compound_avoid).passes:
-                extra.append(_block_model(result.model))
-                log.append(f"iteration {iteration}: rainbow compound failed, "
-                           "blocked model")
-                continue
-
-        log.append(f"iteration {iteration}: validated template of order {N}, "
-                   f"phi {template.phi}")
-        return TemplateSearchResult("found", template, iteration, log)
+        if not failure.lengths:
+            log.append(f"iteration {iteration}: template class misses the "
+                       "top length despite the unit constraint")
+            return TemplateSearchResult("none", None, iteration, log)
+        cl = _violation_clause(failure.lengths, failure.colour, instance, n, t)
+        if failure.stage == TF:
+            fixed_msg = "fixed template lengths form a triangle"
+            refined_msg = f"template triangle at lengths {failure.lengths}"
+        else:
+            fixed_msg = f"repetition q={failure.q} fails on fixed lengths"
+            refined_msg = f"repetition q={failure.q} failed"
+        if cl is None:
+            log.append(f"iteration {iteration}: {fixed_msg}; "
+                       "unsatisfiable as posed")
+            return TemplateSearchResult("none", None, iteration, log)
+        extra.append(cl)
+        log.append(f"iteration {iteration}: {refined_msg}, refined")
 
     log.append(f"stopped after {max_iterations} iterations")
     return TemplateSearchResult("budget", None, max_iterations, log)
@@ -665,24 +637,3 @@ def search_template(spec: SearchSpec,
 def _block_model(model) -> tuple[int, ...]:
     return tuple(-lit for lit in model)
 
-
-def _repetition_violation(template: TemplateGraph, q: int, avoid,
-                          instance: CnfInstance, n: int, t: int):
-    """Map a clique in the q-fold tiling back to base residues and block it."""
-    from .templates import tiled_colouring
-
-    tiled = tiled_colouring(template, q)
-    non_template = template.non_template_colours()
-    full_avoid = [tiled.order + 1] * tiled.num_colours
-    for s, k in zip(non_template, avoid):
-        full_avoid[s - 1] = k
-    report = ramsey_check(tiled, full_avoid, want_witness=True)
-    bad = next(s for s in non_template
-               if report.per_colour_max[s - 1] >= full_avoid[s - 1])
-    wit = report.witness[bad - 1]
-    t_order = template.order
-    residues = {
-        ((abs(j - i) - 1) % (t_order - 1)) + 1
-        for i, j in combinations(wit, 2)
-    }
-    return _violation_clause(residues, bad, instance, n, t)

@@ -10,9 +10,12 @@ compound's order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .colouring import LINEAR, ColouringError, LengthColouring
 from .cliques import CliqueReport, ramsey_check
+
+TF, REPETITION, RAINBOW = "tf-template", "repetition", "rainbow"
 
 
 class TemplateError(ValueError):
@@ -23,20 +26,30 @@ def _template_lengths(c: LengthColouring, s: int) -> set[int]:
     return {l for l in range(1, c.order) if c.colour_of[l - 1] == s}
 
 
-def _sum_free(lengths: set[int]) -> bool:
-    # A monochromatic triangle in a linear colouring is exactly a triple of
-    # lengths x, y, x + y in one class.
-    return not any(x + y in lengths for x in lengths for y in lengths if x <= y)
+def _tf_violation(c: LengthColouring, s: int) -> tuple[int, ...] | None:
+    """None if colour s is a tf-template class of c.
 
-
-def is_tf_template(c: LengthColouring, s: int) -> bool:
-    """True iff colour s is a triangle-free length class containing order-1."""
+    Otherwise the first triple (x, y, x + y) of the class, or () when the
+    class is sum-free but misses the top length order-1.
+    """
     if c.kind != LINEAR:
         raise TemplateError("template test requires a linear colouring")
     if not (1 <= s <= c.num_colours):
         raise ColouringError(f"colour {s} out of range 1..{c.num_colours}")
     cls = _template_lengths(c, s)
-    return (c.order - 1) in cls and _sum_free(cls)
+    # A monochromatic triangle in a linear colouring is exactly a triple of
+    # lengths x, y, x + y in one class.
+    ordered = sorted(cls)
+    triple = next(((x, y, x + y) for x in ordered for y in ordered
+                   if x <= y and x + y in cls), None)
+    if triple is not None:
+        return triple
+    return None if (c.order - 1) in cls else ()
+
+
+def is_tf_template(c: LengthColouring, s: int) -> bool:
+    """True iff colour s is a triangle-free length class containing order-1."""
+    return _tf_violation(c, s) is None
 
 
 @dataclass(frozen=True)
@@ -99,7 +112,8 @@ def repetition_check(T: TemplateGraph, q: int, avoid) -> CliqueReport:
 
     `avoid` lists the clique bounds of the non-template colours in colour
     order.  The template colour is unconstrained here: its class grows with
-    the tiling by design.
+    the tiling by design.  The report carries a witness per colour, in
+    vertices of the tiling.
     """
     avoid = tuple(avoid)
     non_template = T.non_template_colours()
@@ -113,7 +127,7 @@ def repetition_check(T: TemplateGraph, q: int, avoid) -> CliqueReport:
     full_avoid = [tiled.order + 1] * tiled.num_colours
     for s, k in zip(non_template, avoid):
         full_avoid[s - 1] = k
-    report = ramsey_check(tiled, full_avoid)
+    report = ramsey_check(tiled, full_avoid, want_witness=True)
     sizes = tuple(report.per_colour_max[s - 1] for s in non_template)
     wits = tuple(report.witness[s - 1] for s in non_template)
     exact = tuple(report.exact[s - 1] for s in non_template)
@@ -151,24 +165,66 @@ def rainbow_colouring(n: int) -> LengthColouring:
                            avoid=(3,) * (n - 1))
 
 
-def template_usable(T: TemplateGraph, avoid, reps: int = 8,
-                    rainbow_n: int = 4) -> bool:
-    """Operational template-validity check.
+@dataclass(frozen=True)
+class TemplateFailure:
+    """The first check a template candidate fails, with its witness lengths:
+    a tf failure's triple (x, y, x + y), or () if the top length is
+    missing; a repetition clique's lengths folded onto base residues; ()
+    for a rainbow failure, whose `colour` is a colour of the compound."""
 
-    Passes iff the q-fold tilings stay below the non-template bounds for all
-    q up to `reps`, and the compound with a rainbow prototype of order
-    `rainbow_n` verifies.  Every compound actually emitted is independently
-    clique-checked as well, so certificates never rest on this test alone.
+    stage: str  # TF | REPETITION | RAINBOW
+    colour: int
+    q: int | None = None
+    lengths: tuple[int, ...] = ()
+
+    def __str__(self) -> str:
+        if self.stage == TF:
+            if not self.lengths:
+                return f"colour {self.colour} misses the top length"
+            return f"colour {self.colour} has the triangle lengths {self.lengths}"
+        if self.stage == REPETITION:
+            return (f"repetition q={self.q}: FAIL, colour {self.colour} clique "
+                    f"on base lengths {list(self.lengths)}")
+        return f"rainbow compound: FAIL, colour {self.colour}"
+
+
+def validate_template(base: LengthColouring, template_colour: int, avoid,
+                      reps: int = 8,
+                      rainbow_n: int = 4) -> TemplateFailure | None:
+    """The first failing stage of the template checks, or None.
+
+    Stages: `template_colour` is a tf-template class of `base`; the q-fold
+    tilings, q = 1..reps, stay below the non-template bounds `avoid`; the
+    compound with a rainbow prototype of order `rainbow_n` (if >= 2)
+    verifies.  Emitted compounds are clique-checked on their own as well.
     """
     from .constructions import template_compound
 
+    triple = _tf_violation(base, template_colour)
+    if triple is not None:
+        return TemplateFailure(TF, template_colour, lengths=triple)
+    T = TemplateGraph(base, template_colour)
     avoid = tuple(avoid)
     for q in range(1, reps + 1):
-        if not repetition_check(T, q, avoid).passes:
-            return False
+        report = repetition_check(T, q, avoid)
+        if not report.passes:
+            i = report.first_failure(avoid)
+            residues = {(b - a - 1) % (T.order - 1) + 1
+                        for a, b in combinations(report.witness[i], 2)}
+            return TemplateFailure(REPETITION, T.non_template_colours()[i], q,
+                                   tuple(sorted(residues)))
     if rainbow_n >= 2:
         compound = template_compound(T, rainbow_colouring(rainbow_n))
         compound_avoid = avoid + (3,) * (rainbow_n - 1)
-        if not ramsey_check(compound, compound_avoid).passes:
-            return False
-    return True
+        report = ramsey_check(compound, compound_avoid)
+        if not report.passes:
+            return TemplateFailure(RAINBOW,
+                                   report.first_failure(compound_avoid) + 1)
+    return None
+
+
+def template_usable(T: TemplateGraph, avoid, reps: int = 8,
+                    rainbow_n: int = 4) -> bool:
+    """True iff `validate_template` finds no failure."""
+    return validate_template(T.base, T.template_colour, avoid, reps,
+                             rainbow_n) is None

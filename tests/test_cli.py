@@ -1,10 +1,18 @@
 import json
+import os
+import threading
+from dataclasses import replace
 
 import pytest
 
-from ramseykit.cli import dispatch
-from ramseykit.colouring import pentagon, save_colouring, serialize_colouring
-from ramseykit.colouring import LengthColouring
+from ramseykit import cli, templates
+from ramseykit.cli import _locked_store, dispatch, run_pipeline
+from ramseykit.colouring import (
+    LengthColouring,
+    pentagon,
+    save_colouring,
+    serialize_colouring,
+)
 
 
 @pytest.fixture
@@ -226,3 +234,192 @@ def test_module_entry_point_returns_dispatch_codes():
     assert run().returncode == 2
     helped = run("--help")
     assert helped.returncode == 0 and "usage:" in helped.stdout
+
+
+DOUBLED_PENTAGON = LengthColouring(
+    "linear", 10, 3, (1, 2, 2, 1, 3, 3, 3, 3, 3), template_colour=3)
+
+
+@pytest.fixture
+def template_file(tmp_path):
+    path = str(tmp_path / "template.json")
+    save_colouring(DOUBLED_PENTAGON, path)
+    return path
+
+
+def test_template_check_runs_each_repetition_once(template_file, monkeypatch,
+                                                  capsys):
+    calls = []
+    real = templates.repetition_check
+
+    def counting(T, q, avoid):
+        calls.append(q)
+        return real(T, q, avoid)
+
+    monkeypatch.setattr(templates, "repetition_check", counting)
+    assert dispatch(["template-check", template_file, "--avoid", "3,3",
+                     "--reps", "5"]) == 0
+    assert calls == [1, 2, 3, 4, 5]
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [f"repetition q={q}: ok" for q in range(1, 6)] + ["PASS"]
+
+
+def test_template_check_stops_at_first_failure(template_file, capsys):
+    assert dispatch(["template-check", template_file, "--avoid", "3,2",
+                     "--reps", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "template order 10, phi 4",
+        "repetition q=1: FAIL, colour 2 clique on base lengths [2]",
+        "FAIL",
+    ]
+
+
+def test_template_check_rainbow_failure(template_file, capsys):
+    assert dispatch(["template-check", template_file, "--avoid", "3,2",
+                     "--reps", "0", "--rainbow-n", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["rainbow compound: FAIL, colour 2", "FAIL"]
+
+
+def test_template_check_prints_tf_triangle(tmp_path, capsys):
+    path = str(tmp_path / "triangle.json")
+    save_colouring(LengthColouring("linear", 6, 2, (1, 2, 2, 1, 2),
+                                   template_colour=2), path)
+    assert dispatch(["template-check", path, "--avoid", "3"]) == 1
+    assert capsys.readouterr().out == \
+        "not a template: colour 2 has the triangle lengths (2, 3, 5)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "product", "--a", "{c5}"],
+    ["construct", "song", "--b", "{c5}"],
+    ["construct", "template", "--a", "{c5}"],
+    ["construct", "product"],
+])
+def test_construct_missing_operand_exit_2(argv, pentagon_file, capsys):
+    argv = [a.format(c5=pentagon_file) for a in argv]
+    assert dispatch(argv) == 2
+    assert "missing operand" in capsys.readouterr().err
+
+
+def test_encode_cyclic_without_order_exit_2(capsys):
+    assert dispatch(["encode", "cyclic", "--avoid", "3,3"]) == 2
+    assert "missing operand 'order'" in capsys.readouterr().err
+
+
+def test_encode_extension_without_t_exit_2(pentagon_file, capsys):
+    assert dispatch(["encode", "extension", "--prototype", pentagon_file,
+                     "--avoid", "3,3,3"]) == 2
+    assert "missing operand 't'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule, a, b, q", [
+    ("template", DOUBLED_PENTAGON, pentagon(), None),
+    ("template", pentagon(), pentagon(), None),
+    ("product", pentagon(), pentagon(), None),
+    ("song", pentagon(), pentagon(), None),
+    ("paley", None, None, 13),
+])
+def test_construct_cli_pipeline_parity(rule, a, b, q, tmp_path, monkeypatch,
+                                       capsys):
+    operands = {name: c for name, c in (("a", a), ("b", b)) if c is not None}
+    argv = ["construct", rule, "--no-verify"]
+    for name, c in operands.items():
+        path = str(tmp_path / f"{name}.json")
+        save_colouring(c, path)
+        argv += [f"--{name}", path]
+    if q is not None:
+        argv += ["--q", str(q)]
+    assert dispatch(argv) == 0
+    cli_out = capsys.readouterr().out
+
+    built = []
+    real = cli.construct
+    monkeypatch.setattr(cli, "construct",
+                        lambda *args: built.append(real(*args)) or built[-1])
+    steps = [{"op": "colouring", "name": name,
+              "inline": json.loads(serialize_colouring(c))}
+             for name, c in operands.items()]
+    steps.append({"op": "construct", "rule": rule, "name": "out", "q": q,
+                  **{name: name for name in operands}})
+    failed, log = run_pipeline({"steps": steps})
+    assert failed == 0, log
+    pipeline_out = replace(built[0], comment="unverified")
+    assert serialize_colouring(pipeline_out) == cli_out
+
+
+def test_pipeline_template_rule_honours_template_colour():
+    # the doubled pentagon is already a template: order (10-1)(5-1) + 1 + 4
+    steps = [{"op": "colouring", "name": "t",
+              "inline": json.loads(serialize_colouring(DOUBLED_PENTAGON))},
+             {"op": "colouring", "name": "c5", "builtin": "pentagon"},
+             {"op": "construct", "rule": "template", "a": "t", "b": "c5",
+              "name": "out"},
+             {"op": "verify", "target": "out", "avoid": [3, 3, 3, 3]}]
+    failed, log = run_pipeline({"steps": steps})
+    assert failed == 0, log
+    assert "built 'out' via template, order 41" in log[2]
+
+
+def test_pipeline_missing_operand_fails_step():
+    steps = [{"op": "colouring", "name": "c5", "builtin": "pentagon"},
+             {"op": "construct", "rule": "product", "a": "c5", "name": "p"}]
+    failed, log = run_pipeline({"steps": steps})
+    assert failed == 2
+    assert "missing operand 'b'" in log[-1]
+
+
+def test_ledger_store_opened_from_another_directory(tmp_path, monkeypatch,
+                                                    capsys):
+    home, elsewhere = tmp_path / "a", tmp_path / "b"
+    home.mkdir()
+    elsewhere.mkdir()
+    save_colouring(pentagon(), home / "c5.json")
+    monkeypatch.chdir(home)
+    assert dispatch(["ledger", "--store", "facts.jsonl", "add", "./c5.json",
+                     "--avoid", "3,3", "--cyclic"]) == 0
+    monkeypatch.chdir(elsewhere)
+    store = os.path.join("..", "a", "facts.jsonl")
+    capsys.readouterr()
+    assert dispatch(["ledger", "--store", store, "best", "graph(3,3)"]) == 0
+    assert "explicit: c5.json" in capsys.readouterr().out
+    # a path typed from here is stored relative to the store as well
+    assert dispatch(["ledger", "--store", store, "add",
+                     os.path.join("..", "a", "c5.json"), "--avoid", "3,3"]) == 0
+    paths = [json.loads(line)["certificate"]["path"]
+             for line in open(store, encoding="utf-8")]
+    assert paths == ["c5.json", "c5.json"]
+
+
+def test_ledger_load_keeps_relative_store_bytes(tmp_path, monkeypatch):
+    from ramseykit.ledger import Ledger
+
+    save_colouring(pentagon(), tmp_path / "c5.json")
+    store = tmp_path / "facts.jsonl"
+    store.write_text(json.dumps({
+        "id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5,
+        "certificate": {"type": "explicit", "path": "c5.json",
+                        "verified": True},
+        "flags": {"cyclic": True}}) + "\n")
+    before = store.read_bytes()
+    monkeypatch.chdir(tmp_path.parent)
+    Ledger.load(str(store)).save(str(store))
+    assert store.read_bytes() == before
+
+
+def test_pipeline_use_store_takes_the_lock(store, capsys):
+    done = threading.Event()
+
+    def run():
+        dispatch(["pipeline", "desk_scale_compounds", "--use-store"])
+        done.set()
+
+    with _locked_store(store):
+        worker = threading.Thread(target=run)
+        worker.start()
+        # the pipeline waits for the lock: nothing is written meanwhile
+        assert not done.wait(0.5)
+        assert not os.path.exists(store)
+    worker.join(60)
+    assert done.is_set()
+    assert os.path.exists(store)

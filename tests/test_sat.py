@@ -2,8 +2,10 @@ import hashlib
 
 import pytest
 
+from ramseykit import templates
 from ramseykit.cliques import ramsey_check
-from ramseykit.colouring import pentagon
+from ramseykit.colouring import LengthColouring, pentagon
+from ramseykit.constructions import paley_colouring
 from ramseykit.sat import (
     ClauseCapError,
     EncodingError,
@@ -194,3 +196,61 @@ def test_solver_counts_work():
 def test_solver_budget_gives_unknown():
     result = solve_internal(encode_cyclic(17, (3, 3, 3)), conflict_budget=2)
     assert result.status == "UNKNOWN"
+
+
+PROTO8 = LengthColouring("cyclic", 8, 2, (1, 2, 2, 1))
+EXHAUSTED = "exhausted, no template exists in this encoding"
+
+
+@pytest.mark.parametrize("proto, t, avoid, log", [
+    # tf-triangle refinements only
+    (pentagon(), 5, (3, 3, 4), [
+        "iteration 1: template triangle at lengths (5, 7, 12), refined",
+        "iteration 2: template triangle at lengths (5, 6, 11), refined",
+        "iteration 3: template triangle at lengths (5, 5, 10), refined",
+        f"iteration 4: {EXHAUSTED}"]),
+    # three repetition refinements
+    (PROTO8, 5, (4, 4, 3), [
+        "iteration 1: repetition q=2 failed, refined",
+        "iteration 2: repetition q=2 failed, refined",
+        "iteration 3: repetition q=2 failed, refined",
+        f"iteration 4: {EXHAUSTED}"]),
+    (paley_colouring(17), 2, (4, 5, 3), [
+        "iteration 1: repetition q=2 failed, refined",
+        f"iteration 2: {EXHAUSTED}"]),
+])
+def test_search_template_refinement_logs(proto, t, avoid, log):
+    result = search_template(SearchSpec(proto, t, 3, avoid), reps=8,
+                             rainbow_n=4)
+    assert (result.status, result.iterations, result.log) == \
+        ("none", len(log), log)
+
+
+def test_search_template_rainbow_failure_blocks_model():
+    # with no repetition checks the q=2 failures surface in the compound
+    result = search_template(SearchSpec(PROTO8, 5, 3, (4, 4, 3)), reps=0,
+                             rainbow_n=4)
+    assert "iteration 1: rainbow compound failed, blocked model" in result.log
+    assert result.status == "none"
+
+
+def test_failed_repetition_tiles_once(monkeypatch):
+    """Each repetition check builds one tiling and runs one clique search;
+    a failure's refinement clause reuses that search's witness."""
+    counts = {"checks": 0, "tilings": 0, "searches": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for attr, name in (("repetition_check", "checks"),
+                       ("tiled_colouring", "tilings"),
+                       ("ramsey_check", "searches")):
+        monkeypatch.setattr(templates, attr,
+                            counting(name, getattr(templates, attr)))
+    result = search_template(SearchSpec(PROTO8, 5, 3, (4, 4, 3)))
+    assert result.log.count("iteration 1: repetition q=2 failed, refined") == 1
+    # three candidates, each passing q=1 and failing q=2
+    assert counts == {"checks": 6, "tilings": 6, "searches": 6}
