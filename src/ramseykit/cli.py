@@ -73,14 +73,13 @@ def cmd_template_check(args) -> int:
     avoid = _parse_avoid(args.avoid)
     base = c.as_linear()
     failure = validate_template(base, c.template_colour, avoid,
-                                reps=args.reps, rainbow_n=args.rainbow_n)
+                                reps=args.reps)
     if failure is not None and failure.stage == TF:
         print(f"not a template: {failure}")
         return FAIL
     T = TemplateGraph(base, c.template_colour)
     print(f"template order {T.order}, phi {T.phi}")
-    ok_reps = failure.q - 1 if failure and failure.q else args.reps
-    for q in range(1, ok_reps + 1):
+    for q in range(1, failure.q if failure else args.reps + 1):
         print(f"repetition q={q}: ok")
     if failure is not None:
         print(failure)
@@ -102,6 +101,14 @@ def _require(what: str, operands, names) -> None:
             raise ValueError(f"{what}: missing operand {name!r}")
 
 
+def _length(what: str, name: str, c):
+    """`c` if it is a length colouring, else ValueError (exit 2)."""
+    if not isinstance(c, col.LengthColouring):
+        raise ValueError(f"{what}: operand {name!r} must be a length "
+                         "colouring, not an explicit one")
+    return c
+
+
 def _explicit(c):
     if isinstance(c, col.ExplicitColouring):
         return c
@@ -109,12 +116,16 @@ def _explicit(c):
 
 
 def _product(a, b):
+    a = _length("construct product", "a", a)
+    b = _length("construct product", "b", b)
     if a.kind == col.CYCLIC and b.kind == col.CYCLIC:
         return cons.product_cyclic(a, b)
     return cons.product_linear(a, b)
 
 
 def _template(a, b):
+    a = _length("construct template", "a", a)
+    b = _length("construct template", "b", b)
     # a colouring without a template colour is doubled into a template
     if a.template_colour is not None:
         T = TemplateGraph(a.as_linear(), a.template_colour)
@@ -160,14 +171,15 @@ def cmd_construct(args) -> int:
 
 def cmd_encode(args) -> int:
     avoid = _parse_avoid(args.avoid)
-    _require(f"encode {args.kind}", vars(args),
+    what = f"encode {args.kind}"
+    _require(what, vars(args),
              ("prototype", "t") if args.kind == "extension" else ("order",))
     if args.kind == "cyclic":
         inst = sat.encode_cyclic(args.order, avoid, clause_cap=args.clause_cap)
     elif args.kind == "linear":
         inst = sat.encode_linear(args.order, avoid, clause_cap=args.clause_cap)
     else:
-        inst = sat.encode_extension(_extension_spec(args, avoid),
+        inst = sat.encode_extension(_extension_spec(what, args, avoid),
                                     clause_cap=args.clause_cap)
     text = sat.write_dimacs(inst)
     if args.out:
@@ -211,15 +223,15 @@ def cmd_decode(args) -> int:
     return PASS
 
 
-def _extension_spec(args, avoid) -> sat.SearchSpec:
-    proto = col.to_cyclic(col.load_colouring(args.prototype))
+def _extension_spec(what: str, args, avoid) -> sat.SearchSpec:
+    proto = col.to_cyclic(_length(what, "prototype",
+                                  col.load_colouring(args.prototype)))
     return sat.SearchSpec(proto, args.t, proto.num_colours + 1, avoid)
 
 
 def cmd_search(args) -> int:
-    spec = _extension_spec(args, _parse_avoid(args.avoid))
+    spec = _extension_spec("search template", args, _parse_avoid(args.avoid))
     result = sat.search_template(spec, reps=args.reps,
-                                 rainbow_n=args.rainbow_n,
                                  conflict_budget=args.budget)
     for line in result.log:
         print(line)
@@ -501,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("file")
     t.add_argument("--avoid", required=True,
                    help="bounds of the non-template colours")
-    t.add_argument("--reps", type=int, default=8)
-    t.add_argument("--rainbow-n", type=int, default=4)
+    t.add_argument("--reps", type=int, default=8,
+                   help="number of tilings to clique-check")
     t.set_defaults(fn=cmd_template_check)
 
     c = sub.add_parser("construct", help="build a compound colouring")
@@ -542,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--prototype", required=True)
     st.add_argument("--t", type=int, required=True)
     st.add_argument("--avoid", required=True)
-    st.add_argument("--reps", type=int, default=8)
-    st.add_argument("--rainbow-n", type=int, default=4)
+    st.add_argument("--reps", type=int, default=8,
+                    help="number of tilings to clique-check")
     st.add_argument("--budget", type=int, default=sat.DEFAULT_CONFLICT_BUDGET)
     st.add_argument("--out")
     st.set_defaults(fn=cmd_search)

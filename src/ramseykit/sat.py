@@ -23,12 +23,7 @@ from .colouring import (
     cyclic_length,
 )
 from .cliques import ramsey_check
-from .templates import (
-    RAINBOW,
-    TF,
-    TemplateGraph,
-    validate_template,
-)
+from .templates import TF, TemplateGraph, validate_template
 
 DEFAULT_CLAUSE_CAP = 10_000_000
 DEFAULT_CONFLICT_BUDGET = 1_000_000
@@ -36,6 +31,9 @@ DEFAULT_CONFLICT_BUDGET = 1_000_000
 SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
+
+# how a variable on the solver's trail got its value
+_IMPLIED, _FIRST, _FLIPPED = 0, 1, 2
 
 
 class EncodingError(ValueError):
@@ -327,7 +325,8 @@ def _literals_from_document(doc: str) -> set[int]:
         if not line or line.startswith("c"):
             continue
         if line.startswith("s"):
-            if "UNSATISFIABLE" in line:
+            # `s UNSATISFIABLE` (DIMACS output format) or `s UNSAT` (solve)
+            if "UNSAT" in line:
                 raise UnsatDocument()
             continue
         if line.startswith("v"):
@@ -407,11 +406,12 @@ class SolveResult:
 
 def solve_internal(instance: CnfInstance,
                    conflict_budget: int = DEFAULT_CONFLICT_BUDGET) -> SolveResult:
-    """Complete DPLL with unit propagation and conflict clause recording.
+    """Complete chronological DPLL with unit propagation.
 
     SAT answers carry a model satisfying every clause; UNSAT only after the
     search space is exhausted; UNKNOWN iff the conflict budget runs out.
-    Decision order: highest occurrence count, ties by lowest variable id.
+    Decision order: highest occurrence count, ties by lowest variable id;
+    each decision tries True first, then False.
     """
     num_vars = instance.num_vars
     clauses = [tuple(cl) for cl in instance.clauses]
@@ -426,8 +426,7 @@ def solve_internal(instance: CnfInstance,
                             key=lambda v: (-occurrences[v], v))
 
     assign: dict[int, bool] = {}
-    trail: list[tuple[int, bool]] = []  # (var, is_decision)
-    learned: list[tuple[int, ...]] = []
+    trail: list[tuple[int, int]] = []  # (var, _IMPLIED | _FIRST | _FLIPPED)
     conflicts = 0
     decisions = 0
 
@@ -442,7 +441,7 @@ def solve_internal(instance: CnfInstance,
         changed = True
         while changed:
             changed = False
-            for cl in clauses + learned:
+            for cl in clauses:
                 unassigned = None
                 satisfied = False
                 count = 0
@@ -461,21 +460,9 @@ def solve_internal(instance: CnfInstance,
                 if count == 0:
                     return False
                 assign[abs(unassigned)] = unassigned > 0
-                trail.append((abs(unassigned), False))
+                trail.append((abs(unassigned), _IMPLIED))
                 changed = True
         return True
-
-    def backtrack() -> int | None:
-        """Undo to the most recent decision; return its variable."""
-        while trail:
-            var, is_decision = trail.pop()
-            del assign[var]
-            if is_decision:
-                return var
-        return None
-
-    # (var, tried_both) stack of open decisions
-    open_decisions: list[tuple[int, bool]] = []
 
     while True:
         if propagate():
@@ -485,30 +472,22 @@ def solve_internal(instance: CnfInstance,
                 return SolveResult(SAT, model, conflicts, decisions)
             var = next(v for v in decision_order if v not in assign)
             assign[var] = True
-            trail.append((var, True))
-            open_decisions.append((var, False))
+            trail.append((var, _FIRST))
             decisions += 1
         else:
             conflicts += 1
             if conflicts > conflict_budget:
                 return SolveResult(UNKNOWN, None, conflicts, decisions)
-            # record the negation of the current decision assignment
-            decision_lits = tuple(
-                -(v if assign[v] else -v) for v, _ in open_decisions
-                if v in assign
-            )
-            if decision_lits:
-                learned.append(decision_lits)
+            # undo to the latest decision still on its first value, flip it
             while True:
-                var = backtrack()
-                if var is None:
+                if not trail:
                     return SolveResult(UNSAT, None, conflicts, decisions)
-                dvar, tried_both = open_decisions.pop()
-                if not tried_both:
-                    assign[var] = False
-                    trail.append((var, True))
-                    open_decisions.append((var, True))
+                var, branch = trail.pop()
+                del assign[var]
+                if branch == _FIRST:
                     break
+            assign[var] = False
+            trail.append((var, _FLIPPED))
 
 
 @dataclass
@@ -536,16 +515,14 @@ def _violation_clause(lengths, colour, instance: CnfInstance,
 
 def search_template(spec: SearchSpec,
                     reps: int = 8,
-                    rainbow_n: int = 4,
                     conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
                     max_iterations: int = 200,
                     clause_cap: int = DEFAULT_CLAUSE_CAP) -> TemplateSearchResult:
     """Encode, solve, validate, refine: loop until a validated template graph
     comes out or the encoding is exhausted.
 
-    Validation is `validate_template`; each failure adds a clause
-    (clique-specific where any free length participates, whole-model
-    blocking otherwise) and the instance is re-solved.
+    Validation is `validate_template`; each failure adds a clause over the
+    free lengths of its witness and the instance is re-solved.
     """
     n = spec.prototype.order
     t = spec.t
@@ -601,17 +578,12 @@ def search_template(spec: SearchSpec,
             continue
 
         failure = validate_template(colouring, spec.template_colour,
-                                    non_template_avoid, reps, rainbow_n)
+                                    non_template_avoid, reps)
         if failure is None:
             template = TemplateGraph(colouring, spec.template_colour)
             log.append(f"iteration {iteration}: validated template of order "
                        f"{N}, phi {template.phi}")
             return TemplateSearchResult("found", template, iteration, log)
-        if failure.stage == RAINBOW:
-            extra.append(_block_model(result.model))
-            log.append(f"iteration {iteration}: rainbow compound failed, "
-                       "blocked model")
-            continue
         if not failure.lengths:
             log.append(f"iteration {iteration}: template class misses the "
                        "top length despite the unit constraint")
@@ -632,8 +604,3 @@ def search_template(spec: SearchSpec,
 
     log.append(f"stopped after {max_iterations} iterations")
     return TemplateSearchResult("budget", None, max_iterations, log)
-
-
-def _block_model(model) -> tuple[int, ...]:
-    return tuple(-lit for lit in model)
-

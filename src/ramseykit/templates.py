@@ -15,7 +15,7 @@ from itertools import combinations
 from .colouring import LINEAR, ColouringError, LengthColouring
 from .cliques import CliqueReport, ramsey_check
 
-TF, REPETITION, RAINBOW = "tf-template", "repetition", "rainbow"
+TF, REPETITION = "tf-template", "repetition"
 
 
 class TemplateError(ValueError):
@@ -157,7 +157,10 @@ def rainbow_colouring(n: int) -> LengthColouring:
     """Linear colouring of order n giving every length its own colour.
 
     Each colour class is a single length, hence sum-free: no colour can hold
-    a triangle.
+    a triangle.  As a template compound's prototype it checks nothing the
+    repetitions do not: the non-template colour classes are those of the
+    (n-1)-fold tiling, and each rainbow colour is one block of template
+    residues.
     """
     if n < 2:
         raise ColouringError(f"order: must be >= 2, got {n}")
@@ -169,10 +172,9 @@ def rainbow_colouring(n: int) -> LengthColouring:
 class TemplateFailure:
     """The first check a template candidate fails, with its witness lengths:
     a tf failure's triple (x, y, x + y), or () if the top length is
-    missing; a repetition clique's lengths folded onto base residues; ()
-    for a rainbow failure, whose `colour` is a colour of the compound."""
+    missing; a repetition clique's lengths folded onto base residues."""
 
-    stage: str  # TF | REPETITION | RAINBOW
+    stage: str  # TF | REPETITION
     colour: int
     q: int | None = None
     lengths: tuple[int, ...] = ()
@@ -182,24 +184,20 @@ class TemplateFailure:
             if not self.lengths:
                 return f"colour {self.colour} misses the top length"
             return f"colour {self.colour} has the triangle lengths {self.lengths}"
-        if self.stage == REPETITION:
-            return (f"repetition q={self.q}: FAIL, colour {self.colour} clique "
-                    f"on base lengths {list(self.lengths)}")
-        return f"rainbow compound: FAIL, colour {self.colour}"
+        return (f"repetition q={self.q}: FAIL, colour {self.colour} clique "
+                f"on base lengths {list(self.lengths)}")
 
 
 def validate_template(base: LengthColouring, template_colour: int, avoid,
-                      reps: int = 8,
-                      rainbow_n: int = 4) -> TemplateFailure | None:
+                      reps: int = 8) -> TemplateFailure | None:
     """The first failing stage of the template checks, or None.
 
     Stages: `template_colour` is a tf-template class of `base`; the q-fold
-    tilings, q = 1..reps, stay below the non-template bounds `avoid`; the
-    compound with a rainbow prototype of order `rainbow_n` (if >= 2)
-    verifies.  Emitted compounds are clique-checked on their own as well.
+    tilings, q = 1..reps, stay below the non-template bounds `avoid`.  A
+    compound with a prototype of order n has the non-template colour classes
+    of the (n-1)-fold tiling, so a pass covers prototypes up to order
+    reps + 1.  Emitted compounds are clique-checked on their own as well.
     """
-    from .constructions import template_compound
-
     triple = _tf_violation(base, template_colour)
     if triple is not None:
         return TemplateFailure(TF, template_colour, lengths=triple)
@@ -213,18 +211,9 @@ def validate_template(base: LengthColouring, template_colour: int, avoid,
                         for a, b in combinations(report.witness[i], 2)}
             return TemplateFailure(REPETITION, T.non_template_colours()[i], q,
                                    tuple(sorted(residues)))
-    if rainbow_n >= 2:
-        compound = template_compound(T, rainbow_colouring(rainbow_n))
-        compound_avoid = avoid + (3,) * (rainbow_n - 1)
-        report = ramsey_check(compound, compound_avoid)
-        if not report.passes:
-            return TemplateFailure(RAINBOW,
-                                   report.first_failure(compound_avoid) + 1)
     return None
 
 
-def template_usable(T: TemplateGraph, avoid, reps: int = 8,
-                    rainbow_n: int = 4) -> bool:
+def template_usable(T: TemplateGraph, avoid, reps: int = 8) -> bool:
     """True iff `validate_template` finds no failure."""
-    return validate_template(T.base, T.template_colour, avoid, reps,
-                             rainbow_n) is None
+    return validate_template(T.base, T.template_colour, avoid, reps) is None

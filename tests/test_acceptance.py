@@ -51,8 +51,8 @@ from ramseykit.templates import (
     double_to_template,
     is_tf_template,
     phi,
+    rainbow_colouring,
     repetition_check,
-    template_usable,
 )
 
 from conftest import all_cyclic_colourings, random_colouring
@@ -209,8 +209,10 @@ def test_criterion_07_template_validity():
     tf = is_tf_template(T.base, T.template_colour)
     phi_ok = phi(T) == 4
     reps_ok = all(repetition_check(T, q, (3, 3)).passes for q in range(1, 9))
-    rainbow_ok = all(template_usable(T, (3, 3), reps=1, rainbow_n=n)
-                     for n in range(2, 7))
+    rainbow_ok = all(
+        ramsey_check(template_compound(T, rainbow_colouring(n)),
+                     (3, 3) + (3,) * (n - 1)).passes
+        for n in range(2, 7))
     ok = tf and phi_ok and reps_ok and rainbow_ok
     assert _report(7, ok, f"tf {tf}, phi {phi(T)}, repetitions {reps_ok}, "
                           f"rainbow compounds {rainbow_ok}")

@@ -9,6 +9,7 @@ from ramseykit import cli, templates
 from ramseykit.cli import _locked_store, dispatch, run_pipeline
 from ramseykit.colouring import (
     LengthColouring,
+    expand_to_explicit,
     pentagon,
     save_colouring,
     serialize_colouring,
@@ -113,6 +114,18 @@ def test_solve_unsat_exit_code(tmp_path, capsys):
                      "--avoid", "3,3", "--out", cnf]) == 0
     assert dispatch(["solve", cnf]) == 1
     assert "s UNSAT" in capsys.readouterr().out
+
+
+def test_decode_reads_solve_output(tmp_path, capsys):
+    cnf = str(tmp_path / "c6.cnf")
+    assert dispatch(["encode", "cyclic", "--order", "6",
+                     "--avoid", "3,3", "--out", cnf]) == 0
+    capsys.readouterr()
+    assert dispatch(["solve", cnf]) == 1
+    solved = tmp_path / "c6.out"
+    solved.write_text(capsys.readouterr().out)
+    assert dispatch(["decode", "--cnf", cnf, "--model", str(solved)]) == 1
+    assert capsys.readouterr().out == "s UNSATISFIABLE\n"
 
 
 def test_encode_extension_via_cli(pentagon_file, tmp_path):
@@ -274,11 +287,16 @@ def test_template_check_stops_at_first_failure(template_file, capsys):
     ]
 
 
-def test_template_check_rainbow_failure(template_file, capsys):
-    assert dispatch(["template-check", template_file, "--avoid", "3,2",
-                     "--reps", "0", "--rainbow-n", "2"]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out[-2:] == ["rainbow compound: FAIL, colour 2", "FAIL"]
+@pytest.mark.parametrize("argv", [
+    ["template-check", "{t}", "--avoid", "3,3", "--rainbow-n", "4"],
+    ["search", "template", "--prototype", "{c5}", "--t", "2",
+     "--avoid", "3,3,3", "--rainbow-n", "4"],
+])
+def test_rainbow_n_is_not_an_option(argv, template_file, pentagon_file,
+                                    capsys):
+    argv = [a.format(t=template_file, c5=pentagon_file) for a in argv]
+    assert dispatch(argv) == 2
+    assert "unrecognized arguments: --rainbow-n" in capsys.readouterr().err
 
 
 def test_template_check_prints_tf_triangle(tmp_path, capsys):
@@ -300,6 +318,43 @@ def test_construct_missing_operand_exit_2(argv, pentagon_file, capsys):
     argv = [a.format(c5=pentagon_file) for a in argv]
     assert dispatch(argv) == 2
     assert "missing operand" in capsys.readouterr().err
+
+
+@pytest.fixture
+def explicit_file(tmp_path):
+    path = tmp_path / "e5.json"
+    save_colouring(expand_to_explicit(pentagon()), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, what, operand", [
+    (["construct", "product", "--a", "{e5}", "--b", "{c5}"],
+     "construct product", "a"),
+    (["construct", "template", "--a", "{c5}", "--b", "{e5}"],
+     "construct template", "b"),
+    (["search", "template", "--prototype", "{e5}", "--t", "2",
+      "--avoid", "3,3,3"], "search template", "prototype"),
+    (["encode", "extension", "--prototype", "{e5}", "--t", "2",
+      "--avoid", "3,3,3"], "encode extension", "prototype"),
+])
+def test_explicit_operand_exit_2(argv, what, operand, explicit_file,
+                                 pentagon_file, capsys):
+    argv = [a.format(e5=explicit_file, c5=pentagon_file) for a in argv]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {what}: operand {operand!r} must be a length colouring, "
+        "not an explicit one\n")
+
+
+def test_pipeline_explicit_operand_fails_step(explicit_file):
+    steps = [{"op": "colouring", "name": "e5", "path": explicit_file},
+             {"op": "colouring", "name": "c5", "builtin": "pentagon"},
+             {"op": "construct", "rule": "product", "a": "c5", "b": "e5",
+              "name": "p"}]
+    failed, log = run_pipeline({"steps": steps})
+    assert failed == 3
+    assert log[-1] == ("step 3: error: construct product: operand 'b' must "
+                       "be a length colouring, not an explicit one")
 
 
 def test_encode_cyclic_without_order_exit_2(capsys):

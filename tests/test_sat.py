@@ -176,7 +176,7 @@ def test_search_template_finds_known_case():
     proto = _cyclic34_prototype()
     assert proto.colour_of == (1, 2, 2, 1)
     spec = SearchSpec(proto, 3, 3, (3, 4, 3))
-    result = search_template(spec, reps=4, rainbow_n=4)
+    result = search_template(spec, reps=4)
     assert result.status == "found"
     assert result.iterations == 1
     T = result.template
@@ -196,6 +196,23 @@ def test_solver_counts_work():
 def test_solver_budget_gives_unknown():
     result = solve_internal(encode_cyclic(17, (3, 3, 3)), conflict_budget=2)
     assert result.status == "UNKNOWN"
+
+
+@pytest.mark.parametrize("encode, m, avoid, budget, want", [
+    (encode_linear, 15, (3, 3, 3), None, ("UNSAT", 180, 179, None)),
+    (encode_cyclic, 22, (3, 3, 4), None, ("SAT", 34, 40, "66aa88c8df9f749c")),
+    (encode_cyclic, 24, (3, 3, 4), None, ("SAT", 284, 291, "6f0b8e90f57626d5")),
+    (encode_cyclic, 37, (3, 3, 5), None, ("SAT", 24, 37, "bda0d041d6d9ae4f")),
+    (encode_cyclic, 27, (3, 3, 4), 700, ("UNKNOWN", 701, 704, None)),
+])
+def test_solver_search_is_pinned(encode, m, avoid, budget, want):
+    """Status, work counters and model of the chronological search: a
+    rewrite that keeps the clause scan and decision order keeps all four."""
+    kwargs = {} if budget is None else {"conflict_budget": budget}
+    result = solve_internal(encode(m, avoid), **kwargs)
+    digest = None if result.model is None else \
+        hashlib.sha256(repr(result.model).encode()).hexdigest()[:16]
+    assert (result.status, result.conflicts, result.decisions, digest) == want
 
 
 PROTO8 = LengthColouring("cyclic", 8, 2, (1, 2, 2, 1))
@@ -220,18 +237,9 @@ EXHAUSTED = "exhausted, no template exists in this encoding"
         f"iteration 2: {EXHAUSTED}"]),
 ])
 def test_search_template_refinement_logs(proto, t, avoid, log):
-    result = search_template(SearchSpec(proto, t, 3, avoid), reps=8,
-                             rainbow_n=4)
+    result = search_template(SearchSpec(proto, t, 3, avoid), reps=8)
     assert (result.status, result.iterations, result.log) == \
         ("none", len(log), log)
-
-
-def test_search_template_rainbow_failure_blocks_model():
-    # with no repetition checks the q=2 failures surface in the compound
-    result = search_template(SearchSpec(PROTO8, 5, 3, (4, 4, 3)), reps=0,
-                             rainbow_n=4)
-    assert "iteration 1: rainbow compound failed, blocked model" in result.log
-    assert result.status == "none"
 
 
 def test_failed_repetition_tiles_once(monkeypatch):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from ramseykit import templates
-from ramseykit.cliques import max_clique_in_colour
+from ramseykit.cliques import max_clique_in_colour, ramsey_check
 from ramseykit.colouring import (
     LengthColouring,
     expand_to_explicit,
@@ -13,7 +13,6 @@ from ramseykit.colouring import (
 )
 from ramseykit.constructions import template_compound
 from ramseykit.templates import (
-    RAINBOW,
     REPETITION,
     TF,
     TemplateError,
@@ -105,31 +104,30 @@ def test_rainbow_colouring():
     assert r.num_colours == 4
     assert r.colour_of == (1, 2, 3, 4)
     # singleton classes cannot hold a triangle
-    from ramseykit.cliques import ramsey_check
     assert ramsey_check(r, (3, 3, 3, 3)).passes
 
 
 def test_template_usable_doubled_pentagon():
     T = double_to_template(pentagon())
-    assert template_usable(T, (3, 3), reps=8, rainbow_n=6)
+    assert template_usable(T, (3, 3), reps=8)
 
 
 def test_template_usable_doubled_edge():
     T = double_to_template(single_edge())
     assert T.order == 4
     assert phi(T) == 1
-    assert template_usable(T, (3,), reps=6, rainbow_n=5)
+    assert template_usable(T, (3,), reps=6)
 
 
 def test_frozen_search_template_is_valid():
     T = TemplateGraph(TEMPLATE_343, 3)
     assert phi(T) == 7
-    assert template_usable(T, (3, 4), reps=6, rainbow_n=5)
+    assert template_usable(T, (3, 4), reps=6)
 
 
 def test_validate_template_passes_doubled_pentagon():
     T = double_to_template(pentagon())
-    assert validate_template(T.base, 3, (3, 3), reps=8, rainbow_n=6) is None
+    assert validate_template(T.base, 3, (3, 3), reps=8) is None
 
 
 def test_validate_template_tf_triangle():
@@ -153,14 +151,33 @@ def test_validate_template_repetition_witness():
     assert "repetition q=1: FAIL, colour 2" in str(failure)
 
 
-def test_validate_template_rainbow_failure():
-    T = double_to_template(pentagon())
-    failure = validate_template(T.base, 3, (3, 2), reps=0, rainbow_n=2)
-    assert failure == TemplateFailure(RAINBOW, 2)
-    assert validate_template(T.base, 3, (3, 2), reps=0, rainbow_n=1) is None
+def _random_template(rng):
+    """A random template graph: linear, colour 3 a tf-template class."""
+    while True:
+        order = rng.randint(4, 9)
+        colours = [rng.randint(1, 3) for _ in range(order - 2)] + [3]
+        base = LengthColouring("linear", order, 3, tuple(colours))
+        if is_tf_template(base, 3):
+            return TemplateGraph(base, 3)
 
 
-def _oracle_first_failure(base, s, avoid, reps, rainbow_n):
+@pytest.mark.parametrize("seed", range(3))
+def test_rainbow_compound_is_a_repetition(seed):
+    """The compound with a rainbow prototype of order n passes iff the
+    (n-1)-fold tiling does: its non-template classes are the tiling's, and
+    each rainbow colour is one sum-free block of template residues."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        T = _random_template(rng)
+        avoid = (rng.randint(2, 4), rng.randint(2, 4))
+        for n in range(2, 6):
+            compound = template_compound(T, rainbow_colouring(n))
+            got = ramsey_check(compound, avoid + (3,) * (n - 1)).passes
+            assert got == repetition_check(T, n - 1, avoid).passes, \
+                (T.base, avoid, n)
+
+
+def _oracle_first_failure(base, s, avoid, reps):
     """Stage, colour and q of the first failing check, by exhaustive means:
     brute-force triangles, then full branch-and-bound clique numbers."""
     g = expand_to_explicit(base)
@@ -174,13 +191,6 @@ def _oracle_first_failure(base, s, avoid, reps, rainbow_n):
         for colour, k in zip(non_template, avoid):
             if max_clique_in_colour(tiled, colour)[0] >= k:
                 return REPETITION, colour, q
-    if rainbow_n >= 2:
-        compound = expand_to_explicit(
-            template_compound(T, rainbow_colouring(rainbow_n)))
-        bounds = tuple(avoid) + (3,) * (rainbow_n - 1)
-        for colour, k in enumerate(bounds, start=1):
-            if max_clique_in_colour(compound, colour)[0] >= k:
-                return RAINBOW, colour, None
     return None
 
 
@@ -193,13 +203,13 @@ def test_validate_template_matches_exhaustive_oracle(seed):
         colours.append(3 if rng.random() < 0.9 else rng.randint(1, 2))
         base = LengthColouring("linear", order, 3, tuple(colours))
         avoid = (rng.randint(2, 4), rng.randint(3, 4))
-        reps, rainbow_n = rng.randint(0, 3), rng.randint(1, 4)
-        failure = validate_template(base, 3, avoid, reps, rainbow_n)
-        want = _oracle_first_failure(base, 3, avoid, reps, rainbow_n)
+        reps = rng.randint(0, 3)
+        failure = validate_template(base, 3, avoid, reps)
+        want = _oracle_first_failure(base, 3, avoid, reps)
         got = None if failure is None else (
             failure.stage, failure.colour, failure.q)
-        assert got == want, (base, avoid, reps, rainbow_n)
-        if failure is None or failure.stage == RAINBOW:
+        assert got == want, (base, avoid, reps)
+        if failure is None:
             continue
         # the witness lengths all carry the failing colour in the base
         assert all(base.colour_of[l - 1] == failure.colour
@@ -229,6 +239,6 @@ def test_template_usable_is_validate_template(monkeypatch):
 
     monkeypatch.setattr(templates, "validate_template", spy)
     T = double_to_template(pentagon())
-    assert template_usable(T, (3, 3), reps=2, rainbow_n=3)
-    assert not template_usable(T, (3, 2), reps=2, rainbow_n=3)
+    assert template_usable(T, (3, 3), reps=2)
+    assert not template_usable(T, (3, 2), reps=2)
     assert len(calls) == 2
