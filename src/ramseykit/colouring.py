@@ -212,16 +212,6 @@ def to_cyclic(c: LengthColouring) -> LengthColouring:
                            avoid=c.avoid, template_colour=c.template_colour)
 
 
-def offset_colours(c: LengthColouring, by: int) -> LengthColouring:
-    """Shift every colour id up by `by` (for disjoint colour sets)."""
-    return LengthColouring(
-        c.kind, c.order, c.num_colours + by,
-        tuple(col + by for col in c.colour_of),
-        template_colour=(None if c.template_colour is None
-                         else c.template_colour + by),
-    )
-
-
 # ---------------------------------------------------------------------------
 # File format.  One JSON object; canonical key order is fixed so that
 # serialization is byte-exact and golden-file friendly.

@@ -9,8 +9,6 @@ unverified compounds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .colouring import (
@@ -19,126 +17,59 @@ from .colouring import (
     ColouringError,
     ExplicitColouring,
     LengthColouring,
-    check_cyclic_symmetry,
     to_cyclic,
 )
-from .templates import TemplateGraph, phi
-
-
-class ConstructionError(RuntimeError):
-    """An internal arithmetic invariant of a construction failed."""
-
-
-@dataclass(frozen=True)
-class CompoundRecipe:
-    """Predicted outcome of a compound rule, before construction."""
-
-    rule: str  # product_2017 | template_2021 | song_grid
-    predicted_order: int
-    predicted_avoid: tuple[int, ...]
-
-
-def predict_product(A: LengthColouring, B: LengthColouring) -> CompoundRecipe:
-    m, n = A.order, B.order
-    order = ((2 * m - 1) * (2 * n - 1) + 1) // 2
-    avoid = tuple(A.avoid or ()) + tuple(B.avoid or ())
-    return CompoundRecipe("product_2017", order, avoid)
-
-
-def predict_template_compound(T: TemplateGraph, B: LengthColouring) -> CompoundRecipe:
-    order = (T.order - 1) * (B.order - 1) + 1 + phi(T)
-    non_template = tuple(
-        (T.base.avoid or ())[s - 1] for s in T.non_template_colours()
-    ) if T.base.avoid else ()
-    avoid = non_template + tuple(B.avoid or ())
-    return CompoundRecipe("template_2021", order, avoid)
-
-
-def predict_song(G: ExplicitColouring, H: ExplicitColouring) -> CompoundRecipe:
-    if G.avoid is None or H.avoid is None:
-        avoid: tuple[int, ...] = ()
-    else:
-        avoid = tuple((p - 1) * (q - 1) + 1 for p, q in zip(G.avoid, H.avoid))
-    return CompoundRecipe("song_grid", G.order * H.order, avoid)
+from .templates import TemplateGraph, double_to_template, tiled_colouring
 
 
 def product_linear(A: LengthColouring, B: LengthColouring) -> LengthColouring:
-    """Banded product of two linear colourings.
+    """Banded product of two linear colourings: the template compound of
+    the doubled A with B.
 
-    Output order ((2m-1)(2n-1)+1)/2.  Writing a length l as (2m-1)q + r with
-    r in [0, 2m-2]: colours of A fill the residues 1..m-1, and B (with
-    offset colour ids) fills residue 0 and the band m..2m-2.
+    Writing a length l as (2m-1)q + r with r in [0, 2m-2]: colours of A
+    fill the residues 1..m-1, and B (with offset colour ids) fills residue 0
+    and the band m..2m-2.
     """
-    A = A.as_linear()
-    B = B.as_linear()
-    m, n = A.order, B.order
-    off = A.num_colours
-    M = ((2 * m - 1) * (2 * n - 1) + 1) // 2
-    colours = []
-    for l in range(1, M):
-        q, r = divmod(l, 2 * m - 1)
-        if 1 <= r <= m - 1:
-            colours.append(A.colour_of[r - 1])
-        else:
-            b_index = q if r == 0 else q + 1
-            if not (1 <= b_index <= n - 1):
-                raise ConstructionError(
-                    f"B index {b_index} out of range at length {l}"
-                )
-            colours.append(B.colour_of[b_index - 1] + off)
-    avoid = None
-    if A.avoid is not None and B.avoid is not None:
-        avoid = tuple(A.avoid) + tuple(B.avoid)
-    return LengthColouring(LINEAR, M, off + B.num_colours, tuple(colours),
-                           avoid=avoid)
+    return template_compound(double_to_template(A), B)
 
 
 def product_cyclic(A: LengthColouring, B: LengthColouring) -> LengthColouring:
-    """Product of two cyclic colourings; the result is again cyclic."""
+    """Product of two cyclic colourings; the result is again cyclic
+    (`to_cyclic` raises if it were not reflection-symmetric)."""
     if A.kind != CYCLIC or B.kind != CYCLIC:
         raise ColouringError("product_cyclic requires cyclic inputs")
-    prod = product_linear(A, B)
-    if not check_cyclic_symmetry(prod):
-        raise ConstructionError(
-            "cyclic product lost reflection symmetry (construction bug)"
-        )
-    return to_cyclic(prod)
+    return to_cyclic(product_linear(A, B))
 
 
 def template_compound(T: TemplateGraph, B: LengthColouring) -> LengthColouring:
     """Compound of a template graph with a linear prototype.
 
-    Output order (t-1)(n-1) + 1 + phi(T).  Non-template residues repeat the
-    template's pattern; template-coloured residues are filled block by block
-    from B (offset colour ids).  The template colour itself never appears in
-    the output.
+    The (n-1)-fold tiling of T, of order (t-1)(n-1) + 1 + phi(T), keeps its
+    non-template colours; its template-coloured lengths are filled block by
+    block from B (offset colour ids).  The template colour itself never
+    appears in the output.
     """
     B = B.as_linear()
-    t = T.order
-    n = B.order
-    bonus = phi(T)
-    M = (t - 1) * (n - 1) + 1 + bonus
+    tiled = tiled_colouring(T, B.order - 1)
     non_template = T.non_template_colours()
-    remap = {s: i + 1 for i, s in enumerate(non_template)}
     p = len(non_template)
-    template_lengths = T.template_lengths()
-    colours = []
-    for l in range(1, M):
-        r = ((l - 1) % (t - 1)) + 1
-        if r in template_lengths:
-            b_index = -(-l // (t - 1))  # ceil(l / (t-1))
-            if not (1 <= b_index <= n - 1):
-                raise ConstructionError(
-                    f"B block index {b_index} out of range at length {l}"
-                )
-            colours.append(B.colour_of[b_index - 1] + p)
-        else:
-            colours.append(remap[T.base.colour_of[r - 1]])
+    remap = {s: i + 1 for i, s in enumerate(non_template)}
+    # the i-th block of t-1 lengths takes B's colour of length i
+    colours = tuple(
+        B.colour_of[(l - 1) // (T.order - 1)] + p
+        if s == T.template_colour else remap[s]
+        for l, s in enumerate(tiled.colour_of, start=1))
     avoid = None
     if T.base.avoid is not None and B.avoid is not None:
         avoid = tuple(T.base.avoid[s - 1] for s in non_template) + tuple(B.avoid)
-    return LengthColouring(LINEAR, M, p + B.num_colours, tuple(colours),
+    return LengthColouring(LINEAR, tiled.order, p + B.num_colours, colours,
                            avoid=avoid)
+
+
+def grid_bound(p: int, q: int) -> int:
+    """(p-1)(q-1) + 1: the grid product's clique bound from its factors'
+    bounds, and a Ramsey lower bound from two factor lower bounds."""
+    return (p - 1) * (q - 1) + 1
 
 
 def song_product(G: ExplicitColouring, H: ExplicitColouring) -> ExplicitColouring:
@@ -153,21 +84,13 @@ def song_product(G: ExplicitColouring, H: ExplicitColouring) -> ExplicitColourin
             f"colour-count mismatch: {G.num_colours} vs {H.num_colours}"
         )
     a, b = G.order, H.order
-    order = a * b
-    mat = np.zeros((order, order), dtype=np.int32)
-    for u in range(a):
-        for v in range(b):
-            x = u * b + v
-            for u2 in range(a):
-                for v2 in range(b):
-                    y = u2 * b + v2
-                    if x == y:
-                        continue
-                    mat[x, y] = G.edge_colour[u, u2] if u != u2 else H.edge_colour[v, v2]
+    # G's diagonal is 0, so the first term leaves the blocks for the second
+    mat = (np.kron(G.edge_colour, np.ones((b, b), dtype=np.int32))
+           + np.kron(np.eye(a, dtype=np.int32), H.edge_colour))
     avoid = None
     if G.avoid is not None and H.avoid is not None:
-        avoid = tuple((p - 1) * (q - 1) + 1 for p, q in zip(G.avoid, H.avoid))
-    return ExplicitColouring(order, G.num_colours, mat, avoid=avoid)
+        avoid = tuple(grid_bound(p, q) for p, q in zip(G.avoid, H.avoid))
+    return ExplicitColouring(a * b, G.num_colours, mat, avoid=avoid)
 
 
 def _is_prime(n: int) -> bool:

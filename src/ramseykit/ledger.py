@@ -20,6 +20,8 @@ from importlib import resources
 
 from .colouring import load_colouring
 from .cliques import ramsey_check
+from .constructions import grid_bound
+from .templates import compound_order, doubled_shape
 
 GRAPH = "graph_exists"
 RAMSEY = "ramsey_lower_bound"
@@ -151,51 +153,34 @@ def _rule_giraud(f: BoundFact, k_new: int = 3):
                      {"cyclic": True})
 
 
-def _product_value(m: int, n: int) -> int:
-    return ((2 * m - 1) * (2 * n - 1) + 1) // 2
-
-
-def _rule_abbott_hanson(f1: BoundFact, f2: BoundFact):
-    """Equal-k linear product (the historical special case of r3)."""
-    if not (_is_linear_graph(f1) and _is_linear_graph(f2)):
-        return None
-    ks = set(f1.parameters) | set(f2.parameters)
-    if len(ks) != 1:
-        return None
-    params = f1.parameters + f2.parameters
-    return BoundFact(GRAPH, params, _product_value(f1.value, f2.value),
-                     derived("r2", [f1.fact_id, f2.fact_id]),
-                     {"linear": True})
+def _product(rule: str, f1: BoundFact, f2: BoundFact, flags: dict):
+    # the product is the template compound of the doubled left factor
+    order = compound_order(*doubled_shape(f1.value), f2.value)
+    return BoundFact(GRAPH, f1.parameters + f2.parameters, order,
+                     derived(rule, [f1.fact_id, f2.fact_id]), flags)
 
 
 def _rule_product_linear(f1: BoundFact, f2: BoundFact):
     if not (_is_linear_graph(f1) and _is_linear_graph(f2)):
         return None
-    params = f1.parameters + f2.parameters
-    return BoundFact(GRAPH, params, _product_value(f1.value, f2.value),
-                     derived("r3", [f1.fact_id, f2.fact_id]),
-                     {"linear": True})
+    return _product("r3", f1, f2, {"linear": True})
 
 
 def _rule_product_cyclic(f1: BoundFact, f2: BoundFact):
     if not (_is_cyclic_graph(f1) and _is_cyclic_graph(f2)):
         return None
-    params = f1.parameters + f2.parameters
-    return BoundFact(GRAPH, params, _product_value(f1.value, f2.value),
-                     derived("r4", [f1.fact_id, f2.fact_id]),
-                     {"cyclic": True})
+    return _product("r4", f1, f2, {"cyclic": True})
 
 
 def _rule_template_compound(ft: BoundFact, fg: BoundFact):
-    """Template of order t with offset phi, times a linear graph of order n:
-    order (t-1)(n-1) + 1 + phi."""
+    """Template of order t with offset phi, times a linear graph."""
     if not (_is_template_graph(ft) and ft.flags.get("phi") is not None
             and ft.parameters and ft.parameters[-1] == 3):
         return None
     if not _is_linear_graph(fg):
         return None
     params = ft.parameters[:-1] + fg.parameters  # drop the template's 3
-    value = (ft.value - 1) * (fg.value - 1) + 1 + ft.flags["phi"]
+    value = compound_order(ft.value, ft.flags["phi"], fg.value)
     return BoundFact(GRAPH, params, value,
                      derived("r5", [ft.fact_id, fg.fact_id]),
                      {"linear": True})
@@ -211,9 +196,8 @@ def _rule_song(f1: BoundFact, f2: BoundFact):
     p2 = f2.sorted_parameters
     if any(k < 2 for k in p1 + p2):
         return None
-    params = tuple((a - 1) * (b - 1) + 1 for a, b in zip(p1, p2))
-    value = (f1.value - 1) * (f2.value - 1) + 1
-    return BoundFact(RAMSEY, params, value,
+    params = tuple(grid_bound(a, b) for a, b in zip(p1, p2))
+    return BoundFact(RAMSEY, params, grid_bound(f1.value, f2.value),
                      derived("r6", [f1.fact_id, f2.fact_id]))
 
 
@@ -303,14 +287,14 @@ UNARY_RULES = {
 }
 
 BINARY_RULES = {
-    "r2": _rule_abbott_hanson,
     "r3": _rule_product_linear,
     "r4": _rule_product_cyclic,
     "r5": _rule_template_compound,
     "r6": _rule_song,
 }
 
-ALL_RULES = tuple(sorted(UNARY_RULES | BINARY_RULES))
+_RULES = UNARY_RULES | BINARY_RULES
+ALL_RULES = tuple(sorted(_RULES))
 
 
 def _room(f: BoundFact, max_colours: int) -> int:
@@ -322,7 +306,6 @@ def _room(f: BoundFact, max_colours: int) -> int:
 # fit in max_colours.  All three are read before a product is built, so the
 # closure never builds a product it would drop for length.
 _JOINS = {
-    "r2": (_is_linear_graph, _is_linear_graph, _room),
     "r3": (_is_linear_graph, _is_linear_graph, _room),
     "r4": (_is_cyclic_graph, _is_cyclic_graph, _room),
     "r5": (_is_template_graph, _is_linear_graph,
@@ -431,7 +414,7 @@ class Ledger:
         """
         enabled = list(rules) if rules is not None else list(ALL_RULES)
         for r in enabled:
-            if r not in UNARY_RULES and r not in BINARY_RULES:
+            if r not in _RULES:
                 raise LedgerError(f"unknown rule {r!r}")
         new_facts: list[BoundFact] = []
         new_ids = None  # first pass: every best fact counts as new
@@ -523,11 +506,9 @@ class Ledger:
             if f.certificate.get("type") != "derived":
                 continue
             rule_id = f.certificate["rule"]
-            parents = [self.get(p) for p in f.certificate["parents"]]
-            if rule_id in UNARY_RULES:
-                out = UNARY_RULES[rule_id](*parents)
-            else:
-                out = BINARY_RULES[rule_id](*parents)
+            # r2, the equal-k product, was folded into r3
+            fn = _RULES["r3" if rule_id == "r2" else rule_id]
+            out = fn(*(self.get(p) for p in f.certificate["parents"]))
             if out is None or out.value != f.value or out.parameters != f.parameters:
                 raise LedgerError(
                     f"fact {f.fact_id}: not recomputable by rule {rule_id}"

@@ -23,7 +23,7 @@ from .colouring import (
     cyclic_length,
 )
 from .cliques import ramsey_check
-from .templates import TF, TemplateGraph, validate_template
+from .templates import TF, TemplateGraph, check_reps, validate_template
 
 DEFAULT_CLAUSE_CAP = 10_000_000
 DEFAULT_CONFLICT_BUDGET = 1_000_000
@@ -270,12 +270,16 @@ def write_dimacs(instance: CnfInstance) -> str:
 
 
 def read_dimacs(text: str) -> CnfInstance:
-    """Reconstruct a CnfInstance from `write_dimacs` output."""
+    """Reconstruct a CnfInstance from `write_dimacs` output.
+
+    The `p cnf` header is required, before the first clause; the clause
+    count must match it, and every literal must name a variable in range.
+    """
     mapping: dict[int, tuple[int, int]] = {}
     fixed: dict[int, int] = {}
     meta: dict = {}
     clauses: list[tuple[int, ...]] = []
-    num_vars = 0
+    header = None
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -290,13 +294,28 @@ def read_dimacs(text: str) -> CnfInstance:
             fixed[l] = s
         elif line.startswith("c"):
             continue
-        elif line.startswith("p cnf"):
-            num_vars = int(line.split()[2])
+        elif line.startswith("p"):
+            parts = line.split()
+            if header is not None or len(parts) != 4 or parts[1] != "cnf":
+                raise EncodingError(f"bad DIMACS header {line!r}")
+            header = int(parts[2]), int(parts[3])
         else:
+            if header is None:
+                raise EncodingError("DIMACS clause before the 'p cnf' header")
             lits = [int(x) for x in line.split()]
             if lits and lits[-1] == 0:
                 lits = lits[:-1]
+            bad = next((x for x in lits if not 1 <= abs(x) <= header[0]), None)
+            if bad is not None:
+                raise EncodingError(f"DIMACS literal {bad} outside the "
+                                    f"{header[0]} declared variables")
             clauses.append(tuple(lits))
+    if header is None:
+        raise EncodingError("DIMACS input has no 'p cnf' header")
+    num_vars, num_clauses = header
+    if len(clauses) != num_clauses:
+        raise EncodingError(f"DIMACS header declares {num_clauses} clauses, "
+                            f"found {len(clauses)}")
     if "avoid" in meta:
         meta["avoid"] = tuple(meta["avoid"])
     num_colours = len(meta.get("avoid", ()))
@@ -524,6 +543,7 @@ def search_template(spec: SearchSpec,
     Validation is `validate_template`; each failure adds a clause over the
     free lengths of its witness and the instance is re-solved.
     """
+    check_reps(reps)
     n = spec.prototype.order
     t = spec.t
     N = spec.target_order

@@ -9,6 +9,7 @@ compound's order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -40,8 +41,10 @@ def _tf_violation(c: LengthColouring, s: int) -> tuple[int, ...] | None:
     # A monochromatic triangle in a linear colouring is exactly a triple of
     # lengths x, y, x + y in one class.
     ordered = sorted(cls)
-    triple = next(((x, y, x + y) for x in ordered for y in ordered
-                   if x <= y and x + y in cls), None)
+    # y runs from x up to the largest length with x + y still a length
+    triple = next(((x, y, x + y) for i, x in enumerate(ordered)
+                   for y in ordered[i:bisect_right(ordered, c.order - 1 - x)]
+                   if x + y in cls), None)
     if triple is not None:
         return triple
     return None if (c.order - 1) in cls else ()
@@ -89,6 +92,17 @@ def phi(T: TemplateGraph) -> int:
     return min(cls) - 1
 
 
+def compound_order(t: int, bonus: int, n: int) -> int:
+    """Order of the compound of a template of order t and phi `bonus` with
+    a prototype of order n, and of the template's (n-1)-fold tiling."""
+    return (n - 1) * (t - 1) + 1 + bonus
+
+
+def _residue(l: int, t: int) -> int:
+    """The base length that length l repeats in a tiling of order-t blocks."""
+    return (l - 1) % (t - 1) + 1
+
+
 def tiled_colouring(T: TemplateGraph, q: int) -> LengthColouring:
     """Repeat the template pattern q times: order q*(t-1) + 1 + phi.
 
@@ -98,11 +112,9 @@ def tiled_colouring(T: TemplateGraph, q: int) -> LengthColouring:
     if q < 1:
         raise TemplateError(f"repetition count must be >= 1, got {q}")
     t = T.order
-    order = q * (t - 1) + 1 + phi(T)
-    colours = tuple(
-        T.base.colour_of[((l - 1) % (t - 1))]
-        for l in range(1, order)
-    )
+    order = compound_order(t, phi(T), q + 1)
+    colours = tuple(T.base.colour_of[_residue(l, t) - 1]
+                    for l in range(1, order))
     return LengthColouring(LINEAR, order, T.base.num_colours, colours,
                            template_colour=T.template_colour)
 
@@ -135,6 +147,11 @@ def repetition_check(T: TemplateGraph, q: int, avoid) -> CliqueReport:
     return CliqueReport(sizes, wits, passes, exact)
 
 
+def doubled_shape(m: int, compact: bool = False) -> tuple[int, int]:
+    """Order and phi of `double_to_template` on a colouring of order m."""
+    return (2 * m - 1 if compact else 2 * m), m - 1
+
+
 def double_to_template(g: LengthColouring, compact: bool = False) -> TemplateGraph:
     """Template from a plain linear colouring by doubling.
 
@@ -143,10 +160,9 @@ def double_to_template(g: LengthColouring, compact: bool = False) -> TemplateGra
     compact=True the order is 2m-1 (band [m, 2m-2]).
     """
     lin = g.as_linear()
-    m = lin.order
     tcol = lin.num_colours + 1
-    order = 2 * m - 1 if compact else 2 * m
-    colours = lin.colour_of + tuple([tcol] * (order - m))
+    order, bonus = doubled_shape(lin.order, compact)
+    colours = lin.colour_of + (tcol,) * (order - 1 - bonus)
     avoid = lin.avoid + (3,) if lin.avoid is not None else None
     base = LengthColouring(LINEAR, order, tcol, colours, avoid=avoid,
                            template_colour=tcol)
@@ -188,6 +204,12 @@ class TemplateFailure:
                 f"on base lengths {list(self.lengths)}")
 
 
+def check_reps(reps: int) -> None:
+    """TemplateError unless `reps`, a count of tilings, is at least 0."""
+    if reps < 0:
+        raise TemplateError(f"reps: must be >= 0, got {reps}")
+
+
 def validate_template(base: LengthColouring, template_colour: int, avoid,
                       reps: int = 8) -> TemplateFailure | None:
     """The first failing stage of the template checks, or None.
@@ -198,6 +220,7 @@ def validate_template(base: LengthColouring, template_colour: int, avoid,
     of the (n-1)-fold tiling, so a pass covers prototypes up to order
     reps + 1.  Emitted compounds are clique-checked on their own as well.
     """
+    check_reps(reps)
     triple = _tf_violation(base, template_colour)
     if triple is not None:
         return TemplateFailure(TF, template_colour, lengths=triple)
@@ -207,7 +230,7 @@ def validate_template(base: LengthColouring, template_colour: int, avoid,
         report = repetition_check(T, q, avoid)
         if not report.passes:
             i = report.first_failure(avoid)
-            residues = {(b - a - 1) % (T.order - 1) + 1
+            residues = {_residue(b - a, T.order)
                         for a, b in combinations(report.witness[i], 2)}
             return TemplateFailure(REPETITION, T.non_template_colours()[i], q,
                                    tuple(sorted(residues)))

@@ -478,3 +478,45 @@ def test_pipeline_use_store_takes_the_lock(store, capsys):
     worker.join(60)
     assert done.is_set()
     assert os.path.exists(store)
+
+
+@pytest.mark.parametrize("argv", [
+    ["template-check", "{t}", "--avoid", "3,3", "--reps", "-2"],
+    ["search", "template", "--prototype", "{c5}", "--t", "2",
+     "--avoid", "3,3,3", "--reps", "-1"],
+])
+def test_negative_reps_exit_2(argv, template_file, pentagon_file, capsys):
+    argv = [a.format(t=template_file, c5=pentagon_file) for a in argv]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert "reps: must be >= 0" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "no 'p cnf' header"),
+    ("c only a comment\n1 -2 0\n", "clause before the 'p cnf' header"),
+    ("p cnf 2 2\n1 -2 0\n", "declares 2 clauses, found 1"),
+    ("p cnf 2 1\n1 3 0\n", "literal 3 outside the 2 declared variables"),
+    ("p cnf 2 1\n1 0 2 0\n", "literal 0 outside the 2 declared variables"),
+    ("p cnf 2\n1 0\n", "bad DIMACS header"),
+], ids=["empty", "no-header", "clause-count", "variable-range",
+        "zero-literal", "short-header"])
+def test_solve_rejects_malformed_dimacs(text, message, tmp_path, capsys):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text(text)
+    assert dispatch(["solve", str(cnf)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "s SAT" not in captured.out
+
+
+def test_solve_dev_null_is_not_satisfiable(capsys):
+    assert dispatch(["solve", os.devnull]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_ledger_derive_rejects_r2(store, capsys):
+    assert dispatch(["ledger", "seed"]) == 0
+    assert dispatch(["ledger", "derive", "--rules", "r2"]) == 2
+    assert "unknown rule 'r2'" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from ramseykit.colouring import (
     explicit_from_upper_triangle,
     length_domain_size,
     load_colouring,
-    offset_colours,
     parse_colouring,
     pentagon,
     save_colouring,
@@ -100,12 +99,6 @@ def test_cyclic_symmetry_check_and_conversion():
     assert not check_cyclic_symmetry(broken)
     with pytest.raises(ColouringError):
         to_cyclic(broken)
-
-
-def test_offset_colours():
-    shifted = offset_colours(pentagon(), 3)
-    assert shifted.num_colours == 5
-    assert shifted.colour_of == (4, 5)
 
 
 def test_serialize_canonical_layout():

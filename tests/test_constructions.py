@@ -1,7 +1,14 @@
+import hashlib
+import random
+from dataclasses import replace
+from itertools import product as iproduct
+
+import numpy as np
 import pytest
 
 from ramseykit.cliques import max_clique_brute, ramsey_check
 from ramseykit.colouring import (
+    LengthColouring,
     check_cyclic_symmetry,
     expand_to_explicit,
     pentagon,
@@ -9,9 +16,6 @@ from ramseykit.colouring import (
 )
 from ramseykit.constructions import (
     paley_colouring,
-    predict_product,
-    predict_song,
-    predict_template_compound,
     product_cyclic,
     product_linear,
     song_product,
@@ -19,7 +23,7 @@ from ramseykit.constructions import (
 )
 from ramseykit.templates import double_to_template
 
-from conftest import all_linear_colourings
+from conftest import all_linear_colourings, random_colouring
 
 
 def test_product_order_formula():
@@ -33,7 +37,6 @@ def test_product_order_formula():
     for A, B, out in ((e, e, p5), (p5, e, p14), (p5, p5, p41)):
         m, n = A.order, B.order
         assert out.order == ((2 * m - 1) * (2 * n - 1) + 1) // 2
-        assert predict_product(A, B).predicted_order == out.order
 
 
 def test_product_chain_verifies():
@@ -86,8 +89,7 @@ def test_template_compound_order_formula():
     B = pentagon().as_linear()
     out = template_compound(T, B)
     assert out.order == (T.order - 1) * (B.order - 1) + 1 + T.phi
-    assert predict_template_compound(T, B).predicted_order == out.order
-    assert predict_template_compound(T, B).predicted_avoid == (3, 3, 3, 3)
+    assert out.avoid == (3, 3, 3, 3)
 
 
 def test_template_colour_never_appears():
@@ -101,10 +103,34 @@ def test_song_product_shape():
     g = expand_to_explicit(pentagon())
     prod = song_product(g, g)
     assert prod.order == 25
-    assert predict_song(g, g).predicted_order == 25
-    assert predict_song(g, g).predicted_avoid == (5, 5)
+    assert prod.avoid == (5, 5)
     for s in (1, 2):
         assert max_clique_brute(prod, s, order_cap=25) <= 4
+
+
+def _song_reference(G, H):
+    """The grid product entry by entry: G's colour between blocks, H's
+    inside one."""
+    a, b = G.order, H.order
+    mat = np.zeros((a * b, a * b), dtype=np.int32)
+    for u, v, u2, v2 in iproduct(range(a), range(b), range(a), range(b)):
+        if (u, v) != (u2, v2):
+            mat[u * b + v, u2 * b + v2] = (G.edge_colour[u, u2] if u != u2
+                                           else H.edge_colour[v, v2])
+    return mat
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_song_product_matches_entrywise_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        r = rng.randint(1, 3)
+        kind = rng.choice(("linear", "cyclic"))
+        G, H = (expand_to_explicit(random_colouring(rng, kind,
+                                                    rng.randint(2, 8), r))
+                for _ in range(2))
+        assert np.array_equal(song_product(G, H).edge_colour,
+                              _song_reference(G, H))
 
 
 def test_paley_5_is_pentagon():
@@ -127,25 +153,51 @@ def test_paley_rejects_bad_orders():
         paley_colouring(15)  # composite
 
 
+def _digest(colourings):
+    h = hashlib.sha256()
+    for c in colourings:
+        h.update(f"{c.order} {c.num_colours} {c.avoid} "
+                 f"{list(c.colour_of)}\n".encode())
+    return h.hexdigest()
+
+
 def test_small_exhaustive_template_product_identity():
-    # doubling then compounding is the same map as the direct product,
-    # across every small passing pair
+    # the product is the compound of the doubled left factor; these digests
+    # were taken from the banded loop it replaced, over every small passing
+    # pair
     passing = []
     for order in range(2, 8):
         for c in all_linear_colourings(order, 2 if order > 2 else 1):
             avoid = (3,) * c.num_colours
             if ramsey_check(c, avoid).passes:
-                passing.append(LengthReplace(c, avoid))
+                passing.append(replace(c, avoid=avoid))
     # no two-colour triangle-free linear colouring exists beyond order 5
     assert len(passing) == 9
-    for A in passing:
-        for B in passing:
-            direct = product_linear(A, B)
-            via = template_compound(double_to_template(A), B)
-            assert via.colour_of == direct.colour_of
+    products = [product_linear(A, B) for A in passing for B in passing]
+    assert _digest(products) == (
+        "f502edacc948ba7616298e4de405bf67e18adc53dbc2038dff78baefd76883ae")
 
 
-def LengthReplace(c, avoid):
-    from dataclasses import replace
+def _paley(q, avoid):
+    p = paley_colouring(q)
+    return LengthColouring(p.kind, q, 2, p.colour_of, avoid=avoid)
 
-    return replace(c, avoid=avoid)
+
+@pytest.mark.parametrize("a, b, order, digest", [
+    ("c5", "c5", 41,
+     "d7879aec553e4754f8ffd2bcd63df5ddc5b44a2a7a99964abeeee8cdc8304913"),
+    ("p41", "c5", 365,
+     "85d301173092e88b58fae6508052e0bb9a5e35df6e354d4ea2edd3862de0e18b"),
+    ("p13", "p13", 313,
+     "1af28a41cfa91c77e3d780625e13ac3ad80b8701c00f0e081c2faa2de379162f"),
+    ("p17lin", "c5", 149,
+     "b197c3c7a7705a65c607f9e6a8b01d79304c81386b5425b1a376c700fdf0946e"),
+], ids=["c5xc5", "p41xc5", "p13xp13", "p17linxc5"])
+def test_product_is_pinned(a, b, order, digest):
+    factors = {"c5": pentagon(),
+               "p41": product_cyclic(pentagon(), pentagon()),
+               "p13": _paley(13, (4, 4)),
+               "p17lin": _paley(17, (4, 4)).as_linear()}
+    out = product_linear(factors[a], factors[b])
+    assert out.order == order
+    assert _digest([out]) == digest

@@ -6,7 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from ramseykit.colouring import pentagon, save_colouring
+from ramseykit.cliques import ramsey_check
+from ramseykit.colouring import (
+    LengthColouring,
+    expand_to_explicit,
+    pentagon,
+    save_colouring,
+    single_edge,
+)
+from ramseykit.constructions import (
+    paley_colouring,
+    product_cyclic,
+    product_linear,
+    song_product,
+    template_compound,
+)
 from ramseykit.ledger import (
     ALL_RULES,
     BINARY_RULES,
@@ -19,10 +33,12 @@ from ramseykit.ledger import (
     Ledger,
     LedgerError,
     asserted,
+    derived,
     dominance_key,
     graph_fact,
     load_seed_pack,
 )
+from ramseykit.templates import TemplateGraph, double_to_template
 
 
 def _seeded():
@@ -460,3 +476,77 @@ def test_facts_apart_in_what_a_rule_reads(weak, weak_flags, strong,
     ledger.add_fact(graph_fact(strong, 20, asserted("strong"), **strong_flags))
     new = ledger.derive_closure(rules=[rule], depth=1)
     assert any(weak_id in f.certificate["parents"] for f in new)
+
+
+# -- each graph rule against the construction it stands for -------------------
+
+def _paley(q, avoid):
+    p = paley_colouring(q)
+    return LengthColouring(p.kind, q, 2, p.colour_of, avoid=avoid)
+
+
+def _parent(c, fact_id, kind=GRAPH, value=None, **flags):
+    fact = BoundFact(kind, c.avoid, c.order if value is None else value,
+                     asserted("test"), flags)
+    return replace(fact, fact_id=fact_id)
+
+
+def _rule_cases():
+    """(rule, parents, the construction built from the parents' colourings)."""
+    c5, e, p13 = pentagon(), single_edge(), _paley(13, (4, 4))
+    for a, b in ((c5, e), (p13, c5), (e, p13)):
+        yield ("r3", (_parent(a, 1, linear=True), _parent(b, 2, linear=True)),
+               product_linear(a, b))
+    for a, b in ((c5, c5), (p13, c5)):
+        yield ("r4", (_parent(a, 1, cyclic=True), _parent(b, 2, cyclic=True)),
+               product_cyclic(a, b))
+    # a searched (3,4,3)-template of order 19, phi 7, which is not a doubling
+    searched = TemplateGraph(LengthColouring(
+        "linear", 19, 3, (1, 2, 2, 1, 2, 2, 1, 3, 1, 2, 3, 3, 3, 3, 3, 2, 1, 3),
+        avoid=(3, 4, 3)), 3)
+    for T, b in ((double_to_template(c5), c5),
+                 (double_to_template(c5, compact=True), e),
+                 (double_to_template(p13), c5), (searched, c5)):
+        ft = _parent(T.base, 1, template=True, phi=T.phi)
+        yield ("r5", (ft, _parent(b, 2, linear=True)), template_compound(T, b))
+    # r6 reads Ramsey bounds: a graph of order m gives R > m
+    g, h = expand_to_explicit(c5), expand_to_explicit(p13)
+    yield ("r6", (_parent(g, 1, RAMSEY, g.order + 1),
+                  _parent(h, 2, RAMSEY, h.order + 1)), song_product(g, h))
+
+
+@pytest.mark.parametrize("rule, parents, built", [
+    pytest.param(*case, id=f"{case[0]}-order{case[2].order}")
+    for case in _rule_cases()])
+def test_rule_value_is_the_built_order(rule, parents, built):
+    out = BINARY_RULES[rule](*parents)
+    if rule == "r6":
+        assert out.value == built.order + 1
+    else:
+        assert out.value == built.order
+    assert built.avoid == out.parameters
+    assert ramsey_check(built, out.parameters).passes
+
+
+def _store_line(fact_id, params, value, certificate, **flags):
+    return json.dumps({"id": fact_id, "kind": GRAPH,
+                       "parameters": list(params), "value": value,
+                       "certificate": certificate, "flags": flags}) + "\n"
+
+
+@pytest.mark.parametrize("value, recomputes", [(14, True), (15, False)])
+def test_r2_store_loads_and_recomputes_as_r3(tmp_path, value, recomputes):
+    # r2, the equal-k product, was folded into r3; stores keep its label
+    path = tmp_path / "facts.jsonl"
+    path.write_text(
+        _store_line(1, (3, 3), 5, asserted("c5"), linear=True)
+        + _store_line(2, (3,), 2, asserted("edge"), linear=True)
+        + _store_line(3, (3, 3, 3), value, derived("r2", [1, 2]), linear=True))
+    ledger = Ledger.load(path)
+    assert ledger.get(3).certificate["rule"] == "r2"
+    if recomputes:
+        ledger.recompute_check()
+    else:
+        with pytest.raises(LedgerError, match="fact 3: not recomputable "
+                                              "by rule r2"):
+            ledger.recompute_check()
