@@ -278,10 +278,16 @@ def cmd_ledger(args) -> int:
             return PASS
         if args.ledger_cmd == "add":
             avoid = _parse_avoid(args.avoid)
-            flags = {"cyclic": True} if args.cyclic else {"linear": True}
+            c = col.load_colouring(args.file)
+            if args.cyclic:
+                flags = {"cyclic": True}
+            elif isinstance(c, col.LengthColouring):
+                flags = {"linear": True}
+            else:  # an explicit colouring has no length form
+                flags = {}
             store_dir = os.path.dirname(path) or "."
             fact = led.graph_fact(
-                avoid, col.load_colouring(args.file).order,
+                avoid, c.order,
                 {"type": "explicit",
                  "path": os.path.relpath(args.file, store_dir)}, **flags)
             fid = ledger.add_fact(fact, base_dir=store_dir)

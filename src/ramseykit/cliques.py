@@ -1,21 +1,21 @@
 """Exact per-colour clique numbers and Ramsey-property verification.
 
-The fast path is a branch-and-bound over bitset adjacency rows with a greedy
-colouring upper bound.  An exhaustive oracle (`max_clique_brute`) provides
-independent ground truth at small orders, so nothing emitted by the
-constructions or the SAT search is trusted without a second opinion.
+The search is a branch-and-bound over bitset adjacency rows with a greedy
+colouring upper bound.  A length colouring is searched through vertex 0
+only, on rows built from its lengths; an explicit colouring is searched
+over all its vertices.  The full search (`max_clique_in_colour`) and an
+exhaustive oracle (`max_clique_brute`) provide independent ground truth, so
+nothing emitted by the constructions or the SAT search is trusted without a
+second opinion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import (
-    ColouringError,
-    ExplicitColouring,
-    LengthColouring,
-    expand_to_explicit,
-)
+import numpy as np
+
+from .colouring import ColouringError, ExplicitColouring, LengthColouring
 
 BRUTE_ORDER_CAP = 16
 
@@ -43,17 +43,31 @@ class CliqueReport:
             zip(self.per_colour_max, avoid)) if size >= k)
 
 
+def _bits_to_int(bits) -> int:
+    """A boolean vector as an int, entry j at bit j."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
+
+
 def _colour_bitrows(g: ExplicitColouring, s: int) -> list[int]:
     """Adjacency of the colour-s subgraph as one bitmask per vertex."""
-    rows = [0] * g.order
-    mat = g.edge_colour
-    for i in range(g.order):
-        row = 0
-        for j in range(g.order):
-            if j != i and mat[i, j] == s:
-                row |= 1 << j
-        rows[i] = row
-    return rows
+    return [_bits_to_int(row) for row in g.edge_colour == s]
+
+
+def _length_bitrows(c: LengthColouring, s: int) -> list[int]:
+    """Colour-s bitmask rows of a length colouring, built from its lengths.
+
+    Bits m - l and m + l of one mask mark the lengths l of colour s, with
+    m = order - 1; vertex v's row is that mask shifted to centre on v.  A
+    cyclic colouring's linear form colours |u - v| by its cyclic length, so
+    both kinds share it.
+    """
+    n = c.order
+    m = n - 1
+    lengths = np.asarray(c.as_linear().colour_of)
+    mask = _bits_to_int(np.concatenate((lengths[::-1], [0], lengths)) == s)
+    full = (1 << n) - 1
+    return [(mask >> (m - v)) & full for v in range(n)]
 
 
 def _greedy_colour_order(adj: list[int], cand: int) -> list[tuple[int, int]]:
@@ -65,30 +79,23 @@ def _greedy_colour_order(adj: list[int], cand: int) -> list[tuple[int, int]]:
         colour_no += 1
         avail = remaining
         while avail:
-            v = (avail & -avail).bit_length() - 1
+            bit = avail & -avail
+            v = bit.bit_length() - 1
             ordered.append((v, colour_no))
-            avail &= ~adj[v] & ~(1 << v)
-            remaining &= ~(1 << v)
+            avail &= ~(adj[v] | bit)
+            remaining ^= bit
     return ordered
 
 
-def max_clique_in_colour(
-    g: ExplicitColouring,
-    s: int,
-    stop_at: int | None = None,
-) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum clique in the colour-s subgraph, with a witness.
+def _search(adj: list[int], cand: int, stop_at: int | None, best_size: int,
+            best: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The larger of `best` and the largest clique inside the set `cand`.
 
-    With `stop_at` the search returns as soon as a clique of that size is
-    found; the reported size is then a lower bound.  Deterministic: candidate
-    vertices are expanded lowest-index-first within the bound ordering.
+    Branch-and-bound with greedy-colouring bounds (Tomita and Seki, DMTCS
+    2003).  With `stop_at` the search returns as soon as it holds a clique
+    of that size.  Deterministic: candidate vertices are expanded
+    lowest-index-first within the bound ordering.
     """
-    if not (1 <= s <= g.num_colours):
-        raise ColouringError(f"colour {s} out of range 1..{g.num_colours}")
-    n = g.order
-    adj = _colour_bitrows(g, s)
-    best_size = 1 if n >= 1 else 0
-    best = (0,) if n >= 1 else ()
 
     def expand(r: list[int], cand: int):
         nonlocal best_size, best
@@ -110,9 +117,41 @@ def max_clique_in_colour(
             if stop_at is not None and best_size >= stop_at:
                 return
 
-    full = (1 << n) - 1
-    expand([], full)
+    expand([], cand)
     return best_size, best
+
+
+def max_clique_in_colour(
+    g: ExplicitColouring,
+    s: int,
+    stop_at: int | None = None,
+) -> tuple[int, tuple[int, ...]]:
+    """Exact maximum clique in the colour-s subgraph, with a witness.
+
+    With `stop_at` the search returns as soon as a clique of that size is
+    found; the reported size is then a lower bound.  The search covers every
+    vertex, so it is also the oracle for `ramsey_check`'s vertex-0 path.
+    """
+    if not (1 <= s <= g.num_colours):
+        raise ColouringError(f"colour {s} out of range 1..{g.num_colours}")
+    if g.order == 0:
+        return 0, ()
+    full = (1 << g.order) - 1
+    return _search(_colour_bitrows(g, s), full, stop_at, 1, (0,))
+
+
+def _clique_through_zero(c: LengthColouring, s: int,
+                         stop_at: int | None) -> tuple[int, tuple[int, ...]]:
+    """Maximum colour-s clique of a length colouring, found through vertex 0.
+
+    Shifting a clique by minus its least vertex keeps every edge length, in
+    both the linear and the cyclic case, so some maximum clique contains 0
+    and the clique number is 1 + the clique number of 0's neighbourhood.
+    """
+    adj = _length_bitrows(c, s)
+    size, wit = _search(adj, adj[0],
+                        None if stop_at is None else stop_at - 1, 0, ())
+    return size + 1, (0,) + wit
 
 
 def is_clique(g: ExplicitColouring, s: int, vertices) -> bool:
@@ -153,21 +192,23 @@ def ramsey_check(
     """Check that every colour's clique number stays below its bound.
 
     By default each colour's search stops as soon as a clique matching its
-    bound is found; pass exact=True for full clique numbers.
+    bound is found; pass exact=True for full clique numbers.  A length
+    colouring is never expanded: its witnesses are cliques through vertex 0.
     """
-    g = c if isinstance(c, ExplicitColouring) else expand_to_explicit(c)
     avoid = tuple(avoid)
-    if len(avoid) != g.num_colours:
+    if len(avoid) != c.num_colours:
         raise ColouringError(
-            f"avoid: expected {g.num_colours} bounds, got {len(avoid)}"
+            f"avoid: expected {c.num_colours} bounds, got {len(avoid)}"
         )
+    search = (_clique_through_zero if isinstance(c, LengthColouring)
+              else max_clique_in_colour)
     sizes: list[int] = []
     witnesses: list[tuple[int, ...] | None] = []
     exact_flags: list[bool] = []
     passes = True
     for s, k in enumerate(avoid, start=1):
         stop = None if exact else k
-        size, wit = max_clique_in_colour(g, s, stop_at=stop)
+        size, wit = search(c, s, stop)
         sizes.append(size)
         witnesses.append(wit if want_witness else None)
         exact_flags.append(exact or size < k)

@@ -193,8 +193,19 @@ def expand_to_explicit(c: LengthColouring) -> ExplicitColouring:
     return ExplicitColouring(m, c.num_colours, mat, avoid=c.avoid)
 
 
-def check_cyclic_symmetry(c: LengthColouring) -> bool:
-    """True iff c(l) = c(m - l) for every length, i.e. c admits a cyclic form."""
+def check_cyclic_symmetry(c: LengthColouring | ExplicitColouring) -> bool:
+    """True iff c admits a cyclic form.
+
+    A length colouring needs c(l) = c(m - l) for every length; an explicit
+    one must be circulant, the colour of (i, j) depending only on j - i
+    mod m.
+    """
+    if isinstance(c, ExplicitColouring):
+        m = c.order
+        ids = np.arange(m)
+        shifts = (ids[None, :] - ids[:, None]) % m
+        return m == 0 or bool(np.array_equal(c.edge_colour,
+                                             c.edge_colour[0][shifts]))
     lin = c.as_linear()
     m = lin.order
     return all(lin.colour_of[l - 1] == lin.colour_of[m - l - 1]

@@ -18,7 +18,7 @@ from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 
-from .colouring import load_colouring
+from .colouring import ExplicitColouring, check_cyclic_symmetry, load_colouring
 from .cliques import ramsey_check
 from .constructions import grid_bound
 from .templates import compound_order, doubled_shape
@@ -345,6 +345,8 @@ class Ledger:
         self.facts: list[BoundFact] = []
         self._ids: dict = {}  # identity -> fact_id
         self._best: dict = {}  # dominance key -> first fact of the best value
+        # (kind, sorted parameters) -> the same, for best_bound
+        self._top: dict = {}
 
     def add_fact(self, f: BoundFact, base_dir: str = ".") -> int:
         """Store a fact; idempotent on identical facts.
@@ -364,10 +366,11 @@ class Ledger:
         fact = replace(f, fact_id=len(self.facts) + 1)
         self.facts.append(fact)
         self._ids[identity] = fact.fact_id
-        key = dominance_key(fact)
-        best = self._best.get(key)
-        if best is None or best.value < fact.value:
-            self._best[key] = fact
+        for index, key in ((self._best, dominance_key(fact)),
+                           (self._top, (fact.kind, fact.sorted_parameters))):
+            best = index.get(key)
+            if best is None or best.value < fact.value:
+                index[key] = fact
         return fact.fact_id
 
     def _verify_explicit(self, f: BoundFact, base_dir: str) -> None:
@@ -382,6 +385,12 @@ class Ledger:
             raise LedgerError(
                 f"certificate order {colouring.order} != fact order {f.value}"
             )
+        if f.flags.get("cyclic") and not check_cyclic_symmetry(colouring):
+            raise LedgerError(f"certificate {path} is flagged cyclic but its "
+                              "colouring is not cyclic-symmetric")
+        if f.flags.get("linear") and isinstance(colouring, ExplicitColouring):
+            raise LedgerError(f"certificate {path} is flagged linear but its "
+                              "colouring is explicit")
         report = ramsey_check(colouring, f.parameters, want_witness=True)
         if not report.passes:
             raise LedgerError(
@@ -475,15 +484,9 @@ class Ledger:
     # -- queries ----------------------------------------------------------
 
     def best_bound(self, kind: str, parameters) -> BoundFact | None:
-        """Maximal fact matching kind and parameters up to colour order."""
-        key = tuple(sorted(parameters))
-        best = None
-        for f in self.facts:
-            if f.kind != kind or f.sorted_parameters != key:
-                continue
-            if best is None or best.value < f.value:
-                best = f
-        return best
+        """First stored fact of the best value for kind and parameters,
+        up to colour order."""
+        return self._top.get((kind, tuple(sorted(parameters))))
 
     def provenance_chain(self, f: BoundFact) -> list[BoundFact]:
         """The fact and all its ancestors, oldest first."""
@@ -547,14 +550,30 @@ class Ledger:
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for fact in self.facts:
-                f.write(json.dumps(_fact_to_json(fact)) + "\n")
+        """Write the store whole, or leave the old one as it was: the facts
+        go to a temporary file that replaces the store once on disk."""
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+                for fact in self.facts:
+                    f.write(json.dumps(_fact_to_json(fact)) + "\n")
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "Ledger":
         """Read a store; explicit certificate paths resolve against its
-        directory."""
+        directory.
+
+        Each fact must load under its stored id, and a derived fact's
+        parents must come before it, so provenance cannot be rewired by
+        reordering or editing lines.
+        """
         base_dir = os.path.dirname(path) or "."
         ledger = cls()
         with open(path, encoding="utf-8") as f:
@@ -563,7 +582,15 @@ class Ledger:
                 if not line:
                     continue
                 fact = _fact_from_json(json.loads(line))
-                ledger.add_fact(replace(fact, fact_id=None), base_dir)
+                fid = ledger.add_fact(replace(fact, fact_id=None), base_dir)
+                if fact.fact_id != fid:
+                    raise LedgerError(f"{path}: fact stored as id "
+                                      f"{fact.fact_id} loads as id {fid}")
+                for pid in fact.certificate.get("parents", ()):
+                    if not (isinstance(pid, int) and 1 <= pid < fid):
+                        raise LedgerError(f"{path}: fact {fid} names parent "
+                                          f"{pid}, which does not come "
+                                          "before it")
         return ledger
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import threading
@@ -13,6 +14,13 @@ from ramseykit.colouring import (
     pentagon,
     save_colouring,
     serialize_colouring,
+    single_edge,
+)
+from ramseykit.constructions import (
+    paley_colouring,
+    product_cyclic,
+    product_linear,
+    song_product,
 )
 
 
@@ -282,7 +290,7 @@ def test_template_check_stops_at_first_failure(template_file, capsys):
                      "--reps", "4"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "template order 10, phi 4",
-        "repetition q=1: FAIL, colour 2 clique on base lengths [2]",
+        "repetition q=1: FAIL, colour 2 clique on base lengths [3]",
         "FAIL",
     ]
 
@@ -520,3 +528,88 @@ def test_ledger_derive_rejects_r2(store, capsys):
     assert dispatch(["ledger", "seed"]) == 0
     assert dispatch(["ledger", "derive", "--rules", "r2"]) == 2
     assert "unknown rule 'r2'" in capsys.readouterr().err
+
+
+def test_explicit_grid_product_witnesses_are_pinned(tmp_path, capsys):
+    """Explicit colourings keep the full search over every vertex: the
+    exact witnesses of the grid product Paley 29 x C5 are those of the
+    search before length colourings went through vertex 0."""
+    p29 = paley_colouring(29)
+    save_colouring(LengthColouring("cyclic", 29, 2, p29.colour_of,
+                                   avoid=(5, 5)), tmp_path / "p29.json")
+    save_colouring(pentagon(), tmp_path / "c5.json")
+    s145 = str(tmp_path / "s145.json")
+    assert dispatch(["construct", "song", "--a", str(tmp_path / "p29.json"),
+                     "--b", str(tmp_path / "c5.json"), "--out", s145]) == 0
+    capsys.readouterr()
+    assert dispatch(["verify", s145, "--exact", "--witness"]) == 0
+    out = capsys.readouterr().out
+    assert "witness: [113, 114, 118, 119, 138, 139, 143, 144]" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3682f10ac3d096c35d66c6cdd3197dab4db376fdc50a88e6df16d651a6002abb")
+
+
+def _stored_flags(store):
+    return [json.loads(line)["flags"] for line in open(store, encoding="utf-8")]
+
+
+def test_ledger_add_rejects_false_cyclic_flag(store, tmp_path, capsys):
+    # a (3,3) colouring whose lengths 1 and 3 differ has no cyclic form
+    path = str(tmp_path / "lin4.json")
+    save_colouring(LengthColouring("linear", 4, 2, (1, 2, 2)), path)
+    assert dispatch(["ledger", "add", path, "--avoid", "3,3",
+                     "--cyclic"]) == 2
+    assert "not cyclic-symmetric" in capsys.readouterr().err
+    assert not os.path.exists(store)
+    assert dispatch(["ledger", "add", path, "--avoid", "3,3"]) == 0
+    assert _stored_flags(store) == [{"linear": True}]
+
+
+def test_ledger_add_explicit_stores_no_shape_flag(store, tmp_path, capsys):
+    grid = str(tmp_path / "grid.json")
+    save_colouring(song_product(expand_to_explicit(pentagon()),
+                                expand_to_explicit(pentagon())), grid)
+    assert dispatch(["ledger", "add", grid, "--avoid", "5,5"]) == 0
+    assert _stored_flags(store) == [{}]
+    # a grid product is not circulant
+    assert dispatch(["ledger", "add", grid, "--avoid", "5,5",
+                     "--cyclic"]) == 2
+    # an expanded cyclic colouring is, and keeps its flag
+    circulant = str(tmp_path / "c5x.json")
+    save_colouring(expand_to_explicit(pentagon()), circulant)
+    assert dispatch(["ledger", "add", circulant, "--avoid", "3,3",
+                     "--cyclic"]) == 0
+    assert _stored_flags(store) == [{}, {"cyclic": True}]
+
+
+def test_ledger_load_rejects_linear_flag_on_explicit(store, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    save_colouring(song_product(expand_to_explicit(pentagon()),
+                                expand_to_explicit(pentagon())), grid)
+    with open(store, "w", encoding="utf-8") as f:
+        f.write(json.dumps({
+            "id": 1, "kind": "graph_exists", "parameters": [5, 5],
+            "value": 25, "certificate": {"type": "explicit",
+                                         "path": "grid.json"},
+            "flags": {"linear": True}}) + "\n")
+    assert dispatch(["ledger", "best", "graph(5,5)"]) == 2
+    assert "flagged linear but its colouring is explicit" in \
+        capsys.readouterr().err
+
+
+def test_ledger_session_certificates_still_add(store, tmp_path, capsys):
+    c5 = pentagon()
+    certs = [(paley_colouring(q), f"{w},{w}", True)
+             for q, w in ((17, 4), (29, 5), (37, 5), (41, 6), (101, 6))]
+    certs += [(product_cyclic(c5, c5), "3,3,3,3", True),
+              (product_linear(c5, single_edge()), "3,3,3", False),
+              (product_cyclic(paley_colouring(13), c5), "4,4,3,3", True)]
+    for i, (c, avoid, cyclic) in enumerate(certs):
+        path = str(tmp_path / f"cert{i}.json")
+        save_colouring(c, path)
+        assert dispatch(["ledger", "add", path, "--avoid", avoid,
+                         *(["--cyclic"] if cyclic else [])]) == 0
+    assert _stored_flags(store) == [
+        {"cyclic": True} if cyclic else {"linear": True}
+        for _, _, cyclic in certs]
+    assert dispatch(["ledger", "best", "graph(6,6)"]) == 0

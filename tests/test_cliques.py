@@ -3,8 +3,14 @@ from itertools import combinations
 
 import pytest
 
+import numpy as np
+
+from ramseykit import cliques, colouring
 from ramseykit.cliques import (
+    BRUTE_ORDER_CAP,
     OracleCapError,
+    _colour_bitrows,
+    _length_bitrows,
     colour_degree,
     is_clique,
     max_clique_brute,
@@ -12,7 +18,8 @@ from ramseykit.cliques import (
     neighbourhood_restrict,
     ramsey_check,
 )
-from ramseykit.colouring import expand_to_explicit, pentagon
+from ramseykit.colouring import ExplicitColouring, expand_to_explicit, pentagon
+from ramseykit.constructions import paley_colouring
 
 from conftest import random_colouring
 
@@ -113,3 +120,70 @@ def test_neighbourhood_theorem_random():
         dec[s - 1] -= 1
         assert ramsey_check(h, dec).passes
         done += 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vertex_zero_path_matches_full_search(seed):
+    """Length colourings are searched through vertex 0; the full search over
+    the expanded matrix, and brute force at small orders, are the oracles."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        c = random_colouring(rng, rng.choice(["linear", "cyclic"]),
+                             rng.randint(2, 60), rng.randint(1, 3))
+        g = expand_to_explicit(c)
+        avoid = tuple(rng.randint(2, 7) for _ in range(c.num_colours))
+        exact = rng.random() < 0.5
+        report = ramsey_check(c, avoid, exact=exact, want_witness=True)
+        full = [max_clique_in_colour(g, s)[0]
+                for s in range(1, c.num_colours + 1)]
+        if c.order <= BRUTE_ORDER_CAP:
+            assert full == [max_clique_brute(g, s)
+                            for s in range(1, c.num_colours + 1)]
+        for s, k in enumerate(avoid, start=1):
+            size, wit = report.per_colour_max[s - 1], report.witness[s - 1]
+            if exact:
+                assert size == full[s - 1]
+            else:
+                # an early stop may report any clique of at least the bound
+                stopped = max_clique_in_colour(g, s, stop_at=k)[0]
+                assert min(size, k) == min(stopped, k) == min(full[s - 1], k)
+                assert size <= full[s - 1]
+            assert len(wit) == size and wit[0] == 0
+            assert is_clique(g, s, wit)
+        assert report.passes == all(n < k for n, k in zip(full, avoid))
+        assert report.passes == ramsey_check(g, avoid).passes
+
+
+def test_length_bitrows_equal_expanded_rows():
+    rng = random.Random(41)
+    for _ in range(30):
+        c = random_colouring(rng, rng.choice(["linear", "cyclic"]),
+                             rng.randint(2, 40), rng.randint(1, 3))
+        g = expand_to_explicit(c)
+        for s in range(1, c.num_colours + 1):
+            assert _length_bitrows(c, s) == _colour_bitrows(g, s)
+
+
+def test_explicit_bitrows_match_entrywise_reference():
+    rng = np.random.default_rng(43)
+    for order in (1, 2, 7, 8, 9, 33):
+        upper = np.triu(rng.integers(1, 4, size=(order, order)), 1)
+        g = ExplicitColouring(order, 3, upper + upper.T)
+        for s in (1, 2, 3):
+            want = [sum(1 << j for j in range(order)
+                        if j != i and g.edge_colour[i, j] == s)
+                    for i in range(order)]
+            assert _colour_bitrows(g, s) == want
+
+
+def test_length_colouring_is_never_expanded(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("length colouring took the explicit path")
+
+    for name in ("max_clique_in_colour", "_colour_bitrows"):
+        monkeypatch.setattr(cliques, name, refuse)
+    monkeypatch.setattr(colouring, "expand_to_explicit", refuse)
+    report = ramsey_check(paley_colouring(197), (9, 9), exact=True)
+    assert report.per_colour_max == (8, 8) and report.passes
+    linear = random_colouring(random.Random(7), "linear", 30, 2)
+    assert ramsey_check(linear, (30, 30), exact=True).passes

@@ -550,3 +550,124 @@ def test_r2_store_loads_and_recomputes_as_r3(tmp_path, value, recomputes):
         with pytest.raises(LedgerError, match="fact 3: not recomputable "
                                               "by rule r2"):
             ledger.recompute_check()
+
+
+def _best_by_scan(ledger):
+    """Each key's first fact of the best value, by a scan of every fact in
+    id order, as `best_bound` found it before it had an index."""
+    best = {}
+    for f in ledger.facts:
+        key = (f.kind, f.sorted_parameters)
+        if key not in best or best[key].value < f.value:
+            best[key] = f
+    return best
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_best_bound_index_matches_scan(depth):
+    ledger = _seeded()
+    ledger.derive_closure(depth=depth)
+    scan = _best_by_scan(ledger)
+    assert len(scan) > 50
+    for (kind, params), fact in scan.items():
+        assert ledger.best_bound(kind, params) is fact
+        assert ledger.best_bound(kind, params[::-1]) is fact
+    assert ledger.best_bound(GRAPH, (99,)) is None
+
+
+def test_index_keeps_the_first_fact_of_a_tied_value():
+    ledger = Ledger()
+    first = ledger.add_fact(graph_fact((3, 4), 8, asserted("a")))
+    ledger.add_fact(graph_fact((4, 3), 8, asserted("b"), cyclic=True))
+    ledger.add_fact(graph_fact((3, 4), 7, asserted("c")))
+    assert ledger.best_bound(GRAPH, (3, 4)).fact_id == first
+
+
+def _derived_store(tmp_path):
+    ledger = _seeded()
+    ledger.derive_closure(rules=["r7", "r8"], depth=1)
+    path = tmp_path / "facts.jsonl"
+    ledger.save(path)
+    return path
+
+
+def test_load_rejects_a_moved_line(tmp_path):
+    path = _derived_store(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert json.loads(lines[-1])["certificate"]["type"] == "derived"
+    path.write_text(lines[-1] + "".join(lines[:-1]))
+    with pytest.raises(LedgerError, match=f"stored as id {len(lines)} "
+                                          "loads as id 1"):
+        Ledger.load(path)
+
+
+def test_load_rejects_a_parent_after_its_child(tmp_path):
+    path = tmp_path / "facts.jsonl"
+    path.write_text(
+        _store_line(1, (3, 3), 5, asserted("c5"), cyclic=True)
+        + _store_line(2, (3, 3, 3), 14, derived("r3", [1, 3]), linear=True)
+        + _store_line(3, (3,), 2, asserted("edge"), linear=True))
+    with pytest.raises(LedgerError, match="fact 2 names parent 3"):
+        Ledger.load(path)
+
+
+def test_failed_save_leaves_the_old_store(tmp_path, monkeypatch):
+    path = _derived_store(tmp_path)
+    before = path.read_bytes()
+    ledger = Ledger.load(path)
+    ledger.derive_closure(rules=["r1"], depth=1)
+    real_dumps = json.dumps
+    written = []
+
+    def failing_dumps(obj, *args, **kwargs):
+        if len(written) == 3:
+            raise RuntimeError("disk full")
+        written.append(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(RuntimeError, match="disk full"):
+        ledger.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["facts.jsonl"]
+    ledger.save(path)
+    assert len(Ledger.load(path).facts) == len(ledger.facts)
+
+
+@pytest.mark.parametrize("colouring, flags, message", [
+    # lengths 1 and 3 differ, so the colouring has no cyclic form
+    (LengthColouring("linear", 4, 2, (1, 2, 2)), {"cyclic": True},
+     "flagged cyclic"),
+    (song_product(expand_to_explicit(pentagon()),
+                  expand_to_explicit(pentagon())), {"cyclic": True},
+     "flagged cyclic"),
+    (expand_to_explicit(pentagon()), {"linear": True}, "flagged linear"),
+])
+def test_certificate_flags_must_fit_the_colouring(tmp_path, colouring, flags,
+                                                  message):
+    save_colouring(colouring, tmp_path / "c.json")
+    avoid = ramsey_check(colouring, (99,) * colouring.num_colours,
+                         exact=True).per_colour_max
+    params = tuple(k + 1 for k in avoid)
+    cert = {"type": "explicit", "path": "c.json"}
+    with pytest.raises(LedgerError, match=message):
+        Ledger().add_fact(graph_fact(params, colouring.order, cert, **flags),
+                          base_dir=str(tmp_path))
+    path = tmp_path / "facts.jsonl"
+    path.write_text(_store_line(1, params, colouring.order, cert, **flags))
+    with pytest.raises(LedgerError, match=message):
+        Ledger.load(path)
+    # without the contradicting flag the certificate is accepted
+    Ledger().add_fact(graph_fact(params, colouring.order, cert),
+                      base_dir=str(tmp_path))
+
+
+def test_cyclic_flag_fits_cyclic_colourings(tmp_path):
+    for i, c in enumerate([pentagon(), pentagon().as_linear(),
+                           expand_to_explicit(paley_colouring(13))]):
+        save_colouring(c, tmp_path / f"c{i}.json")
+        params = (3, 3) if c.order == 5 else (4, 4)
+        Ledger().add_fact(graph_fact(
+            params, c.order, {"type": "explicit", "path": f"c{i}.json"},
+            cyclic=True), base_dir=str(tmp_path))

@@ -226,12 +226,11 @@ EXHAUSTED = "exhausted, no template exists in this encoding"
         "iteration 2: template triangle at lengths (5, 6, 11), refined",
         "iteration 3: template triangle at lengths (5, 5, 10), refined",
         f"iteration 4: {EXHAUSTED}"]),
-    # three repetition refinements
+    # two repetition refinements
     (PROTO8, 5, (4, 4, 3), [
         "iteration 1: repetition q=2 failed, refined",
         "iteration 2: repetition q=2 failed, refined",
-        "iteration 3: repetition q=2 failed, refined",
-        f"iteration 4: {EXHAUSTED}"]),
+        f"iteration 3: {EXHAUSTED}"]),
     (paley_colouring(17), 2, (4, 5, 3), [
         "iteration 1: repetition q=2 failed, refined",
         f"iteration 2: {EXHAUSTED}"]),
@@ -260,5 +259,5 @@ def test_failed_repetition_tiles_once(monkeypatch):
                             counting(name, getattr(templates, attr)))
     result = search_template(SearchSpec(PROTO8, 5, 3, (4, 4, 3)))
     assert result.log.count("iteration 1: repetition q=2 failed, refined") == 1
-    # three candidates, each passing q=1 and failing q=2
-    assert counts == {"checks": 6, "tilings": 6, "searches": 6}
+    # two candidates, each passing q=1 and failing q=2
+    assert counts == {"checks": 4, "tilings": 4, "searches": 4}

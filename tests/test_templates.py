@@ -147,7 +147,7 @@ def test_validate_template_repetition_witness():
     # colour 2 of the doubled pentagon holds an edge, so bound 2 fails at q=1
     T = double_to_template(pentagon())
     failure = validate_template(T.base, 3, (3, 2))
-    assert failure == TemplateFailure(REPETITION, 2, 1, (2,))
+    assert failure == TemplateFailure(REPETITION, 2, 1, (3,))
     assert "repetition q=1: FAIL, colour 2" in str(failure)
 
 
