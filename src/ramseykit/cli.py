@@ -194,6 +194,7 @@ def cmd_solve(args) -> int:
     with open(args.cnf, encoding="utf-8") as f:
         inst = sat.read_dimacs(f.read())
     result = sat.solve_internal(inst, conflict_budget=args.budget)
+    print(f"c conflicts {result.conflicts} decisions {result.decisions}")
     print(f"s {result.status}")
     if result.status == sat.SAT:
         values = "v " + " ".join(str(lit) for lit in result.model) + " 0"
@@ -538,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--avoid", required=True)
     e.add_argument("--prototype", help="prototype colouring (extension)")
     e.add_argument("--t", type=int, help="extension width")
-    e.add_argument("--clause-cap", type=int, default=sat.DEFAULT_CLAUSE_CAP)
+    e.add_argument("--clause-cap", type=int, default=sat.DEFAULT_CLAUSE_CAP,
+                   help="most cliques to list before giving up")
     e.add_argument("--out")
     e.set_defaults(fn=cmd_encode)
 

@@ -3,10 +3,10 @@ complete solver, and the iterative template search loop.
 
 Variables are (length, colour) pairs over the free lengths; each length gets
 exactly one colour (one at-least-one clause plus pairwise at-most-one).  For
-each colour s with bound k, every vertex subset {0, v_1, ..., v_{k-1}}
-contributes a clause forbidding all its pairwise lengths being colour s
-simultaneously; fixing vertex 0 is valid because length-based colourings are
-translation (linear) or rotation (cyclic) invariant.
+each colour s with bound k, every k-clique {0, v_1, ..., v_{k-1}} of lengths
+free or fixed to s contributes a clause forbidding all its lengths being
+colour s at once; fixing vertex 0 is valid because length-based colourings
+are translation (linear) or rotation (cyclic) invariant.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from .colouring import (
     CYCLIC,
     LINEAR,
     ColouringError,
     LengthColouring,
-    cyclic_length,
 )
 from .cliques import ramsey_check
 from .templates import TF, TemplateGraph, check_reps, validate_template
@@ -32,16 +32,12 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
-# how a variable on the solver's trail got its value
-_IMPLIED, _FIRST, _FLIPPED = 0, 1, 2
-
-
 class EncodingError(ValueError):
     pass
 
 
 class ClauseCapError(EncodingError):
-    """Predicted clause count exceeds the configured cap."""
+    """More cliques to list than the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -125,14 +121,58 @@ def _exactly_one_clauses(var_map: VarMap) -> list[tuple[int, ...]]:
     return clauses
 
 
-def _check_clause_cap(m: int, avoid, clause_cap: int) -> None:
-    from math import comb
+def _clique_clauses(order: int, avoid, length, var_map: VarMap,
+                    fixed: dict, clause_cap: int) -> list[tuple[int, ...]]:
+    """A clause per distinct free-length set of the listed cliques: for
+    colour s with bound k, the sets {0 < v_1 < ... < v_{k-1} < order} whose
+    differences d all have `length(d)` free or fixed to s.  A length fixed
+    to s adds no literal.  ClauseCapError past `clause_cap` listed cliques.
+    """
+    clauses = []
+    listed = 0
+    for s, k in enumerate(avoid, start=1):
+        allowed = 0
+        bit = [0] * order  # difference -> bit of its free length, 0 if fixed
+        for d in range(1, order):
+            l = length(d)
+            bit[d] = 0 if l in fixed else 1 << var_map._pos[l]
+            allowed |= (fixed.get(l, s) == s) << d
+        adj = [allowed << v for v in range(order)]  # cand drops bits >= order
+        masks = set()
 
-    predicted = sum(comb(m - 1, k - 1) for k in avoid)
-    if predicted > clause_cap:
-        raise ClauseCapError(
-            f"predicted {predicted} clique clauses exceeds cap {clause_cap}"
-        )
+        def grow(clique, cand, mask):
+            nonlocal listed
+            last = len(clique) == k - 1  # each candidate closes a clique
+            if last:
+                listed += cand.bit_count()
+                if listed > clause_cap:
+                    raise ClauseCapError(f"clause cap {clause_cap} exceeded"
+                                         "; it counts listed cliques")
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                m = mask
+                for u in clique:
+                    m |= bit[v - u]
+                if last:
+                    masks.add(m)
+                else:
+                    grow(clique + (v,), cand & adj[v], m)
+
+        if k == 1:  # {0} alone, a clique with no lengths
+            grow((), 1, 0)
+        else:
+            grow((0,), adj[0], 0)
+        lits = [-var_map.id(l, s) for l in var_map.free_lengths]
+        for mask in masks:
+            cl = []
+            while mask:
+                top = mask.bit_length() - 1  # lits fall as bits rise: sorted
+                cl.append(lits[top])
+                mask ^= 1 << top
+            clauses.append(tuple(cl))
+    return clauses
 
 
 def _finish(clauses: list[tuple[int, ...]], var_map: VarMap,
@@ -148,19 +188,16 @@ def _encode_free(kind: str, m: int, avoid, clause_cap: int) -> CnfInstance:
     for k in avoid:
         if k < 2:
             raise EncodingError(f"clique bound {k} below 2")
-    _check_clause_cap(m, avoid, clause_cap)
+    listed = sum(comb(m - 1, k - 1) for k in avoid)  # every subset through 0
+    if listed > clause_cap:
+        raise ClauseCapError(f"{listed} cliques to list exceed the clause "
+                             f"cap of {clause_cap} listed cliques")
     r = len(avoid)
     half = m // 2 if kind == CYCLIC else m - 1
     var_map = VarMap(tuple(range(1, half + 1)), r)
     clauses = _exactly_one_clauses(var_map)
-    for s, k in enumerate(avoid, start=1):
-        for rest in combinations(range(1, m), k - 1):
-            verts = (0,) + rest
-            lits = set()
-            for i, j in combinations(verts, 2):
-                l = cyclic_length(i, j, m) if kind == CYCLIC else j - i
-                lits.add(-var_map.id(l, s))
-            clauses.append(tuple(sorted(lits)))
+    length = (lambda d: min(d, m - d)) if kind == CYCLIC else (lambda d: d)
+    clauses += _clique_clauses(m, avoid, length, var_map, {}, clause_cap)
     meta = {"kind": kind, "order": m, "avoid": avoid}
     return _finish(clauses, var_map, {}, meta)
 
@@ -210,16 +247,16 @@ def encode_extension(spec: SearchSpec,
 
     Lengths 1..n-1 are fixed to the prototype's colours, length n and the
     band [n+t+1, 2n-1] to the template colour; what remains of the band
-    [n+1, n+t] after reflection folding is free.  Clique clauses run over
-    vertex subsets at
-    order N and are simplified against the fixed assignments: clauses with a
-    satisfied fixed literal are dropped, falsified fixed literals removed.
+    [n+1, n+t] after reflection folding is free.  Clique clauses come from
+    the cliques through 0 at order N of lengths free or fixed to s, so none
+    is satisfied by a fixed length; ClauseCapError past `clause_cap` of them.
     """
     n = spec.prototype.order
     t = spec.t
     N = spec.target_order
     avoid = tuple(spec.avoid)
-    _check_clause_cap(N, avoid, clause_cap)
+    if min(avoid) < 1:
+        raise EncodingError(f"clique bound {min(avoid)} below 1")
     fixed = _extension_fixed(spec)
     free = sorted(
         {fold_length(l, n, t) for l in range(n + 1, n + t + 1)} - set(fixed)
@@ -227,22 +264,8 @@ def encode_extension(spec: SearchSpec,
     r = len(avoid)
     var_map = VarMap(tuple(free), r)
     clauses = _exactly_one_clauses(var_map)
-    for s, k in enumerate(avoid, start=1):
-        for rest in combinations(range(1, N), k - 1):
-            verts = (0,) + rest
-            lits = set()
-            satisfied = False
-            for i, j in combinations(verts, 2):
-                l = fold_length(j - i, n, t)
-                if l in fixed:
-                    if fixed[l] != s:
-                        satisfied = True
-                        break
-                    # fixed literal is false in this clause: drop it
-                else:
-                    lits.add(-var_map.id(l, s))
-            if not satisfied:
-                clauses.append(tuple(sorted(lits)))
+    clauses += _clique_clauses(N, avoid, lambda d: fold_length(d, n, t),
+                               var_map, fixed, clause_cap)
     meta = {"kind": "extension", "order": N, "avoid": avoid,
             "prototype_order": n, "t": t,
             "template_colour": spec.template_colour}
@@ -431,82 +454,94 @@ def solve_internal(instance: CnfInstance,
     search space is exhausted; UNKNOWN iff the conflict budget runs out.
     Decision order: highest occurrence count, ties by lowest variable id;
     each decision tries True first, then False.
+    Propagation watches two literal positions per clause (Chaff, MiniSat);
+    it reaches the fixpoint or conflict of a clause scan, so the search is
+    the same.
     """
+    if conflict_budget < 0:
+        raise ValueError(f"budget: must be >= 0, got {conflict_budget}")
     num_vars = instance.num_vars
-    clauses = [tuple(cl) for cl in instance.clauses]
-    if any(len(cl) == 0 for cl in clauses):
+    if any(len(cl) == 0 for cl in instance.clauses):
         return SolveResult(UNSAT)
 
+    # indexed by literal: entry -v aliases the upper half of the list
+    value = [0] * (2 * num_vars + 1)  # 1 true, -1 false, 0 unassigned
+    watches: list[list[list[int]]] = [[] for _ in value]
+    trail: list[int] = []  # true literals, in the order they were set
+    levels: list[int] = []  # trail positions of decisions on their first value
+    conflicts = decisions = 0
+
+    def assign(lit: int) -> None:
+        value[lit] = 1
+        value[-lit] = -1
+        trail.append(lit)
+
     occurrences = [0] * (num_vars + 1)
-    for cl in clauses:
+    for cl in instance.clauses:
         for lit in cl:
             occurrences[abs(lit)] += 1
+        if len(cl) > 1:
+            cl = list(cl)
+            watches[cl[0]].append(cl)
+            watches[cl[1]].append(cl)
+        elif value[cl[0]] == 0:  # unit clauses hold before any decision
+            assign(cl[0])
     decision_order = sorted(range(1, num_vars + 1),
                             key=lambda v: (-occurrences[v], v))
 
-    assign: dict[int, bool] = {}
-    trail: list[tuple[int, int]] = []  # (var, _IMPLIED | _FIRST | _FLIPPED)
-    conflicts = 0
-    decisions = 0
-
-    def value(lit: int):
-        v = assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def propagate() -> bool:
-        """Exhaustive unit propagation; False on conflict."""
-        changed = True
-        while changed:
-            changed = False
-            for cl in clauses:
-                unassigned = None
-                satisfied = False
-                count = 0
-                for lit in cl:
-                    val = value(lit)
-                    if val is True:
-                        satisfied = True
-                        break
-                    if val is None:
-                        unassigned = lit
-                        count += 1
-                        if count > 1:
-                            break
-                if satisfied or count > 1:
+    def propagate(head: int) -> bool:
+        """Propagate the trail from position `head`; False on conflict."""
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            watching = watches[false_lit]
+            kept = []
+            for i, cl in enumerate(watching):
+                if cl[0] == false_lit:
+                    cl[0], cl[1] = cl[1], false_lit
+                other = cl[0]
+                if value[other] == 1:
+                    kept.append(cl)
                     continue
-                if count == 0:
-                    return False
-                assign[abs(unassigned)] = unassigned > 0
-                trail.append((abs(unassigned), _IMPLIED))
-                changed = True
+                for j in range(2, len(cl)):
+                    if value[cl[j]] != -1:  # watch it instead
+                        cl[1], cl[j] = cl[j], false_lit
+                        watches[cl[1]].append(cl)
+                        break
+                else:  # every position but cl[0] is false
+                    kept.append(cl)
+                    if value[other] == -1:
+                        watches[false_lit] = kept + watching[i + 1:]
+                        return False
+                    assign(other)
+            watches[false_lit] = kept
         return True
 
+    ok = all(value[cl[0]] == 1 for cl in instance.clauses if len(cl) == 1) \
+        and propagate(0)
     while True:
-        if propagate():
-            if len(assign) == num_vars:
-                model = tuple(v if assign[v] else -v
+        if ok:
+            if len(trail) == num_vars:
+                model = tuple(v if value[v] == 1 else -v
                               for v in range(1, num_vars + 1))
                 return SolveResult(SAT, model, conflicts, decisions)
-            var = next(v for v in decision_order if v not in assign)
-            assign[var] = True
-            trail.append((var, _FIRST))
+            lit = next(v for v in decision_order if value[v] == 0)
             decisions += 1
+            levels.append(len(trail))
         else:
             conflicts += 1
             if conflicts > conflict_budget:
                 return SolveResult(UNKNOWN, None, conflicts, decisions)
+            if not levels:
+                return SolveResult(UNSAT, None, conflicts, decisions)
             # undo to the latest decision still on its first value, flip it
-            while True:
-                if not trail:
-                    return SolveResult(UNSAT, None, conflicts, decisions)
-                var, branch = trail.pop()
-                del assign[var]
-                if branch == _FIRST:
-                    break
-            assign[var] = False
-            trail.append((var, _FLIPPED))
+            pos = levels.pop()
+            lit = -trail[pos]
+            for undone in trail[pos:]:
+                value[undone] = value[-undone] = 0
+            del trail[pos:]
+        assign(lit)
+        ok = propagate(len(trail) - 1)
 
 
 @dataclass
@@ -544,6 +579,8 @@ def search_template(spec: SearchSpec,
     free lengths of its witness and the instance is re-solved.
     """
     check_reps(reps)
+    if conflict_budget < 0:
+        raise ValueError(f"budget: must be >= 0, got {conflict_budget}")
     n = spec.prototype.order
     t = spec.t
     N = spec.target_order

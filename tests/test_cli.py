@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from ramseykit import cli, templates
+from ramseykit import cli, sat, templates
 from ramseykit.cli import _locked_store, dispatch, run_pipeline
 from ramseykit.colouring import (
     LengthColouring,
@@ -499,6 +499,46 @@ def test_negative_reps_exit_2(argv, template_file, pentagon_file, capsys):
     captured = capsys.readouterr()
     assert "reps: must be >= 0" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{cnf}", "--budget", "-1"],
+    ["search", "template", "--prototype", "{c5}", "--t", "2",
+     "--avoid", "3,3,3", "--budget", "-1"],
+])
+def test_negative_budget_exit_2(argv, pentagon_file, tmp_path, capsys):
+    # the order-5 instance has no conflict, so a budget of -1 was never
+    # consulted and `solve` reported SAT
+    cnf = str(tmp_path / "c5.cnf")
+    assert dispatch(["encode", "cyclic", "--order", "5",
+                     "--avoid", "3,3", "--out", cnf]) == 0
+    argv = [a.format(cnf=cnf, c5=pentagon_file) for a in argv]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert "budget: must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+def test_solve_reports_search_effort(tmp_path, capsys):
+    cnf = str(tmp_path / "c14.cnf")
+    assert dispatch(["encode", "cyclic", "--order", "14",
+                     "--avoid", "3,3,3", "--out", cnf]) == 0
+    result = sat.solve_internal(sat.encode_cyclic(14, (3, 3, 3)))
+    capsys.readouterr()
+    outs = []
+    for _ in range(2):
+        assert dispatch(["solve", cnf]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert lines[:2] == [f"c conflicts {result.conflicts} "
+                         f"decisions {result.decisions}", "s SAT"]
+    solved = tmp_path / "c14.out"
+    solved.write_text(outs[0])
+    decoded = str(tmp_path / "c14.json")
+    assert dispatch(["decode", "--cnf", cnf, "--model", str(solved),
+                     "--out", decoded]) == 0
+    assert dispatch(["verify", decoded, "--avoid", "3,3,3"]) == 0
 
 
 @pytest.mark.parametrize("text, message", [
