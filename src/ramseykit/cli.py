@@ -7,6 +7,7 @@ an UNSAT instance, a search without result), 2 = usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -227,7 +228,7 @@ def cmd_decode(args) -> int:
 def _extension_spec(what: str, args, avoid) -> sat.SearchSpec:
     proto = col.to_cyclic(_length(what, "prototype",
                                   col.load_colouring(args.prototype)))
-    return sat.SearchSpec(proto, args.t, proto.num_colours + 1, avoid)
+    return sat.SearchSpec(proto, args.t, avoid)
 
 
 def cmd_search(args) -> int:
@@ -383,13 +384,19 @@ def _parse_range(text: str) -> tuple[int, int]:
 def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list[str]]:
     """Execute a recipe's steps in order; stop at the first failure.
 
-    Fact-store changes are applied only if every step succeeds.
+    Fact-store changes are applied only if every step succeeds.  A recipe
+    that is not an object, or a step that is not one, is a ValueError.
     """
+    steps = recipe.get("steps", []) if isinstance(recipe, dict) else None
+    if not (isinstance(steps, list)
+            and all(isinstance(step, dict) for step in steps)):
+        raise ValueError("a recipe is an object whose steps are a list of "
+                         "objects")
     log: list[str] = []
     ledger = _load_store(store_path) if store_path else led.Ledger()
     bag: dict[str, object] = {}
     dirty = False
-    for i, step in enumerate(recipe.get("steps", []), start=1):
+    for i, step in enumerate(steps, start=1):
         op = step["op"]
         try:
             if op == "seed":
@@ -500,6 +507,7 @@ def cmd_pipeline(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ramseykit",

@@ -93,7 +93,8 @@ class BoundFact:
         if self.kind != GAMMA and not isinstance(self.value, int):
             raise LedgerError("order/bound facts need an integer value")
         idx = self.flags.get("special_degree_index")
-        if idx is not None and not 0 <= idx < len(self.parameters):
+        if idx is not None and not (type(idx) is int
+                                    and 0 <= idx < len(self.parameters)):
             raise LedgerError(f"special_degree_index {idx} is not a "
                               f"position in {self.parameters}")
 
@@ -611,12 +612,26 @@ def _fact_to_json(f: BoundFact) -> dict:
             "value": value, "certificate": f.certificate, "flags": f.flags}
 
 
-def _fact_from_json(obj: dict) -> BoundFact:
+def _fact_from_json(obj) -> BoundFact:
+    """The fact of one store line; LedgerError unless it is a fact object."""
+    if not isinstance(obj, dict):
+        raise LedgerError(f"store line {obj!r} is not a fact object")
+    params = obj.get("parameters")
+    if not (isinstance(params, list) and all(type(k) is int for k in params)
+            and isinstance(obj.get("certificate"), dict)
+            and isinstance(obj.get("flags", {}), dict)):
+        raise LedgerError("a fact needs a list of integer parameters, a "
+                          "certificate object and a flags object")
     value = obj["value"]
     if isinstance(value, dict):
-        num, den = value["base"]
-        value = GammaValue(Fraction(num, den), value["root"])
-    return BoundFact(obj["kind"], tuple(obj["parameters"]), value,
+        base, root = value.get("base"), value.get("root")
+        if not (isinstance(base, list) and len(base) == 2
+                and all(type(x) is int for x in base) and base[1]
+                and type(root) is int):
+            raise LedgerError("a gamma value needs a [num, den] base of "
+                              "integers, den != 0, and an integer root")
+        value = GammaValue(Fraction(*base), root)
+    return BoundFact(obj["kind"], tuple(params), value,
                      obj["certificate"], obj.get("flags", {}),
                      obj.get("id"))
 

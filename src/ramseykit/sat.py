@@ -12,21 +12,17 @@ are translation (linear) or rotation (cyclic) invariant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import comb
 
-from .colouring import (
-    CYCLIC,
-    LINEAR,
-    ColouringError,
-    LengthColouring,
-)
+from .colouring import CYCLIC, LINEAR, LengthColouring, length_domain_size
 from .cliques import ramsey_check
 from .templates import TF, TemplateGraph, check_reps, validate_template
 
 DEFAULT_CLAUSE_CAP = 10_000_000
 DEFAULT_CONFLICT_BUDGET = 1_000_000
+MAX_ITERATIONS = 200  # solves per template search
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -81,11 +77,11 @@ class CnfInstance:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Prototype-extension search: target order N = 2n + t."""
+    """Prototype-extension search: target order N = 2n + t, template colour
+    the first after the prototype's."""
 
     prototype: LengthColouring
     t: int
-    template_colour: int
     avoid: tuple[int, ...]
 
     def __post_init__(self):
@@ -96,10 +92,6 @@ class SearchSpec:
             raise EncodingError(f"extension width t must be >= 1, got {self.t}")
         if self.t >= 2 * n:
             raise EncodingError(f"extension width t={self.t} too large for order {n}")
-        if self.template_colour != self.prototype.num_colours + 1:
-            raise EncodingError(
-                "template colour must be the first colour after the prototype's"
-            )
         if len(self.avoid) != self.prototype.num_colours + 1:
             raise EncodingError(
                 f"avoid: expected {self.prototype.num_colours + 1} bounds, "
@@ -107,8 +99,48 @@ class SearchSpec:
             )
 
     @property
+    def template_colour(self) -> int:
+        return self.prototype.num_colours + 1
+
+    @property
     def target_order(self) -> int:
         return 2 * self.prototype.order + self.t
+
+
+def fold_length(l: int, n: int, t: int) -> int:
+    """Canonical representative of a length in the extension encoding.
+
+    Lengths above the prototype band are reflection-symmetric: the band
+    [n, N-1] is mirrored about its own midpoint, so the top length N-1
+    shares the template colour fixed at length n, and the lengths [2n, N-1]
+    vary together with the searched band.  Folding twice is the identity.
+    """
+    N = 2 * n + t
+    if not (1 <= l <= N - 1):
+        raise EncodingError(f"length {l} out of range 1..{N - 1}")
+    if l <= n - 1:
+        return l
+    return min(l, 3 * n + t - 1 - l)
+
+
+def _fold(meta: dict):
+    """d -> the canonical length whose colour a difference d takes: cyclic
+    lengths fold onto 1..m//2, linear lengths are their own, and extension
+    lengths fold through `fold_length`."""
+    kind, m = meta["kind"], meta["order"]
+    if kind == CYCLIC:
+        return lambda d: min(d, m - d)
+    if kind == LINEAR:
+        return lambda d: d
+    n, t = meta["prototype_order"], meta["t"]
+    return lambda d: fold_length(d, n, t)
+
+
+def _var_map(meta: dict, fixed: dict) -> VarMap:
+    """Variables over the canonical lengths not in `fixed`, in length order."""
+    fold = _fold(meta)
+    free = {fold(d) for d in range(1, meta["order"])} - set(fixed)
+    return VarMap(tuple(sorted(free)), len(meta["avoid"]))
 
 
 def _exactly_one_clauses(var_map: VarMap) -> list[tuple[int, ...]]:
@@ -121,11 +153,11 @@ def _exactly_one_clauses(var_map: VarMap) -> list[tuple[int, ...]]:
     return clauses
 
 
-def _clique_clauses(order: int, avoid, length, var_map: VarMap,
+def _clique_clauses(order: int, avoid, fold, var_map: VarMap,
                     fixed: dict, clause_cap: int) -> list[tuple[int, ...]]:
     """A clause per distinct free-length set of the listed cliques: for
     colour s with bound k, the sets {0 < v_1 < ... < v_{k-1} < order} whose
-    differences d all have `length(d)` free or fixed to s.  A length fixed
+    differences d all have `fold(d)` free or fixed to s.  A length fixed
     to s adds no literal.  ClauseCapError past `clause_cap` listed cliques.
     """
     clauses = []
@@ -134,7 +166,7 @@ def _clique_clauses(order: int, avoid, length, var_map: VarMap,
         allowed = 0
         bit = [0] * order  # difference -> bit of its free length, 0 if fixed
         for d in range(1, order):
-            l = length(d)
+            l = fold(d)
             bit[d] = 0 if l in fixed else 1 << var_map._pos[l]
             allowed |= (fixed.get(l, s) == s) << d
         adj = [allowed << v for v in range(order)]  # cand drops bits >= order
@@ -181,6 +213,16 @@ def _finish(clauses: list[tuple[int, ...]], var_map: VarMap,
     return CnfInstance(var_map.num_vars, tuple(canonical), var_map, fixed, meta)
 
 
+def _encode(meta: dict, fixed: dict, clause_cap: int) -> CnfInstance:
+    """Exactly-one clauses over the free lengths, then the clique clauses of
+    order `meta["order"]` under the fold of `meta`."""
+    var_map = _var_map(meta, fixed)
+    clauses = _exactly_one_clauses(var_map)
+    clauses += _clique_clauses(meta["order"], meta["avoid"], _fold(meta),
+                               var_map, fixed, clause_cap)
+    return _finish(clauses, var_map, fixed, meta)
+
+
 def _encode_free(kind: str, m: int, avoid, clause_cap: int) -> CnfInstance:
     avoid = tuple(avoid)
     if m < 3:
@@ -192,14 +234,7 @@ def _encode_free(kind: str, m: int, avoid, clause_cap: int) -> CnfInstance:
     if listed > clause_cap:
         raise ClauseCapError(f"{listed} cliques to list exceed the clause "
                              f"cap of {clause_cap} listed cliques")
-    r = len(avoid)
-    half = m // 2 if kind == CYCLIC else m - 1
-    var_map = VarMap(tuple(range(1, half + 1)), r)
-    clauses = _exactly_one_clauses(var_map)
-    length = (lambda d: min(d, m - d)) if kind == CYCLIC else (lambda d: d)
-    clauses += _clique_clauses(m, avoid, length, var_map, {}, clause_cap)
-    meta = {"kind": kind, "order": m, "avoid": avoid}
-    return _finish(clauses, var_map, {}, meta)
+    return _encode({"kind": kind, "order": m, "avoid": avoid}, {}, clause_cap)
 
 
 def encode_cyclic(m: int, avoid, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfInstance:
@@ -210,22 +245,6 @@ def encode_cyclic(m: int, avoid, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIns
 def encode_linear(m: int, avoid, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfInstance:
     """CNF for a free search over linear colourings of order m."""
     return _encode_free(LINEAR, m, avoid, clause_cap)
-
-
-def fold_length(l: int, n: int, t: int) -> int:
-    """Canonical representative of a length in the extension encoding.
-
-    Lengths above the prototype band are reflection-symmetric: the band
-    [n, N-1] is mirrored about its own midpoint, so the top length N-1
-    shares the template colour fixed at length n, and the lengths [2n, N-1]
-    vary together with the searched band.  Folding twice is the identity.
-    """
-    N = 2 * n + t
-    if not (1 <= l <= N - 1):
-        raise EncodingError(f"length {l} out of range 1..{N - 1}")
-    if l <= n - 1:
-        return l
-    return min(l, 3 * n + t - 1 - l)
 
 
 def _extension_fixed(spec: SearchSpec) -> dict[int, int]:
@@ -251,25 +270,13 @@ def encode_extension(spec: SearchSpec,
     the cliques through 0 at order N of lengths free or fixed to s, so none
     is satisfied by a fixed length; ClauseCapError past `clause_cap` of them.
     """
-    n = spec.prototype.order
-    t = spec.t
-    N = spec.target_order
     avoid = tuple(spec.avoid)
     if min(avoid) < 1:
         raise EncodingError(f"clique bound {min(avoid)} below 1")
-    fixed = _extension_fixed(spec)
-    free = sorted(
-        {fold_length(l, n, t) for l in range(n + 1, n + t + 1)} - set(fixed)
-    )
-    r = len(avoid)
-    var_map = VarMap(tuple(free), r)
-    clauses = _exactly_one_clauses(var_map)
-    clauses += _clique_clauses(N, avoid, lambda d: fold_length(d, n, t),
-                               var_map, fixed, clause_cap)
-    meta = {"kind": "extension", "order": N, "avoid": avoid,
-            "prototype_order": n, "t": t,
+    meta = {"kind": "extension", "order": spec.target_order, "avoid": avoid,
+            "prototype_order": spec.prototype.order, "t": spec.t,
             "template_colour": spec.template_colour}
-    return _finish(clauses, var_map, fixed, meta)
+    return _encode(meta, _extension_fixed(spec), clause_cap)
 
 
 def write_dimacs(instance: CnfInstance) -> str:
@@ -295,10 +302,12 @@ def write_dimacs(instance: CnfInstance) -> str:
 def read_dimacs(text: str) -> CnfInstance:
     """Reconstruct a CnfInstance from `write_dimacs` output.
 
-    The `p cnf` header is required, before the first clause; the clause
-    count must match it, and every literal must name a variable in range.
+    The `p cnf` header is required, before the first clause, with counts
+    >= 0; the clause count must match it, and every literal must name a
+    variable in range.  The variables are those the `c meta` and `c fixed`
+    lines imply (`c map` lines are for readers); a file without `c meta`
+    has none, so it can be solved but not decoded.
     """
-    mapping: dict[int, tuple[int, int]] = {}
     fixed: dict[int, int] = {}
     meta: dict = {}
     clauses: list[tuple[int, ...]] = []
@@ -307,10 +316,7 @@ def read_dimacs(text: str) -> CnfInstance:
         line = line.strip()
         if not line:
             continue
-        if line.startswith("c map "):
-            l, s, var = (int(x) for x in line[6:].split())
-            mapping[var] = (l, s)
-        elif line.startswith("c meta "):
+        if line.startswith("c meta "):
             meta = json.loads(line[7:])
         elif line.startswith("c fixed "):
             l, s = (int(x) for x in line[8:].split())
@@ -322,6 +328,8 @@ def read_dimacs(text: str) -> CnfInstance:
             if header is not None or len(parts) != 4 or parts[1] != "cnf":
                 raise EncodingError(f"bad DIMACS header {line!r}")
             header = int(parts[2]), int(parts[3])
+            if min(header) < 0:
+                raise EncodingError(f"negative count in DIMACS header {line!r}")
         else:
             if header is None:
                 raise EncodingError("DIMACS clause before the 'p cnf' header")
@@ -339,14 +347,17 @@ def read_dimacs(text: str) -> CnfInstance:
     if len(clauses) != num_clauses:
         raise EncodingError(f"DIMACS header declares {num_clauses} clauses, "
                             f"found {len(clauses)}")
-    if "avoid" in meta:
-        meta["avoid"] = tuple(meta["avoid"])
-    num_colours = len(meta.get("avoid", ()))
-    free_lengths = tuple(
-        mapping[v][0] for v in sorted(mapping)
-        if (v - 1) % max(num_colours, 1) == 0
-    ) if num_colours else ()
-    var_map = VarMap(free_lengths, num_colours)
+    var_map = VarMap((), 0)
+    if meta:
+        try:
+            meta["avoid"] = tuple(meta["avoid"])
+            var_map = _var_map(meta, fixed)
+        except (KeyError, TypeError) as e:
+            raise EncodingError(f"bad 'c meta' line: {e!r}") from None
+        if var_map.num_vars != num_vars:
+            raise EncodingError(f"DIMACS header declares {num_vars} variables"
+                                f", 'c meta' and 'c fixed' give "
+                                f"{var_map.num_vars}")
     return CnfInstance(num_vars, tuple(clauses), var_map, fixed, meta)
 
 
@@ -388,7 +399,9 @@ def _literals_from_document(doc: str) -> set[int]:
 
 
 def decode_model(lits, instance: CnfInstance) -> LengthColouring:
-    """Rebuild the full colouring from a model's true literals."""
+    """Rebuild the full colouring from a model's true literals: each length
+    takes the colour, fixed or chosen, of its canonical length.  Extensions
+    come back as linear colourings with their template colour."""
     var_map = instance.var_map
     chosen: dict[int, int] = {}
     for lit in lits:
@@ -401,28 +414,13 @@ def decode_model(lits, instance: CnfInstance) -> LengthColouring:
         if l not in chosen:
             raise ModelError(f"no true colour variable for length {l}")
     meta = instance.meta
-    kind = meta["kind"]
-    order = meta["order"]
-    r = len(meta["avoid"])
-    if kind == CYCLIC:
-        colours = tuple(chosen[l] for l in range(1, order // 2 + 1))
-        return LengthColouring(CYCLIC, order, r, colours)
-    if kind == LINEAR:
-        colours = tuple(chosen[l] for l in range(1, order))
-        return LengthColouring(LINEAR, order, r, colours)
-    # extension: complete through the fold
-    n = meta["prototype_order"]
-    t = meta["t"]
-
-    def colour_at(l: int) -> int:
-        canon = fold_length(l, n, t)
-        if canon in instance.fixed:
-            return instance.fixed[canon]
-        return chosen[canon]
-
-    colours = tuple(colour_at(l) for l in range(1, order))
-    return LengthColouring(LINEAR, order, r, colours,
-                           template_colour=meta["template_colour"])
+    kind = CYCLIC if meta["kind"] == CYCLIC else LINEAR
+    fold = _fold(meta)
+    colour = {**chosen, **instance.fixed}
+    colours = tuple(colour[fold(l)] for l in
+                    range(1, length_domain_size(kind, meta["order"]) + 1))
+    return LengthColouring(kind, meta["order"], len(meta["avoid"]), colours,
+                           template_colour=meta.get("template_colour"))
 
 
 def parse_model(doc: str, instance: CnfInstance) -> LengthColouring | None:
@@ -552,62 +550,67 @@ class TemplateSearchResult:
     log: list[str]
 
 
-def _violation_clause(lengths, colour, instance: CnfInstance,
-                      n: int, t: int) -> tuple[int, ...] | None:
+def _violation_clause(lengths, colour, instance: CnfInstance
+                      ) -> tuple[int, ...] | None:
     """Clause blocking a monochromatic clique, over its free lengths.
 
     None when the violation touches only fixed lengths (the search is then
     unsatisfiable as posed).
     """
-    lits = set()
-    for l in lengths:
-        canon = fold_length(l, n, t)
-        if canon not in instance.fixed:
-            lits.add(-instance.var_map.id(canon, colour))
-    return tuple(sorted(lits)) if lits else None
+    fold = _fold(instance.meta)
+    free = {fold(l) for l in lengths} - set(instance.fixed)
+    return tuple(sorted(-instance.var_map.id(l, colour) for l in free)) or None
+
+
+def _candidate_failure(colouring: LengthColouring, spec: SearchSpec,
+                       reps: int):
+    """None if a decoded candidate is a valid template.  Otherwise the
+    failing colour, the lengths to blame, and the log phrases for a stop on
+    fixed lengths and for a refinement.
+
+    The clique check of `spec.avoid` comes first: a decoded model is never
+    trusted.  Then `validate_template`; its tf stage never reports a
+    missing top length, since N-1 folds onto length n, which is fixed to
+    the template colour.
+    """
+    report = ramsey_check(colouring, spec.avoid, want_witness=True)
+    if not report.passes:
+        colour = report.first_failure(spec.avoid) + 1
+        wit = report.witness[colour - 1]
+        return (colour, {abs(j - i) for i, j in combinations(wit, 2)},
+                f"fixed lengths alone break colour {colour}",
+                f"clique violation in colour {colour}")
+    failure = validate_template(colouring, spec.template_colour,
+                                spec.avoid[:-1], reps)
+    if failure is None:
+        return None
+    if failure.stage == TF:
+        return (failure.colour, failure.lengths,
+                "fixed template lengths form a triangle",
+                f"template triangle at lengths {failure.lengths}")
+    return (failure.colour, failure.lengths,
+            f"repetition q={failure.q} fails on fixed lengths",
+            f"repetition q={failure.q} failed")
 
 
 def search_template(spec: SearchSpec,
                     reps: int = 8,
-                    conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
-                    max_iterations: int = 200,
-                    clause_cap: int = DEFAULT_CLAUSE_CAP) -> TemplateSearchResult:
+                    conflict_budget: int = DEFAULT_CONFLICT_BUDGET
+                    ) -> TemplateSearchResult:
     """Encode, solve, validate, refine: loop until a validated template graph
-    comes out or the encoding is exhausted.
+    comes out, the encoding is exhausted, or MAX_ITERATIONS solves have run.
 
-    Validation is `validate_template`; each failure adds a clause over the
-    free lengths of its witness and the instance is re-solved.
+    Each failure of `_candidate_failure` adds a clause over the free
+    lengths of its witness and the instance is re-solved.
     """
     check_reps(reps)
     if conflict_budget < 0:
         raise ValueError(f"budget: must be >= 0, got {conflict_budget}")
-    n = spec.prototype.order
-    t = spec.t
-    N = spec.target_order
-    base_instance = encode_extension(spec, clause_cap=clause_cap)
+    base = encode_extension(spec, clause_cap=DEFAULT_CLAUSE_CAP)
     extra: list[tuple[int, ...]] = []
     log: list[str] = []
-
-    # Every template must carry the template colour on the top length N-1,
-    # which folds onto a single canonical length; require it up front.
-    top = fold_length(N - 1, n, t)
-    if top in base_instance.fixed:
-        if base_instance.fixed[top] != spec.template_colour:
-            log.append("top length folds onto a fixed non-template colour; "
-                       "no template exists in this encoding")
-            return TemplateSearchResult("none", None, 0, log)
-    else:
-        extra.append((base_instance.var_map.id(top, spec.template_colour),))
-
-    non_template_avoid = spec.avoid[:-1]
-    for iteration in range(1, max_iterations + 1):
-        instance = CnfInstance(
-            base_instance.num_vars,
-            base_instance.clauses + tuple(extra),
-            base_instance.var_map,
-            base_instance.fixed,
-            base_instance.meta,
-        )
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        instance = replace(base, clauses=base.clauses + tuple(extra))
         result = solve_internal(instance, conflict_budget=conflict_budget)
         if result.status == UNSAT:
             log.append(f"iteration {iteration}: exhausted, no template exists "
@@ -617,41 +620,14 @@ def search_template(spec: SearchSpec,
             log.append(f"iteration {iteration}: solver budget exhausted")
             return TemplateSearchResult("budget", None, iteration, log)
         colouring = decode_model(result.model, instance)
-
-        # soundness gate: never trust a decoded model
-        report = ramsey_check(colouring, spec.avoid, want_witness=True)
-        if not report.passes:
-            bad = report.first_failure(spec.avoid) + 1
-            wit = report.witness[bad - 1]
-            lengths = {abs(j - i) for i, j in combinations(wit, 2)}
-            cl = _violation_clause(lengths, bad, instance, n, t)
-            if cl is None:
-                log.append(f"iteration {iteration}: fixed lengths alone break "
-                           f"colour {bad}; unsatisfiable as posed")
-                return TemplateSearchResult("none", None, iteration, log)
-            extra.append(cl)
-            log.append(f"iteration {iteration}: clique violation in colour "
-                       f"{bad}, refined")
-            continue
-
-        failure = validate_template(colouring, spec.template_colour,
-                                    non_template_avoid, reps)
+        failure = _candidate_failure(colouring, spec, reps)
         if failure is None:
             template = TemplateGraph(colouring, spec.template_colour)
             log.append(f"iteration {iteration}: validated template of order "
-                       f"{N}, phi {template.phi}")
+                       f"{spec.target_order}, phi {template.phi}")
             return TemplateSearchResult("found", template, iteration, log)
-        if not failure.lengths:
-            log.append(f"iteration {iteration}: template class misses the "
-                       "top length despite the unit constraint")
-            return TemplateSearchResult("none", None, iteration, log)
-        cl = _violation_clause(failure.lengths, failure.colour, instance, n, t)
-        if failure.stage == TF:
-            fixed_msg = "fixed template lengths form a triangle"
-            refined_msg = f"template triangle at lengths {failure.lengths}"
-        else:
-            fixed_msg = f"repetition q={failure.q} fails on fixed lengths"
-            refined_msg = f"repetition q={failure.q} failed"
+        colour, lengths, fixed_msg, refined_msg = failure
+        cl = _violation_clause(lengths, colour, instance)
         if cl is None:
             log.append(f"iteration {iteration}: {fixed_msg}; "
                        "unsatisfiable as posed")
@@ -659,5 +635,5 @@ def search_template(spec: SearchSpec,
         extra.append(cl)
         log.append(f"iteration {iteration}: {refined_msg}, refined")
 
-    log.append(f"stopped after {max_iterations} iterations")
-    return TemplateSearchResult("budget", None, max_iterations, log)
+    log.append(f"stopped after {MAX_ITERATIONS} iterations")
+    return TemplateSearchResult("budget", None, MAX_ITERATIONS, log)

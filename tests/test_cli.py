@@ -548,8 +548,14 @@ def test_solve_reports_search_effort(tmp_path, capsys):
     ("p cnf 2 1\n1 3 0\n", "literal 3 outside the 2 declared variables"),
     ("p cnf 2 1\n1 0 2 0\n", "literal 0 outside the 2 declared variables"),
     ("p cnf 2\n1 0\n", "bad DIMACS header"),
+    ("p cnf -1 0\n", "negative count in DIMACS header"),
+    ("p cnf 2 -1\n", "negative count in DIMACS header"),
+    ("c meta 5\np cnf 0 0\n", "bad 'c meta' line"),
+    ('c meta {"kind": "cyclic", "order": 5, "avoid": [3, 3]}\np cnf 5 0\n',
+     "declares 5 variables, 'c meta' and 'c fixed' give 4"),
 ], ids=["empty", "no-header", "clause-count", "variable-range",
-        "zero-literal", "short-header"])
+        "zero-literal", "short-header", "negative-variables",
+        "negative-clauses", "meta-not-object", "variable-count"])
 def test_solve_rejects_malformed_dimacs(text, message, tmp_path, capsys):
     cnf = tmp_path / "bad.cnf"
     cnf.write_text(text)
@@ -653,3 +659,58 @@ def test_ledger_session_certificates_still_add(store, tmp_path, capsys):
         {"cyclic": True} if cyclic else {"linear": True}
         for _, _, cyclic in certs]
     assert dispatch(["ledger", "best", "graph(6,6)"]) == 0
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_option_between_calls(pentagon_file, capsys):
+    assert dispatch(["verify", pentagon_file, "--avoid", "2,2", "--exact"]) == 1
+    assert "colour 1: max clique = 2" in capsys.readouterr().out
+    assert dispatch(["verify", pentagon_file, "--avoid", "2,2"]) == 1
+    assert "colour 1: max clique >= 2" in capsys.readouterr().out
+
+
+_ASSERTED = '"certificate": {"type": "asserted", "source": "s"}'
+
+
+@pytest.mark.parametrize("line", [
+    "[1, 2]",
+    "5",
+    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+    f'{_ASSERTED}, "flags": []}}',
+    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+    f'{_ASSERTED}, "flags": {{"special_degree_index": "0"}}}}',
+    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+    '"certificate": "asserted", "flags": {}}',
+    '{"id": 1, "kind": "graph_exists", "parameters": 5, "value": 5, '
+    f'{_ASSERTED}, "flags": {{}}}}',
+    '{"id": 1, "kind": "gamma_lower_bound", "parameters": [3], '
+    f'"value": {{"root": 2}}, {_ASSERTED}, "flags": {{}}}}',
+    '{"id": 1, "kind": "gamma_lower_bound", "parameters": [3], '
+    f'"value": {{"base": 5, "root": 2}}, {_ASSERTED}, "flags": {{}}}}',
+    '{"id": 1, "kind": "gamma_lower_bound", "parameters": [3], '
+    f'"value": {{"base": [5, 0], "root": 2}}, {_ASSERTED}, "flags": {{}}}}',
+], ids=["list", "number", "flags-list", "index-string",
+        "certificate-string", "parameters-int", "gamma-no-base",
+        "gamma-base-int", "gamma-zero-den"])
+def test_store_line_that_is_not_a_fact_exits_2(line, tmp_path, capsys):
+    path = tmp_path / "facts.jsonl"
+    path.write_text(line + "\n")
+    assert dispatch(["ledger", "--store", str(path), "best",
+                     "graph(3,3)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("recipe", [
+    [], "steps", {"steps": 5}, {"steps": [5]}, {"steps": [{"op": "seed"}, []]},
+], ids=["list", "string", "steps-int", "step-int", "step-list"])
+def test_pipeline_recipe_that_is_not_an_object_exits_2(recipe, tmp_path,
+                                                        capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(recipe))
+    assert dispatch(["pipeline", str(path)]) == 2
+    assert "a recipe is an object whose steps are a list of objects" in \
+        capsys.readouterr().err

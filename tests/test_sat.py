@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from ramseykit import templates
+from ramseykit import sat, templates
 from ramseykit.cliques import ramsey_check
 from ramseykit.colouring import LengthColouring, pentagon
 from ramseykit.constructions import paley_colouring
@@ -101,6 +101,17 @@ def test_dimacs_roundtrip():
         assert back.var_map.free_lengths == inst.var_map.free_lengths
 
 
+def test_read_dimacs_ignores_map_lines():
+    for inst in (encode_cyclic(7, (3, 3)), encode_linear(5, (3, 3)),
+                 encode_extension(SearchSpec(PROTO8, 5, (4, 4, 3)))):
+        text = write_dimacs(inst)
+        bare = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("c map "))
+        back = read_dimacs(bare)
+        assert back.var_map == inst.var_map
+        assert write_dimacs(back) == text
+
+
 def test_parse_model_sat_document():
     inst = encode_cyclic(5, (3, 3))
     doc = "c solver chatter\ns SATISFIABLE\nv 1 -2 -3 4 0\n"
@@ -140,14 +151,14 @@ def test_fold_length_is_idempotent():
 
 
 def test_extension_width_one_is_fully_determined():
-    spec = SearchSpec(pentagon(), 1, 3, (3, 3, 3))
+    spec = SearchSpec(pentagon(), 1, (3, 3, 3))
     inst = encode_extension(spec)
     assert inst.num_vars == 0
     assert solve_internal(inst).status == "UNSAT"
 
 
 def test_extension_width_two_frees_one_length():
-    spec = SearchSpec(pentagon(), 2, 3, (3, 3, 3))
+    spec = SearchSpec(pentagon(), 2, (3, 3, 3))
     inst = encode_extension(spec)
     assert inst.var_map.free_lengths == (6,)
     assert inst.num_vars == 3
@@ -156,17 +167,15 @@ def test_extension_width_two_frees_one_length():
 
 def test_search_spec_validation():
     with pytest.raises(EncodingError):
-        SearchSpec(pentagon().as_linear(), 2, 3, (3, 3, 3))
+        SearchSpec(pentagon().as_linear(), 2, (3, 3, 3))
     with pytest.raises(EncodingError):
-        SearchSpec(pentagon(), 0, 3, (3, 3, 3))
+        SearchSpec(pentagon(), 0, (3, 3, 3))
     with pytest.raises(EncodingError):
-        SearchSpec(pentagon(), 2, 2, (3, 3, 3))
-    with pytest.raises(EncodingError):
-        SearchSpec(pentagon(), 2, 3, (3, 3))
+        SearchSpec(pentagon(), 2, (3, 3))
 
 
 def test_search_template_exhausts_pentagon():
-    spec = SearchSpec(pentagon(), 2, 3, (3, 3, 3))
+    spec = SearchSpec(pentagon(), 2, (3, 3, 3))
     result = search_template(spec)
     assert result.status == "none"
     assert result.template is None
@@ -175,7 +184,7 @@ def test_search_template_exhausts_pentagon():
 def test_search_template_finds_known_case():
     proto = _cyclic34_prototype()
     assert proto.colour_of == (1, 2, 2, 1)
-    spec = SearchSpec(proto, 3, 3, (3, 4, 3))
+    spec = SearchSpec(proto, 3, (3, 4, 3))
     result = search_template(spec, reps=4)
     assert result.status == "found"
     assert result.iterations == 1
@@ -236,7 +245,7 @@ EXHAUSTED = "exhausted, no template exists in this encoding"
         f"iteration 2: {EXHAUSTED}"]),
 ])
 def test_search_template_refinement_logs(proto, t, avoid, log):
-    result = search_template(SearchSpec(proto, t, 3, avoid), reps=8)
+    result = search_template(SearchSpec(proto, t, avoid), reps=8)
     assert (result.status, result.iterations, result.log) == \
         ("none", len(log), log)
 
@@ -257,7 +266,28 @@ def test_failed_repetition_tiles_once(monkeypatch):
                        ("ramsey_check", "searches")):
         monkeypatch.setattr(templates, attr,
                             counting(name, getattr(templates, attr)))
-    result = search_template(SearchSpec(PROTO8, 5, 3, (4, 4, 3)))
+    result = search_template(SearchSpec(PROTO8, 5, (4, 4, 3)))
     assert result.log.count("iteration 1: repetition q=2 failed, refined") == 1
     # two candidates, each passing q=1 and failing q=2
     assert counts == {"checks": 4, "tilings": 4, "searches": 4}
+
+
+def test_search_template_stops_after_max_iterations(monkeypatch):
+    monkeypatch.setattr(sat, "MAX_ITERATIONS", 1)
+    result = search_template(SearchSpec(PROTO8, 5, (4, 4, 3)))
+    assert (result.status, result.iterations, result.template) == \
+        ("budget", 1, None)
+    assert result.log == ["iteration 1: repetition q=2 failed, refined",
+                          "stopped after 1 iterations"]
+
+
+def test_top_length_folds_onto_the_template_colour():
+    """Why no template search needs a top-length constraint: N-1 folds onto
+    length n, which every extension fixes to the template colour."""
+    for proto in (pentagon(), PROTO8, paley_colouring(13)):
+        n = proto.order
+        for t in range(1, 2 * n):
+            spec = SearchSpec(proto, t, (3,) * (proto.num_colours + 1))
+            assert fold_length(spec.target_order - 1, n, t) == n
+            assert sat._extension_fixed(spec)[n] == spec.template_colour == \
+                proto.num_colours + 1

@@ -195,7 +195,7 @@ def _random_spec(rng):
     # reference walk short
     top = 5 if 2 * n + t <= 30 else 4
     avoid = tuple(rng.randint(1, top) for _ in range(r + 1))
-    return SearchSpec(proto, t, r + 1, avoid)
+    return SearchSpec(proto, t, avoid)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -216,14 +216,14 @@ def test_extension_encoding_matches_subset_walk(seed):
 
 
 def test_extension_bound_one_is_the_empty_clause():
-    spec = SearchSpec(paley_colouring(5), 2, 3, (3, 1, 3))
+    spec = SearchSpec(paley_colouring(5), 2, (3, 1, 3))
     inst = encode_extension(spec)
     assert inst.clauses[0] == ()
     assert write_dimacs(inst) == write_dimacs(reference_encode_extension(spec))
 
 
 def test_extension_cap_counts_listed_cliques():
-    spec = SearchSpec(paley_colouring(13), 4, 3, (4, 4, 3))
+    spec = SearchSpec(paley_colouring(13), 4, (4, 4, 3))
     listed = reference_listed(spec)
     assert listed > len(encode_extension(spec).clauses)
     encode_extension(spec, clause_cap=listed)
@@ -243,7 +243,7 @@ def test_free_cap_fails_before_listing(monkeypatch):
 def test_paley_101_extension_fits_default_cap():
     """The prototype of the (6,6,3;235) template: a predicted count of
     C(234, 5) per colour stopped it before cliques were listed."""
-    spec = SearchSpec(paley_colouring(101), 33, 3, (6, 6, 3))
+    spec = SearchSpec(paley_colouring(101), 33, (6, 6, 3))
     inst = encode_extension(spec)
     assert inst.meta["order"] == 235
     assert (inst.num_vars, len(inst.clauses)) == (96, 165_234)
@@ -309,7 +309,7 @@ def test_solver_matches_clause_scan_on_encodings(encode, m, avoid):
     (paley_colouring(17), 2, (4, 5, 3)),
 ])
 def test_search_template_matches_references(proto, t, avoid, monkeypatch):
-    spec = SearchSpec(proto, t, 3, avoid)
+    spec = SearchSpec(proto, t, avoid)
     got = search_template(spec)
     monkeypatch.setattr(sat, "encode_extension",
                         lambda s, clause_cap: reference_encode_extension(s))
