@@ -2,11 +2,12 @@
 
 The search is a branch-and-bound over bitset adjacency rows with a greedy
 colouring upper bound.  A length colouring is searched through vertex 0
-only, on rows built from its lengths; an explicit colouring is searched
-over all its vertices.  The full search (`max_clique_in_colour`) and an
-exhaustive oracle (`max_clique_brute`) provide independent ground truth, so
-nothing emitted by the constructions or the SAT search is trusted without a
-second opinion.
+only, on rows built from its lengths.  An explicit colouring is searched
+through vertex 0 when translations checked on its matrix move 0 to every
+vertex, and over all its vertices otherwise.  The full search
+(`max_clique_in_colour`) and an exhaustive oracle (`max_clique_brute`)
+provide independent ground truth, so nothing emitted by the constructions
+or the SAT search is trusted without a second opinion.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colouring import ColouringError, ExplicitColouring, LengthColouring
+from .colouring import (
+    ColouringError,
+    ExplicitColouring,
+    LengthColouring,
+    translation_transitive,
+)
 
 BRUTE_ORDER_CAP = 16
 
@@ -140,15 +146,16 @@ def max_clique_in_colour(
     return _search(_colour_bitrows(g, s), full, stop_at, 1, (0,))
 
 
-def _clique_through_zero(c: LengthColouring, s: int,
-                         stop_at: int | None) -> tuple[int, tuple[int, ...]]:
-    """Maximum colour-s clique of a length colouring, found through vertex 0.
+def _clique_through_zero(adj: list[int], stop_at: int | None
+                         ) -> tuple[int, tuple[int, ...]]:
+    """Maximum clique of the graph with bit rows `adj`, found through 0.
 
-    Shifting a clique by minus its least vertex keeps every edge length, in
-    both the linear and the cyclic case, so some maximum clique contains 0
-    and the clique number is 1 + the clique number of 0's neighbourhood.
+    Valid when every clique has a copy of the same size through vertex 0.
+    Shifting a clique by minus its least vertex keeps every edge length of
+    a length colouring, linear or cyclic; a translation-transitive explicit
+    colouring has an automorphism taking any vertex to 0.  Then the clique
+    number is 1 + the clique number of 0's neighbourhood.
     """
-    adj = _length_bitrows(c, s)
     size, wit = _search(adj, adj[0],
                         None if stop_at is None else stop_at - 1, 0, ())
     return size + 1, (0,) + wit
@@ -193,22 +200,29 @@ def ramsey_check(
 
     By default each colour's search stops as soon as a clique matching its
     bound is found; pass exact=True for full clique numbers.  A length
-    colouring is never expanded: its witnesses are cliques through vertex 0.
+    colouring is never expanded, and a translation-transitive explicit one
+    is searched through vertex 0: their witnesses start at 0.  Any other
+    colouring gets the full search.
     """
     avoid = tuple(avoid)
     if len(avoid) != c.num_colours:
         raise ColouringError(
             f"avoid: expected {c.num_colours} bounds, got {len(avoid)}"
         )
-    search = (_clique_through_zero if isinstance(c, LengthColouring)
-              else max_clique_in_colour)
+    if isinstance(c, LengthColouring):
+        rows = _length_bitrows
+    elif translation_transitive(c):
+        rows = _colour_bitrows
+    else:
+        rows = None
     sizes: list[int] = []
     witnesses: list[tuple[int, ...] | None] = []
     exact_flags: list[bool] = []
     passes = True
     for s, k in enumerate(avoid, start=1):
         stop = None if exact else k
-        size, wit = search(c, s, stop)
+        size, wit = (max_clique_in_colour(c, s, stop) if rows is None
+                     else _clique_through_zero(rows(c, s), stop))
         sizes.append(size)
         witnesses.append(wit if want_witness else None)
         exact_flags.append(exact or size < k)

@@ -193,19 +193,67 @@ def expand_to_explicit(c: LengthColouring) -> ExplicitColouring:
     return ExplicitColouring(m, c.num_colours, mat, avoid=c.avoid)
 
 
+def translation(n: int, c: int, b: int) -> np.ndarray:
+    """The vertex map i -> (i//c)c + (i mod c + b) mod c on n vertices.
+
+    With c = n it is the cyclic shift by b; with c = |H| and b = 1 it
+    shifts the right factor of a grid product numbered u|H| + v.
+    """
+    ids = np.arange(n)
+    return ids - ids % c + (ids % c + b) % c
+
+
+def preserves_colours(g: ExplicitColouring, perm: np.ndarray) -> bool:
+    """True iff the vertex map i -> perm[i] keeps every edge colour of g.
+
+    Row 0 is compared first, so most maps that fail cost O(order).
+    """
+    mat = g.edge_colour
+    return g.order == 0 or bool(
+        np.array_equal(mat[perm[0], perm], mat[0])
+        and np.array_equal(mat[np.ix_(perm, perm)], mat))
+
+
+def translation_transitive(g: ExplicitColouring) -> bool:
+    """True iff the translations that preserve g's colours, over b | c |
+    order with b < c, move vertex 0 to every vertex.
+
+    The orbit of 0 grows with each translation that passes, and the test
+    stops once it is every vertex.  Order 0 is not transitive.
+    """
+    n = g.order
+    if n == 0:
+        return False
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    kept: list[np.ndarray] = []
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for c in reversed(divisors):
+        for b in (d for d in divisors if d < c and c % d == 0):
+            if reached.all():
+                return True
+            perm = translation(n, c, b)
+            if not preserves_colours(g, perm):
+                continue
+            kept.append(perm)
+            while True:
+                grown = reached.copy()
+                for p in kept:
+                    grown[p[reached]] = True
+                if np.array_equal(grown, reached):
+                    break
+                reached = grown
+    return bool(reached.all())
+
+
 def check_cyclic_symmetry(c: LengthColouring | ExplicitColouring) -> bool:
     """True iff c admits a cyclic form.
 
     A length colouring needs c(l) = c(m - l) for every length; an explicit
-    one must be circulant, the colour of (i, j) depending only on j - i
-    mod m.
+    one must be circulant, kept by the shift i -> i + 1 mod m.
     """
     if isinstance(c, ExplicitColouring):
-        m = c.order
-        ids = np.arange(m)
-        shifts = (ids[None, :] - ids[:, None]) % m
-        return m == 0 or bool(np.array_equal(c.edge_colour,
-                                             c.edge_colour[0][shifts]))
+        return preserves_colours(c, translation(c.order, max(c.order, 1), 1))
     lin = c.as_linear()
     m = lin.order
     return all(lin.colour_of[l - 1] == lin.colour_of[m - l - 1]

@@ -351,6 +351,14 @@ def read_dimacs(text: str) -> CnfInstance:
     if meta:
         try:
             meta["avoid"] = tuple(meta["avoid"])
+            if not meta["avoid"]:
+                raise EncodingError("'c meta' has an empty avoid")
+            # every fold is at most two-to-one, so the lengths 1..order-1
+            # need at least (order-1)/2 canonical lengths, free or fixed
+            if meta["order"] - 1 > 2 * (num_vars + len(fixed)):
+                raise EncodingError(
+                    f"DIMACS header declares {num_vars} variables, too few "
+                    f"for 'c meta' order {meta['order']}")
             var_map = _var_map(meta, fixed)
         except (KeyError, TypeError) as e:
             raise EncodingError(f"bad 'c meta' line: {e!r}") from None
@@ -466,7 +474,9 @@ def solve_internal(instance: CnfInstance,
     value = [0] * (2 * num_vars + 1)  # 1 true, -1 false, 0 unassigned
     watches: list[list[list[int]]] = [[] for _ in value]
     trail: list[int] = []  # true literals, in the order they were set
-    levels: list[int] = []  # trail positions of decisions on their first value
+    # (trail position, decision_order position) of each decision still on
+    # its first value
+    levels: list[tuple[int, int]] = []
     conflicts = decisions = 0
 
     def assign(lit: int) -> None:
@@ -486,6 +496,7 @@ def solve_internal(instance: CnfInstance,
             assign(cl[0])
     decision_order = sorted(range(1, num_vars + 1),
                             key=lambda v: (-occurrences[v], v))
+    pick = 0  # every variable before decision_order[pick] is assigned
 
     def propagate(head: int) -> bool:
         """Propagate the trail from position `head`; False on conflict."""
@@ -523,9 +534,11 @@ def solve_internal(instance: CnfInstance,
                 model = tuple(v if value[v] == 1 else -v
                               for v in range(1, num_vars + 1))
                 return SolveResult(SAT, model, conflicts, decisions)
-            lit = next(v for v in decision_order if value[v] == 0)
+            while value[decision_order[pick]] != 0:
+                pick += 1
+            lit = decision_order[pick]
             decisions += 1
-            levels.append(len(trail))
+            levels.append((len(trail), pick))
         else:
             conflicts += 1
             if conflicts > conflict_budget:
@@ -533,7 +546,7 @@ def solve_internal(instance: CnfInstance,
             if not levels:
                 return SolveResult(UNSAT, None, conflicts, decisions)
             # undo to the latest decision still on its first value, flip it
-            pos = levels.pop()
+            pos, pick = levels.pop()
             lit = -trail[pos]
             for undone in trail[pos:]:
                 value[undone] = value[-undone] = 0

@@ -1,20 +1,26 @@
 import hashlib
 import json
 import os
+import random
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from ramseykit import cli, sat, templates
+from ramseykit import cli, cliques, sat, templates
 from ramseykit.cli import _locked_store, dispatch, run_pipeline
+from ramseykit.cliques import is_clique, max_clique_in_colour
 from ramseykit.colouring import (
+    ExplicitColouring,
     LengthColouring,
     expand_to_explicit,
+    load_colouring,
     pentagon,
     save_colouring,
     serialize_colouring,
     single_edge,
+    translation_transitive,
 )
 from ramseykit.constructions import (
     paley_colouring,
@@ -565,6 +571,28 @@ def test_solve_rejects_malformed_dimacs(text, message, tmp_path, capsys):
     assert "s SAT" not in captured.out
 
 
+@pytest.mark.parametrize("text, message", [
+    ('c meta {"kind": "cyclic", "order": 3000000, "avoid": [3, 3]}\n'
+     'p cnf 2 0\n', "declares 2 variables, too few for 'c meta' order"),
+    ('c meta {"kind": "linear", "order": 9, "avoid": [3]}\nc fixed 1 1\n'
+     'p cnf 2 0\n', "declares 2 variables, too few for 'c meta' order 9"),
+    ('c meta {"kind": "cyclic", "order": 5, "avoid": []}\np cnf 0 0\n',
+     "'c meta' has an empty avoid"),
+], ids=["huge-order", "linear-order", "empty-avoid"])
+def test_solve_rejects_meta_before_building_var_map(text, message, tmp_path,
+                                                    capsys, monkeypatch):
+    """A `c meta` order the header's variables cannot cover, or an empty
+    avoid, exits 2 before the var map is sized by that order."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("var map built from an impossible 'c meta'")
+
+    monkeypatch.setattr(sat, "_var_map", refuse)
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text(text)
+    assert dispatch(["solve", str(cnf)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_solve_dev_null_is_not_satisfiable(capsys):
     assert dispatch(["solve", os.devnull]) == 2
     assert capsys.readouterr().out == ""
@@ -576,10 +604,8 @@ def test_ledger_derive_rejects_r2(store, capsys):
     assert "unknown rule 'r2'" in capsys.readouterr().err
 
 
-def test_explicit_grid_product_witnesses_are_pinned(tmp_path, capsys):
-    """Explicit colourings keep the full search over every vertex: the
-    exact witnesses of the grid product Paley 29 x C5 are those of the
-    search before length colourings went through vertex 0."""
+def _song_p29_c5(tmp_path, capsys) -> str:
+    """Paley 29 x C5 (order 145, bounds (9, 9)), built by the CLI."""
     p29 = paley_colouring(29)
     save_colouring(LengthColouring("cyclic", 29, 2, p29.colour_of,
                                    avoid=(5, 5)), tmp_path / "p29.json")
@@ -588,11 +614,64 @@ def test_explicit_grid_product_witnesses_are_pinned(tmp_path, capsys):
     assert dispatch(["construct", "song", "--a", str(tmp_path / "p29.json"),
                      "--b", str(tmp_path / "c5.json"), "--out", s145]) == 0
     capsys.readouterr()
+    return s145
+
+
+def test_explicit_grid_product_witnesses_are_pinned(tmp_path, capsys):
+    """The grid product Paley 29 x C5 is translation-transitive, so verify
+    searches it through vertex 0; the full search stays its oracle, with
+    the witness it has always found."""
+    s145 = _song_p29_c5(tmp_path, capsys)
+    g = load_colouring(s145)
+    assert translation_transitive(g)
+    oracle = [max_clique_in_colour(g, s) for s in (1, 2)]
+    assert oracle[0] == (8, (113, 114, 118, 119, 138, 139, 143, 144))
     assert dispatch(["verify", s145, "--exact", "--witness"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for s, (size, _) in enumerate(oracle, start=1):
+        head = lines.index(f"colour {s}: max clique = {size} (bound 9) ok")
+        wit = json.loads(lines[head + 1].split(": ", 1)[1])
+        assert len(wit) == size and wit[0] == 0 and is_clique(g, s, wit)
+
+
+def test_untransitive_explicit_verify_output_is_pinned(tmp_path, capsys):
+    """An explicit colouring that no translation set moves around keeps the
+    full search: verify's output on Paley 13 x C5 under a shuffled vertex
+    numbering is byte-for-byte that of the full search alone."""
+    g = song_product(expand_to_explicit(paley_colouring(13)),
+                     expand_to_explicit(pentagon()))
+    perm = list(range(g.order))
+    random.Random(65).shuffle(perm)
+    h = ExplicitColouring(g.order, 2, g.edge_colour[np.ix_(perm, perm)],
+                          avoid=(7, 7))
+    assert not translation_transitive(h)
+    path = str(tmp_path / "r65.json")
+    save_colouring(h, path)
+    assert dispatch(["verify", path, "--exact", "--witness"]) == 0
     out = capsys.readouterr().out
-    assert "witness: [113, 114, 118, 119, 138, 139, 143, 144]" in out
+    assert "witness: [54, 56, 60, 61, 63, 64]" in out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "3682f10ac3d096c35d66c6cdd3197dab4db376fdc50a88e6df16d651a6002abb")
+        "22869cb4415ac496c81fcab14782e6754a1e426b0e41599273f9956867bbc263")
+
+
+def test_ledger_commands_never_search_a_transitive_certificate(
+        store, tmp_path, capsys, monkeypatch):
+    """A store holding the P29 x C5 certificate loads, answers and adds
+    without the full search: its re-verification goes through vertex 0."""
+    s145 = _song_p29_c5(tmp_path, capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transitive certificate took the full search")
+
+    monkeypatch.setattr(cliques, "max_clique_in_colour", refuse)
+    assert dispatch(["ledger", "add", s145, "--avoid", "9,9"]) == 0
+    capsys.readouterr()
+    assert dispatch(["ledger", "best", "graph(9,9)"]) == 0
+    assert "145" in capsys.readouterr().out
+    save_colouring(pentagon(), tmp_path / "c5.json")
+    assert dispatch(["ledger", "add", str(tmp_path / "c5.json"),
+                     "--avoid", "3,3", "--cyclic"]) == 0
+    assert len(_stored_flags(store)) == 2
 
 
 def _stored_flags(store):

@@ -18,8 +18,15 @@ from ramseykit.cliques import (
     neighbourhood_restrict,
     ramsey_check,
 )
-from ramseykit.colouring import ExplicitColouring, expand_to_explicit, pentagon
-from ramseykit.constructions import paley_colouring
+from ramseykit.colouring import (
+    ExplicitColouring,
+    expand_to_explicit,
+    pentagon,
+    preserves_colours,
+    translation,
+    translation_transitive,
+)
+from ramseykit.constructions import paley_colouring, song_product
 
 from conftest import random_colouring
 
@@ -187,3 +194,111 @@ def test_length_colouring_is_never_expanded(monkeypatch):
     assert report.per_colour_max == (8, 8) and report.passes
     linear = random_colouring(random.Random(7), "linear", 30, 2)
     assert ramsey_check(linear, (30, 30), exact=True).passes
+
+
+def _grid(rng, factors, num_colours):
+    """Grid product of random cyclic factors of the given orders."""
+    g = None
+    for order in factors:
+        h = expand_to_explicit(random_colouring(rng, "cyclic", order,
+                                                num_colours))
+        g = h if g is None else song_product(g, h)
+    return g
+
+
+def _transitive_cases(rng):
+    """Circulants, grid products and iterated grid products."""
+    for _ in range(12):
+        r = rng.randint(1, 3)
+        yield expand_to_explicit(
+            random_colouring(rng, "cyclic", rng.randint(2, 40), r))
+        yield _grid(rng, [rng.randint(2, 9) for _ in range(2)], r)
+        yield _grid(rng, [rng.randint(2, 4) for _ in range(3)], r)
+
+
+def _relabelled(rng, g):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return ExplicitColouring(g.order, g.num_colours,
+                             g.edge_colour[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_transitive_explicit_path_matches_full_search(seed, monkeypatch):
+    """Circulant and grid-product matrices are searched through vertex 0;
+    the same matrices under a shuffled numbering fall back to the full
+    search.  Either way each colour, exact and early-stop, agrees with the
+    full search, and with brute force at small orders."""
+    rng = random.Random(100 + seed)
+    full_searches = []
+    oracle = max_clique_in_colour
+
+    def counted(g, s, stop_at=None):
+        full_searches.append(g.order)
+        return oracle(g, s, stop_at)
+
+    monkeypatch.setattr(cliques, "max_clique_in_colour", counted)
+    for g in _transitive_cases(rng):
+        relabelled = _relabelled(rng, g)
+        # at these seeds every shuffled matrix of order 12 or more with two
+        # colours in use has lost its transitive translations
+        mixed = g.order >= 12 and len(np.unique(g.edge_colour)) > 2
+        assert translation_transitive(g)
+        assert not mixed or not translation_transitive(relabelled)
+        for h in (g, relabelled):
+            vertex_zero = translation_transitive(h)
+            full = [oracle(h, s)[0] for s in range(1, h.num_colours + 1)]
+            if h.order <= BRUTE_ORDER_CAP:
+                assert full == [max_clique_brute(h, s)
+                                for s in range(1, h.num_colours + 1)]
+            avoid = tuple(rng.randint(2, 7) for _ in full)
+            for exact in (True, False):
+                full_searches.clear()
+                report = ramsey_check(h, avoid, exact=exact,
+                                      want_witness=True)
+                assert len(full_searches) == (0 if vertex_zero
+                                              else h.num_colours)
+                for s, k in enumerate(avoid, start=1):
+                    size, wit = (report.per_colour_max[s - 1],
+                                 report.witness[s - 1])
+                    if exact:
+                        assert size == full[s - 1]
+                    else:
+                        assert min(size, k) == min(full[s - 1], k)
+                        assert size <= full[s - 1]
+                    assert len(wit) == size and is_clique(h, s, wit)
+                    assert wit[0] == 0 or not vertex_zero
+                assert report.passes == all(n < k for n, k in
+                                            zip(full, avoid))
+
+
+def test_translations_and_transitivity():
+    assert list(translation(6, 3, 1)) == [1, 2, 0, 4, 5, 3]
+    assert list(translation(6, 6, 2)) == [2, 3, 4, 5, 0, 1]
+    g = expand_to_explicit(paley_colouring(13))
+    assert preserves_colours(g, translation(13, 13, 1))
+    # 3 is a residue mod 13, so multiplying by it is an automorphism, but
+    # not a translation; 2 is not, and moves colours
+    times = lambda a: np.arange(13) * a % 13
+    assert preserves_colours(g, times(3))
+    assert not preserves_colours(g, times(2))
+    assert translation_transitive(g)
+    # order 0 keeps the full search; order 1 is trivially transitive
+    assert not translation_transitive(ExplicitColouring(0, 1, np.zeros((0, 0))))
+    assert translation_transitive(ExplicitColouring(1, 1, np.zeros((1, 1))))
+
+
+def test_partial_orbit_falls_back_to_full_search():
+    """Even-even and even-odd edges take colour 1, odd-odd edges colour 2.
+    The shift by 2 keeps the colours, but 0's orbit is only the even
+    vertices, and no colour-2 clique goes through 0."""
+    ids = np.arange(6)
+    odd = ids % 2 == 1
+    mat = np.where(odd[:, None] & odd[None, :], 2, 1)
+    np.fill_diagonal(mat, 0)
+    g = ExplicitColouring(6, 2, mat)
+    assert preserves_colours(g, translation(6, 6, 2))
+    assert not translation_transitive(g)
+    report = ramsey_check(g, (5, 5), exact=True, want_witness=True)
+    assert report.per_colour_max == (4, 3)
+    assert report.witness[1] == (1, 3, 5)

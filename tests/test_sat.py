@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -222,6 +223,18 @@ def test_solver_search_is_pinned(encode, m, avoid, budget, want):
     digest = None if result.model is None else \
         hashlib.sha256(repr(result.model).encode()).hexdigest()[:16]
     assert (result.status, result.conflicts, result.decisions, digest) == want
+
+
+def test_solver_decisions_are_linear_in_variables():
+    """Each decision resumes the decision order where the last one stopped:
+    50,000 free variables take 50,000 decisions in about 0.1 s, where a scan
+    from the start each time would take tens of seconds."""
+    start = time.perf_counter()
+    result = solve_internal(read_dimacs("p cnf 50000 0\n"))
+    assert time.perf_counter() - start < 2.0
+    assert (result.status, result.conflicts, result.decisions) == \
+        ("SAT", 0, 50000)
+    assert result.model == tuple(range(1, 50001))
 
 
 PROTO8 = LengthColouring("cyclic", 8, 2, (1, 2, 2, 1))
