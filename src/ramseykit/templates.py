@@ -23,10 +23,6 @@ class TemplateError(ValueError):
     pass
 
 
-def _template_lengths(c: LengthColouring, s: int) -> set[int]:
-    return {l for l in range(1, c.order) if c.colour_of[l - 1] == s}
-
-
 def _tf_violation(c: LengthColouring, s: int) -> tuple[int, ...] | None:
     """None if colour s is a tf-template class of c.
 
@@ -37,7 +33,7 @@ def _tf_violation(c: LengthColouring, s: int) -> tuple[int, ...] | None:
         raise TemplateError("template test requires a linear colouring")
     if not (1 <= s <= c.num_colours):
         raise ColouringError(f"colour {s} out of range 1..{c.num_colours}")
-    cls = _template_lengths(c, s)
+    cls = c.colour_class(s)
     # A monochromatic triangle in a linear colouring is exactly a triple of
     # lengths x, y, x + y in one class.
     ordered = sorted(cls)
@@ -77,7 +73,7 @@ class TemplateGraph:
         return phi(self)
 
     def template_lengths(self) -> set[int]:
-        return _template_lengths(self.base, self.template_colour)
+        return self.base.colour_class(self.template_colour)
 
     def non_template_colours(self) -> list[int]:
         return [s for s in range(1, self.base.num_colours + 1)
@@ -119,6 +115,15 @@ def tiled_colouring(T: TemplateGraph, q: int) -> LengthColouring:
                            template_colour=T.template_colour)
 
 
+def _check_avoid(base: LengthColouring, avoid) -> tuple[int, ...]:
+    """`avoid` as a tuple, if it bounds each non-template colour of `base`."""
+    avoid = tuple(avoid)
+    if len(avoid) != base.num_colours - 1:
+        raise ColouringError(f"avoid: expected {base.num_colours - 1} bounds "
+                             f"for the non-template colours, got {len(avoid)}")
+    return avoid
+
+
 def repetition_check(T: TemplateGraph, q: int, avoid) -> CliqueReport:
     """Clique check of the q-fold tiling, on the non-template colours only.
 
@@ -127,24 +132,15 @@ def repetition_check(T: TemplateGraph, q: int, avoid) -> CliqueReport:
     the tiling by design.  The report carries a witness per colour, in
     vertices of the tiling.
     """
-    avoid = tuple(avoid)
-    non_template = T.non_template_colours()
-    if len(avoid) != len(non_template):
-        raise ColouringError(
-            f"avoid: expected {len(non_template)} bounds for the non-template "
-            f"colours, got {len(avoid)}"
-        )
+    avoid = _check_avoid(T.base, avoid)
     tiled = tiled_colouring(T, q)
     # Unconstrain the template colour: bound = order + 1 can never fail.
-    full_avoid = [tiled.order + 1] * tiled.num_colours
-    for s, k in zip(non_template, avoid):
-        full_avoid[s - 1] = k
-    report = ramsey_check(tiled, full_avoid, want_witness=True)
-    sizes = tuple(report.per_colour_max[s - 1] for s in non_template)
-    wits = tuple(report.witness[s - 1] for s in non_template)
-    exact = tuple(report.exact[s - 1] for s in non_template)
-    passes = all(sz < k for sz, k in zip(sizes, avoid))
-    return CliqueReport(sizes, wits, passes, exact)
+    i = T.template_colour - 1
+    report = ramsey_check(tiled, avoid[:i] + (tiled.order + 1,) + avoid[i:],
+                          want_witness=True)
+    fields = (report.per_colour_max, report.witness, report.exact)
+    sizes, wits, exact = (xs[:i] + xs[i + 1:] for xs in fields)
+    return CliqueReport(sizes, wits, report.passes, exact)
 
 
 def doubled_shape(m: int, compact: bool = False) -> tuple[int, int]:
@@ -188,7 +184,8 @@ def rainbow_colouring(n: int) -> LengthColouring:
 class TemplateFailure:
     """The first check a template candidate fails, with its witness lengths:
     a tf failure's triple (x, y, x + y), or () if the top length is
-    missing; a repetition clique's lengths folded onto base residues."""
+    missing; a repetition clique's lengths folded onto base residues, with
+    q the least tiling that holds the clique."""
 
     stage: str  # TF | REPETITION
     colour: int
@@ -219,21 +216,26 @@ def validate_template(base: LengthColouring, template_colour: int, avoid,
     compound with a prototype of order n has the non-template colour classes
     of the (n-1)-fold tiling, so a pass covers prototypes up to order
     reps + 1.  Emitted compounds are clique-checked on their own as well.
+    Tilings nest (the (q-1)-fold one is the q-fold one on its first
+    vertices), so only q = 1, 2, 4, ..., reps are checked; a failure
+    reports the least q whose tiling holds its witness.
     """
     check_reps(reps)
+    avoid = _check_avoid(base, avoid)
     triple = _tf_violation(base, template_colour)
     if triple is not None:
         return TemplateFailure(TF, template_colour, lengths=triple)
     T = TemplateGraph(base, template_colour)
-    avoid = tuple(avoid)
-    for q in range(1, reps + 1):
+    schedule = [2 ** i for i in range((reps - 1).bit_length())] + [reps]
+    for q in schedule if reps else ():
         report = repetition_check(T, q, avoid)
         if not report.passes:
             i = report.first_failure(avoid)
-            residues = {_residue(b - a, T.order)
-                        for a, b in combinations(report.witness[i], 2)}
-            return TemplateFailure(REPETITION, T.non_template_colours()[i], q,
-                                   tuple(sorted(residues)))
+            wit, t = report.witness[i], T.order
+            residues = {_residue(b - a, t) for a, b in combinations(wit, 2)}
+            least = -(-(max(wit) - min(wit) - T.phi) // (t - 1))
+            return TemplateFailure(REPETITION, T.non_template_colours()[i],
+                                   max(1, least), tuple(sorted(residues)))
     return None
 
 

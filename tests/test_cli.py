@@ -286,9 +286,29 @@ def test_template_check_runs_each_repetition_once(template_file, monkeypatch,
     monkeypatch.setattr(templates, "repetition_check", counting)
     assert dispatch(["template-check", template_file, "--avoid", "3,3",
                      "--reps", "5"]) == 0
-    assert calls == [1, 2, 3, 4, 5]
+    assert calls == [1, 2, 4, 5]  # tilings nest: q = 3 is inside q = 4
     out = capsys.readouterr().out.splitlines()
-    assert out[1:] == [f"repetition q={q}: ok" for q in range(1, 6)] + ["PASS"]
+    assert out[1:] == ["repetition q=1..5: ok", "PASS"]
+
+
+def test_template_check_reps_0_prints_no_repetition_line(template_file,
+                                                          capsys):
+    assert dispatch(["template-check", template_file, "--avoid", "3,3",
+                     "--reps", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "template order 10, phi 4", "PASS"]
+
+
+@pytest.mark.parametrize("reps", ["0", "8"])
+@pytest.mark.parametrize("avoid", ["3", "3,3,3,3"])
+def test_template_check_wrong_avoid_length_exit_2(avoid, reps, template_file,
+                                                  capsys):
+    # at --reps 0 no tiling is checked, yet the bounds must still fit
+    assert dispatch(["template-check", template_file, "--avoid", avoid,
+                     "--reps", reps]) == 2
+    captured = capsys.readouterr()
+    assert "avoid: expected 2 bounds" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_template_check_stops_at_first_failure(template_file, capsys):
@@ -492,6 +512,48 @@ def test_pipeline_use_store_takes_the_lock(store, capsys):
     worker.join(60)
     assert done.is_set()
     assert os.path.exists(store)
+
+
+_ASSERT_TEN = """
+import os, sys, time
+from ramseykit.cli import dispatch
+store, tag, ready, other = sys.argv[1:]
+open(ready, "w").close()
+deadline = time.monotonic() + 60
+while not os.path.exists(other) and time.monotonic() < deadline:
+    time.sleep(0.005)
+for i in range(10):
+    code = dispatch(["ledger", "--store", store, "assert", "3,3,3",
+                     str(20 + i), "--source", f"{tag} {i}"])
+    if code != 0:
+        sys.exit(code)
+"""
+
+
+def test_two_processes_assert_into_one_store(tmp_path):
+    """Two writers, started together, each record ten facts: the store
+    lock serialises them, so no fact is lost and ids stay 1..20."""
+    import subprocess
+    import sys
+
+    from ramseykit.ledger import Ledger
+
+    store = str(tmp_path / "facts.jsonl")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    ready = [str(tmp_path / f"{tag}.ready") for tag in "ab"]
+    procs = [subprocess.Popen([sys.executable, "-c", _ASSERT_TEN, store, tag,
+                               ready[k], ready[1 - k]], env=env,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+             for k, tag in enumerate("ab")]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    ledger = Ledger.load(store)
+    assert [f.fact_id for f in ledger.facts] == list(range(1, 21))
+    assert sorted(f.certificate["source"] for f in ledger.facts) == \
+        sorted(f"{tag} {i}" for tag in "ab" for i in range(10))
 
 
 @pytest.mark.parametrize("argv", [

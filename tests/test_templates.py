@@ -6,6 +6,7 @@ import pytest
 from ramseykit import templates
 from ramseykit.cliques import max_clique_in_colour, ramsey_check
 from ramseykit.colouring import (
+    ColouringError,
     LengthColouring,
     expand_to_explicit,
     pentagon,
@@ -217,6 +218,64 @@ def test_validate_template_matches_exhaustive_oracle(seed):
         if failure.stage == TF and failure.lengths:
             x, y, z = failure.lengths
             assert x + y == z
+
+
+def test_doubling_schedule_matches_ascending_oracle(monkeypatch):
+    """`validate_template` checks only q = 1, 2, 4, ..., reps.  Its verdict
+    and stage are the ascending oracle's; so is its failure when the
+    oracle's q is checked.  Otherwise the reported q lies between the
+    oracle's and reps, and its tiling holds a clique of the reported colour."""
+    calls = []
+    real = templates.repetition_check
+
+    def spy(T, q, avoid):
+        calls.append(q)
+        return real(T, q, avoid)
+
+    monkeypatch.setattr(templates, "repetition_check", spy)
+    unchecked = set()  # oracle q's that fell between scheduled checks
+    for seed in range(4):
+        rng = random.Random(seed)
+        for _ in range(100):
+            order = rng.randint(6, 10)
+            colours = [rng.choice((1, 2, 2, 3)) for _ in range(order - 2)]
+            colours.append(3 if rng.random() < 0.9 else rng.randint(1, 2))
+            base = LengthColouring("linear", order, 3, tuple(colours))
+            avoid = (rng.randint(3, 5), rng.randint(4, 6))
+            first = _oracle_first_failure(base, 3, avoid, 8)
+            for reps in range(9):
+                case = (base, avoid, reps)
+                schedule = [q for q in (1, 2, 4) if q < reps] + [reps][:reps]
+                want = first
+                if first and first[2] is not None and first[2] > reps:
+                    want = None  # the ascending oracle stops at reps
+                calls.clear()
+                failure = validate_template(base, 3, avoid, reps)
+                assert calls == schedule[:len(calls)], case
+                if failure is None:
+                    assert want is None and calls == schedule, case
+                    continue
+                got = (failure.stage, failure.colour, failure.q)
+                assert want is not None and got[0] == want[0], case
+                if want[2] is None or want[2] in schedule:
+                    assert got == want, case
+                    continue
+                unchecked.add(want[2])
+                assert want[2] <= failure.q <= reps, case
+                tiled = expand_to_explicit(
+                    tiled_colouring(TemplateGraph(base, 3), failure.q))
+                assert max_clique_in_colour(tiled, failure.colour)[0] >= \
+                    avoid[failure.colour - 1], case
+    assert unchecked & {3, 5, 6, 7}, unchecked
+
+
+def test_validate_template_checks_avoid_length_first():
+    T = double_to_template(pentagon())
+    triangle = LengthColouring("linear", 6, 2, (1, 2, 2, 1, 2))
+    for base, s, avoid in ((T.base, 3, (3,)), (T.base, 3, (3, 3, 3, 3)),
+                           (triangle, 2, (3, 3))):
+        with pytest.raises(ColouringError, match="avoid: expected"):
+            validate_template(base, s, avoid, reps=0)
 
 
 def test_repetition_check_returns_witnesses():
