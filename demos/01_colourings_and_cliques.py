@@ -20,7 +20,7 @@ print("the pentagon colouring:")
 print(serialize_colouring(p))
 
 # Neither colour contains a triangle, so R(3,3) > 5.
-report = ramsey_check(p, (3, 3), exact=True, want_witness=True)
+report = ramsey_check(p, (3, 3), exact=True)
 for s, size in enumerate(report.per_colour_max, start=1):
     print(f"colour {s}: largest clique has {size} vertices "
           f"(witness {report.witness[s - 1]})")

@@ -36,10 +36,11 @@ class CliqueReport:
 
     When a colour's search stopped early (a clique matching its bound was
     found), `exact[s-1]` is False and `per_colour_max[s-1]` is a lower bound.
+    `witness[s-1]` is a colour-s clique of that size.
     """
 
     per_colour_max: tuple[int, ...]
-    witness: tuple[tuple[int, ...] | None, ...]
+    witness: tuple[tuple[int, ...], ...]
     passes: bool
     exact: tuple[bool, ...]
 
@@ -194,7 +195,6 @@ def ramsey_check(
     c: LengthColouring | ExplicitColouring,
     avoid,
     exact: bool = False,
-    want_witness: bool = False,
 ) -> CliqueReport:
     """Check that every colour's clique number stays below its bound.
 
@@ -216,7 +216,7 @@ def ramsey_check(
     else:
         rows = None
     sizes: list[int] = []
-    witnesses: list[tuple[int, ...] | None] = []
+    witnesses: list[tuple[int, ...]] = []
     exact_flags: list[bool] = []
     passes = True
     for s, k in enumerate(avoid, start=1):
@@ -224,7 +224,7 @@ def ramsey_check(
         size, wit = (max_clique_in_colour(c, s, stop) if rows is None
                      else _clique_through_zero(rows(c, s), stop))
         sizes.append(size)
-        witnesses.append(wit if want_witness else None)
+        witnesses.append(wit)
         exact_flags.append(exact or size < k)
         if size >= k:
             passes = False

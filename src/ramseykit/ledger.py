@@ -108,8 +108,7 @@ class BoundFact:
             if isinstance(self.value, GammaValue) else self.value
         )
         return (self.kind, self.parameters, value_key,
-                json.dumps(self.certificate, sort_keys=True),
-                json.dumps(self.flags, sort_keys=True))
+                json.dumps([self.certificate, self.flags], sort_keys=True))
 
 
 def graph_fact(parameters, order, certificate, **flags) -> BoundFact:
@@ -340,7 +339,8 @@ def dominance_key(f: BoundFact) -> tuple:
 
 
 class Ledger:
-    """In-memory fact set with optional append-only file persistence."""
+    """In-memory fact set; `save` rewrites its store file whole, atomically,
+    and `load` reads one back."""
 
     def __init__(self):
         self.facts: list[BoundFact] = []
@@ -352,27 +352,30 @@ class Ledger:
     def add_fact(self, f: BoundFact, base_dir: str = ".") -> int:
         """Store a fact; idempotent on identical facts.
 
-        Explicit certificates are re-verified on ingest: the referenced
-        colouring file must pass the fact's parameter vector.
+        An explicit certificate is re-verified every time it is offered: the
+        referenced colouring file must pass the fact's parameter vector, and
+        the fact is stored, and looked up, with the certificate marked
+        verified.  The fact is built anew only for what changes, so a store
+        line that already carries its mark and its id is kept as it is.
         """
-        identity = replace(f, fact_id=None).identity()
-        if identity in self._ids:
-            return self._ids[identity]
         if f.certificate.get("type") == "explicit":
             self._verify_explicit(f, base_dir)
-            f = replace(f, certificate={**f.certificate, "verified": True})
-            identity = replace(f, fact_id=None).identity()
-            if identity in self._ids:
-                return self._ids[identity]
-        fact = replace(f, fact_id=len(self.facts) + 1)
+            if f.certificate.get("verified") is not True:
+                f = replace(f, certificate={**f.certificate, "verified": True})
+        identity = f.identity()
+        fid = self._ids.get(identity)
+        if fid is not None:
+            return fid
+        fid = len(self.facts) + 1
+        fact = f if f.fact_id == fid else replace(f, fact_id=fid)
         self.facts.append(fact)
-        self._ids[identity] = fact.fact_id
+        self._ids[identity] = fid
         for index, key in ((self._best, dominance_key(fact)),
                            (self._top, (fact.kind, fact.sorted_parameters))):
             best = index.get(key)
             if best is None or best.value < fact.value:
                 index[key] = fact
-        return fact.fact_id
+        return fid
 
     def _verify_explicit(self, f: BoundFact, base_dir: str) -> None:
         if f.kind != GRAPH:
@@ -392,7 +395,7 @@ class Ledger:
         if f.flags.get("linear") and isinstance(colouring, ExplicitColouring):
             raise LedgerError(f"certificate {path} is flagged linear but its "
                               "colouring is explicit")
-        report = ramsey_check(colouring, f.parameters, want_witness=True)
+        report = ramsey_check(colouring, f.parameters)
         if not report.passes:
             raise LedgerError(
                 f"certificate fails verification: clique sizes "
@@ -422,6 +425,8 @@ class Ledger:
         given insertion order, one call of depth d leaves the same facts as
         d calls of depth 1, and re-running is idempotent.
         """
+        if depth < 0:
+            raise LedgerError(f"depth: must be >= 0, got {depth}")
         enabled = list(rules) if rules is not None else list(ALL_RULES)
         for r in enabled:
             if r not in _RULES:
@@ -578,17 +583,13 @@ class Ledger:
         base_dir = os.path.dirname(path) or "."
         ledger = cls()
         with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                fact = _fact_from_json(json.loads(line))
-                fid = ledger.add_fact(replace(fact, fact_id=None), base_dir)
+            for fact in _read_facts(f):
+                fid = ledger.add_fact(fact, base_dir)
                 if fact.fact_id != fid:
                     raise LedgerError(f"{path}: fact stored as id "
                                       f"{fact.fact_id} loads as id {fid}")
                 for pid in fact.certificate.get("parents", ()):
-                    if not (isinstance(pid, int) and 1 <= pid < fid):
+                    if not 1 <= pid < fid:
                         raise LedgerError(f"{path}: fact {fid} names parent "
                                           f"{pid}, which does not come "
                                           "before it")
@@ -622,7 +623,21 @@ def _fact_from_json(obj) -> BoundFact:
             and isinstance(obj.get("flags", {}), dict)):
         raise LedgerError("a fact needs a list of integer parameters, a "
                           "certificate object and a flags object")
-    value = obj["value"]
+    cert = obj["certificate"]
+    if cert.get("type") == "derived" or "parents" in cert:
+        parents = cert.get("parents")
+        if not (isinstance(parents, list)
+                and all(type(p) is int for p in parents)):
+            raise LedgerError("a derived certificate needs a list of integer "
+                              "parent ids")
+    if cert.get("type") == "explicit" and not isinstance(cert.get("path"),
+                                                         str):
+        raise LedgerError("an explicit certificate needs a string path")
+    value, fact_id = obj["value"], obj.get("id")
+    if type(value) is bool:
+        raise LedgerError(f"fact value {value!r} is not a number")
+    if not (fact_id is None or type(fact_id) is int):
+        raise LedgerError(f"fact id {fact_id!r} is not an integer")
     if isinstance(value, dict):
         base, root = value.get("base"), value.get("root")
         if not (isinstance(base, list) and len(base) == 2
@@ -631,19 +646,19 @@ def _fact_from_json(obj) -> BoundFact:
             raise LedgerError("a gamma value needs a [num, den] base of "
                               "integers, den != 0, and an integer root")
         value = GammaValue(Fraction(*base), root)
-    return BoundFact(obj["kind"], tuple(params), value,
-                     obj["certificate"], obj.get("flags", {}),
-                     obj.get("id"))
+    return BoundFact(obj["kind"], tuple(params), value, cert,
+                     obj.get("flags", {}), fact_id)
+
+
+def _read_facts(lines):
+    """The facts of a store's lines, blank lines skipped."""
+    for line in lines:
+        line = line.strip()
+        if line:
+            yield _fact_from_json(json.loads(line))
 
 
 def load_seed_pack(ledger: Ledger) -> list[int]:
     """Load the shipped asserted-fact pack into a ledger."""
     text = (resources.files("ramseykit.data") / "seed_facts.jsonl").read_text()
-    ids = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        fact = _fact_from_json(json.loads(line))
-        ids.append(ledger.add_fact(replace(fact, fact_id=None)))
-    return ids
+    return [ledger.add_fact(fact) for fact in _read_facts(text.splitlines())]

@@ -373,12 +373,9 @@ class ModelError(ValueError):
     pass
 
 
-class UnsatDocument(Exception):
-    """The solver output declares the instance unsatisfiable (not an error
-    in itself; callers turn it into an explicit no-model result)."""
-
-
-def _literals_from_document(doc: str) -> set[int]:
+def _literals_from_document(doc: str) -> set[int] | None:
+    """The literals of a solver output document; None if it declares the
+    instance unsatisfiable."""
     lits: set[int] = set()
     saw_v = False
     for line in doc.splitlines():
@@ -388,7 +385,7 @@ def _literals_from_document(doc: str) -> set[int]:
         if line.startswith("s"):
             # `s UNSATISFIABLE` (DIMACS output format) or `s UNSAT` (solve)
             if "UNSAT" in line:
-                raise UnsatDocument()
+                return None
             continue
         if line.startswith("v"):
             saw_v = True
@@ -437,11 +434,8 @@ def parse_model(doc: str, instance: CnfInstance) -> LengthColouring | None:
     Decoded colourings are untrusted: callers must run ramsey_check before
     accepting them.
     """
-    try:
-        lits = _literals_from_document(doc)
-    except UnsatDocument:
-        return None
-    return decode_model(lits, instance)
+    lits = _literals_from_document(doc)
+    return None if lits is None else decode_model(lits, instance)
 
 
 @dataclass
@@ -586,7 +580,7 @@ def _candidate_failure(colouring: LengthColouring, spec: SearchSpec,
     missing top length, since N-1 folds onto length n, which is fixed to
     the template colour.
     """
-    report = ramsey_check(colouring, spec.avoid, want_witness=True)
+    report = ramsey_check(colouring, spec.avoid)
     if not report.passes:
         colour = report.first_failure(spec.avoid) + 1
         wit = report.witness[colour - 1]

@@ -136,8 +136,7 @@ def repetition_check(T: TemplateGraph, q: int, avoid) -> CliqueReport:
     tiled = tiled_colouring(T, q)
     # Unconstrain the template colour: bound = order + 1 can never fail.
     i = T.template_colour - 1
-    report = ramsey_check(tiled, avoid[:i] + (tiled.order + 1,) + avoid[i:],
-                          want_witness=True)
+    report = ramsey_check(tiled, avoid[:i] + (tiled.order + 1,) + avoid[i:])
     fields = (report.per_colour_max, report.witness, report.exact)
     sizes, wits, exact = (xs[:i] + xs[i + 1:] for xs in fields)
     return CliqueReport(sizes, wits, report.passes, exact)

@@ -666,6 +666,37 @@ def test_ledger_derive_rejects_r2(store, capsys):
     assert "unknown rule 'r2'" in capsys.readouterr().err
 
 
+def test_ledger_derive_negative_depth_exits_2(store, capsys):
+    assert dispatch(["ledger", "seed"]) == 0
+    with open(store, "rb") as f:
+        before = f.read()
+    capsys.readouterr()
+    assert dispatch(["ledger", "derive", "--depth", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "depth: must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+    with open(store, "rb") as f:
+        assert f.read() == before
+
+
+def test_pipeline_negative_derive_depth_fails(store, tmp_path, capsys):
+    assert dispatch(["ledger", "seed"]) == 0
+    with open(store, "rb") as f:
+        before = f.read()
+    recipe = {"name": "deep", "steps": [
+        {"op": "derive", "rules": ["r7"], "depth": 1},
+        {"op": "derive", "depth": -1},
+    ]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(recipe))
+    capsys.readouterr()
+    assert dispatch(["pipeline", str(path), "--use-store"]) == 1
+    assert "step 2: error: depth: must be >= 0, got -1" in \
+        capsys.readouterr().out
+    with open(store, "rb") as f:
+        assert f.read() == before
+
+
 def _song_p29_c5(tmp_path, capsys) -> str:
     """Paley 29 x C5 (order 145, bounds (9, 9)), built by the CLI."""
     p29 = paley_colouring(29)
@@ -833,9 +864,19 @@ _ASSERTED = '"certificate": {"type": "asserted", "source": "s"}'
     f'"value": {{"base": 5, "root": 2}}, {_ASSERTED}, "flags": {{}}}}',
     '{"id": 1, "kind": "gamma_lower_bound", "parameters": [3], '
     f'"value": {{"base": [5, 0], "root": 2}}, {_ASSERTED}, "flags": {{}}}}',
+    '{"id": 1, "kind": "ramsey_lower_bound", "parameters": [3, 3], '
+    '"value": 6, "certificate": {"type": "derived", "rule": "r7", '
+    '"parents": 5}, "flags": {}}',
+    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+    '"certificate": {"type": "explicit", "path": 5}, "flags": {}}',
+    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": true, '
+    f'{_ASSERTED}, "flags": {{}}}}',
+    '{"id": true, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+    f'{_ASSERTED}, "flags": {{}}}}',
 ], ids=["list", "number", "flags-list", "index-string",
         "certificate-string", "parameters-int", "gamma-no-base",
-        "gamma-base-int", "gamma-zero-den"])
+        "gamma-base-int", "gamma-zero-den", "parents-int", "path-int",
+        "value-bool", "id-bool"])
 def test_store_line_that_is_not_a_fact_exits_2(line, tmp_path, capsys):
     path = tmp_path / "facts.jsonl"
     path.write_text(line + "\n")

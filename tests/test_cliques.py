@@ -53,8 +53,7 @@ def test_witnesses_are_real_cliques():
         c = random_colouring(rng, rng.choice(["linear", "cyclic"]),
                              rng.randint(4, 10), rng.randint(2, 3))
         g = expand_to_explicit(c)
-        report = ramsey_check(c, (2,) * c.num_colours, exact=True,
-                              want_witness=True)
+        report = ramsey_check(c, (2,) * c.num_colours, exact=True)
         for s in range(1, c.num_colours + 1):
             wit = report.witness[s - 1]
             assert wit is not None
@@ -140,7 +139,7 @@ def test_vertex_zero_path_matches_full_search(seed):
         g = expand_to_explicit(c)
         avoid = tuple(rng.randint(2, 7) for _ in range(c.num_colours))
         exact = rng.random() < 0.5
-        report = ramsey_check(c, avoid, exact=exact, want_witness=True)
+        report = ramsey_check(c, avoid, exact=exact)
         full = [max_clique_in_colour(g, s)[0]
                 for s in range(1, c.num_colours + 1)]
         if c.order <= BRUTE_ORDER_CAP:
@@ -254,8 +253,7 @@ def test_transitive_explicit_path_matches_full_search(seed, monkeypatch):
             avoid = tuple(rng.randint(2, 7) for _ in full)
             for exact in (True, False):
                 full_searches.clear()
-                report = ramsey_check(h, avoid, exact=exact,
-                                      want_witness=True)
+                report = ramsey_check(h, avoid, exact=exact)
                 assert len(full_searches) == (0 if vertex_zero
                                               else h.num_colours)
                 for s, k in enumerate(avoid, start=1):
@@ -299,6 +297,6 @@ def test_partial_orbit_falls_back_to_full_search():
     g = ExplicitColouring(6, 2, mat)
     assert preserves_colours(g, translation(6, 6, 2))
     assert not translation_transitive(g)
-    report = ramsey_check(g, (5, 5), exact=True, want_witness=True)
+    report = ramsey_check(g, (5, 5), exact=True)
     assert report.per_colour_max == (4, 3)
     assert report.witness[1] == (1, 3, 5)

@@ -215,9 +215,20 @@ def test_emit_table():
     assert "9,15040 (d)" in csv
 
 
-def test_save_load_roundtrip(tmp_path):
+def _store_with_every_certificate(tmp_path) -> Ledger:
+    """Seed facts, facts derived from them and one explicit fact, whose
+    colouring file sits beside the store."""
+    save_colouring(pentagon(), tmp_path / "pent.json")
     ledger = _seeded()
+    ledger.add_fact(graph_fact((3, 3), 5, {"type": "explicit",
+                                           "path": "pent.json"}, cyclic=True),
+                    base_dir=str(tmp_path))
     ledger.derive_closure(rules=["r7", "r8", "r10"], depth=2)
+    return ledger
+
+
+def test_save_load_roundtrip(tmp_path):
+    ledger = _store_with_every_certificate(tmp_path)
     path = tmp_path / "facts.jsonl"
     ledger.save(path)
     back = Ledger.load(path)
@@ -226,7 +237,45 @@ def test_save_load_roundtrip(tmp_path):
             == ledger.best_bound(RAMSEY, (9, 9, 9)).value)
     g6 = back.best_bound(GAMMA, (6,))
     assert g6.value.render() == "15.297058"
+    assert back.best_bound(RAMSEY, (3, 3)).value == 6
     back.recompute_check()
+    again = tmp_path / "again.jsonl"
+    back.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_builds_each_fact_once(tmp_path, monkeypatch):
+    ledger = _store_with_every_certificate(tmp_path)
+    path = tmp_path / "facts.jsonl"
+    ledger.save(path)
+    explicit = sum(f.certificate["type"] == "explicit" for f in ledger.facts)
+    assert explicit == 1 and len(ledger.facts) > 20
+    built = []
+    post_init = BoundFact.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BoundFact, "__post_init__", counting)
+    Ledger.load(path)
+    others = len(ledger.facts) - explicit
+    assert others <= len(built) <= others + 2 * explicit
+
+
+def test_explicit_fact_reverified_when_added_again(tmp_path):
+    path = tmp_path / "c.json"
+    save_colouring(pentagon(), path)
+    ledger = Ledger()
+    fact = graph_fact((3, 3), 5, {"type": "explicit", "path": str(path)},
+                      cyclic=True)
+    fid = ledger.add_fact(fact)
+    # the file now holds a colouring with a monochromatic K_5
+    save_colouring(LengthColouring("cyclic", 5, 2, (1, 1)), path)
+    for again in (fact, ledger.get(fid)):
+        with pytest.raises(LedgerError, match="fails verification"):
+            ledger.add_fact(again)
+    assert len(ledger.facts) == 1
 
 
 def test_gamma_render_keeps_global_precision():
