@@ -321,7 +321,9 @@ def cmd_ledger(args) -> int:
             if fact is None:
                 print("no matching fact")
                 return FAIL
-            for f in ledger.provenance_chain(fact):
+            chain = ledger.provenance_chain(fact)
+            ledger.recompute_check(chain)  # a hand-edited store is no bound
+            for f in chain:
                 print(_fact_line(f))
             return PASS
         if args.ledger_cmd == "table":
@@ -446,6 +448,8 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                 kind = {"graph": led.GRAPH, "R": led.RAMSEY,
                         "gamma": led.GAMMA}[step["kind"]]
                 fact = ledger.best_bound(kind, tuple(step["parameters"]))
+                if fact is not None:
+                    ledger.recompute_check(ledger.provenance_chain(fact))
                 want = step["min_value"]
                 got = (float(fact.value) if fact is not None else None)
                 if fact is None or got < float(want) - 1e-9:

@@ -509,15 +509,20 @@ class Ledger:
         walk(f)
         return list(seen.values())
 
-    def recompute_check(self) -> None:
-        """Re-derive every derived fact from its parents; raise on mismatch."""
-        for f in self.facts:
+    def recompute_check(self, facts=None) -> None:
+        """Re-derive every derived fact of `facts` (default: the whole
+        store) from its parents; raise on mismatch."""
+        for f in self.facts if facts is None else facts:
             if f.certificate.get("type") != "derived":
                 continue
-            rule_id = f.certificate["rule"]
+            rule_id, parents = f.certificate["rule"], f.certificate["parents"]
             # r2, the equal-k product, was folded into r3
-            fn = _RULES["r3" if rule_id == "r2" else rule_id]
-            out = fn(*(self.get(p) for p in f.certificate["parents"]))
+            rule = "r3" if rule_id == "r2" else rule_id
+            fn = _RULES.get(rule)
+            out = None
+            if fn is not None and len(parents) == (1 if rule in UNARY_RULES
+                                                   else 2):
+                out = fn(*(self.get(p) for p in parents))
             if out is None or out.value != f.value or out.parameters != f.parameters:
                 raise LedgerError(
                     f"fact {f.fact_id}: not recomputable by rule {rule_id}"
@@ -527,6 +532,8 @@ class Ledger:
         """Grid of best known graph orders for diagonal parameters.
 
         Cell markers: e = explicit certificate, a = asserted, d = derived.
+        The provenance chain of each cell's fact passes `recompute_check`
+        first.
         """
         ks = list(k_range)
         rs = list(r_range)
@@ -540,6 +547,7 @@ class Ledger:
                 if f is None:
                     row.append("-")
                 else:
+                    self.recompute_check(self.provenance_chain(f))
                     marker = f.certificate["type"][0]
                     row.append(f"{f.value} ({marker})")
             rows.append(row)
@@ -630,9 +638,16 @@ def _fact_from_json(obj) -> BoundFact:
                 and all(type(p) is int for p in parents)):
             raise LedgerError("a derived certificate needs a list of integer "
                               "parent ids")
+    if cert.get("type") == "derived" and not isinstance(cert.get("rule"), str):
+        raise LedgerError("a derived certificate needs a string rule")
     if cert.get("type") == "explicit" and not isinstance(cert.get("path"),
                                                          str):
         raise LedgerError("an explicit certificate needs a string path")
+    flags = obj.get("flags", {})
+    for name in ("phi", "special_degree"):  # the rules do arithmetic on them
+        flag = flags.get(name)
+        if flag is not None and type(flag) is not int:
+            raise LedgerError(f"{name} {flag!r} is not an integer")
     value, fact_id = obj["value"], obj.get("id")
     if type(value) is bool:
         raise LedgerError(f"fact value {value!r} is not a number")
@@ -646,8 +661,7 @@ def _fact_from_json(obj) -> BoundFact:
             raise LedgerError("a gamma value needs a [num, den] base of "
                               "integers, den != 0, and an integer root")
         value = GammaValue(Fraction(*base), root)
-    return BoundFact(obj["kind"], tuple(params), value, cert,
-                     obj.get("flags", {}), fact_id)
+    return BoundFact(obj["kind"], tuple(params), value, cert, flags, fact_id)
 
 
 def _read_facts(lines):

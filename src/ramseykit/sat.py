@@ -6,15 +6,20 @@ exactly one colour (one at-least-one clause plus pairwise at-most-one).  For
 each colour s with bound k, every k-clique {0, v_1, ..., v_{k-1}} of lengths
 free or fixed to s contributes a clause forbidding all its lengths being
 colour s at once; fixing vertex 0 is valid because length-based colourings
-are translation (linear) or rotation (cyclic) invariant.
+are translation (linear) or rotation (cyclic) invariant.  Rotations and
+reflections of Z_m also keep a clique's lengths, so cyclic listing keeps one
+clique per rotation-and-reflection class.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+
+import numpy as np
 
 from .colouring import CYCLIC, LINEAR, LengthColouring, length_domain_size
 from .cliques import ramsey_check
@@ -153,16 +158,26 @@ def _exactly_one_clauses(var_map: VarMap) -> list[tuple[int, ...]]:
     return clauses
 
 
-def _clique_clauses(order: int, avoid, fold, var_map: VarMap,
-                    fixed: dict, clause_cap: int) -> list[tuple[int, ...]]:
+def _clique_clauses(meta: dict, var_map: VarMap, fixed: dict,
+                    clause_cap: int) -> list[tuple[int, ...]]:
     """A clause per distinct free-length set of the listed cliques: for
     colour s with bound k, the sets {0 < v_1 < ... < v_{k-1} < order} whose
     differences d all have `fold(d)` free or fixed to s.  A length fixed
     to s adds no literal.  ClauseCapError past `clause_cap` listed cliques.
+
+    Rotating or reflecting a cyclic clique keeps its folded lengths, so
+    cyclic listing keeps one clique per class: the wrap gap order - v_{k-1}
+    is the largest gap and v_1 is at most the last inner gap.  Each level
+    picks v <= min(order - G - rem, (order + u - rem) // 2), where G is the
+    largest gap so far, u the last vertex and rem the vertices still to add
+    after v; the last level also needs v >= u + v_1.  Children draw on the
+    unmasked candidates, since a deeper level allows larger vertices.
     """
+    order, fold = meta["order"], _fold(meta)
+    cyclic = meta["kind"] == CYCLIC
     clauses = []
     listed = 0
-    for s, k in enumerate(avoid, start=1):
+    for s, k in enumerate(meta["avoid"], start=1):
         allowed = 0
         bit = [0] * order  # difference -> bit of its free length, 0 if fixed
         for d in range(1, order):
@@ -172,44 +187,62 @@ def _clique_clauses(order: int, avoid, fold, var_map: VarMap,
         adj = [allowed << v for v in range(order)]  # cand drops bits >= order
         masks = set()
 
-        def grow(clique, cand, mask):
+        def grow(clique, cand, mask, gap):
             nonlocal listed
-            last = len(clique) == k - 1  # each candidate closes a clique
-            if last:
-                listed += cand.bit_count()
+            rem = k - 1 - len(clique)  # vertices to add after this one
+            pick = cand
+            if cyclic:
+                u = clique[-1]
+                hi = min(order - gap - rem, (order + u - rem) // 2)
+                if hi <= u:
+                    return
+                pick &= (2 << hi) - 1
+                if rem == 0 and len(clique) > 1:
+                    pick &= -1 << (u + clique[1])
+            if rem == 0:  # each candidate closes a clique
+                listed += pick.bit_count()
                 if listed > clause_cap:
                     raise ClauseCapError(f"clause cap {clause_cap} exceeded"
                                          "; it counts listed cliques")
-            while cand:
-                low = cand & -cand
-                cand ^= low
+            while pick:
+                low = pick & -pick
+                pick ^= low
                 v = low.bit_length() - 1
                 m = mask
                 for u in clique:
                     m |= bit[v - u]
-                if last:
+                if rem == 0:
                     masks.add(m)
                 else:
-                    grow(clique + (v,), cand & adj[v], m)
+                    grow(clique + (v,), cand & adj[v], m,
+                         max(gap, v - clique[-1]))
 
-        if k == 1:  # {0} alone, a clique with no lengths
-            grow((), 1, 0)
+        if k == 1:  # {0} alone, a clique with no lengths (never cyclic)
+            grow((), 1, 0, 0)
         else:
-            grow((0,), adj[0], 0)
+            grow((0,), adj[0], 0, 0)
+        # lits fall as bits rise, so a clause reads its mask's bytes from
+        # the top, each through a table of its bits' literals, top bit first
         lits = [-var_map.id(l, s) for l in var_map.free_lengths]
-        for mask in masks:
-            cl = []
-            while mask:
-                top = mask.bit_length() - 1  # lits fall as bits rise: sorted
-                cl.append(lits[top])
-                mask ^= 1 << top
-            clauses.append(tuple(cl))
+        width = (len(lits) + 7) // 8
+        tables = []
+        for base in range(8 * width - 8, -8, -8):
+            table = [()]
+            for b in range(1, 256):
+                top = b.bit_length() - 1
+                hit = (lits[base + top],) if base + top < len(lits) else ()
+                table.append(hit + table[b ^ 1 << top])
+            tables.append(table)
+        clauses += [tuple(chain.from_iterable(map(
+            list.__getitem__, tables, mask.to_bytes(width, "big"))))
+            for mask in masks]
     return clauses
 
 
 def _finish(clauses: list[tuple[int, ...]], var_map: VarMap,
             fixed: dict, meta: dict) -> CnfInstance:
-    canonical = sorted(set(clauses), key=lambda cl: (len(cl), cl))
+    # a stable sort by length keeps the lexicographic order within a length
+    canonical = sorted(sorted(set(clauses)), key=len)
     return CnfInstance(var_map.num_vars, tuple(canonical), var_map, fixed, meta)
 
 
@@ -218,8 +251,7 @@ def _encode(meta: dict, fixed: dict, clause_cap: int) -> CnfInstance:
     order `meta["order"]` under the fold of `meta`."""
     var_map = _var_map(meta, fixed)
     clauses = _exactly_one_clauses(var_map)
-    clauses += _clique_clauses(meta["order"], meta["avoid"], _fold(meta),
-                               var_map, fixed, clause_cap)
+    clauses += _clique_clauses(meta, var_map, fixed, clause_cap)
     return _finish(clauses, var_map, fixed, meta)
 
 
@@ -294,9 +326,34 @@ def write_dimacs(instance: CnfInstance) -> str:
     for l in sorted(instance.fixed):
         lines.append(f"c fixed {l} {instance.fixed[l]}")
     lines.append(f"p cnf {instance.num_vars} {len(instance.clauses)}")
-    for cl in instance.clauses:
-        lines.append(" ".join(str(lit) for lit in cl) + " 0" if cl else "0")
+    # one %-format per clause line: "%d " once per literal, then the 0
+    width = max(map(len, instance.clauses), default=0)
+    formats = ["%d " * n + "0" for n in range(width + 1)]
+    lines += [formats[len(cl)] % cl for cl in instance.clauses]
     return "\n".join(lines) + "\n"
+
+
+# a clause line as `write_dimacs` writes it: nonzero literals of at most 18
+# digits (exact in int64), one space after each, and a closing 0.  Matched a
+# line at a time: over a whole file the regex engine's backtracking stack
+# grows by megabytes.
+_CLAUSE_LINE = re.compile(r"(?:-?[1-9][0-9]{0,17} )*0")
+
+
+def _clause_lines(rows: list[str], num_vars: int
+                  ) -> list[tuple[int, ...]] | None:
+    """The clauses of `rows`, parsed in one call; None unless every row but
+    the empty ones is a `_CLAUSE_LINE` whose literals all name one of the
+    `num_vars` variables."""
+    rows = list(filter(None, rows))
+    if not all(map(_CLAUSE_LINE.fullmatch, rows)):
+        return None
+    flat = np.fromstring(" ".join(rows), dtype=np.int64, sep=" ")
+    if flat.size and max(-int(flat.min()), int(flat.max())) > num_vars:
+        return None
+    lits = flat.tolist()
+    ends = np.flatnonzero(flat == 0).tolist()
+    return [tuple(lits[a + 1:b]) for a, b in zip([-1] + ends, ends)]
 
 
 def read_dimacs(text: str) -> CnfInstance:
@@ -307,12 +364,18 @@ def read_dimacs(text: str) -> CnfInstance:
     variable in range.  The variables are those the `c meta` and `c fixed`
     lines imply (`c map` lines are for readers); a file without `c meta`
     has none, so it can be solved but not decoded.
+
+    Each non-comment line after the header is one clause, its closing 0
+    optional.  When the lines after the header are all clauses as
+    `write_dimacs` writes them, with every literal in range, they are read
+    in bulk; otherwise line by line, which reports the first fault.
     """
     fixed: dict[int, int] = {}
     meta: dict = {}
     clauses: list[tuple[int, ...]] = []
     header = None
-    for line in text.splitlines():
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
         line = line.strip()
         if not line:
             continue
@@ -330,6 +393,10 @@ def read_dimacs(text: str) -> CnfInstance:
             header = int(parts[2]), int(parts[3])
             if min(header) < 0:
                 raise EncodingError(f"negative count in DIMACS header {line!r}")
+            bulk = _clause_lines(lines[i + 1:], header[0])
+            if bulk is not None:
+                clauses = bulk
+                break
         else:
             if header is None:
                 raise EncodingError("DIMACS clause before the 'p cnf' header")

@@ -873,10 +873,19 @@ _ASSERTED = '"certificate": {"type": "asserted", "source": "s"}'
     f'{_ASSERTED}, "flags": {{}}}}',
     '{"id": true, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
     f'{_ASSERTED}, "flags": {{}}}}',
+    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+    f'{_ASSERTED}, "flags": {{"template": true, "phi": "x"}}}}',
+    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+    f'{_ASSERTED}, "flags": {{"special_degree": "x", '
+    '"special_degree_index": 0}}',
+    '{"id": 1, "kind": "ramsey_lower_bound", "parameters": [3, 3], '
+    '"value": 6, "certificate": {"type": "derived", "rule": ["r7"], '
+    '"parents": []}, "flags": {}}',
 ], ids=["list", "number", "flags-list", "index-string",
         "certificate-string", "parameters-int", "gamma-no-base",
         "gamma-base-int", "gamma-zero-den", "parents-int", "path-int",
-        "value-bool", "id-bool"])
+        "value-bool", "id-bool", "phi-string", "degree-string",
+        "rule-list"])
 def test_store_line_that_is_not_a_fact_exits_2(line, tmp_path, capsys):
     path = tmp_path / "facts.jsonl"
     path.write_text(line + "\n")
@@ -884,6 +893,79 @@ def test_store_line_that_is_not_a_fact_exits_2(line, tmp_path, capsys):
                      "graph(3,3)"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _derived_store(path, r7_value, r1_value, r1_parents=(1,), r1_rule="r1"):
+    """graph (3,3; 5), then R(3,3) by r7 and graph (3,3,3) by r1 from it;
+    the true values are 6 and 15."""
+    lines = [
+        {"kind": "graph_exists", "parameters": [3, 3], "value": 5,
+         "certificate": {"type": "asserted", "source": "s"},
+         "flags": {"cyclic": True}},
+        {"kind": "ramsey_lower_bound", "parameters": [3, 3],
+         "value": r7_value, "certificate": {"type": "derived", "rule": "r7",
+                                            "parents": [1]}, "flags": {}},
+        {"kind": "graph_exists", "parameters": [3, 3, 3], "value": r1_value,
+         "certificate": {"type": "derived", "rule": r1_rule,
+                         "parents": list(r1_parents)},
+         "flags": {"cyclic": True}},
+    ]
+    path.write_text("".join(json.dumps({"id": i, **line}) + "\n"
+                            for i, line in enumerate(lines, start=1)))
+
+
+@pytest.mark.parametrize("argv, forged", [
+    (["best", "R(3,3)"], "r7"),
+    (["best", "graph(3,3,3)"], "r1"),
+    (["table", "--k", "3..3", "--r", "2..3"], "r1"),
+])
+def test_ledger_queries_recompute_what_they_print(argv, forged, tmp_path,
+                                                  capsys):
+    path = tmp_path / "facts.jsonl"
+    _derived_store(path, 6, 15)
+    assert dispatch(["ledger", "--store", str(path), *argv]) == 0
+    capsys.readouterr()
+    _derived_store(path, 1000 if forged == "r7" else 6,
+                   1000 if forged == "r1" else 15)
+    assert dispatch(["ledger", "--store", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: fact {2 if forged == 'r7' else 3}: "
+                            f"not recomputable by rule {forged}\n")
+
+
+def test_pipeline_expectation_recomputes_its_fact(tmp_path, capsys):
+    path = tmp_path / "facts.jsonl"
+    recipe = tmp_path / "expect.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"op": "expect", "kind": "R", "parameters": [3, 3],
+         "min_value": 1000}]}))
+    _derived_store(path, 1000, 15)
+    assert dispatch(["pipeline", str(recipe), "--use-store",
+                     "--store", str(path)]) == 1
+    assert "step 1: error: fact 2: not recomputable by rule r7" in \
+        capsys.readouterr().out
+
+
+def test_ledger_queries_check_only_the_chains_they_print(tmp_path, capsys):
+    """The store loads whole; a forged fact that is not printed is not
+    recomputed."""
+    path = tmp_path / "facts.jsonl"
+    _derived_store(path, 1000, 1000)
+    for argv in (["best", "graph(3,3)"],
+                 ["table", "--k", "3..3", "--r", "2..2"]):
+        assert dispatch(["ledger", "--store", str(path), *argv]) == 0
+    assert "5 (a)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("parents, rule", [((1, 1), "r1"), ((1,), "r99")])
+def test_ledger_best_rejects_a_rule_that_cannot_apply(parents, rule,
+                                                      tmp_path, capsys):
+    path = tmp_path / "facts.jsonl"
+    _derived_store(path, 6, 15, r1_parents=parents, r1_rule=rule)
+    assert dispatch(["ledger", "--store", str(path), "best",
+                     "graph(3,3,3)"]) == 2
+    assert "not recomputable by rule" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("recipe", [

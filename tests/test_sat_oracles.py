@@ -1,13 +1,17 @@
-"""The clique-listing encoder and the watched-literal solver against the
-subset enumerator and the clause-scanning DPLL that they replaced.
+"""The clique-listing encoder, the DIMACS reader and the watched-literal
+solver against the subset enumerator, the line-by-line reader and the
+clause-scanning DPLL that they replaced.
 
 The references below are the earlier implementations: the encoder walks
-every (k-1)-subset through vertex 0, and the solver rescans every clause on
-every propagation sweep.
+every (k-1)-subset through vertex 0, the reader parses and range-checks
+each clause line on its own, and the solver rescans every clause on every
+propagation sweep.
 """
 
+import json
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -21,6 +25,7 @@ from ramseykit.sat import (
     UNSAT,
     ClauseCapError,
     CnfInstance,
+    EncodingError,
     SearchSpec,
     SolveResult,
     VarMap,
@@ -28,6 +33,7 @@ from ramseykit.sat import (
     encode_extension,
     encode_linear,
     fold_length,
+    read_dimacs,
     search_template,
     solve_internal,
     write_dimacs,
@@ -98,6 +104,66 @@ def reference_listed(spec):
             count += all(fixed.get(fold_length(j - i, n, t), s) == s
                          for i, j in combinations(verts, 2))
     return count
+
+
+def reference_read_dimacs(text):
+    fixed = {}
+    meta = {}
+    clauses = []
+    header = None
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("c meta "):
+            meta = json.loads(line[7:])
+        elif line.startswith("c fixed "):
+            l, s = (int(x) for x in line[8:].split())
+            fixed[l] = s
+        elif line.startswith("c"):
+            continue
+        elif line.startswith("p"):
+            parts = line.split()
+            if header is not None or len(parts) != 4 or parts[1] != "cnf":
+                raise EncodingError(f"bad DIMACS header {line!r}")
+            header = int(parts[2]), int(parts[3])
+            if min(header) < 0:
+                raise EncodingError(f"negative count in DIMACS header {line!r}")
+        else:
+            if header is None:
+                raise EncodingError("DIMACS clause before the 'p cnf' header")
+            lits = [int(x) for x in line.split()]
+            if lits and lits[-1] == 0:
+                lits = lits[:-1]
+            bad = next((x for x in lits if not 1 <= abs(x) <= header[0]), None)
+            if bad is not None:
+                raise EncodingError(f"DIMACS literal {bad} outside the "
+                                    f"{header[0]} declared variables")
+            clauses.append(tuple(lits))
+    if header is None:
+        raise EncodingError("DIMACS input has no 'p cnf' header")
+    num_vars, num_clauses = header
+    if len(clauses) != num_clauses:
+        raise EncodingError(f"DIMACS header declares {num_clauses} clauses, "
+                            f"found {len(clauses)}")
+    var_map = VarMap((), 0)
+    if meta:
+        try:
+            meta["avoid"] = tuple(meta["avoid"])
+            if not meta["avoid"]:
+                raise EncodingError("'c meta' has an empty avoid")
+            if meta["order"] - 1 > 2 * (num_vars + len(fixed)):
+                raise EncodingError(
+                    f"DIMACS header declares {num_vars} variables, too few "
+                    f"for 'c meta' order {meta['order']}")
+            var_map = sat._var_map(meta, fixed)
+        except (KeyError, TypeError) as e:
+            raise EncodingError(f"bad 'c meta' line: {e!r}") from None
+        if var_map.num_vars != num_vars:
+            raise EncodingError(f"DIMACS header declares {num_vars} variables"
+                                f", 'c meta' and 'c fixed' give "
+                                f"{var_map.num_vars}")
+    return CnfInstance(num_vars, tuple(clauses), var_map, fixed, meta)
 
 
 def reference_solve(instance, conflict_budget=DEFAULT_CONFLICT_BUDGET):
@@ -247,6 +313,138 @@ def test_paley_101_extension_fits_default_cap():
     inst = encode_extension(spec)
     assert inst.meta["order"] == 235
     assert (inst.num_vars, len(inst.clauses)) == (96, 165_234)
+
+
+@pytest.mark.parametrize("m, avoid", [
+    (30, (3, 3, 5)), (35, (3, 3, 5)), (37, (3, 3, 5)), (21, (3, 6)),
+    (23, (3, 6)), (17, (6, 6)), (25, (3, 3, 4, 4)),
+])
+def test_cyclic_listing_matches_subset_walk(m, avoid):
+    """The largest free cyclic instances of the benchmark, a k = 6 case at
+    both bounds and a four-colour case."""
+    assert write_dimacs(encode_cyclic(m, avoid)) == \
+        write_dimacs(reference_encode_free(CYCLIC, m, avoid))
+
+
+def test_cyclic_listing_keeps_one_clique_per_class():
+    """The rotations that move one of a clique's k vertices to 0, and their
+    reflections, give one clause, so cyclic listing keeps about one clique
+    through 0 in 2k: (3,3,5;37) fits a cap of an eighth of them."""
+    meta = {"kind": CYCLIC, "order": 37, "avoid": (3, 3, 5)}
+    through_zero = 2 * comb(36, 2) + comb(36, 4)
+    assert sat._encode(meta, {}, through_zero // 8) == \
+        encode_cyclic(37, (3, 3, 5))
+
+
+_FAULTS = ("range", "int64", "token", "zero", "count", "before", "header",
+           "negative")
+
+
+def _dimacs_text(rng):
+    """A DIMACS text and the number of its clause lines."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        inst = encode_cyclic(rng.randint(3, 14), (rng.randint(2, 4),
+                                                  rng.randint(2, 4)))
+    elif pick == 1:
+        inst = encode_linear(rng.randint(3, 10), (3, rng.randint(2, 4)))
+    elif pick == 2:
+        inst = encode_extension(_random_spec(rng), clause_cap=10 ** 5)
+    else:
+        inst = _random_cnf(rng)
+    return write_dimacs(inst)
+
+
+def _vary(rng, text, fault, plain=False):
+    """`text` with one fault when `fault` names one, and unless `plain`
+    with its clause lines reformatted as the reader allows."""
+    lines = text.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("p"))
+    pre, header, body = lines[:head], lines[head], lines[head + 1:]
+    num_vars = int(header.split()[2])
+    out = []
+    for line in body if not plain else ():
+        toks = line.split()
+        if rng.random() < 0.1 and len(toks) > 1:  # no closing 0
+            toks = toks[:-1]
+        if rng.random() < 0.1:
+            toks = [("0" + t if t[0] != "-" else t) for t in toks]
+        sep = rng.choice((" ", " ", " ", "\t", "  ", " \t "))
+        line = sep.join(toks)
+        if rng.random() < 0.1:
+            line = rng.choice((" ", "\t")) + line + rng.choice(("", " "))
+        out.append(line)
+        if rng.random() < 0.05:
+            out.append(rng.choice(("c between clauses", "c", "", "   ")))
+    out = out if not plain else list(body)
+    rows = [i for i, line in enumerate(out)
+            if line.strip() and line.strip()[0] != "c"]
+    if fault in ("range", "int64", "token", "zero") and not rows:
+        fault = "count"
+    if fault in ("range", "int64", "token", "zero"):
+        i = rng.choice(rows)
+        toks = out[i].split()
+        bad = {"range": str(rng.choice((1, -1)) * (num_vars + 1)),
+               "int64": rng.choice(("99999999999999999999",
+                                    "-99999999999999999999",
+                                    "9223372036854775808")),
+               "token": rng.choice(("x", "1.5", "-", "--2", "1-2", "2e3")),
+               "zero": "0"}[fault]
+        toks.insert(rng.randrange(len(toks)), bad)
+        out[i] = " ".join(toks)
+    elif fault == "count":
+        if rows and rng.random() < 0.5:
+            del out[rng.choice(rows)]
+        else:
+            out.insert(rng.randrange(len(out) + 1), "1 0")
+    elif fault == "before":
+        pre.insert(rng.randrange(len(pre) + 1), "1 0")
+    elif fault == "header":
+        out.insert(rng.randrange(len(out) + 1),
+                   rng.choice((header, "p cnf 3", "p dnf 3 4")))
+    elif fault == "negative":
+        header = f"p cnf {num_vars} -1"
+    newline = "\n" if plain else rng.choice(("\n", "\n", "\r\n"))
+    return newline.join(pre + [header] + out) + newline
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reader_matches_line_reader(seed):
+    rng = random.Random(200 + seed)
+    errors = 0
+    for _ in range(150):
+        text = _dimacs_text(rng)
+        cases = [text, _vary(rng, text, None)]
+        cases += [_vary(rng, text, fault, plain)
+                  for fault in _FAULTS for plain in (False, True)]
+        for case in cases:
+            want = _read_outcome(reference_read_dimacs, case)
+            assert _read_outcome(read_dimacs, case) == want, case
+            errors += isinstance(want, tuple)
+    assert errors == 150 * 2 * len(_FAULTS)  # every fault is caught
+
+
+def test_reader_takes_written_clauses_in_bulk():
+    text = write_dimacs(encode_cyclic(37, (3, 3, 5)))
+    rows = text[text.index("\np ") + 1:].splitlines()[1:]
+    assert sat._clause_lines(rows, 54) == \
+        list(reference_read_dimacs(text).clauses)
+    assert sat._clause_lines(rows, 53) is None  # range check
+    assert sat._clause_lines(rows[:-1] + [rows[-1][:-2]], 54) is None
+    assert sat._clause_lines([], 0) == []
+    assert sat._clause_lines(["", "1 0", ""], 1) == [(1,)]
+    big = "999999999999999999 -1 0"
+    assert sat._clause_lines([big], 10 ** 18) == [(999999999999999999, -1)]
+    assert sat._clause_lines(["9" + big], 10 ** 19) is None  # 19 digits
+    assert read_dimacs(f"p cnf {10 ** 19} 1\n9{big}\n").clauses == \
+        ((9999999999999999999, -1),)
 
 
 def _random_cnf(rng):
