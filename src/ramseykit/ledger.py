@@ -153,23 +153,16 @@ def _rule_giraud(f: BoundFact, k_new: int = 3):
                      {"cyclic": True})
 
 
-def _product(rule: str, f1: BoundFact, f2: BoundFact, flags: dict):
-    # the product is the template compound of the doubled left factor
-    order = compound_order(*doubled_shape(f1.value), f2.value)
-    return BoundFact(GRAPH, f1.parameters + f2.parameters, order,
-                     derived(rule, [f1.fact_id, f2.fact_id]), flags)
-
-
-def _rule_product_linear(f1: BoundFact, f2: BoundFact):
+def _rule_product(f1: BoundFact, f2: BoundFact):
+    """The template compound of the doubled left factor; cyclic when both
+    factors are, as `constructions.product_cyclic` builds it."""
     if not (_is_linear_graph(f1) and _is_linear_graph(f2)):
         return None
-    return _product("r3", f1, f2, {"linear": True})
-
-
-def _rule_product_cyclic(f1: BoundFact, f2: BoundFact):
-    if not (_is_cyclic_graph(f1) and _is_cyclic_graph(f2)):
-        return None
-    return _product("r4", f1, f2, {"cyclic": True})
+    order = compound_order(*doubled_shape(f1.value), f2.value)
+    shape = ("cyclic" if _is_cyclic_graph(f1) and _is_cyclic_graph(f2)
+             else "linear")
+    return BoundFact(GRAPH, f1.parameters + f2.parameters, order,
+                     derived("r3", [f1.fact_id, f2.fact_id]), {shape: True})
 
 
 def _rule_template_compound(ft: BoundFact, fg: BoundFact):
@@ -287,14 +280,14 @@ UNARY_RULES = {
 }
 
 BINARY_RULES = {
-    "r3": _rule_product_linear,
-    "r4": _rule_product_cyclic,
+    "r3": _rule_product,
     "r5": _rule_template_compound,
     "r6": _rule_song,
 }
 
 _RULES = UNARY_RULES | BINARY_RULES
 ALL_RULES = tuple(sorted(_RULES))
+_FOLDED = {"r2": "r3", "r4": "r3"}  # retired product rules, read as r3
 
 
 def _room(f: BoundFact, max_colours: int) -> int:
@@ -307,7 +300,6 @@ def _room(f: BoundFact, max_colours: int) -> int:
 # closure never builds a product it would drop for length.
 _JOINS = {
     "r3": (_is_linear_graph, _is_linear_graph, _room),
-    "r4": (_is_cyclic_graph, _is_cyclic_graph, _room),
     "r5": (_is_template_graph, _is_linear_graph,
            lambda ft, max_colours: _room(ft, max_colours) + 1),
     # r6 keeps the length of its parents, which must be equal
@@ -411,6 +403,8 @@ class Ledger:
                        max_colours: int = 16) -> list[BoundFact]:
         """Apply the rule set to fixpoint, bounded by `depth` passes.
 
+        `rules` defaults to `ALL_RULES`; "r4" names r3; repeats run once.
+
         The closure is semi-naive over each key's best fact (see
         `dominance_key`).  Only the best fact of a key is a parent, and a
         product is stored only if it beats the best fact of its key, so
@@ -427,10 +421,11 @@ class Ledger:
         """
         if depth < 0:
             raise LedgerError(f"depth: must be >= 0, got {depth}")
-        enabled = list(rules) if rules is not None else list(ALL_RULES)
-        for r in enabled:
-            if r not in _RULES:
+        requested = list(ALL_RULES if rules is None else rules)
+        for r in requested:
+            if r not in _RULES and r != "r4":  # r4 still names r3
                 raise LedgerError(f"unknown rule {r!r}")
+        enabled = list(dict.fromkeys(_FOLDED.get(r, r) for r in requested))
         new_facts: list[BoundFact] = []
         new_ids = None  # first pass: every best fact counts as new
         for pass_no in range(1, depth + 1):
@@ -516,8 +511,7 @@ class Ledger:
             if f.certificate.get("type") != "derived":
                 continue
             rule_id, parents = f.certificate["rule"], f.certificate["parents"]
-            # r2, the equal-k product, was folded into r3
-            rule = "r3" if rule_id == "r2" else rule_id
+            rule = _FOLDED.get(rule_id, rule_id)
             fn = _RULES.get(rule)
             out = None
             if fn is not None and len(parents) == (1 if rule in UNARY_RULES

@@ -262,10 +262,12 @@ def _encode_free(kind: str, m: int, avoid, clause_cap: int) -> CnfInstance:
     for k in avoid:
         if k < 2:
             raise EncodingError(f"clique bound {k} below 2")
-    listed = sum(comb(m - 1, k - 1) for k in avoid)  # every subset through 0
+    # listed cliques, at least: each cyclic class has <= 2k members through 0
+    listed = sum(-(-comb(m - 1, k - 1) // (2 * k if kind == CYCLIC else 1))
+                 for k in avoid)
     if listed > clause_cap:
-        raise ClauseCapError(f"{listed} cliques to list exceed the clause "
-                             f"cap of {clause_cap} listed cliques")
+        raise ClauseCapError(f"at least {listed} cliques to list exceed the "
+                             f"clause cap of {clause_cap} listed cliques")
     return _encode({"kind": kind, "order": m, "avoid": avoid}, {}, clause_cap)
 
 
@@ -420,6 +422,9 @@ def read_dimacs(text: str) -> CnfInstance:
             meta["avoid"] = tuple(meta["avoid"])
             if not meta["avoid"]:
                 raise EncodingError("'c meta' has an empty avoid")
+            if not (type(meta["order"]) is int  # not bool, nor float
+                    and all(type(k) is int and k >= 1 for k in meta["avoid"])):
+                raise EncodingError("'c meta' needs int order and avoid >= 1")
             # every fold is at most two-to-one, so the lengths 1..order-1
             # need at least (order-1)/2 canonical lengths, free or fixed
             if meta["order"] - 1 > 2 * (num_vars + len(fixed)):

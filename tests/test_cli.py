@@ -633,6 +633,15 @@ def test_solve_rejects_malformed_dimacs(text, message, tmp_path, capsys):
     assert "s SAT" not in captured.out
 
 
+# order and avoid of a `c meta` line, as JSON; bool is not an int here
+_BAD_META_TYPES = {
+    "avoid-strings": ("5", '["a", "b"]'), "avoid-null": ("5", "[null, 3]"),
+    "avoid-float": ("5", "[3.5, 3]"), "avoid-bool": ("5", "[true, 3]"),
+    "avoid-zero": ("5", "[0, 3]"), "order-string": ('"5"', "[3, 3]"),
+    "order-float": ("5.0", "[3, 3]"), "order-bool": ("true", "[3, 3]"),
+}
+
+
 @pytest.mark.parametrize("text, message", [
     ('c meta {"kind": "cyclic", "order": 3000000, "avoid": [3, 3]}\n'
      'p cnf 2 0\n', "declares 2 variables, too few for 'c meta' order"),
@@ -640,7 +649,10 @@ def test_solve_rejects_malformed_dimacs(text, message, tmp_path, capsys):
      'p cnf 2 0\n', "declares 2 variables, too few for 'c meta' order 9"),
     ('c meta {"kind": "cyclic", "order": 5, "avoid": []}\np cnf 0 0\n',
      "'c meta' has an empty avoid"),
-], ids=["huge-order", "linear-order", "empty-avoid"])
+] + [(f'c meta {{"kind": "cyclic", "order": {order}, "avoid": {avoid}}}\n'
+      'p cnf 4 0\n', "needs int order and avoid >= 1")
+     for order, avoid in _BAD_META_TYPES.values()],
+    ids=["huge-order", "linear-order", "empty-avoid", *_BAD_META_TYPES])
 def test_solve_rejects_meta_before_building_var_map(text, message, tmp_path,
                                                     capsys, monkeypatch):
     """A `c meta` order the header's variables cannot cover, or an empty
@@ -655,6 +667,19 @@ def test_solve_rejects_meta_before_building_var_map(text, message, tmp_path,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order, avoid", _BAD_META_TYPES.values(),
+                         ids=_BAD_META_TYPES)
+def test_decode_rejects_meta_types(order, avoid, tmp_path, capsys):
+    """A model decodes against a `c meta` of the wrong types to exit 2,
+    not to a traceback from the clique check."""
+    cnf, model = tmp_path / "bad.cnf", tmp_path / "model.txt"
+    cnf.write_text(f'c meta {{"kind": "cyclic", "order": {order}, '
+                   f'"avoid": {avoid}}}\np cnf 4 0\n')
+    model.write_text("s SATISFIABLE\nv 1 -2 3 -4 0\n")
+    assert dispatch(["decode", "--cnf", str(cnf), "--model", str(model)]) == 2
+    assert "needs int order and avoid >= 1" in capsys.readouterr().err
+
+
 def test_solve_dev_null_is_not_satisfiable(capsys):
     assert dispatch(["solve", os.devnull]) == 2
     assert capsys.readouterr().out == ""
@@ -664,6 +689,21 @@ def test_ledger_derive_rejects_r2(store, capsys):
     assert dispatch(["ledger", "seed"]) == 0
     assert dispatch(["ledger", "derive", "--rules", "r2"]) == 2
     assert "unknown rule 'r2'" in capsys.readouterr().err
+
+
+def test_ledger_derive_takes_r4_as_r3(store, capsys):
+    stores = []
+    for rules in ("r3", "r4", "r3,r4", "r4,r3,r4"):
+        if os.path.exists(store):
+            os.remove(store)
+        assert dispatch(["ledger", "seed"]) == 0
+        assert dispatch(["ledger", "derive", "--rules", rules,
+                         "--depth", "2"]) == 0
+        with open(store, "rb") as f:
+            stores.append(f.read())
+    assert b'"rule": "r3"' in stores[0]
+    assert b'"r4"' not in stores[0]
+    assert stores == [stores[0]] * 4
 
 
 def test_ledger_derive_negative_depth_exits_2(store, capsys):

@@ -305,18 +305,17 @@ def _exact(f):
             f.value)
 
 
-def _naive_closure(facts, rules, depth, max_colours):
-    """Every rule on every fact and ordered pair of facts, in each pass."""
+def _naive_closure(facts, depth, max_colours, binary=BINARY_RULES):
+    """Every unary rule on every fact and every rule of `binary` on every
+    ordered pair of facts, in each pass."""
     facts = [replace(f, fact_id=i) for i, f in enumerate(facts, 1)]
     seen = {_exact(f) for f in facts}
     for _ in range(depth):
         produced = []
-        for r in rules:
-            if r in UNARY_RULES:
-                produced += [UNARY_RULES[r](f) for f in facts]
-            else:
-                fn = BINARY_RULES[r]
-                produced += [fn(a, b) for a in facts for b in facts]
+        for fn in UNARY_RULES.values():
+            produced += [fn(f) for f in facts]
+        for fn in binary.values():
+            produced += [fn(a, b) for a in facts for b in facts]
         added = False
         for out in produced:
             if (out is None or len(out.parameters) > max_colours
@@ -372,14 +371,42 @@ def _ledger_of(facts):
     return ledger
 
 
+def _split_product(label, accepts, shape):
+    """A product rule as the ledger had two: r3 multiplied linear graphs,
+    cyclic ones among them, into a linear graph, and r4 multiplied cyclic
+    graphs into a cyclic one.  The order is 2ab - a - b + 1."""
+    def rule(f1, f2):
+        if not (f1.kind == f2.kind == GRAPH and accepts(f1) and accepts(f2)):
+            return None
+        a, b = f1.value, f2.value
+        return BoundFact(GRAPH, f1.parameters + f2.parameters,
+                         2 * a * b - a - b + 1,
+                         derived(label, [f1.fact_id, f2.fact_id]),
+                         {shape: True})
+    return rule
+
+
+SPLIT_PRODUCTS = BINARY_RULES | {
+    "r3": _split_product(
+        "r3", lambda f: f.flags.get("linear") or f.flags.get("cyclic"),
+        "linear"),
+    "r4": _split_product("r4", lambda f: f.flags.get("cyclic"), "cyclic"),
+}
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_closure_matches_naive_oracle(seed):
+    """Against every rule on every fact and pair, and against the split
+    product rules: r3's cyclic product reaches every best value that a
+    linear product beside a cyclic one of the same order reached."""
     pack = _random_pack(random.Random(seed))
     for depth in (1, 2, 3):
-        oracle = _naive_closure(pack, ALL_RULES, depth, max_colours=6)
         ledger = _ledger_of(pack)
         ledger.derive_closure(depth=depth, max_colours=6)
-        assert _best_values(ledger.facts) == _best_values(oracle), depth
+        for binary in (BINARY_RULES, SPLIT_PRODUCTS):
+            oracle = _naive_closure(pack, depth, max_colours=6, binary=binary)
+            assert _best_values(ledger.facts) == _best_values(oracle), (
+                depth, sorted(binary))
 
 
 def _raised(f, step):
@@ -452,16 +479,16 @@ def test_closure_is_byte_deterministic(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_cyclic_product_kept_beside_linear_product():
-    # r3 and r4 give the same order; the linear one must not hide the
-    # cyclic one, which only r1, r4 and r8 can extend
+def test_cyclic_product_is_stored_once():
+    # the product of two cyclic graphs is cyclic, which r1 and r8 can
+    # extend; no linear copy of it is stored beside it
     ledger = Ledger()
     ledger.add_fact(graph_fact((3, 3), 5, asserted("test"), cyclic=True))
     ledger.add_fact(graph_fact((4, 4), 17, asserted("test"), cyclic=True))
     new = ledger.derive_closure(rules=["r3", "r4"], depth=1)
     products = {(f.certificate["rule"], tuple(sorted(f.flags)))
                 for f in new if f.sorted_parameters == (3, 3, 4, 4)}
-    assert products == {("r3", ("linear",)), ("r4", ("cyclic",))}
+    assert products == {("r3", ("cyclic",))}
     assert {f.value for f in new if f.sorted_parameters == (3, 3, 4, 4)} == {149}
 
 
@@ -541,14 +568,15 @@ def _parent(c, fact_id, kind=GRAPH, value=None, **flags):
 
 
 def _rule_cases():
-    """(rule, parents, the construction built from the parents' colourings)."""
+    """(rule, parents, the construction built from the parents' colourings,
+    the product's flags)."""
     c5, e, p13 = pentagon(), single_edge(), _paley(13, (4, 4))
     for a, b in ((c5, e), (p13, c5), (e, p13)):
         yield ("r3", (_parent(a, 1, linear=True), _parent(b, 2, linear=True)),
-               product_linear(a, b))
+               product_linear(a, b), {"linear": True})
     for a, b in ((c5, c5), (p13, c5)):
-        yield ("r4", (_parent(a, 1, cyclic=True), _parent(b, 2, cyclic=True)),
-               product_cyclic(a, b))
+        yield ("r3", (_parent(a, 1, cyclic=True), _parent(b, 2, cyclic=True)),
+               product_cyclic(a, b), {"cyclic": True})
     # a searched (3,4,3)-template of order 19, phi 7, which is not a doubling
     searched = TemplateGraph(LengthColouring(
         "linear", 19, 3, (1, 2, 2, 1, 2, 2, 1, 3, 1, 2, 3, 3, 3, 3, 3, 2, 1, 3),
@@ -557,18 +585,22 @@ def _rule_cases():
                  (double_to_template(c5, compact=True), e),
                  (double_to_template(p13), c5), (searched, c5)):
         ft = _parent(T.base, 1, template=True, phi=T.phi)
-        yield ("r5", (ft, _parent(b, 2, linear=True)), template_compound(T, b))
+        yield ("r5", (ft, _parent(b, 2, linear=True)),
+               template_compound(T, b), {"linear": True})
     # r6 reads Ramsey bounds: a graph of order m gives R > m
     g, h = expand_to_explicit(c5), expand_to_explicit(p13)
     yield ("r6", (_parent(g, 1, RAMSEY, g.order + 1),
-                  _parent(h, 2, RAMSEY, h.order + 1)), song_product(g, h))
+                  _parent(h, 2, RAMSEY, h.order + 1)), song_product(g, h), {})
 
 
-@pytest.mark.parametrize("rule, parents, built", [
-    pytest.param(*case, id=f"{case[0]}-order{case[2].order}")
-    for case in _rule_cases()])
-def test_rule_value_is_the_built_order(rule, parents, built):
+@pytest.mark.parametrize("rule, parents, built, flags", [
+    pytest.param(rule, parents, built, flags,
+                 id=f"{rule}-{'cyclic-' if flags.get('cyclic') else ''}"
+                    f"order{built.order}")
+    for rule, parents, built, flags in _rule_cases()])
+def test_rule_value_is_the_built_order(rule, parents, built, flags):
     out = BINARY_RULES[rule](*parents)
+    assert out.flags == flags
     if rule == "r6":
         assert out.value == built.order + 1
     else:
@@ -585,20 +617,23 @@ def _store_line(fact_id, params, value, certificate, **flags):
 
 @pytest.mark.parametrize("value, recomputes", [(14, True), (15, False)])
 def test_r2_store_loads_and_recomputes_as_r3(tmp_path, value, recomputes):
-    # r2, the equal-k product, was folded into r3; stores keep its label
+    # r2, the equal-k product, and r4, the cyclic product, were folded into
+    # r3; stores keep their labels
     path = tmp_path / "facts.jsonl"
-    path.write_text(
-        _store_line(1, (3, 3), 5, asserted("c5"), linear=True)
-        + _store_line(2, (3,), 2, asserted("edge"), linear=True)
-        + _store_line(3, (3, 3, 3), value, derived("r2", [1, 2]), linear=True))
-    ledger = Ledger.load(path)
-    assert ledger.get(3).certificate["rule"] == "r2"
-    if recomputes:
-        ledger.recompute_check()
-    else:
-        with pytest.raises(LedgerError, match="fact 3: not recomputable "
-                                              "by rule r2"):
+    for rule, shape in (("r2", "linear"), ("r4", "cyclic")):
+        flag = {shape: True}
+        path.write_text(
+            _store_line(1, (3, 3), 5, asserted("c5"), **flag)
+            + _store_line(2, (3,), 2, asserted("edge"), **flag)
+            + _store_line(3, (3, 3, 3), value, derived(rule, [1, 2]), **flag))
+        ledger = Ledger.load(path)
+        assert ledger.get(3).certificate["rule"] == rule
+        if recomputes:
             ledger.recompute_check()
+        else:
+            with pytest.raises(LedgerError, match="fact 3: not recomputable "
+                                                  f"by rule {rule}"):
+                ledger.recompute_check()
 
 
 def _best_by_scan(ledger):

@@ -306,6 +306,32 @@ def test_free_cap_fails_before_listing(monkeypatch):
         encode_cyclic(30, (5, 5), clause_cap=100)
 
 
+def _dihedral_classes(m, k):
+    """The k-subsets of Z_m up to rotation and reflection, by brute force."""
+    classes = set()
+    for c in combinations(range(m), k):
+        classes.add(min(tuple(sorted((sign * v + r) % m for v in c))
+                        for r in range(m) for sign in (1, -1)))
+    return len(classes)
+
+
+def test_cyclic_cap_precheck_is_a_lower_bound():
+    # the lister lists at least one clique through 0 per class
+    for m in range(3, 15):
+        for k in range(2, min(m, 6) + 1):
+            assert -(-comb(m - 1, k - 1) // (2 * k)) <= _dihedral_classes(m, k)
+
+
+def test_cyclic_cap_is_left_to_the_lister():
+    """Σ C(m-1, k-1) = 60,165 for (3,3,5;37), but only 7,007 cliques are
+    listed, so a cap of 10,000 fits."""
+    capped = encode_cyclic(37, (3, 3, 5), clause_cap=10_000)
+    assert write_dimacs(capped) == write_dimacs(encode_cyclic(37, (3, 3, 5)))
+    encode_cyclic(37, (3, 3, 5), clause_cap=7_007)
+    with pytest.raises(ClauseCapError, match="counts listed cliques"):
+        encode_cyclic(37, (3, 3, 5), clause_cap=7_006)
+
+
 def test_paley_101_extension_fits_default_cap():
     """The prototype of the (6,6,3;235) template: a predicted count of
     C(234, 5) per colour stopped it before cliques were listed."""
