@@ -6,9 +6,11 @@ colouring is a lower-bound certificate: R(k_1, ..., k_r) > order.
 """
 
 from ramseykit import (
+    LengthColouring,
     expand_to_explicit,
     max_clique_brute,
     max_clique_in_colour,
+    multipliers,
     pentagon,
     ramsey_check,
     serialize_colouring,
@@ -33,3 +35,20 @@ for s in (1, 2):
     fast, _ = max_clique_in_colour(g, s)
     slow = max_clique_brute(g, s)
     print(f"colour {s}: branch-and-bound {fast}, brute force {slow}")
+
+# At the paper's orders the exact check leans on symmetry.  The cubic
+# residues mod 1831 and their two cosets colour K_1831 with three colours.
+# Multiplying every length by a cubic residue keeps each colour and fixes
+# vertex 0, so once the search has branched on one neighbour of 0 it skips
+# that neighbour's whole orbit: one branch per colour.
+q = 1831
+cubes = {pow(x, 3, q) for x in range(1, q)}
+gen = next(a for a in range(2, q) if a not in cubes)
+coset = {x * pow(gen, s, q) % q: s + 1 for x in cubes for s in range(3)}
+cubic = LengthColouring("cyclic", q, 3,
+                        tuple(coset[l] for l in range(1, q // 2 + 1)))
+print(f"cubic residues mod {q}: {len(multipliers(cubic))} multipliers "
+      f"keep every colour")
+report = ramsey_check(cubic, (8, 8, 8), exact=True)
+print("clique numbers:", report.per_colour_max,
+      "passes (8,8,8):", report.passes)

@@ -9,6 +9,7 @@ from .colouring import (
     cyclic_length,
     expand_to_explicit,
     load_colouring,
+    multipliers,
     parse_colouring,
     pentagon,
     save_colouring,

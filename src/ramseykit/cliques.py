@@ -2,9 +2,11 @@
 
 The search is a branch-and-bound over bitset adjacency rows with a greedy
 colouring upper bound.  A length colouring is searched through vertex 0
-only, on rows built from its lengths.  An explicit colouring is searched
-through vertex 0 when translations checked on its matrix move 0 to every
-vertex, and over all its vertices otherwise.  The full search
+only, on rows built from its lengths; for a cyclic one the top level skips
+the orbit-mates, under its multipliers l -> a*l, of each neighbour of 0 it
+has branched on.  An explicit colouring is searched through vertex 0 when
+translations checked on its matrix move 0 to every vertex, and over all
+its vertices otherwise.  The full search
 (`max_clique_in_colour`) and an exhaustive oracle (`max_clique_brute`)
 provide independent ground truth, so nothing emitted by the constructions
 or the SAT search is trusted without a second opinion.
@@ -12,14 +14,18 @@ or the SAT search is trusted without a second opinion.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .colouring import (
+    CYCLIC,
     ColouringError,
     ExplicitColouring,
     LengthColouring,
+    length_colours,
+    multipliers,
     translation_transitive,
 )
 
@@ -61,17 +67,20 @@ def _colour_bitrows(g: ExplicitColouring, s: int) -> list[int]:
     return [_bits_to_int(row) for row in g.edge_colour == s]
 
 
-def _length_bitrows(c: LengthColouring, s: int) -> list[int]:
+def _length_bitrows(c: LengthColouring, s: int,
+                    lengths: np.ndarray | None = None) -> list[int]:
     """Colour-s bitmask rows of a length colouring, built from its lengths.
 
     Bits m - l and m + l of one mask mark the lengths l of colour s, with
     m = order - 1; vertex v's row is that mask shifted to centre on v.  A
     cyclic colouring's linear form colours |u - v| by its cyclic length, so
-    both kinds share it.
+    both kinds share it.  `lengths` is `length_colours(c)`, folded once per
+    check by the caller.
     """
     n = c.order
     m = n - 1
-    lengths = np.asarray(c.as_linear().colour_of)
+    if lengths is None:
+        lengths = length_colours(c)
     mask = _bits_to_int(np.concatenate((lengths[::-1], [0], lengths)) == s)
     full = (1 << n) - 1
     return [(mask >> (m - v)) & full for v in range(n)]
@@ -95,13 +104,24 @@ def _greedy_colour_order(adj: list[int], cand: int) -> list[tuple[int, int]]:
 
 
 def _search(adj: list[int], cand: int, stop_at: int | None, best_size: int,
-            best: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+            best: tuple[int, ...], orbit: Callable[[int], int] | None = None
+            ) -> tuple[int, tuple[int, ...]]:
     """The larger of `best` and the largest clique inside the set `cand`.
 
     Branch-and-bound with greedy-colouring bounds (Tomita and Seki, DMTCS
     2003).  With `stop_at` the search returns as soon as it holds a clique
     of that size.  Deterministic: candidate vertices are expanded
     lowest-index-first within the bound ordering.
+
+    `orbit(v)`, when given, is the bitmask of v's orbit under a group of
+    automorphisms of the graph that map `cand` onto itself.  Once the top
+    level has searched every clique through v, a later top-level vertex of
+    that orbit can only give cliques of the same sizes, so its branch is
+    skipped (orbital branching: Ostrowski, Linderoth, Rossi and Smriglio,
+    Math. Programming 126, 2011).  A skipped branch would find no larger
+    clique, and the vertex leaves `cand` when its turn comes, as it does
+    after a branch, so sizes and witnesses are those of the plain search.
+    Below the top level the search is the same either way.
     """
 
     def expand(r: list[int], cand: int):
@@ -124,7 +144,26 @@ def _search(adj: list[int], cand: int, stop_at: int | None, best_size: int,
             if stop_at is not None and best_size >= stop_at:
                 return
 
-    expand([], cand)
+    if orbit is None or stop_at is not None and best_size >= stop_at:
+        expand([], cand)
+        return best_size, best
+    done = 0  # the orbits of the top-level vertices already branched on
+    for v, bound in reversed(_greedy_colour_order(adj, cand)):
+        if bound <= best_size:
+            break
+        bit = 1 << v
+        cand &= ~bit
+        if done & bit:
+            continue
+        sub = cand & adj[v]
+        if sub:
+            expand([v], sub)
+        elif best_size < 1:
+            best_size, best = 1, (v,)
+        if stop_at is not None and best_size >= stop_at:
+            break
+        if cand:
+            done |= orbit(v)
     return best_size, best
 
 
@@ -147,7 +186,8 @@ def max_clique_in_colour(
     return _search(_colour_bitrows(g, s), full, stop_at, 1, (0,))
 
 
-def _clique_through_zero(adj: list[int], stop_at: int | None
+def _clique_through_zero(adj: list[int], stop_at: int | None,
+                         orbit: Callable[[int], int] | None = None
                          ) -> tuple[int, tuple[int, ...]]:
     """Maximum clique of the graph with bit rows `adj`, found through 0.
 
@@ -155,11 +195,32 @@ def _clique_through_zero(adj: list[int], stop_at: int | None
     Shifting a clique by minus its least vertex keeps every edge length of
     a length colouring, linear or cyclic; a translation-transitive explicit
     colouring has an automorphism taking any vertex to 0.  Then the clique
-    number is 1 + the clique number of 0's neighbourhood.
+    number is 1 + the clique number of 0's neighbourhood.  `orbit` is as in
+    `_search`, for a group that fixes 0 and keeps the colour.
     """
     size, wit = _search(adj, adj[0],
-                        None if stop_at is None else stop_at - 1, 0, ())
+                        None if stop_at is None else stop_at - 1, 0, (),
+                        orbit)
     return size + 1, (0,) + wit
+
+
+def _multiplier_orbits(c: LengthColouring,
+                       lengths: np.ndarray) -> Callable[[int], int]:
+    """v -> bitmask of {a*v mod m : a in multipliers(c)}, for every colour.
+
+    The multipliers fix 0 and keep each colour of the cyclic colouring c,
+    so they map each colour's neighbourhood of 0 onto itself.  They are
+    computed on the first call, and only then.
+    """
+    units = None
+
+    def orbit(v: int) -> int:
+        nonlocal units
+        if units is None:
+            units = multipliers(c, lengths).tolist()
+        return sum(1 << (a * v % c.order) for a in units)
+
+    return orbit
 
 
 def is_clique(g: ExplicitColouring, s: int, vertices) -> bool:
@@ -209,8 +270,14 @@ def ramsey_check(
         raise ColouringError(
             f"avoid: expected {c.num_colours} bounds, got {len(avoid)}"
         )
+    orbit = None
     if isinstance(c, LengthColouring):
-        rows = _length_bitrows
+        lengths = length_colours(c)
+        if c.kind == CYCLIC:
+            orbit = _multiplier_orbits(c, lengths)
+
+        def rows(c, s):
+            return _length_bitrows(c, s, lengths)
     elif translation_transitive(c):
         rows = _colour_bitrows
     else:
@@ -222,7 +289,7 @@ def ramsey_check(
     for s, k in enumerate(avoid, start=1):
         stop = None if exact else k
         size, wit = (max_clique_in_colour(c, s, stop) if rows is None
-                     else _clique_through_zero(rows(c, s), stop))
+                     else _clique_through_zero(rows(c, s), stop, orbit))
         sizes.append(size)
         witnesses.append(wit)
         exact_flags.append(exact or size < k)

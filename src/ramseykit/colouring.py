@@ -145,9 +145,7 @@ class ExplicitColouring:
 
     def upper_triangle(self) -> list[int]:
         """Row-major list of colours for pairs (i, j), i < j."""
-        m = self.order
-        return [int(self.edge_colour[i, j])
-                for i in range(m) for j in range(i + 1, m)]
+        return self.edge_colour[np.triu_indices(self.order, 1)].tolist()
 
     def __eq__(self, other):
         return (
@@ -170,26 +168,22 @@ def explicit_from_upper_triangle(order: int, num_colours: int,
             f"colours: expected {want} upper-triangular entries for order {m}, "
             f"got {len(entries)}"
         )
+    try:
+        values = np.array(entries, dtype=np.int32)
+    except OverflowError:
+        raise ColouringError(
+            f"colours: entries must lie in 1..{num_colours}") from None
     mat = np.zeros((m, m), dtype=np.int32)
-    it = iter(entries)
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = next(it)
-            mat[i, j] = c
-            mat[j, i] = c
-    return ExplicitColouring(order, num_colours, mat, **extra)
+    mat[np.triu_indices(m, 1)] = values
+    return ExplicitColouring(order, num_colours, mat + mat.T, **extra)
 
 
 def expand_to_explicit(c: LengthColouring) -> ExplicitColouring:
     """Expand a length colouring to its full edge-colour matrix."""
     m = c.order
-    mat = np.zeros((m, m), dtype=np.int32)
-    lin = c.as_linear()
-    for l in range(1, m):
-        col = lin.colour_of[l - 1]
-        for i in range(m - l):
-            mat[i, i + l] = col
-            mat[i + l, i] = col
+    ids = np.arange(m, dtype=np.int32)
+    by_gap = np.concatenate(([0], length_colours(c))).astype(np.int32)
+    mat = by_gap[np.abs(ids[:, None] - ids[None, :])]
     return ExplicitColouring(m, c.num_colours, mat, avoid=c.avoid)
 
 
@@ -246,6 +240,47 @@ def translation_transitive(g: ExplicitColouring) -> bool:
     return bool(reached.all())
 
 
+def length_colours(c: LengthColouring) -> np.ndarray:
+    """The colour of every length 1..order-1; entry l - 1 is c(l).
+
+    A cyclic colouring's stored lengths are unfolded with one gather,
+    colour_of[min(l, m - l) - 1], rather than one `colour` call per length.
+    """
+    stored = np.asarray(c.colour_of)
+    if c.kind == LINEAR:
+        return stored
+    lengths = np.arange(1, c.order)
+    return stored[np.minimum(lengths, c.order - lengths) - 1]
+
+
+def multipliers(c: LengthColouring,
+                colours: np.ndarray | None = None) -> np.ndarray:
+    """The units a of Z_m, ascending, with c(a*l) = c(l) for every length l.
+
+    Each such a fixes vertex 0 and keeps every edge colour of a cyclic
+    colouring of order m, so it maps cliques to cliques of the same colour.
+    Non-units are skipped, so m may be composite.  Only the candidates with
+    c(a) = c(1) are tested, all at once, on blocks of lengths that double
+    in size; a candidate is dropped after the first block where it fails.
+    `colours` is `length_colours(c)`, when the caller already has it.
+    """
+    if c.kind != CYCLIC:
+        raise ColouringError("multipliers: needs a cyclic colouring")
+    m = c.order
+    if colours is None:
+        colours = length_colours(c)
+    cand = np.arange(1, m)
+    cand = cand[(np.gcd(cand, m) == 1) & (colours[cand - 1] == colours[0])]
+    # c(a(m - l)) = c(m - al) = c(al), so the stored lengths suffice
+    start, width = 2, 64
+    while start <= m // 2 and cand.size:
+        block = np.arange(start, min(start + width, m // 2 + 1))
+        images = np.outer(cand, block) % m
+        cand = cand[(colours[images - 1] == colours[block - 1]).all(axis=1)]
+        start, width = start + width, 2 * width
+    return cand
+
+
 def check_cyclic_symmetry(c: LengthColouring | ExplicitColouring) -> bool:
     """True iff c admits a cyclic form.
 
@@ -254,10 +289,8 @@ def check_cyclic_symmetry(c: LengthColouring | ExplicitColouring) -> bool:
     """
     if isinstance(c, ExplicitColouring):
         return preserves_colours(c, translation(c.order, max(c.order, 1), 1))
-    lin = c.as_linear()
-    m = lin.order
-    return all(lin.colour_of[l - 1] == lin.colour_of[m - l - 1]
-               for l in range(1, m))
+    lengths = length_colours(c)
+    return bool(np.array_equal(lengths, lengths[::-1]))
 
 
 def to_cyclic(c: LengthColouring) -> LengthColouring:

@@ -294,17 +294,19 @@ def _room(f: BoundFact, max_colours: int) -> int:
     return max_colours - len(f.parameters)
 
 
-# The parents each binary rule can accept, left and right, and the most
-# colours a right parent may have, given the left one, for the product to
-# fit in max_colours.  All three are read before a product is built, so the
-# closure never builds a product it would drop for length.
+# The parents each binary rule can accept, left and right; given the left
+# parent, a colour count n for the right one; and whether the right parent
+# must have exactly n colours rather than at most n, the most for the
+# product to fit in max_colours.  All are read before a product is built,
+# so the closure never builds a product it would drop for length, nor
+# offers a rule a pair it would refuse for length.
 _JOINS = {
-    "r3": (_is_linear_graph, _is_linear_graph, _room),
+    "r3": (_is_linear_graph, _is_linear_graph, _room, False),
     "r5": (_is_template_graph, _is_linear_graph,
-           lambda ft, max_colours: _room(ft, max_colours) + 1),
+           lambda ft, max_colours: _room(ft, max_colours) + 1, False),
     # r6 keeps the length of its parents, which must be equal
     "r6": (lambda f: f.kind == RAMSEY, lambda f: f.kind == RAMSEY,
-           lambda f, max_colours: len(f.parameters)),
+           lambda f, max_colours: len(f.parameters), True),
 }
 
 
@@ -457,17 +459,20 @@ class Ledger:
                         offer(fn(f))
                     continue
                 fn = BINARY_RULES[rule_id]
-                accept_left, accept_right, room = _JOINS[rule_id]
-                fits = _by_room([f for f in parents if accept_right(f)])
-                fits_new = _by_room([f for f in fresh if accept_right(f)])
+                accept_left, accept_right, room, exact = _JOINS[rule_id]
+                right = [f for f in parents if accept_right(f)]
+                right_new = [f for f in fresh if accept_right(f)]
+                fits = _by_colours(right, exact)
+                fits_new = _by_colours(right_new, exact)
                 for f1 in parents:
                     if not accept_left(f1):
                         continue
                     # pairs of two old parents were joined in the last pass
-                    pool = fits if f1.fact_id in new_ids else fits_new
-                    n = min(room(f1, max_colours), len(pool) - 1)
-                    partners = pool[n] if n >= 0 else []
-                    counts["by_length"] += len(pool[-1]) - len(partners)
+                    new = f1.fact_id in new_ids
+                    partners = (fits if new else fits_new)(
+                        room(f1, max_colours))
+                    counts["by_length"] += (len(right if new else right_new)
+                                            - len(partners))
                     counts["pairs"] += len(partners)
                     for f2 in partners:
                         offer(fn(f1, f2))
@@ -598,11 +603,18 @@ class Ledger:
         return ledger
 
 
-def _by_room(facts: list[BoundFact]) -> list[list[BoundFact]]:
-    """Entry n: the facts with at most n colours, in the given order."""
-    longest = max((len(f.parameters) for f in facts), default=0)
-    return [[f for f in facts if len(f.parameters) <= n]
+def _by_colours(facts: list[BoundFact], exact: bool):
+    """n -> the facts with exactly (or, unless `exact`, at most) n colours,
+    in the given order."""
+    groups: dict[int, list[BoundFact]] = {}
+    for f in facts:
+        groups.setdefault(len(f.parameters), []).append(f)
+    if exact:
+        return lambda n: groups.get(n, [])
+    longest = max(groups, default=0)
+    upto = [[f for f in facts if len(f.parameters) <= n]
             for n in range(longest + 1)]
+    return lambda n: upto[min(n, longest)] if n >= 0 else []
 
 
 def _fact_to_json(f: BoundFact) -> dict:

@@ -259,6 +259,8 @@ def _encode_free(kind: str, m: int, avoid, clause_cap: int) -> CnfInstance:
     avoid = tuple(avoid)
     if m < 3:
         raise EncodingError(f"order must be >= 3, got {m}")
+    if not avoid:
+        raise EncodingError("avoid: at least one clique bound is needed")
     for k in avoid:
         if k < 2:
             raise EncodingError(f"clique bound {k} below 2")

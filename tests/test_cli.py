@@ -74,6 +74,15 @@ def test_verify_bad_avoid(pentagon_file, capsys):
     assert dispatch(["verify", pentagon_file, "--avoid", "three"]) == 2
 
 
+@pytest.mark.parametrize("entry", [3, 2**32 + 1, 2**70])
+def test_verify_explicit_colour_out_of_range_exit_2(entry, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "explicit", "order": 3, "num_colours": 2, '
+                    f'"colours": [1, 2, {entry}]}}\n')
+    assert dispatch(["verify", str(path), "--avoid", "3,3"]) == 2
+    assert "entries must lie in 1..2" in capsys.readouterr().err
+
+
 def test_construct_product_roundtrip(pentagon_file, tmp_path, capsys):
     out = str(tmp_path / "p41.json")
     code = dispatch(["construct", "product", "--a", pentagon_file,

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -19,8 +20,11 @@ from ramseykit.cliques import (
     ramsey_check,
 )
 from ramseykit.colouring import (
+    CYCLIC,
     ExplicitColouring,
+    LengthColouring,
     expand_to_explicit,
+    multipliers,
     pentagon,
     preserves_colours,
     translation,
@@ -300,3 +304,201 @@ def test_partial_orbit_falls_back_to_full_search():
     report = ramsey_check(g, (5, 5), exact=True)
     assert report.per_colour_max == (4, 3)
     assert report.witness[1] == (1, 3, 5)
+
+
+# -- orbital branching under the multiplier group ------------------------------
+
+def _plain_vertex_zero(adj, stop_at):
+    """The vertex-0 search without orbit pruning, kept as the oracle for
+    sizes and witnesses: branch-and-bound on 0's neighbourhood, every
+    top-level vertex branched on in greedy-colouring order."""
+    stop = None if stop_at is None else stop_at - 1
+    best_size, best = 0, ()
+
+    def expand(r, cand):
+        nonlocal best_size, best
+        if stop is not None and best_size >= stop:
+            return
+        for v, bound in reversed(cliques._greedy_colour_order(adj, cand)):
+            if len(r) + bound <= best_size:
+                return
+            r.append(v)
+            sub = cand & adj[v]
+            if sub:
+                expand(r, sub)
+            elif len(r) > best_size:
+                best_size, best = len(r), tuple(sorted(r))
+            r.pop()
+            cand &= ~(1 << v)
+            if stop is not None and best_size >= stop:
+                return
+
+    expand([], adj[0])
+    return best_size + 1, (0,) + best
+
+
+def _units(m):
+    return [a for a in range(1, m) if gcd(a, m) == 1]
+
+
+def _subgroup(m, gens):
+    """The subgroup of Z_m^* generated by -1 and `gens`."""
+    group, frontier = {1}, [1]
+    while frontier:
+        x = frontier.pop()
+        for g in (m - 1, *gens):
+            y = x * g % m
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return group
+
+
+def _coset_colouring(rng, m, r, group):
+    """A random cyclic colouring constant on each orbit {h*l : h in group}
+    of the nonzero residues; -1 in group makes it reflection-symmetric."""
+    colour = {}
+    for l in range(1, m):
+        if l not in colour:
+            s = rng.randint(1, r)
+            for h in group:
+                colour[h * l % m] = s
+    return LengthColouring(CYCLIC, m, r,
+                           tuple(colour[l] for l in range(1, m // 2 + 1)))
+
+
+def _random_cyclic(rng, m, r):
+    """A random cyclic colouring of order m; half the time constant on the
+    cosets of a random subgroup H of Z_m^* that contains -1."""
+    if rng.random() < 0.5:
+        return random_colouring(rng, "cyclic", m, r)
+    gens = rng.sample(_units(m), min(rng.randint(0, 2), len(_units(m))))
+    return _coset_colouring(rng, m, r, _subgroup(m, gens))
+
+
+def _brute_multipliers(c):
+    m = c.order
+    return [a for a in _units(m)
+            if all(c.colour(a * l % m) == c.colour(l) for l in range(1, m))]
+
+
+def _cubic_residues(p):
+    """The 3-colouring of Z_p by the cosets of the cubic residues."""
+    cubes = {pow(x, 3, p) for x in range(1, p)}
+    g = next(a for a in range(2, p) if a not in cubes)
+    colour = {}
+    for x in cubes:
+        for s in range(3):
+            colour[x * pow(g, s, p) % p] = s + 1
+    return LengthColouring(CYCLIC, p, 3,
+                           tuple(colour[l] for l in range(1, p // 2 + 1)))
+
+
+def test_multipliers_match_brute_force():
+    rng = random.Random(61)
+    for m in range(2, 61):
+        for _ in range(3):
+            c = _random_cyclic(rng, m, rng.randint(1, 3))
+            units = multipliers(c)
+            assert units.tolist() == _brute_multipliers(c)
+            assert {1, m - 1} <= set(units.tolist())
+    # a planted subgroup is always found, and Paley's is the residues
+    c = _coset_colouring(rng, 91, 2, _subgroup(91, [3]))
+    assert _subgroup(91, [3]) <= set(multipliers(c).tolist())
+    residues = sorted({x * x % 13 for x in range(1, 13)})
+    assert multipliers(paley_colouring(13)).tolist() == residues
+    with pytest.raises(colouring.ColouringError):
+        multipliers(random_colouring(rng, "linear", 9, 2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_orbit_pruned_check_matches_plain_vertex_zero(seed):
+    """Every colour of random cyclic colourings, plain and with planted
+    coset symmetry, prime and composite orders, exact and early-stop: the
+    orbit-pruned check gives the plain vertex-0 search's sizes and
+    witnesses, and the full search's (and brute force's) clique numbers."""
+    rng = random.Random(700 + seed)
+    for _ in range(30):
+        m = rng.choice((rng.randint(2, 16), rng.randint(17, 70),
+                        rng.choice((45, 63, 65, 77, 85, 91))))
+        c = _random_cyclic(rng, m, rng.randint(1, 3))
+        g = expand_to_explicit(c)
+        full = [max_clique_in_colour(g, s)[0]
+                for s in range(1, c.num_colours + 1)]
+        if m <= BRUTE_ORDER_CAP:
+            assert full == [max_clique_brute(g, s)
+                            for s in range(1, c.num_colours + 1)]
+        avoid = tuple(rng.randint(2, 7) for _ in full)
+        for exact in (True, False):
+            report = ramsey_check(c, avoid, exact=exact)
+            for s, k in enumerate(avoid, start=1):
+                stop = None if exact else k
+                plain = _plain_vertex_zero(_length_bitrows(c, s), stop)
+                got = (report.per_colour_max[s - 1], report.witness[s - 1])
+                assert got == plain
+                assert is_clique(g, s, got[1])
+                if exact:
+                    assert got[0] == full[s - 1]
+                else:
+                    assert min(got[0], k) == min(full[s - 1], k)
+
+
+def test_orbit_mates_stay_candidates_of_later_branches():
+    """A skipped orbit-mate leaves the candidates only when its turn comes.
+    Dropping the whole orbit at once would be sound for sizes, but it
+    changes the greedy colouring of later branches: here the colour-2
+    witness would become (0, 10, 12, 14, 16, 26, 28, 30, 32, 42, 44, 46)."""
+    c = LengthColouring(CYCLIC, 48, 2, (2, 2, 2, 2, 2, 2, 2, 1, 1, 2, 1, 2,
+                                        1, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 1))
+    report = ramsey_check(c, (49, 49), exact=True)
+    plain = _plain_vertex_zero(_length_bitrows(c, 2), None)
+    assert (report.per_colour_max[1], report.witness[1]) == plain
+    assert plain == (12, (0, 6, 10, 12, 16, 22, 26, 28, 32, 38, 42, 44))
+
+
+def test_paley_401_branches_on_one_neighbour_per_colour(monkeypatch):
+    """The residues act transitively on each colour's neighbourhood of 0,
+    so after the first branch every other neighbour is skipped; the
+    multipliers are computed once and shared by both colours."""
+    branched, computed = [], []
+    search, units_of = cliques._search, cliques.multipliers
+
+    def traced_search(adj, cand, stop_at, best_size, best, orbit=None):
+        def counted(v):
+            mask = orbit(v)
+            branched.append((v, mask == cand))
+            return mask
+        return search(adj, cand, stop_at, best_size, best,
+                      None if orbit is None else counted)
+
+    def traced_units(*args):
+        computed.append(args[0].order)
+        return units_of(*args)
+
+    monkeypatch.setattr(cliques, "_search", traced_search)
+    monkeypatch.setattr(cliques, "multipliers", traced_units)
+    report = ramsey_check(paley_colouring(401), (10, 10), exact=True)
+    assert report.per_colour_max == (9, 9)
+    assert [whole for _, whole in branched] == [True, True]
+    assert computed == [401]
+
+
+def test_early_stop_on_the_first_branch_computes_no_multipliers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("multipliers computed for an early stop")
+
+    monkeypatch.setattr(cliques, "multipliers", refuse)
+    report = ramsey_check(paley_colouring(101), (5, 5))
+    assert report.per_colour_max == (5, 5) and not report.passes
+
+
+def test_paper_scale_clique_numbers():
+    paley = ramsey_check(paley_colouring(401), (10, 10), exact=True)
+    assert paley.per_colour_max == (9, 9)
+    assert paley.witness == ((0, 93, 196, 298, 356, 391, 392, 396, 400),
+                             (0, 249, 264, 279, 310, 325, 340, 371, 386))
+    cubic = ramsey_check(_cubic_residues(1831), (8, 8, 8), exact=True)
+    assert cubic.per_colour_max == (7, 7, 7) and cubic.passes
+    assert cubic.witness == ((0, 520, 1352, 1773, 1777, 1811, 1827),
+                             (0, 214, 454, 1591, 1750, 1753, 1809),
+                             (0, 164, 1218, 1335, 1668, 1752, 1785))

@@ -28,6 +28,7 @@ from ramseykit.ledger import (
     GRAPH,
     RAMSEY,
     UNARY_RULES,
+    _JOINS,
     BoundFact,
     GammaValue,
     Ledger,
@@ -407,6 +408,44 @@ def test_closure_matches_naive_oracle(seed):
             oracle = _naive_closure(pack, depth, max_colours=6, binary=binary)
             assert _best_values(ledger.facts) == _best_values(oracle), (
                 depth, sorted(binary))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 6, 9])
+def test_depth_four_closure_matches_naive_oracle(seed):
+    pack = _random_pack(random.Random(seed))
+    ledger = _ledger_of(pack)
+    ledger.derive_closure(depth=4, max_colours=6)
+    oracle = _naive_closure(pack, 4, max_colours=6)
+    assert _best_values(ledger.facts) == _best_values(oracle)
+
+
+def test_r6_is_offered_equal_colour_counts_only(monkeypatch):
+    """r6 refuses parents with different colour counts, so the closure
+    offers it none, and keeps the facts it kept when it offered r6 every
+    partner with at most as many colours."""
+    song, offered = BINARY_RULES["r6"], []
+
+    def traced(f1, f2):
+        offered.append((len(f1.parameters), len(f2.parameters)))
+        return song(f1, f2)
+
+    def closures():
+        out = []
+        for depth in (1, 2, 3):
+            ledger = _seeded()
+            ledger.derive_closure(depth=depth)
+            out.append([(f.fact_id, f.identity()) for f in ledger.facts])
+        return out
+
+    monkeypatch.setitem(BINARY_RULES, "r6", traced)
+    grouped = closures()
+    assert offered and all(a == b for a, b in offered)
+    accept, _, room, exact = _JOINS["r6"]
+    assert exact
+    monkeypatch.setitem(_JOINS, "r6", (accept, accept, room, False))
+    offered.clear()
+    assert closures() == grouped
+    assert any(a != b for a, b in offered)
 
 
 def _raised(f, step):

@@ -151,6 +151,14 @@ def test_fold_length_is_idempotent():
         fold_length(0, 5, 2)
 
 
+@pytest.mark.parametrize("encode", [encode_cyclic, encode_linear])
+def test_free_encoding_refuses_an_empty_avoid(encode):
+    """An instance with no colours would be written with a `c meta` avoid
+    that `read_dimacs` refuses, so the encoder refuses it first."""
+    with pytest.raises(EncodingError, match="avoid"):
+        encode(5, ())
+
+
 def test_extension_width_one_is_fully_determined():
     spec = SearchSpec(pentagon(), 1, (3, 3, 3))
     inst = encode_extension(spec)
