@@ -144,8 +144,7 @@ def _search(adj: list[int], cand: int, stop_at: int | None, best_size: int,
             if stop_at is not None and best_size >= stop_at:
                 return
 
-    if orbit is None or stop_at is not None and best_size >= stop_at:
-        expand([], cand)
+    if stop_at is not None and best_size >= stop_at:
         return best_size, best
     done = 0  # the orbits of the top-level vertices already branched on
     for v, bound in reversed(_greedy_colour_order(adj, cand)):
@@ -162,7 +161,7 @@ def _search(adj: list[int], cand: int, stop_at: int | None, best_size: int,
             best_size, best = 1, (v,)
         if stop_at is not None and best_size >= stop_at:
             break
-        if cand:
+        if orbit is not None and cand:
             done |= orbit(v)
     return best_size, best
 
@@ -218,7 +217,8 @@ def _multiplier_orbits(c: LengthColouring,
         nonlocal units
         if units is None:
             units = multipliers(c, lengths).tolist()
-        return sum(1 << (a * v % c.order) for a in units)
+        # a non-unit v has fewer images than there are multipliers
+        return sum(1 << x for x in {a * v % c.order for a in units})
 
     return orbit
 

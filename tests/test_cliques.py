@@ -24,6 +24,7 @@ from ramseykit.colouring import (
     ExplicitColouring,
     LengthColouring,
     expand_to_explicit,
+    length_colours,
     multipliers,
     pentagon,
     preserves_colours,
@@ -454,6 +455,49 @@ def test_orbit_mates_stay_candidates_of_later_branches():
     plain = _plain_vertex_zero(_length_bitrows(c, 2), None)
     assert (report.per_colour_max[1], report.witness[1]) == plain
     assert plain == (12, (0, 6, 10, 12, 16, 22, 26, 28, 32, 38, 42, 44))
+
+
+@pytest.mark.parametrize("m, gens, seed", [
+    (12, [], 1), (15, [4], 0), (45, [19], 0), (40, [19], 0),
+    (60, [7, 11], 6), (48, [5], 1)])
+def test_multiplier_orbits_match_set_oracle(m, gens, seed):
+    """Each orbit mask has exactly the bits {a*v mod m : a in M}, also for
+    the non-units v, which several multipliers send to one residue.  The
+    seeds give colourings whose multipliers are exactly the planted group."""
+    c = _coset_colouring(random.Random(seed), m, 2, _subgroup(m, gens))
+    units = multipliers(c).tolist()
+    assert set(units) == _subgroup(m, gens)
+    orbit = cliques._multiplier_orbits(c, length_colours(c))
+    for v in range(m):
+        mask = orbit(v)
+        assert {x for x in range(m) if mask >> x & 1} == \
+            {a * v % m for a in units}
+    if m % 2 == 0:
+        assert orbit(m // 2) == 1 << m // 2
+    if m == 15:
+        assert orbit(3) == 1 << 3 | 1 << 12
+
+
+@pytest.mark.parametrize("m, colour_of, sizes", [
+    (40, (3, 2, 1, 1, 2, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 1, 1, 3, 2),
+     (4, 8, 2)),
+    (60, (2, 3, 3, 2, 3, 3, 2, 2, 3, 2, 2, 1, 2, 3, 1, 2, 2, 3, 2, 3, 3, 3,
+          2, 1, 3, 3, 3, 2, 2, 3), (5, 3, 6)),
+])
+def test_orbits_of_non_units_keep_the_clique_number(m, colour_of, sizes):
+    """Composite orders where the largest clique of some colour is found
+    only through a non-unit neighbour of 0.  A mask that adds the images of
+    such a vertex instead of setting them carries into bits outside its
+    orbit, and skipping those loses the clique: colour 2 of the first and
+    colour 3 of the second would read one less and pass their bound."""
+    c = LengthColouring(CYCLIC, m, 3, colour_of)
+    g = expand_to_explicit(c)
+    report = ramsey_check(c, sizes, exact=True)
+    assert report.per_colour_max == sizes and not report.passes
+    for s in range(1, 4):
+        assert max_clique_in_colour(g, s)[0] == sizes[s - 1]
+        plain = _plain_vertex_zero(_length_bitrows(c, s), None)
+        assert (report.per_colour_max[s - 1], report.witness[s - 1]) == plain
 
 
 def test_paley_401_branches_on_one_neighbour_per_colour(monkeypatch):
