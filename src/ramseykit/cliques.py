@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -223,6 +224,22 @@ def _multiplier_orbits(c: LengthColouring,
     return orbit
 
 
+def _reflections_only(c: LengthColouring, lengths: np.ndarray) -> bool:
+    """True only if +-1 are the cyclic colouring's only multipliers, where
+    skipping -v saves the search nothing.  a and m - a are multipliers
+    together, so it looks for a unit 1 < a < m/2 with c(a*l) = c(l) on the
+    first 12 lengths; a random colouring's candidates fail within a few."""
+    m, colour = c.order, lengths.tolist()
+    top = min(m // 2, 12)
+    for a in range(2, (m + 1) // 2):
+        l = 1
+        while l <= top and colour[a * l % m - 1] == colour[l - 1]:
+            l += 1
+        if l > top and gcd(a, m) == 1:
+            return False
+    return True
+
+
 def is_clique(g: ExplicitColouring, s: int, vertices) -> bool:
     vs = list(vertices)
     return all(
@@ -273,7 +290,7 @@ def ramsey_check(
     orbit = None
     if isinstance(c, LengthColouring):
         lengths = length_colours(c)
-        if c.kind == CYCLIC:
+        if c.kind == CYCLIC and not _reflections_only(c, lengths):
             orbit = _multiplier_orbits(c, lengths)
 
         def rows(c, s):

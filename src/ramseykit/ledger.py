@@ -144,8 +144,9 @@ def _is_template_graph(f: BoundFact) -> bool:
 
 
 def _rule_giraud(f: BoundFact, k_new: int = 3):
-    """Add one colour with bound k_new to a cyclic graph: order x (2k-3)."""
-    if not _is_cyclic_graph(f):
+    """Add one colour with bound k_new to a cyclic graph: order x (2k-3).
+    Needs two bounds >= 3: the edge (3; 2) would give (3, 3; 6), R(3,3) = 6."""
+    if not _is_cyclic_graph(f) or sum(k >= 3 for k in f.parameters) < 2:
         return None
     params = f.parameters + (k_new,)
     value = (2 * k_new - 3) * f.value
@@ -338,7 +339,8 @@ class Ledger:
 
     def __init__(self):
         self.facts: list[BoundFact] = []
-        self._ids: dict = {}  # identity -> fact_id
+        # (dominance key, value) -> its fact, or identity -> fact once shared
+        self._held: dict = {}
         self._best: dict = {}  # dominance key -> first fact of the best value
         # (kind, sorted parameters) -> the same, for best_bound
         self._top: dict = {}
@@ -356,20 +358,32 @@ class Ledger:
             self._verify_explicit(f, base_dir)
             if f.certificate.get("verified") is not True:
                 f = replace(f, certificate={**f.certificate, "verified": True})
-        identity = f.identity()
-        fid = self._ids.get(identity)
-        if fid is not None:
-            return fid
+        return self._store(f, dominance_key(f)).fact_id
+
+    def _store(self, f: BoundFact, key: tuple) -> BoundFact:
+        """The stored fact identical to f, else f stored; `key` is f's
+        dominance key.  Identical facts share their key and value, so only
+        a fact offered where one is held has its identity encoded."""
+        slot = (key, f.value)
+        held = self._held.get(slot)
+        if held is not None:
+            if type(held) is not dict:
+                held = self._held[slot] = {held.identity(): held}
+            identity = f.identity()
+            if identity in held:
+                return held[identity]
         fid = len(self.facts) + 1
         fact = f if f.fact_id == fid else replace(f, fact_id=fid)
         self.facts.append(fact)
-        self._ids[identity] = fid
-        for index, key in ((self._best, dominance_key(fact)),
-                           (self._top, (fact.kind, fact.sorted_parameters))):
-            best = index.get(key)
+        if held is None:
+            self._held[slot] = fact
+        else:
+            held[identity] = fact
+        for index, k in ((self._best, key), (self._top, key[:2])):
+            best = index.get(k)
             if best is None or best.value < fact.value:
-                index[key] = fact
-        return fid
+                index[k] = fact
+        return fact
 
     def _verify_explicit(self, f: BoundFact, base_dir: str) -> None:
         if f.kind != GRAPH:
@@ -437,7 +451,7 @@ class Ledger:
             fresh = [f for f in parents if f.fact_id in new_ids]
             counts = dict.fromkeys(("pairs", "by_length", "built",
                                     "dominated"), 0)
-            added: list[BoundFact] = []
+            added: list[tuple[BoundFact, tuple]] = []  # (fact, its key)
 
             def offer(out):
                 if out is None:
@@ -446,11 +460,13 @@ class Ledger:
                 if len(out.parameters) > max_colours:
                     counts["by_length"] += 1
                     return
-                best = self._best.get(dominance_key(out))
+                key = dominance_key(out)
+                best = self._best.get(key)
                 if best is not None and not best.value < out.value:
                     counts["dominated"] += 1
                     return
-                added.append(self.get(self.add_fact(out)))
+                # a rule's product carries no explicit certificate
+                added.append((self._store(out, key), key))
 
             for rule_id in enabled:
                 if rule_id in UNARY_RULES:
@@ -480,11 +496,10 @@ class Ledger:
                        "length, %d products built, %d kept, %d dominated",
                        pass_no, counts["pairs"], counts["by_length"],
                        counts["built"], len(added), counts["dominated"])
-            new_facts.extend(added)
+            new_facts.extend(f for f, _ in added)
             if not added:
                 break
-            new_ids = {f.fact_id for f in added
-                       if self._best[dominance_key(f)] is f}
+            new_ids = {f.fact_id for f, key in added if self._best[key] is f}
         return new_facts
 
     # -- queries ----------------------------------------------------------
@@ -568,8 +583,8 @@ class Ledger:
         tmp = f"{path}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-                for fact in self.facts:
-                    f.write(json.dumps(_fact_to_json(fact)) + "\n")
+                f.write("".join([json.dumps(_fact_to_json(fact)) + "\n"
+                                 for fact in self.facts]))
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
@@ -589,8 +604,10 @@ class Ledger:
         """
         base_dir = os.path.dirname(path) or "."
         ledger = cls()
+        read = explicit = 0
         with open(path, encoding="utf-8") as f:
-            for fact in _read_facts(f):
+            for read, fact in enumerate(_read_facts(f), start=1):
+                explicit += fact.certificate.get("type") == "explicit"
                 fid = ledger.add_fact(fact, base_dir)
                 if fact.fact_id != fid:
                     raise LedgerError(f"{path}: fact stored as id "
@@ -600,6 +617,8 @@ class Ledger:
                         raise LedgerError(f"{path}: fact {fid} names parent "
                                           f"{pid}, which does not come "
                                           "before it")
+        _log.debug("loaded %s: %d facts read, %d explicit certificates "
+                   "re-verified", path, read, explicit)
         return ledger
 
 
@@ -627,29 +646,29 @@ def _fact_to_json(f: BoundFact) -> dict:
             "value": value, "certificate": f.certificate, "flags": f.flags}
 
 
+def _ints(xs) -> bool:
+    return isinstance(xs, list) and set(map(type, xs)) <= {int}
+
+
 def _fact_from_json(obj) -> BoundFact:
     """The fact of one store line; LedgerError unless it is a fact object."""
     if not isinstance(obj, dict):
         raise LedgerError(f"store line {obj!r} is not a fact object")
-    params = obj.get("parameters")
-    if not (isinstance(params, list) and all(type(k) is int for k in params)
-            and isinstance(obj.get("certificate"), dict)
-            and isinstance(obj.get("flags", {}), dict)):
+    params, cert = obj.get("parameters"), obj.get("certificate")
+    flags = obj.get("flags", {})
+    if not (_ints(params) and isinstance(cert, dict)
+            and isinstance(flags, dict)):
         raise LedgerError("a fact needs a list of integer parameters, a "
                           "certificate object and a flags object")
-    cert = obj["certificate"]
-    if cert.get("type") == "derived" or "parents" in cert:
-        parents = cert.get("parents")
-        if not (isinstance(parents, list)
-                and all(type(p) is int for p in parents)):
-            raise LedgerError("a derived certificate needs a list of integer "
-                              "parent ids")
-    if cert.get("type") == "derived" and not isinstance(cert.get("rule"), str):
+    ctype = cert.get("type")
+    if (ctype == "derived" or "parents" in cert) and not _ints(
+            cert.get("parents")):
+        raise LedgerError("a derived certificate needs a list of integer "
+                          "parent ids")
+    if ctype == "derived" and not isinstance(cert.get("rule"), str):
         raise LedgerError("a derived certificate needs a string rule")
-    if cert.get("type") == "explicit" and not isinstance(cert.get("path"),
-                                                         str):
+    if ctype == "explicit" and not isinstance(cert.get("path"), str):
         raise LedgerError("an explicit certificate needs a string path")
-    flags = obj.get("flags", {})
     for name in ("phi", "special_degree"):  # the rules do arithmetic on them
         flag = flags.get(name)
         if flag is not None and type(flag) is not int:
@@ -661,8 +680,7 @@ def _fact_from_json(obj) -> BoundFact:
         raise LedgerError(f"fact id {fact_id!r} is not an integer")
     if isinstance(value, dict):
         base, root = value.get("base"), value.get("root")
-        if not (isinstance(base, list) and len(base) == 2
-                and all(type(x) is int for x in base) and base[1]
+        if not (_ints(base) and len(base) == 2 and base[1]
                 and type(root) is int):
             raise LedgerError("a gamma value needs a [num, den] base of "
                               "integers, den != 0, and an integer root")

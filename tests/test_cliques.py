@@ -546,3 +546,32 @@ def test_paper_scale_clique_numbers():
     assert cubic.witness == ((0, 520, 1352, 1773, 1777, 1811, 1827),
                              (0, 214, 454, 1591, 1750, 1753, 1809),
                              (0, 164, 1218, 1335, 1668, 1752, 1785))
+
+
+def test_reflections_only_is_exact_when_it_says_so(monkeypatch):
+    """True only for colourings whose multipliers are +-1, on random and
+    planted-symmetry cyclic colourings of prime and composite orders; and
+    a check it clears computes no multipliers and skips no vertex."""
+    rng = random.Random(83)
+    said = {True: 0, False: 0}
+    for _ in range(400):
+        m = rng.choice((rng.randint(2, 40), rng.randint(41, 130)))
+        c = _random_cyclic(rng, m, rng.randint(1, 3))
+        only = cliques._reflections_only(c, length_colours(c))
+        if only:
+            assert set(_brute_multipliers(c)) <= {1, m - 1}
+        said[only] += 1
+    assert min(said.values()) > 100
+    assert not cliques._reflections_only(paley_colouring(101),
+                                         length_colours(paley_colouring(101)))
+
+    def refuse(*args):
+        raise AssertionError("orbits built for a colouring with M = {1, -1}")
+
+    c = random_colouring(random.Random(5), "cyclic", 89, 2)
+    assert cliques._reflections_only(c, length_colours(c))
+    monkeypatch.setattr(cliques, "_multiplier_orbits", refuse)
+    report = ramsey_check(c, (89, 89), exact=True)
+    for s in (1, 2):
+        plain = _plain_vertex_zero(_length_bitrows(c, s), None)
+        assert (report.per_colour_max[s - 1], report.witness[s - 1]) == plain

@@ -794,3 +794,135 @@ def test_cyclic_flag_fits_cyclic_colourings(tmp_path):
         Ledger().add_fact(graph_fact(
             params, c.order, {"type": "explicit", "path": f"c{i}.json"},
             cyclic=True), base_dir=str(tmp_path))
+
+
+# -- ingestion: dedupe by (dominance key, value) -----------------------------
+
+class _IdentityLedger:
+    """Ingestion as one dict from each offered fact's JSON identity to its
+    id, the reference for `Ledger.add_fact`'s dedupe."""
+
+    def __init__(self):
+        self.facts = []
+        self._ids = {}
+
+    def add_fact(self, f):
+        if (f.certificate.get("type") == "explicit"
+                and f.certificate.get("verified") is not True):
+            f = replace(f, certificate={**f.certificate, "verified": True})
+        identity = f.identity()
+        if identity in self._ids:
+            return self._ids[identity]
+        fid = len(self.facts) + 1
+        self.facts.append(f if f.fact_id == fid else replace(f, fact_id=fid))
+        self._ids[identity] = fid
+        return fid
+
+
+def _random_fact(rng, pent):
+    """A fact over few kinds, parameters, values, certificates and flags, so
+    that many share a dominance key and value without being identical."""
+    kind = rng.choice((GRAPH, GRAPH, RAMSEY, GAMMA))
+    params = rng.choice(((3, 3), (3, 4), (4, 3), (3, 3, 3)))
+    value = rng.choice((5, 8))
+    if kind == GAMMA:
+        params = (3,)
+        # equal rates, stored unreduced: sqrt(4) = 2 = 8/4
+        value = rng.choice((GammaValue(Fraction(4), 2), GammaValue(Fraction(2)),
+                            GammaValue(Fraction(8, 4))))
+    cert = rng.choice((
+        asserted("a"), asserted("b"), {"source": "a", "type": "asserted"},
+        derived("r7", [1]), {"parents": [1], "rule": "r7", "type": "derived"},
+        derived("r3", [1, 2], note="n"),
+    ))
+    flags = {}
+    if kind == GRAPH:
+        flags = rng.choice(({}, {"cyclic": True}, {"cyclic": 1},
+                            {"linear": True}, {"template": True, "phi": 0},
+                            {"phi": 0, "template": True},
+                            {"special_degree": 2, "special_degree_index": 0}))
+        if params == (3, 3) and value == 5 and rng.random() < 0.3:
+            cert = rng.choice(({"type": "explicit", "path": pent},
+                               {"path": pent, "type": "explicit",
+                                "verified": True}))
+            flags = {}
+    return BoundFact(kind, params, value, cert, dict(flags))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_fact_matches_identity_dict_oracle(seed, tmp_path):
+    pent = str(tmp_path / "pent.json")
+    save_colouring(pentagon(), pent)
+    rng = random.Random(seed)
+    ledger, oracle = Ledger(), _IdentityLedger()
+    offered = []
+    for _ in range(300):
+        roll = rng.random()
+        if offered and roll < 0.2:  # a planted duplicate
+            f = rng.choice(offered)
+        elif ledger.facts and roll < 0.3:  # a stored fact, with its id
+            f = rng.choice(ledger.facts)
+        elif offered and roll < 0.4:  # its certificate's keys reversed
+            f = rng.choice(offered)
+            f = replace(f, certificate=dict(reversed(f.certificate.items())))
+        else:
+            f = _random_fact(rng, pent)
+        offered.append(f)
+        assert ledger.add_fact(f) == oracle.add_fact(f)
+    assert [repr(f) for f in ledger.facts] == [repr(f) for f in oracle.facts]
+    # the streams reach every case the buckets must tell apart
+    stored = {(f.kind, f.parameters, f.certificate.get("type"))
+              for f in ledger.facts}
+    assert len(ledger.facts) > 60 and (GRAPH, (3, 3), "explicit") in stored
+
+
+def test_load_encodes_no_identity(tmp_path, monkeypatch):
+    ledger = _store_with_every_certificate(tmp_path)
+    path = tmp_path / "facts.jsonl"
+    ledger.save(path)
+    calls = []
+    identity = BoundFact.identity
+
+    def counting(self):
+        calls.append(self)
+        return identity(self)
+
+    monkeypatch.setattr(BoundFact, "identity", counting)
+    assert len(Ledger.load(path).facts) == len(ledger.facts)
+    assert calls == []
+
+
+def test_load_rejects_a_duplicate_with_reordered_certificate(tmp_path):
+    path = tmp_path / "facts.jsonl"
+    cert = asserted("c5")
+    path.write_text(
+        _store_line(1, (3, 3), 5, cert, cyclic=True)
+        + _store_line(2, (3, 3), 5, dict(reversed(cert.items())),
+                      cyclic=True))
+    with pytest.raises(LedgerError, match="stored as id 2 loads as id 1"):
+        Ledger.load(path)
+
+
+def test_load_logs_one_record(tmp_path, caplog):
+    ledger = _store_with_every_certificate(tmp_path)
+    path = tmp_path / "facts.jsonl"
+    ledger.save(path)
+    with caplog.at_level(logging.DEBUG, logger="ramseykit.ledger"):
+        Ledger.load(path)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"loaded {path}: {len(ledger.facts)} facts read, 1 explicit "
+        "certificates re-verified"]
+
+
+@pytest.mark.parametrize("params", [(3,), (2, 3)])
+def test_r1_refuses_a_single_edge(params):
+    """The single edge has one bound >= 3; adding a colour to it would
+    claim a triangle-free 2-colouring of K_6."""
+    edge = graph_fact(params, 2, asserted("z"), cyclic=True)
+    assert UNARY_RULES["r1"](replace(edge, fact_id=1)) is None
+    ledger = Ledger()
+    ledger.add_fact(edge)
+    ledger.derive_closure(depth=2)
+    assert derived("r1", [1]) not in [f.certificate for f in ledger.facts]
+    best = ledger.best_bound(RAMSEY, params + (3,))
+    assert best is None or best.value <= 6  # R(3,3) = R(2,3,3) = 6
