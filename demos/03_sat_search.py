@@ -38,7 +38,7 @@ print("order 17:", solve_internal(encode_cyclic(17, (3, 3, 3))).status)
 # of order 2n + t whose new colour class is triangle-free and periodic.
 # From an order-8 two-colour prototype a usable order-19 template emerges.
 proto = LengthColouring("cyclic", 8, 2, (1, 2, 2, 1))
-result = search_template(SearchSpec(proto, 3, (3, 4, 3)), reps=4)
+result = search_template(SearchSpec(proto, 3, (3, 4, 3)))
 print(f"search status: {result.status} after {result.iterations} iteration(s)")
 if result.template is not None:
     T = result.template

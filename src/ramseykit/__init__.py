@@ -28,10 +28,9 @@ from .cliques import (
 from .templates import (
     TemplateFailure,
     TemplateGraph,
+    covering_q,
     double_to_template,
     is_tf_template,
-    phi,
-    rainbow_colouring,
     repetition_check,
     template_usable,
     validate_template,

@@ -23,6 +23,7 @@ from .cliques import CliqueReport, ramsey_check
 from .templates import (
     TF,
     TemplateGraph,
+    covering_q,
     double_to_template,
     validate_template,
 )
@@ -72,15 +73,14 @@ def cmd_template_check(args) -> int:
         return ERROR
     avoid = _parse_avoid(args.avoid)
     base = c.as_linear()
-    failure = validate_template(base, c.template_colour, avoid,
-                                reps=args.reps)
+    failure = validate_template(base, c.template_colour, avoid)
     if failure is not None and failure.stage == TF:
         print(f"not a template: {failure}")
         return FAIL
     T = TemplateGraph(base, c.template_colour)
     print(f"template order {T.order}, phi {T.phi}")
-    if failure or args.reps:
-        print(failure or f"repetition q=1..{args.reps}: ok")
+    print(failure or f"repetition q=1..{covering_q(T, avoid)}: ok, "
+          "covers every prototype")
     print("PASS" if failure is None else "FAIL")
     return PASS if failure is None else FAIL
 
@@ -230,8 +230,7 @@ def _extension_spec(what: str, args, avoid) -> sat.SearchSpec:
 
 def cmd_search(args) -> int:
     spec = _extension_spec("search template", args, _parse_avoid(args.avoid))
-    result = sat.search_template(spec, reps=args.reps,
-                                 conflict_budget=args.budget)
+    result = sat.search_template(spec, conflict_budget=args.budget)
     for line in result.log:
         print(line)
     if result.status == "found":
@@ -529,8 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("file")
     t.add_argument("--avoid", required=True,
                    help="bounds of the non-template colours")
-    t.add_argument("--reps", type=int, default=8,
-                   help="number of tilings to clique-check")
+    # Hidden and ignored: the tiling count follows from the template
+    # (templates.covering_q).  --reps stays only because
+    # perfbench/workloads.py still passes `--reps 4` to template-check.
+    t.add_argument("--reps", type=int, help=argparse.SUPPRESS)
     t.set_defaults(fn=cmd_template_check)
 
     c = sub.add_parser("construct", help="build a compound colouring")
@@ -571,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--prototype", required=True)
     st.add_argument("--t", type=int, required=True)
     st.add_argument("--avoid", required=True)
-    st.add_argument("--reps", type=int, default=8,
-                    help="number of tilings to clique-check")
+    # hidden and ignored, as on template-check, so old command lines run
+    st.add_argument("--reps", type=int, help=argparse.SUPPRESS)
     st.add_argument("--budget", type=int, default=sat.DEFAULT_CONFLICT_BUDGET)
     st.add_argument("--out")
     st.set_defaults(fn=cmd_search)

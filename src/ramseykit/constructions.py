@@ -44,7 +44,7 @@ def product_cyclic(A: LengthColouring, B: LengthColouring) -> LengthColouring:
 def template_compound(T: TemplateGraph, B: LengthColouring) -> LengthColouring:
     """Compound of a template graph with a linear prototype.
 
-    The (n-1)-fold tiling of T, of order (t-1)(n-1) + 1 + phi(T), keeps its
+    The (n-1)-fold tiling of T, of order (t-1)(n-1) + 1 + T.phi, keeps its
     non-template colours; its template-coloured lengths are filled block by
     block from B (offset colour ids).  The template colour itself never
     appears in the output.

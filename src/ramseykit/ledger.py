@@ -665,7 +665,8 @@ def _fact_from_json(obj) -> BoundFact:
             cert.get("parents")):
         raise LedgerError("a derived certificate needs a list of integer "
                           "parent ids")
-    if ctype == "derived" and not isinstance(cert.get("rule"), str):
+    if (ctype == "derived" or "rule" in cert) and not isinstance(
+            cert.get("rule"), str):
         raise LedgerError("a derived certificate needs a string rule")
     if ctype == "explicit" and not isinstance(cert.get("path"), str):
         raise LedgerError("an explicit certificate needs a string path")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .colouring import CYCLIC, LINEAR, LengthColouring, length_domain_size
 from .cliques import ramsey_check
-from .templates import TF, TemplateGraph, check_reps, validate_template
+from .templates import TF, TemplateGraph, validate_template
 
 DEFAULT_CLAUSE_CAP = 10_000_000
 DEFAULT_CONFLICT_BUDGET = 1_000_000
@@ -643,8 +643,7 @@ def _violation_clause(lengths, colour, instance: CnfInstance
     return tuple(sorted(-instance.var_map.id(l, colour) for l in free)) or None
 
 
-def _candidate_failure(colouring: LengthColouring, spec: SearchSpec,
-                       reps: int):
+def _candidate_failure(colouring: LengthColouring, spec: SearchSpec):
     """None if a decoded candidate is a valid template.  Otherwise the
     failing colour, the lengths to blame, and the log phrases for a stop on
     fixed lengths and for a refinement.
@@ -662,7 +661,7 @@ def _candidate_failure(colouring: LengthColouring, spec: SearchSpec,
                 f"fixed lengths alone break colour {colour}",
                 f"clique violation in colour {colour}")
     failure = validate_template(colouring, spec.template_colour,
-                                spec.avoid[:-1], reps)
+                                spec.avoid[:-1])
     if failure is None:
         return None
     if failure.stage == TF:
@@ -675,7 +674,6 @@ def _candidate_failure(colouring: LengthColouring, spec: SearchSpec,
 
 
 def search_template(spec: SearchSpec,
-                    reps: int = 8,
                     conflict_budget: int = DEFAULT_CONFLICT_BUDGET
                     ) -> TemplateSearchResult:
     """Encode, solve, validate, refine: loop until a validated template graph
@@ -684,7 +682,6 @@ def search_template(spec: SearchSpec,
     Each failure of `_candidate_failure` adds a clause over the free
     lengths of its witness and the instance is re-solved.
     """
-    check_reps(reps)
     if conflict_budget < 0:
         raise ValueError(f"budget: must be >= 0, got {conflict_budget}")
     base = encode_extension(spec, clause_cap=DEFAULT_CLAUSE_CAP)
@@ -701,7 +698,7 @@ def search_template(spec: SearchSpec,
             log.append(f"iteration {iteration}: solver budget exhausted")
             return TemplateSearchResult("budget", None, iteration, log)
         colouring = decode_model(result.model, instance)
-        failure = _candidate_failure(colouring, spec, reps)
+        failure = _candidate_failure(colouring, spec)
         if failure is None:
             template = TemplateGraph(colouring, spec.template_colour)
             log.append(f"iteration {iteration}: validated template of order "

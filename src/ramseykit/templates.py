@@ -70,7 +70,8 @@ class TemplateGraph:
 
     @property
     def phi(self) -> int:
-        return phi(self)
+        """Lowest template-coloured length minus one."""
+        return min(self.template_lengths()) - 1
 
     def template_lengths(self) -> set[int]:
         return self.base.colour_class(self.template_colour)
@@ -78,14 +79,6 @@ class TemplateGraph:
     def non_template_colours(self) -> list[int]:
         return [s for s in range(1, self.base.num_colours + 1)
                 if s != self.template_colour]
-
-
-def phi(T: TemplateGraph) -> int:
-    """Lowest template-coloured length minus one."""
-    cls = T.template_lengths()
-    if not cls:
-        raise TemplateError("empty template colour class")
-    return min(cls) - 1
 
 
 def compound_order(t: int, bonus: int, n: int) -> int:
@@ -108,7 +101,7 @@ def tiled_colouring(T: TemplateGraph, q: int) -> LengthColouring:
     if q < 1:
         raise TemplateError(f"repetition count must be >= 1, got {q}")
     t = T.order
-    order = compound_order(t, phi(T), q + 1)
+    order = compound_order(t, T.phi, q + 1)
     colours = tuple(T.base.colour_of[_residue(l, t) - 1]
                     for l in range(1, order))
     return LengthColouring(LINEAR, order, T.base.num_colours, colours,
@@ -164,21 +157,6 @@ def double_to_template(g: LengthColouring, compact: bool = False) -> TemplateGra
     return TemplateGraph(base, tcol)
 
 
-def rainbow_colouring(n: int) -> LengthColouring:
-    """Linear colouring of order n giving every length its own colour.
-
-    Each colour class is a single length, hence sum-free: no colour can hold
-    a triangle.  As a template compound's prototype it checks nothing the
-    repetitions do not: the non-template colour classes are those of the
-    (n-1)-fold tiling, and each rainbow colour is one block of template
-    residues.
-    """
-    if n < 2:
-        raise ColouringError(f"order: must be >= 2, got {n}")
-    return LengthColouring(LINEAR, n, n - 1, tuple(range(1, n)),
-                           avoid=(3,) * (n - 1))
-
-
 @dataclass(frozen=True)
 class TemplateFailure:
     """The first check a template candidate fails, with its witness lengths:
@@ -200,33 +178,43 @@ class TemplateFailure:
                 f"on base lengths {list(self.lengths)}")
 
 
-def check_reps(reps: int) -> None:
-    """TemplateError unless `reps`, a count of tilings, is at least 0."""
-    if reps < 0:
-        raise TemplateError(f"reps: must be >= 0, got {reps}")
+def covering_q(T: TemplateGraph, avoid) -> int:
+    """q*: the one tiling whose clique check covers every prototype order.
+
+    In a tiling the colour of a length l depends only on l mod P, P = t-1,
+    and lengths divisible by P take the top length's template colour.  So
+    a k-clique of a non-template colour keeps its colours when each gap
+    between consecutive vertices is cut to its residue in 1..P-1, and that
+    copy spans at most (k-1)(P-1).  The q-fold tiling has lengths up to
+    qP + phi, so the least q that holds every copy, for the largest bound
+    k in `avoid`, is q* = max(1, ceil(((k-1)(P-1) - phi) / P)) <= k-1.
+    """
+    P = T.order - 1
+    span = (max(avoid, default=1) - 1) * (P - 1)
+    return max(1, -(-(span - T.phi) // P))
 
 
-def validate_template(base: LengthColouring, template_colour: int, avoid,
-                      reps: int = 8) -> TemplateFailure | None:
+def validate_template(base: LengthColouring, template_colour: int, avoid
+                      ) -> TemplateFailure | None:
     """The first failing stage of the template checks, or None.
 
     Stages: `template_colour` is a tf-template class of `base`; the q-fold
-    tilings, q = 1..reps, stay below the non-template bounds `avoid`.  A
-    compound with a prototype of order n has the non-template colour classes
-    of the (n-1)-fold tiling, so a pass covers prototypes up to order
-    reps + 1.  Emitted compounds are clique-checked on their own as well.
+    tilings stay below the non-template bounds `avoid`.  A compound with a
+    prototype of order n has the non-template colour classes of the
+    (n-1)-fold tiling, and the q*-fold tiling of `covering_q` holds a copy
+    of every clique of every tiling, so a pass covers every prototype
+    order.  Emitted compounds are clique-checked on their own as well.
     Tilings nest (the (q-1)-fold one is the q-fold one on its first
-    vertices), so only q = 1, 2, 4, ..., reps are checked; a failure
-    reports the least q whose tiling holds its witness.
+    vertices), so only q = 1, 2, 4, ... below q*, then q*, are checked; a
+    failure reports the least q whose tiling holds its witness.
     """
-    check_reps(reps)
     avoid = _check_avoid(base, avoid)
     triple = _tf_violation(base, template_colour)
     if triple is not None:
         return TemplateFailure(TF, template_colour, lengths=triple)
     T = TemplateGraph(base, template_colour)
-    schedule = [2 ** i for i in range((reps - 1).bit_length())] + [reps]
-    for q in schedule if reps else ():
+    last = covering_q(T, avoid)
+    for q in [2 ** i for i in range((last - 1).bit_length())] + [last]:
         report = repetition_check(T, q, avoid)
         if not report.passes:
             i = report.first_failure(avoid)
@@ -238,6 +226,6 @@ def validate_template(base: LengthColouring, template_colour: int, avoid,
     return None
 
 
-def template_usable(T: TemplateGraph, avoid, reps: int = 8) -> bool:
+def template_usable(T: TemplateGraph, avoid) -> bool:
     """True iff `validate_template` finds no failure."""
-    return validate_template(T.base, T.template_colour, avoid, reps) is None
+    return validate_template(T.base, T.template_colour, avoid) is None

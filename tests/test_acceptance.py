@@ -27,6 +27,7 @@ from ramseykit.cliques import (
 )
 from ramseykit.colouring import (
     ExplicitColouring,
+    LengthColouring,
     check_cyclic_symmetry,
     expand_to_explicit,
     explicit_from_upper_triangle,
@@ -50,8 +51,6 @@ from ramseykit.sat import (
 from ramseykit.templates import (
     double_to_template,
     is_tf_template,
-    phi,
-    rainbow_colouring,
     repetition_check,
 )
 
@@ -207,14 +206,16 @@ def test_criterion_06_template_product_identity():
 def test_criterion_07_template_validity():
     T = double_to_template(pentagon())
     tf = is_tf_template(T.base, T.template_colour)
-    phi_ok = phi(T) == 4
+    phi_ok = T.phi == 4
     reps_ok = all(repetition_check(T, q, (3, 3)).passes for q in range(1, 9))
+    # the rainbow prototype of order n gives each length its own colour
     rainbow_ok = all(
-        ramsey_check(template_compound(T, rainbow_colouring(n)),
+        ramsey_check(template_compound(T, LengthColouring(
+                         "linear", n, n - 1, tuple(range(1, n)))),
                      (3, 3) + (3,) * (n - 1)).passes
         for n in range(2, 7))
     ok = tf and phi_ok and reps_ok and rainbow_ok
-    assert _report(7, ok, f"tf {tf}, phi {phi(T)}, repetitions {reps_ok}, "
+    assert _report(7, ok, f"tf {tf}, phi {T.phi}, repetitions {reps_ok}, "
                           f"rainbow compounds {rainbow_ok}")
 
 

@@ -194,7 +194,7 @@ def test_search_template_finds_known_case():
     proto = _cyclic34_prototype()
     assert proto.colour_of == (1, 2, 2, 1)
     spec = SearchSpec(proto, 3, (3, 4, 3))
-    result = search_template(spec, reps=4)
+    result = search_template(spec)
     assert result.status == "found"
     assert result.iterations == 1
     T = result.template
@@ -266,7 +266,7 @@ EXHAUSTED = "exhausted, no template exists in this encoding"
         f"iteration 2: {EXHAUSTED}"]),
 ])
 def test_search_template_refinement_logs(proto, t, avoid, log):
-    result = search_template(SearchSpec(proto, t, avoid), reps=8)
+    result = search_template(SearchSpec(proto, t, avoid))
     assert (result.status, result.iterations, result.log) == \
         ("none", len(log), log)
 

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -19,10 +19,9 @@ from ramseykit.templates import (
     TemplateError,
     TemplateFailure,
     TemplateGraph,
+    covering_q,
     double_to_template,
     is_tf_template,
-    phi,
-    rainbow_colouring,
     repetition_check,
     template_usable,
     tiled_colouring,
@@ -66,7 +65,7 @@ def test_doubling_pentagon():
     assert T.template_colour == 3
     assert T.base.colour_of == (1, 2, 2, 1, 3, 3, 3, 3, 3)
     assert T.template_lengths() == {5, 6, 7, 8, 9}
-    assert phi(T) == 4
+    assert T.phi == 4
     assert T.base.avoid == (3, 3, 3)
 
 
@@ -74,7 +73,7 @@ def test_doubling_compact_variant():
     T = double_to_template(pentagon(), compact=True)
     assert T.order == 9
     assert T.template_lengths() == {5, 6, 7, 8}
-    assert phi(T) == 4
+    assert T.phi == 4
 
 
 def test_tiled_colouring_order_and_pattern():
@@ -99,36 +98,27 @@ def test_repetition_check_avoid_arity():
         repetition_check(T, 2, (3, 3, 3))
 
 
-def test_rainbow_colouring():
-    r = rainbow_colouring(5)
-    assert r.order == 5
-    assert r.num_colours == 4
-    assert r.colour_of == (1, 2, 3, 4)
-    # singleton classes cannot hold a triangle
-    assert ramsey_check(r, (3, 3, 3, 3)).passes
-
-
 def test_template_usable_doubled_pentagon():
     T = double_to_template(pentagon())
-    assert template_usable(T, (3, 3), reps=8)
+    assert template_usable(T, (3, 3))
 
 
 def test_template_usable_doubled_edge():
     T = double_to_template(single_edge())
     assert T.order == 4
-    assert phi(T) == 1
-    assert template_usable(T, (3,), reps=6)
+    assert T.phi == 1
+    assert template_usable(T, (3,))
 
 
 def test_frozen_search_template_is_valid():
     T = TemplateGraph(TEMPLATE_343, 3)
-    assert phi(T) == 7
-    assert template_usable(T, (3, 4), reps=6)
+    assert T.phi == 7
+    assert template_usable(T, (3, 4))
 
 
 def test_validate_template_passes_doubled_pentagon():
     T = double_to_template(pentagon())
-    assert validate_template(T.base, 3, (3, 3), reps=8) is None
+    assert validate_template(T.base, 3, (3, 3)) is None
 
 
 def test_validate_template_tf_triangle():
@@ -162,6 +152,12 @@ def _random_template(rng):
             return TemplateGraph(base, 3)
 
 
+def _rainbow(n):
+    """Linear prototype of order n giving each length its own colour: every
+    class is a single length, so no colour holds a triangle."""
+    return LengthColouring("linear", n, n - 1, tuple(range(1, n)))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_rainbow_compound_is_a_repetition(seed):
     """The compound with a rainbow prototype of order n passes iff the
@@ -172,22 +168,23 @@ def test_rainbow_compound_is_a_repetition(seed):
         T = _random_template(rng)
         avoid = (rng.randint(2, 4), rng.randint(2, 4))
         for n in range(2, 6):
-            compound = template_compound(T, rainbow_colouring(n))
+            compound = template_compound(T, _rainbow(n))
             got = ramsey_check(compound, avoid + (3,) * (n - 1)).passes
             assert got == repetition_check(T, n - 1, avoid).passes, \
                 (T.base, avoid, n)
 
 
-def _oracle_first_failure(base, s, avoid, reps):
-    """Stage, colour and q of the first failing check, by exhaustive means:
-    brute-force triangles, then full branch-and-bound clique numbers."""
+def _oracle_first_failure(base, s, avoid, last):
+    """Stage, colour and q of the first failing check up to the last-fold
+    tiling, by exhaustive means: brute-force triangles, then full
+    branch-and-bound clique numbers."""
     g = expand_to_explicit(base)
     top = base.colour_of[-1] == s
     if not top or max_clique_in_colour(g, s)[0] >= 3:
         return TF, s, None
     T = TemplateGraph(base, s)
     non_template = T.non_template_colours()
-    for q in range(1, reps + 1):
+    for q in range(1, last + 1):
         tiled = expand_to_explicit(tiled_colouring(T, q))
         for colour, k in zip(non_template, avoid):
             if max_clique_in_colour(tiled, colour)[0] >= k:
@@ -195,36 +192,27 @@ def _oracle_first_failure(base, s, avoid, reps):
     return None
 
 
+def test_covering_q():
+    # q* = max(1, ceil(((k-1)(P-1) - phi) / P)), P = t-1, k the top bound
+    linear5 = TemplateGraph(LengthColouring("linear", 5, 3, (3, 1, 1, 3)), 3)
+    assert covering_q(linear5, (3, 3)) == 2  # ceil(6 / 4)
+    T = double_to_template(pentagon())
+    assert covering_q(T, (3, 3)) == 2  # ceil((16 - 4) / 9)
+    assert covering_q(T, (2, 2)) == 1  # ceil((8 - 4) / 9)
+    assert covering_q(T, (3, 9)) == 7  # ceil((64 - 4) / 9)
+    assert covering_q(TemplateGraph(TEMPLATE_343, 3), (3, 4)) == 3
+    edge = double_to_template(single_edge())  # P = 3, phi = 1
+    assert [covering_q(edge, (k,)) for k in range(2, 7)] == [1, 1, 2, 3, 3]
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_validate_template_matches_exhaustive_oracle(seed):
-    rng = random.Random(seed)
-    for _ in range(25):
-        order = rng.randint(5, 9)
-        colours = [rng.randint(1, 3) for _ in range(order - 2)]
-        colours.append(3 if rng.random() < 0.9 else rng.randint(1, 2))
-        base = LengthColouring("linear", order, 3, tuple(colours))
-        avoid = (rng.randint(2, 4), rng.randint(3, 4))
-        reps = rng.randint(0, 3)
-        failure = validate_template(base, 3, avoid, reps)
-        want = _oracle_first_failure(base, 3, avoid, reps)
-        got = None if failure is None else (
-            failure.stage, failure.colour, failure.q)
-        assert got == want, (base, avoid, reps)
-        if failure is None:
-            continue
-        # the witness lengths all carry the failing colour in the base
-        assert all(base.colour_of[l - 1] == failure.colour
-                   for l in failure.lengths)
-        if failure.stage == TF and failure.lengths:
-            x, y, z = failure.lengths
-            assert x + y == z
-
-
-def test_doubling_schedule_matches_ascending_oracle(monkeypatch):
-    """`validate_template` checks only q = 1, 2, 4, ..., reps.  Its verdict
-    and stage are the ascending oracle's; so is its failure when the
-    oracle's q is checked.  Otherwise the reported q lies between the
-    oracle's and reps, and its tiling holds a clique of the reported colour."""
+def test_validate_template_matches_exhaustive_oracle(seed, monkeypatch):
+    """`validate_template` checks q = 1, 2, 4, ... below q*, then q*.  Its
+    verdict, stage and colour are those of the ascending oracle run past
+    q*, to q = max(avoid) + 2: no tiling fails first beyond q*.  A failure's
+    q is the oracle's when that tiling is checked, else it lies between the
+    oracle's and q*; its tiling holds a clique of the reported colour, and
+    its lengths carry that colour in the base."""
     calls = []
     real = templates.repetition_check
 
@@ -233,40 +221,76 @@ def test_doubling_schedule_matches_ascending_oracle(monkeypatch):
         return real(T, q, avoid)
 
     monkeypatch.setattr(templates, "repetition_check", spy)
-    unchecked = set()  # oracle q's that fell between scheduled checks
-    for seed in range(4):
-        rng = random.Random(seed)
-        for _ in range(100):
-            order = rng.randint(6, 10)
-            colours = [rng.choice((1, 2, 2, 3)) for _ in range(order - 2)]
-            colours.append(3 if rng.random() < 0.9 else rng.randint(1, 2))
-            base = LengthColouring("linear", order, 3, tuple(colours))
-            avoid = (rng.randint(3, 5), rng.randint(4, 6))
-            first = _oracle_first_failure(base, 3, avoid, 8)
-            for reps in range(9):
-                case = (base, avoid, reps)
-                schedule = [q for q in (1, 2, 4) if q < reps] + [reps][:reps]
-                want = first
-                if first and first[2] is not None and first[2] > reps:
-                    want = None  # the ascending oracle stops at reps
-                calls.clear()
-                failure = validate_template(base, 3, avoid, reps)
-                assert calls == schedule[:len(calls)], case
-                if failure is None:
-                    assert want is None and calls == schedule, case
+    rng = random.Random(seed)
+    late = set()  # oracle q's beyond the first tiling
+    for _ in range(100):
+        order = rng.randint(5, 9)
+        colours = [rng.choice((1, 2, 2, 3)) for _ in range(order - 2)]
+        colours.append(3 if rng.random() < 0.9 else rng.randint(1, 2))
+        base = LengthColouring("linear", order, 3, tuple(colours))
+        avoid = (rng.randint(3, 5), rng.randint(4, 6))
+        case = (base, avoid)
+        calls.clear()
+        failure = validate_template(base, 3, avoid)
+        want = _oracle_first_failure(base, 3, avoid, max(avoid) + 2)
+        got = None if failure is None else (failure.stage, failure.colour)
+        assert got == (want and want[:2]), case
+        if failure is not None:
+            assert all(base.colour_of[l - 1] == failure.colour
+                       for l in failure.lengths), case
+        if failure is not None and failure.stage == TF:
+            assert calls == [], case
+            if failure.lengths:
+                x, y, z = failure.lengths
+                assert x + y == z, case
+            continue
+        last = covering_q(TemplateGraph(base, 3), avoid)
+        schedule = [q for q in (1, 2, 4) if q < last] + [last]
+        if failure is None:
+            assert calls == schedule, case
+            continue
+        assert calls == schedule[:len(calls)], case
+        if want[2] > 1:
+            late.add(want[2])
+        if want[2] in schedule:
+            assert failure.q == want[2], case
+        assert want[2] <= failure.q <= last, case
+        tiled = expand_to_explicit(
+            tiled_colouring(TemplateGraph(base, 3), failure.q))
+        assert max_clique_in_colour(tiled, failure.colour)[0] >= \
+            avoid[failure.colour - 1], case
+    assert late, "no tiling beyond the first failed"
+
+
+def test_compound_of_valid_template_passes():
+    """The construction theorem on every small case: a template passing
+    `validate_template` and a prototype B below its own bounds give a
+    compound below the template's non-template bounds and B's bounds.
+    Templates: every tf template of order 4-6 in three colours under
+    bounds 3-4; prototypes: every 2-colour linear one of order 2-6 at its
+    clique numbers + 1, and the rainbow ones of order 2-6."""
+    protos = [(_rainbow(n), (3,) * (n - 1)) for n in range(2, 7)]
+    for n in range(2, 7):
+        for colours in product((1, 2), repeat=n - 1):
+            B = LengthColouring("linear", n, 2, colours)
+            sizes = ramsey_check(B, (n + 1, n + 1), exact=True).per_colour_max
+            protos.append((B, tuple(size + 1 for size in sizes)))
+    templates_passed = 0
+    for order in range(4, 7):
+        for colours in product((1, 2, 3), repeat=order - 2):
+            base = LengthColouring("linear", order, 3, colours + (3,))
+            if not is_tf_template(base, 3):
+                continue
+            T = TemplateGraph(base, 3)
+            for avoid in product((3, 4), repeat=2):
+                if validate_template(base, 3, avoid) is not None:
                     continue
-                got = (failure.stage, failure.colour, failure.q)
-                assert want is not None and got[0] == want[0], case
-                if want[2] is None or want[2] in schedule:
-                    assert got == want, case
-                    continue
-                unchecked.add(want[2])
-                assert want[2] <= failure.q <= reps, case
-                tiled = expand_to_explicit(
-                    tiled_colouring(TemplateGraph(base, 3), failure.q))
-                assert max_clique_in_colour(tiled, failure.colour)[0] >= \
-                    avoid[failure.colour - 1], case
-    assert unchecked & {3, 5, 6, 7}, unchecked
+                templates_passed += 1
+                for B, bounds in protos:
+                    compound = template_compound(T, B)
+                    assert ramsey_check(compound, avoid + bounds).passes, \
+                        (base, avoid, B)
+    assert templates_passed
 
 
 def test_validate_template_checks_avoid_length_first():
@@ -275,7 +299,7 @@ def test_validate_template_checks_avoid_length_first():
     for base, s, avoid in ((T.base, 3, (3,)), (T.base, 3, (3, 3, 3, 3)),
                            (triangle, 2, (3, 3))):
         with pytest.raises(ColouringError, match="avoid: expected"):
-            validate_template(base, s, avoid, reps=0)
+            validate_template(base, s, avoid)
 
 
 def test_repetition_check_returns_witnesses():
@@ -298,6 +322,6 @@ def test_template_usable_is_validate_template(monkeypatch):
 
     monkeypatch.setattr(templates, "validate_template", spy)
     T = double_to_template(pentagon())
-    assert template_usable(T, (3, 3), reps=2)
-    assert not template_usable(T, (3, 2), reps=2)
+    assert template_usable(T, (3, 3))
+    assert not template_usable(T, (3, 2))
     assert len(calls) == 2
