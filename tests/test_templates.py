@@ -205,14 +205,44 @@ def test_covering_q():
     assert [covering_q(edge, (k,)) for k in range(2, 7)] == [1, 1, 2, 3, 3]
 
 
+def _random_cases(rng, n):
+    """n random linear bases with colour 3 mostly on the top length, each
+    with bounds for colours 1, 2 and the ascending oracle's first failure
+    up to q = max(avoid) + 2, past every q* of these bounds."""
+    for _ in range(n):
+        order = rng.randint(5, 9)
+        colours = [rng.choice((1, 2, 2, 3)) for _ in range(order - 2)]
+        colours.append(3 if rng.random() < 0.9 else rng.randint(1, 2))
+        base = LengthColouring("linear", order, 3, tuple(colours))
+        avoid = (rng.randint(3, 5), rng.randint(4, 6))
+        yield base, avoid, _oracle_first_failure(base, 3, avoid,
+                                                 max(avoid) + 2)
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_validate_template_matches_exhaustive_oracle(seed, monkeypatch):
-    """`validate_template` checks q = 1, 2, 4, ... below q*, then q*.  Its
-    verdict, stage and colour are those of the ascending oracle run past
-    q*, to q = max(avoid) + 2: no tiling fails first beyond q*.  A failure's
-    q is the oracle's when that tiling is checked, else it lies between the
-    oracle's and q*; its tiling holds a clique of the reported colour, and
-    its lengths carry that colour in the base."""
+def test_validate_template_matches_exhaustive_oracle(seed):
+    """`validate_template`'s verdict, stage and colour are those of the
+    ascending oracle run past q*: no tiling fails first beyond q*.  A
+    failure's lengths carry its colour in the base."""
+    for base, avoid, want in _random_cases(random.Random(seed), 100):
+        case = (base, avoid)
+        failure = validate_template(base, 3, avoid)
+        got = None if failure is None else (failure.stage, failure.colour)
+        assert got == (want and want[:2]), case
+        if failure is None:
+            continue
+        assert all(base.colour_of[l - 1] == failure.colour
+                   for l in failure.lengths), case
+        if failure.stage == TF and failure.lengths:
+            x, y, z = failure.lengths
+            assert x + y == z, case
+
+
+def test_doubling_schedule_matches_ascending_oracle(monkeypatch):
+    """`validate_template` checks q = 1, 2, 4, ... below q*, then q*, and
+    no tiling on a tf failure.  A failure's q is the ascending oracle's
+    when that tiling is checked, else it lies between the oracle's and q*;
+    its tiling holds a clique of the reported colour."""
     calls = []
     real = templates.repetition_check
 
@@ -221,44 +251,30 @@ def test_validate_template_matches_exhaustive_oracle(seed, monkeypatch):
         return real(T, q, avoid)
 
     monkeypatch.setattr(templates, "repetition_check", spy)
-    rng = random.Random(seed)
     late = set()  # oracle q's beyond the first tiling
-    for _ in range(100):
-        order = rng.randint(5, 9)
-        colours = [rng.choice((1, 2, 2, 3)) for _ in range(order - 2)]
-        colours.append(3 if rng.random() < 0.9 else rng.randint(1, 2))
-        base = LengthColouring("linear", order, 3, tuple(colours))
-        avoid = (rng.randint(3, 5), rng.randint(4, 6))
-        case = (base, avoid)
-        calls.clear()
-        failure = validate_template(base, 3, avoid)
-        want = _oracle_first_failure(base, 3, avoid, max(avoid) + 2)
-        got = None if failure is None else (failure.stage, failure.colour)
-        assert got == (want and want[:2]), case
-        if failure is not None:
-            assert all(base.colour_of[l - 1] == failure.colour
-                       for l in failure.lengths), case
-        if failure is not None and failure.stage == TF:
-            assert calls == [], case
-            if failure.lengths:
-                x, y, z = failure.lengths
-                assert x + y == z, case
-            continue
-        last = covering_q(TemplateGraph(base, 3), avoid)
-        schedule = [q for q in (1, 2, 4) if q < last] + [last]
-        if failure is None:
-            assert calls == schedule, case
-            continue
-        assert calls == schedule[:len(calls)], case
-        if want[2] > 1:
-            late.add(want[2])
-        if want[2] in schedule:
-            assert failure.q == want[2], case
-        assert want[2] <= failure.q <= last, case
-        tiled = expand_to_explicit(
-            tiled_colouring(TemplateGraph(base, 3), failure.q))
-        assert max_clique_in_colour(tiled, failure.colour)[0] >= \
-            avoid[failure.colour - 1], case
+    for seed in range(4):
+        for base, avoid, want in _random_cases(random.Random(seed), 100):
+            case = (base, avoid)
+            calls.clear()
+            failure = validate_template(base, 3, avoid)
+            if failure is not None and failure.stage == TF:
+                assert calls == [], case
+                continue
+            last = covering_q(TemplateGraph(base, 3), avoid)
+            schedule = [q for q in (1, 2, 4) if q < last] + [last]
+            if failure is None:
+                assert calls == schedule, case
+                continue
+            assert calls == schedule[:len(calls)], case
+            if want[2] > 1:
+                late.add(want[2])
+            if want[2] in schedule:
+                assert failure.q == want[2], case
+            assert want[2] <= failure.q <= last, case
+            tiled = expand_to_explicit(
+                tiled_colouring(TemplateGraph(base, 3), failure.q))
+            assert max_clique_in_colour(tiled, failure.colour)[0] >= \
+                avoid[failure.colour - 1], case
     assert late, "no tiling beyond the first failed"
 
 
