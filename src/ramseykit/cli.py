@@ -572,8 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--prototype", required=True)
     st.add_argument("--t", type=int, required=True)
     st.add_argument("--avoid", required=True)
-    # hidden and ignored, as on template-check, so old command lines run
-    st.add_argument("--reps", type=int, help=argparse.SUPPRESS)
     st.add_argument("--budget", type=int, default=sat.DEFAULT_CONFLICT_BUDGET)
     st.add_argument("--out")
     st.set_defaults(fn=cmd_search)

@@ -214,7 +214,7 @@ def _random_cases(rng, n):
         colours = [rng.choice((1, 2, 2, 3)) for _ in range(order - 2)]
         colours.append(3 if rng.random() < 0.9 else rng.randint(1, 2))
         base = LengthColouring("linear", order, 3, tuple(colours))
-        avoid = (rng.randint(3, 5), rng.randint(4, 6))
+        avoid = (rng.randint(2, 5), rng.randint(4, 6))
         yield base, avoid, _oracle_first_failure(base, 3, avoid,
                                                  max(avoid) + 2)
 
@@ -251,7 +251,7 @@ def test_doubling_schedule_matches_ascending_oracle(monkeypatch):
         return real(T, q, avoid)
 
     monkeypatch.setattr(templates, "repetition_check", spy)
-    late = set()  # oracle q's beyond the first tiling
+    unchecked = set()  # oracle q's that fall between checked tilings
     for seed in range(4):
         for base, avoid, want in _random_cases(random.Random(seed), 100):
             case = (base, avoid)
@@ -266,16 +266,33 @@ def test_doubling_schedule_matches_ascending_oracle(monkeypatch):
                 assert calls == schedule, case
                 continue
             assert calls == schedule[:len(calls)], case
-            if want[2] > 1:
-                late.add(want[2])
             if want[2] in schedule:
                 assert failure.q == want[2], case
+            else:
+                unchecked.add(want[2])
             assert want[2] <= failure.q <= last, case
             tiled = expand_to_explicit(
                 tiled_colouring(TemplateGraph(base, 3), failure.q))
             assert max_clique_in_colour(tiled, failure.colour)[0] >= \
                 avoid[failure.colour - 1], case
-    assert late, "no tiling beyond the first failed"
+    assert 3 in unchecked, unchecked
+
+
+def test_failure_between_checked_tilings():
+    """q* = 4 schedules q = 1, 2, 4.  The 3-fold tiling of the linear
+    (3, 2, 2, 2, 3) already holds a colour-2 4-clique, so the failure comes
+    from the 4-fold check, and its q is the least tiling that holds the
+    witness found there: span 17 over P = 5 and phi = 0 needs q = 4."""
+    base = LengthColouring("linear", 6, 3, (3, 2, 2, 2, 3))
+    avoid = (5, 4)
+    T = TemplateGraph(base, 3)
+    assert covering_q(T, avoid) == 4
+    assert _oracle_first_failure(base, 3, avoid, 4) == (REPETITION, 2, 3)
+    assert repetition_check(T, 4, avoid).witness[1] == (0, 9, 13, 17)
+    failure = validate_template(base, 3, avoid)
+    assert (failure.stage, failure.colour, failure.q) == (REPETITION, 2, 4)
+    assert str(failure) == \
+        "repetition q=4: FAIL, colour 2 clique on base lengths [2, 3, 4]"
 
 
 def test_compound_of_valid_template_passes():
