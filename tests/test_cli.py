@@ -1044,3 +1044,143 @@ def test_pipeline_recipe_that_is_not_an_object_exits_2(recipe, tmp_path,
     assert dispatch(["pipeline", str(path)]) == 2
     assert "a recipe is an object whose steps are a list of objects" in \
         capsys.readouterr().err
+
+
+# -- CLI paths pinned byte for byte ------------------------------------------
+
+def test_ledger_best_gamma_prints_its_chain(store, capsys):
+    assert dispatch(["ledger", "seed"]) == 0
+    assert dispatch(["ledger", "derive", "--rules", "r10", "--depth", "1"]) == 0
+    capsys.readouterr()
+    assert dispatch(["ledger", "best", "gamma(6)"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "fact 2: graph (6,6,3; 235) -- asserted: published template catalogue "
+        "(2022); extension of Kalbfleisch's (6,6;101)-graph\n"
+        "fact 12: Gamma(6) >= 15.297058 -- derived[r10] from [2]\n")
+    assert captured.err == ""
+
+
+def test_ledger_assert_stores_template_and_degree_flags(store, capsys):
+    assert dispatch(["ledger", "assert", "3,3,3", "14", "--source", "s",
+                     "--template", "--phi", "6"]) == 0
+    assert dispatch(["ledger", "assert", "3,3", "5", "--source", "d",
+                     "--degree", "2", "--degree-index", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("fact 1: graph (3, 3, 3); order 14 (asserted)\n"
+                            "fact 2: graph (3, 3); order 5 (asserted)\n")
+    assert captured.err == ""
+    assert _stored_flags(store) == [
+        {"template": True, "phi": 6},
+        {"special_degree": 2, "special_degree_index": 1}]
+
+
+@pytest.mark.parametrize("kind, encode", [("linear", sat.encode_linear),
+                                          ("cyclic", sat.encode_cyclic)])
+def test_encode_writes_stdout_as_out(kind, encode, tmp_path, capsys):
+    cnf = tmp_path / "x.cnf"
+    argv = ["encode", kind, "--order", "5", "--avoid", "3,3"]
+    assert dispatch(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == sat.write_dimacs(encode(5, (3, 3)))
+    assert captured.err == ""
+    assert dispatch([*argv, "--out", str(cnf)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cnf.read_bytes() == captured.out.encode()
+
+
+def _refused(argv, out, capsys, err):
+    for extra in ([], ["--out", str(out)]):
+        assert dispatch([*argv, *extra]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+    assert not out.exists()
+
+
+def test_construct_refuses_a_compound_that_fails(pentagon_file, tmp_path,
+                                                 capsys):
+    # the stored avoid (2, 3) is false for C5, so the product's is too
+    false = tmp_path / "c5false.json"
+    save_colouring(LengthColouring("cyclic", 5, 2, (1, 2), avoid=(2, 3)),
+                   false)
+    _refused(["construct", "product", "--a", str(false), "--b", pentagon_file],
+             tmp_path / "p.json", capsys,
+             "construction failed verification; refusing to emit\n")
+
+
+def test_decode_refuses_a_model_that_fails(tmp_path, capsys):
+    cnf, model = tmp_path / "c5.cnf", tmp_path / "c5.model"
+    assert dispatch(["encode", "cyclic", "--order", "5", "--avoid", "3,3",
+                     "--out", str(cnf)]) == 0
+    model.write_text("s SATISFIABLE\nv 1 -2 3 -4 0\n")  # every edge colour 1
+    _refused(["decode", "--cnf", str(cnf), "--model", str(model)],
+             tmp_path / "d.json", capsys,
+             "decoded model fails verification; refusing to emit\n")
+
+
+def test_search_template_budget_exhausted(pentagon_file, tmp_path, capsys):
+    out = tmp_path / "t.json"
+    for extra in ([], ["--out", str(out)]):
+        assert dispatch(["search", "template", "--prototype", pentagon_file,
+                         "--t", "2", "--avoid", "3,3,3", "--budget", "0",
+                         *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "iteration 1: solver budget exhausted\n"
+        assert captured.err == ""
+    assert not out.exists()
+
+
+def test_ledger_table_takes_single_values(store, capsys):
+    assert dispatch(["ledger", "seed"]) == 0
+    assert dispatch(["ledger", "derive", "--rules", "r8,r9",
+                     "--depth", "2"]) == 0
+    capsys.readouterr()
+    assert dispatch(["ledger", "table", "--k", "9", "--r", "3"]) == 0
+    assert capsys.readouterr().out == \
+        "| k\\r | 3 |\n|---|---|\n| 9 | 15040 (d) |\n"
+
+
+_C5_STEP = {"op": "colouring", "name": "c5", "builtin": "pentagon"}
+
+
+@pytest.mark.parametrize("steps, log", [
+    ([_C5_STEP, {"op": "verify", "target": "c5", "avoid": [2, 3]}],
+     ["step 1: colouring 'c5' order 5", "step 2: verify 'c5' FAILED"]),
+    ([_C5_STEP, {"op": "add_fact", "target": "c5", "avoid": [3, 2]}],
+     ["step 1: colouring 'c5' order 5",
+      "step 2: fact for 'c5' fails verification"]),
+    ([{"op": "seed"}, {"op": "frobnicate"}],
+     ["step 1: seeded 10 facts", "step 2: unknown op 'frobnicate'"]),
+], ids=["verify-failed", "add-fact-fails", "unknown-op"])
+def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
+                                          capsys):
+    recipe = tmp_path / "r.json"
+    recipe.write_text(json.dumps({"name": "r", "steps": steps}))
+    assert dispatch(["pipeline", str(recipe), "--use-store"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [*log, "pipeline stopped at step 2"]
+    assert captured.err == ""
+    assert not os.path.exists(store)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "{c5}", "--avoid", "three"], "bad avoid list 'three'"),
+    (["ledger", "best", "what is R?"], "cannot parse query 'what is R?'"),
+    (["pipeline", "no_such_recipe"], "no recipe 'no_such_recipe'"),
+    (["verify", "{missing}"],
+     "[Errno 2] No such file or directory: '{missing}'"),
+    (["template-check", "{c5}", "--avoid", "3,3"],
+     "file does not carry a template_colour"),
+    (["verify", "{bare}"], "no avoid vector given or stored in the file"),
+], ids=["bad-avoid", "bad-query", "missing-recipe", "missing-file",
+        "no-template-colour", "no-avoid"])
+def test_usage_error_is_one_stderr_line(argv, message, store, pentagon_file,
+                                        tmp_path, capsys):
+    names = {"c5": pentagon_file, "missing": str(tmp_path / "nope.json"),
+             "bare": str(tmp_path / "bare.json")}
+    save_colouring(LengthColouring("cyclic", 5, 2, (1, 2)), names["bare"])
+    argv = [a.format(**names) for a in argv]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(**names)}\n"
