@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
@@ -38,7 +39,7 @@ def _parse_avoid(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise SystemExit(f"error: bad avoid list {text!r}")
+        raise ValueError(f"bad avoid list {text!r}") from None
 
 
 def _print_report(report: CliqueReport, avoid, witness: bool) -> None:
@@ -58,9 +59,7 @@ def cmd_verify(args) -> int:
     c = col.load_colouring(args.file)
     avoid = _parse_avoid(args.avoid) if args.avoid else c.avoid
     if avoid is None:
-        print("error: no avoid vector given or stored in the file",
-              file=sys.stderr)
-        return ERROR
+        raise ValueError("no avoid vector given or stored in the file")
     report = ramsey_check(c, avoid, exact=args.exact)
     _print_report(report, avoid, args.witness)
     return PASS if report.passes else FAIL
@@ -69,8 +68,7 @@ def cmd_verify(args) -> int:
 def cmd_template_check(args) -> int:
     c = col.load_colouring(args.file)
     if not isinstance(c, col.LengthColouring) or c.template_colour is None:
-        print("error: file does not carry a template_colour", file=sys.stderr)
-        return ERROR
+        raise ValueError("file does not carry a template_colour")
     avoid = _parse_avoid(args.avoid)
     base = c.as_linear()
     failure = validate_template(base, c.template_colour, avoid)
@@ -85,11 +83,13 @@ def cmd_template_check(args) -> int:
     return PASS if failure is None else FAIL
 
 
-def _emit_colouring(c, args) -> None:
-    if args.out:
-        col.save_colouring(c, args.out)
+def _write(text: str, path: str | None) -> None:
+    """Write `text` to the file `path`, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
     else:
-        sys.stdout.write(col.serialize_colouring(c))
+        sys.stdout.write(text)
 
 
 def _require(what: str, operands, names) -> None:
@@ -163,7 +163,7 @@ def cmd_construct(args) -> int:
             return FAIL
     elif args.no_verify:
         out = replace(out, comment="unverified")
-    _emit_colouring(out, args)
+    _write(col.serialize_colouring(out), args.out)
     return PASS
 
 
@@ -179,12 +179,7 @@ def cmd_encode(args) -> int:
     else:
         inst = sat.encode_extension(_extension_spec(what, args, avoid),
                                     clause_cap=args.clause_cap)
-    text = sat.write_dimacs(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(sat.write_dimacs(inst), args.out)
     return PASS
 
 
@@ -198,8 +193,7 @@ def cmd_solve(args) -> int:
         values = "v " + " ".join(str(lit) for lit in result.model) + " 0"
         print(values)
         if args.model_out:
-            with open(args.model_out, "w", encoding="utf-8", newline="\n") as f:
-                f.write(f"s SATISFIABLE\n{values}\n")
+            _write(f"s SATISFIABLE\n{values}\n", args.model_out)
         return PASS
     return FAIL
 
@@ -218,7 +212,7 @@ def cmd_decode(args) -> int:
         print("decoded model fails verification; refusing to emit",
               file=sys.stderr)
         return FAIL
-    _emit_colouring(decoded, args)
+    _write(col.serialize_colouring(decoded), args.out)
     return PASS
 
 
@@ -234,7 +228,7 @@ def cmd_search(args) -> int:
     for line in result.log:
         print(line)
     if result.status == "found":
-        _emit_colouring(result.template.base, args)
+        _write(col.serialize_colouring(result.template.base), args.out)
         return PASS
     return FAIL
 
@@ -269,51 +263,6 @@ def cmd_ledger(args) -> int:
     path = _store_path(args)
     with _locked_store(path):
         ledger = _load_store(path)
-        if args.ledger_cmd == "seed":
-            ids = led.load_seed_pack(ledger)
-            print(f"loaded {len(ids)} seed facts")
-            ledger.save(path)
-            return PASS
-        if args.ledger_cmd == "add":
-            avoid = _parse_avoid(args.avoid)
-            c = col.load_colouring(args.file)
-            if args.cyclic:
-                flags = {"cyclic": True}
-            elif isinstance(c, col.LengthColouring):
-                flags = {"linear": True}
-            else:  # an explicit colouring has no length form
-                flags = {}
-            store_dir = os.path.dirname(path) or "."
-            fact = led.graph_fact(
-                avoid, c.order,
-                {"type": "explicit",
-                 "path": os.path.relpath(args.file, store_dir)}, **flags)
-            fid = ledger.add_fact(fact, base_dir=store_dir)
-            print(f"fact {fid}: graph {avoid}; order {fact.value} (explicit)")
-            ledger.save(path)
-            return PASS
-        if args.ledger_cmd == "assert":
-            params = _parse_avoid(args.params)
-            flags = {"cyclic": True} if args.cyclic else {}
-            if args.template:
-                flags["template"] = True
-                flags["phi"] = args.phi
-            if args.degree is not None:
-                flags["special_degree"] = args.degree
-                flags["special_degree_index"] = args.degree_index
-            fact = led.graph_fact(params, args.order,
-                                  led.asserted(args.source), **flags)
-            fid = ledger.add_fact(fact)
-            print(f"fact {fid}: graph {params}; order {args.order} (asserted)")
-            ledger.save(path)
-            return PASS
-        if args.ledger_cmd == "derive":
-            rules = args.rules.split(",") if args.rules else None
-            new = ledger.derive_closure(rules=rules, depth=args.depth)
-            for f in new:
-                print(_fact_line(f))
-            ledger.save(path)
-            return PASS
         if args.ledger_cmd == "best":
             kind, params = _parse_query(args.query)
             fact = ledger.best_bound(kind, params)
@@ -332,7 +281,51 @@ def cmd_ledger(args) -> int:
                                                range(r_lo, r_hi + 1),
                                                fmt=args.format))
             return PASS
-    raise SystemExit(f"error: unknown ledger command {args.ledger_cmd!r}")
+        if args.ledger_cmd == "seed":
+            ids = led.load_seed_pack(ledger)
+            print(f"loaded {len(ids)} seed facts")
+        elif args.ledger_cmd == "add":
+            avoid = _parse_avoid(args.avoid)
+            c = col.load_colouring(args.file)
+            if args.cyclic:
+                flags = {"cyclic": True}
+            elif isinstance(c, col.LengthColouring):
+                flags = {"linear": True}
+            else:  # an explicit colouring has no length form
+                flags = {}
+            store_dir = os.path.dirname(path) or "."
+            fact = led.graph_fact(
+                avoid, c.order,
+                {"type": "explicit",
+                 "path": os.path.relpath(args.file, store_dir)}, **flags)
+            fid = ledger.add_fact(fact, base_dir=store_dir)
+            print(f"fact {fid}: graph {avoid}; order {fact.value} (explicit)")
+        elif args.ledger_cmd == "assert":
+            params = _parse_avoid(args.params)
+            flags = {"cyclic": True} if args.cyclic else {}
+            if args.template:
+                flags["template"] = True
+                flags["phi"] = args.phi
+            if args.degree is not None:
+                flags["special_degree"] = args.degree
+                flags["special_degree_index"] = args.degree_index
+            fact = led.graph_fact(params, args.order,
+                                  led.asserted(args.source), **flags)
+            fid = ledger.add_fact(fact)
+            print(f"fact {fid}: graph {params}; order {args.order} (asserted)")
+        else:  # derive
+            rules = args.rules.split(",") if args.rules else None
+            for f in ledger.derive_closure(rules=rules, depth=args.depth):
+                print(_fact_line(f))
+        ledger.save(path)
+    return PASS
+
+
+# The name of each fact kind in printed facts, `ledger best` queries and
+# recipe `expect` steps; gamma may also be written in lower case.
+KIND_NAMES = {led.GRAPH: "graph", led.RAMSEY: "R", led.GAMMA: "Gamma"}
+_KINDS = {**{name: kind for kind, name in KIND_NAMES.items()},
+          "gamma": led.GAMMA}
 
 
 def _fact_line(f: led.BoundFact) -> str:
@@ -346,27 +339,21 @@ def _fact_line(f: led.BoundFact) -> str:
         prov = f"asserted: {cert['source']}"
     else:
         prov = f"explicit: {cert['path']}"
-    name = {led.GRAPH: "graph", led.RAMSEY: "R", led.GAMMA: "Gamma"}[f.kind]
+    name = KIND_NAMES[f.kind]
     params = ",".join(str(k) for k in f.parameters)
     if f.kind == led.GRAPH:
-        head = f"graph ({params}; {value})"
-    elif f.kind == led.RAMSEY:
-        head = f"R({params}) >= {value}"
+        head = f"{name} ({params}; {value})"
     else:
-        head = f"Gamma({params}) >= {value}"
+        head = f"{name}({params}) >= {value}"
     return f"fact {f.fact_id}: {head} -- {prov}"
 
 
 def _parse_query(text: str):
-    import re
-
-    m = re.fullmatch(r"\s*(R|gamma|Gamma|graph)\s*\(([\d,\s]+)\)\s*", text)
-    if not m:
-        raise SystemExit(f"error: cannot parse query {text!r}")
-    kind = {"R": led.RAMSEY, "gamma": led.GAMMA, "Gamma": led.GAMMA,
-            "graph": led.GRAPH}[m.group(1)]
+    m = re.fullmatch(r"\s*(\w+)\s*\(([\d,\s]+)\)\s*", text)
+    if not m or m.group(1) not in _KINDS:
+        raise ValueError(f"cannot parse query {text!r}")
     params = tuple(int(x) for x in m.group(2).split(","))
-    return kind, params
+    return _KINDS[m.group(1)], params
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -444,9 +431,8 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                 log.append(f"step {i}: derived {len(new)} facts")
                 dirty = True
             elif op == "expect":
-                kind = {"graph": led.GRAPH, "R": led.RAMSEY,
-                        "gamma": led.GAMMA}[step["kind"]]
-                fact = ledger.best_bound(kind, tuple(step["parameters"]))
+                fact = ledger.best_bound(_KINDS[step["kind"]],
+                                         tuple(step["parameters"]))
                 if fact is not None:
                     ledger.recompute_check(ledger.provenance_chain(fact))
                 want = step["min_value"]
@@ -489,10 +475,12 @@ def _load_recipe(name_or_path: str) -> dict:
     shipped = resources.files("ramseykit.data") / "recipes" / f"{name_or_path}.json"
     if shipped.is_file():
         return json.loads(shipped.read_text())
-    raise SystemExit(f"error: no recipe {name_or_path!r}")
+    raise ValueError(f"no recipe {name_or_path!r}")
 
 
 def cmd_pipeline(args) -> int:
+    if args.store and not args.use_store:
+        raise ValueError("pipeline: --store applies only with --use-store")
     recipe = _load_recipe(args.recipe)
     store = _store_path(args) if args.use_store else None
     with _locked_store(store) if store else nullcontext():
@@ -580,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--store", help="fact store path "
                     f"(default ${FACT_STORE_ENV} or {DEFAULT_FACT_STORE})")
     lg_sub = lg.add_subparsers(dest="ledger_cmd", required=True)
-    ls = lg_sub.add_parser("seed", help="load the shipped asserted-fact pack")
+    lg_sub.add_parser("seed", help="load the shipped asserted-fact pack")
     la = lg_sub.add_parser("add", help="add a verified colouring file")
     la.add_argument("file")
     la.add_argument("--avoid", required=True)
@@ -603,13 +591,11 @@ def build_parser() -> argparse.ArgumentParser:
     lt.add_argument("--k", required=True, help="range a..b")
     lt.add_argument("--r", required=True, help="range a..b")
     lt.add_argument("--format", choices=["md", "csv"], default="md")
-    for sp in (ls, la, lassert, ld, lb, lt):
-        sp.set_defaults(fn=cmd_ledger)
     lg.set_defaults(fn=cmd_ledger)
 
     pl = sub.add_parser("pipeline", help="run a recipe file")
     pl.add_argument("recipe", help="path or shipped recipe name")
-    pl.add_argument("--store")
+    pl.add_argument("--store", help="fact store path (needs --use-store)")
     pl.add_argument("--use-store", action="store_true",
                     help="apply fact changes to the fact store")
     pl.set_defaults(fn=cmd_pipeline)
@@ -625,11 +611,6 @@ def dispatch(argv=None) -> int:
         return ERROR if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SystemExit as e:
-        if isinstance(e.code, str):
-            print(e.code, file=sys.stderr)
-            return ERROR
-        return e.code if e.code is not None else 0
     except (OSError, ValueError, KeyError, led.LedgerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return ERROR

@@ -127,8 +127,6 @@ def _search(adj: list[int], cand: int, stop_at: int | None, best_size: int,
 
     def expand(r: list[int], cand: int):
         nonlocal best_size, best
-        if stop_at is not None and best_size >= stop_at:
-            return
         ordered = _greedy_colour_order(adj, cand)
         for v, bound in reversed(ordered):
             if len(r) + bound <= best_size:

@@ -143,15 +143,13 @@ def _is_template_graph(f: BoundFact) -> bool:
     return f.kind == GRAPH and bool(f.flags.get("template"))
 
 
-def _rule_giraud(f: BoundFact, k_new: int = 3):
-    """Add one colour with bound k_new to a cyclic graph: order x (2k-3).
+def _rule_giraud(f: BoundFact):
+    """Add one colour with bound 3 to a cyclic graph: order x 3.
     Needs two bounds >= 3: the edge (3; 2) would give (3, 3; 6), R(3,3) = 6."""
     if not _is_cyclic_graph(f) or sum(k >= 3 for k in f.parameters) < 2:
         return None
-    params = f.parameters + (k_new,)
-    value = (2 * k_new - 3) * f.value
-    return BoundFact(GRAPH, params, value, derived("r1", [f.fact_id]),
-                     {"cyclic": True})
+    return BoundFact(GRAPH, f.parameters + (3,), 3 * f.value,
+                     derived("r1", [f.fact_id]), {"cyclic": True})
 
 
 def _rule_product(f1: BoundFact, f2: BoundFact):

@@ -135,21 +135,20 @@ def repetition_check(T: TemplateGraph, q: int, avoid) -> CliqueReport:
     return CliqueReport(sizes, wits, report.passes, exact)
 
 
-def doubled_shape(m: int, compact: bool = False) -> tuple[int, int]:
+def doubled_shape(m: int) -> tuple[int, int]:
     """Order and phi of `double_to_template` on a colouring of order m."""
-    return (2 * m - 1 if compact else 2 * m), m - 1
+    return 2 * m, m - 1
 
 
-def double_to_template(g: LengthColouring, compact: bool = False) -> TemplateGraph:
+def double_to_template(g: LengthColouring) -> TemplateGraph:
     """Template from a plain linear colouring by doubling.
 
-    Lengths 1..m-1 copy g; the top band takes a fresh template colour.  The
-    default output has order 2m (top band [m, 2m-1], phi = m-1); with
-    compact=True the order is 2m-1 (band [m, 2m-2]).
+    Lengths 1..m-1 copy g; the top band [m, 2m-1] takes a fresh template
+    colour, so the output has order 2m and phi = m-1.
     """
     lin = g.as_linear()
     tcol = lin.num_colours + 1
-    order, bonus = doubled_shape(lin.order, compact)
+    order, bonus = doubled_shape(lin.order)
     colours = lin.colour_of + (tcol,) * (order - 1 - bonus)
     avoid = lin.avoid + (3,) if lin.avoid is not None else None
     base = LengthColouring(LINEAR, order, tcol, colours, avoid=avoid,

@@ -1184,3 +1184,18 @@ def test_usage_error_is_one_stderr_line(argv, message, store, pentagon_file,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.format(**names)}\n"
+
+
+def test_pipeline_store_needs_use_store(tmp_path, capsys):
+    """--store alone used to run the recipe and leave the named store
+    untouched; now it is refused before the recipe runs."""
+    store = tmp_path / "facts.jsonl"
+    argv = ["pipeline", "desk_scale_compounds", "--store", str(store)]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: pipeline: --store applies only with --use-store\n"
+    assert not store.exists()
+    assert dispatch([*argv, "--use-store"]) == 0
+    assert store.exists()

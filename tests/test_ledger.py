@@ -621,7 +621,7 @@ def _rule_cases():
         "linear", 19, 3, (1, 2, 2, 1, 2, 2, 1, 3, 1, 2, 3, 3, 3, 3, 3, 2, 1, 3),
         avoid=(3, 4, 3)), 3)
     for T, b in ((double_to_template(c5), c5),
-                 (double_to_template(c5, compact=True), e),
+                 (double_to_template(e), c5),
                  (double_to_template(p13), c5), (searched, c5)):
         ft = _parent(T.base, 1, template=True, phi=T.phi)
         yield ("r5", (ft, _parent(b, 2, linear=True)),

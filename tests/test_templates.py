@@ -69,13 +69,6 @@ def test_doubling_pentagon():
     assert T.base.avoid == (3, 3, 3)
 
 
-def test_doubling_compact_variant():
-    T = double_to_template(pentagon(), compact=True)
-    assert T.order == 9
-    assert T.template_lengths() == {5, 6, 7, 8}
-    assert T.phi == 4
-
-
 def test_tiled_colouring_order_and_pattern():
     T = double_to_template(pentagon())
     tiled = tiled_colouring(T, 3)
