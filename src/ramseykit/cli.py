@@ -366,6 +366,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 # -- pipeline ---------------------------------------------------------------
 
+class _Step(dict):
+    """A recipe step; a key it lacks is a ValueError that names the key."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing key {key!r}")
+
+
 def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list[str]]:
     """Execute a recipe's steps in order; stop at the first failure.
 
@@ -380,10 +387,16 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
     log: list[str] = []
     ledger = _load_store(store_path) if store_path else led.Ledger()
     bag: dict[str, object] = {}
+
+    def named(name):
+        if name not in bag:
+            raise ValueError(f"no colouring named {name!r}")
+        return bag[name]
+
     dirty = False
-    for i, step in enumerate(steps, start=1):
-        op = step["op"]
+    for i, step in enumerate(map(_Step, steps), start=1):
         try:
+            op = step["op"]
             if op == "seed":
                 ids = led.load_seed_pack(ledger)
                 log.append(f"step {i}: seeded {len(ids)} facts")
@@ -394,12 +407,12 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                 log.append(f"step {i}: colouring '{step['name']}' "
                            f"order {c.order}")
             elif op == "construct":
-                c = construct(step["rule"], step, bag.__getitem__)
+                c = construct(step["rule"], step, named)
                 bag[step["name"]] = c
                 log.append(f"step {i}: built '{step['name']}' via "
                            f"{step['rule']}, order {c.order}")
             elif op == "verify":
-                target = bag[step["target"]]
+                target = named(step["target"])
                 avoid = tuple(step["avoid"])
                 report = ramsey_check(target, avoid)
                 if not report.passes:
@@ -408,7 +421,7 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                 log.append(f"step {i}: verified '{step['target']}' "
                            f"against {avoid}")
             elif op == "add_fact":
-                target = bag[step["target"]]
+                target = named(step["target"])
                 avoid = tuple(step["avoid"])
                 report = ramsey_check(target, avoid)
                 if not report.passes:
@@ -431,6 +444,8 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                 log.append(f"step {i}: derived {len(new)} facts")
                 dirty = True
             elif op == "expect":
+                if step["kind"] not in _KINDS:
+                    raise ValueError(f"unknown kind {step['kind']!r}")
                 fact = ledger.best_bound(_KINDS[step["kind"]],
                                          tuple(step["parameters"]))
                 if fact is not None:
@@ -461,8 +476,10 @@ def _render(value):
 
 def _resolve_colouring(step: dict):
     if "builtin" in step:
-        return {"single_edge": col.single_edge,
-                "pentagon": col.pentagon}[step["builtin"]]()
+        builtins = {"single_edge": col.single_edge, "pentagon": col.pentagon}
+        if step["builtin"] not in builtins:
+            raise ValueError(f"unknown builtin {step['builtin']!r}")
+        return builtins[step["builtin"]]()
     if "inline" in step:
         return col.parse_colouring(json.dumps(step["inline"]))
     return col.load_colouring(step["path"])

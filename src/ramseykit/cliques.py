@@ -6,7 +6,9 @@ only, on rows built from its lengths; for a cyclic one the top level skips
 the orbit-mates, under its multipliers l -> a*l, of each neighbour of 0 it
 has branched on.  An explicit colouring is searched through vertex 0 when
 translations checked on its matrix move 0 to every vertex, and over all
-its vertices otherwise.  The full search
+its vertices otherwise.  When it is a Cayley colouring of Z_p x Z_q (a
+circulant, a grid product) its top level also skips orbit-mates, under
+its multiplier pairs (u, v) -> (a*u, b*v).  The full search
 (`max_clique_in_colour`) and an exhaustive oracle (`max_clique_brute`)
 provide independent ground truth, so nothing emitted by the constructions
 or the SAT search is trusted without a second opinion.
@@ -25,6 +27,7 @@ from .colouring import (
     ColouringError,
     ExplicitColouring,
     LengthColouring,
+    cayley_table,
     length_colours,
     multipliers,
     translation_transitive,
@@ -202,22 +205,31 @@ def _clique_through_zero(adj: list[int], stop_at: int | None,
     return size + 1, (0,) + wit
 
 
-def _multiplier_orbits(c: LengthColouring,
-                       lengths: np.ndarray) -> Callable[[int], int]:
-    """v -> bitmask of {a*v mod m : a in multipliers(c)}, for every colour.
+def _multiplier_orbits(c: LengthColouring | ExplicitColouring,
+                       table: np.ndarray | None = None
+                       ) -> Callable[[int], int]:
+    """v -> bitmask of v's images under the multiplier pairs of c, for
+    every colour: {(a*u mod p)*q + (b*w mod q)} for v = u*q + w, where
+    `table` is `cayley_table(c)`, of shape (p, q).
 
-    The multipliers fix 0 and keep each colour of the cyclic colouring c,
-    so they map each colour's neighbourhood of 0 onto itself.  They are
-    computed on the first call, and only then.
+    The pairs fix 0 and keep each colour, so they map each colour's
+    neighbourhood of 0 onto itself.  They, and the table when it is not
+    given, are computed on the first call, and only then.
     """
-    units = None
+    pairs = None
 
     def orbit(v: int) -> int:
-        nonlocal units
-        if units is None:
-            units = multipliers(c, lengths).tolist()
-        # a non-unit v has fewer images than there are multipliers
-        return sum(1 << x for x in {a * v % c.order for a in units})
+        nonlocal pairs, table
+        if pairs is None:
+            if table is None:
+                table = cayley_table(c)
+            q = table.shape[1]
+            pairs = [divmod(x, q) for x in multipliers(c, table).tolist()]
+        p, q = table.shape
+        u, w = divmod(v, q)
+        # a non-unit v has fewer images than there are pairs
+        return sum(1 << x for x in {a * u % p * q + b * w % q
+                                    for a, b in pairs})
 
     return orbit
 
@@ -277,8 +289,13 @@ def ramsey_check(
     By default each colour's search stops as soon as a clique matching its
     bound is found; pass exact=True for full clique numbers.  A length
     colouring is never expanded, and a translation-transitive explicit one
-    is searched through vertex 0: their witnesses start at 0.  Any other
-    colouring gets the full search.
+    is searched through vertex 0: their witnesses start at 0.  Cyclic
+    colourings, and explicit ones with a `cayley_table` (circulants, grid
+    products), branch under their multipliers; sizes and witnesses are
+    those of the search without them.  The GF(16) colouring, three-factor
+    grids and shuffled numberings have no such table and search through 0
+    without an orbit when transitive.  Any other colouring gets the full
+    search.
     """
     avoid = tuple(avoid)
     if len(avoid) != c.num_colours:
@@ -289,10 +306,13 @@ def ramsey_check(
     if isinstance(c, LengthColouring):
         lengths = length_colours(c)
         if c.kind == CYCLIC and not _reflections_only(c, lengths):
-            orbit = _multiplier_orbits(c, lengths)
+            orbit = _multiplier_orbits(c)
 
         def rows(c, s):
             return _length_bitrows(c, s, lengths)
+    elif (table := cayley_table(c)) is not None:
+        rows = _colour_bitrows
+        orbit = _multiplier_orbits(c, table)
     elif translation_transitive(c):
         rows = _colour_bitrows
     else:

@@ -243,42 +243,85 @@ def translation_transitive(g: ExplicitColouring) -> bool:
 def length_colours(c: LengthColouring) -> np.ndarray:
     """The colour of every length 1..order-1; entry l - 1 is c(l).
 
-    A cyclic colouring's stored lengths are unfolded with one gather,
-    colour_of[min(l, m - l) - 1], rather than one `colour` call per length.
+    A cyclic colouring's stored lengths 1..m//2 are followed by the
+    lengths below m/2 reversed, as c(m - l) = c(l), rather than one
+    `colour` call per length.
     """
     stored = np.asarray(c.colour_of)
     if c.kind == LINEAR:
         return stored
-    lengths = np.arange(1, c.order)
-    return stored[np.minimum(lengths, c.order - lengths) - 1]
+    return np.concatenate((stored, stored[:(c.order - 1) // 2][::-1]))
 
 
-def multipliers(c: LengthColouring,
-                colours: np.ndarray | None = None) -> np.ndarray:
-    """The units a of Z_m, ascending, with c(a*l) = c(l) for every length l.
+def cayley_table(c: LengthColouring | ExplicitColouring) -> np.ndarray | None:
+    """The colour table F of c as a Cayley colouring of Z_p x Z_q, or None.
 
-    Each such a fixes vertex 0 and keeps every edge colour of a cyclic
-    colouring of order m, so it maps cliques to cliques of the same colour.
-    Non-units are skipped, so m may be composite.  Only the candidates with
-    c(a) = c(1) are tested, all at once, on blocks of lengths that double
-    in size; a candidate is dropped after the first block where it fails.
-    `colours` is `length_colours(c)`, when the caller already has it.
+    Vertex u*q + v is the pair (u, v), and F[u, v] is the colour of its
+    edge to vertex 0 (F[0, 0] = 0), so F is row 0 reshaped to (p, q).  A
+    cyclic length colouring is the 1 x m case.  An explicit colouring of
+    order n has this form when the shift i -> i + q mod n and the in-block
+    shift `translation(n, q, 1)` both keep its colours: then the colour of
+    an edge depends only on the difference of its ends in Z_{n/q} x Z_q.
+    q = n (a circulant) is tried first, then the divisors 1 < q < n from
+    the largest down.  Linear colourings, and explicit ones with no such
+    q, give None.
     """
-    if c.kind != CYCLIC:
-        raise ColouringError("multipliers: needs a cyclic colouring")
-    m = c.order
-    if colours is None:
-        colours = length_colours(c)
-    cand = np.arange(1, m)
-    cand = cand[(np.gcd(cand, m) == 1) & (colours[cand - 1] == colours[0])]
-    # c(a(m - l)) = c(m - al) = c(al), so the stored lengths suffice
-    start, width = 2, 64
-    while start <= m // 2 and cand.size:
-        block = np.arange(start, min(start + width, m // 2 + 1))
-        images = np.outer(cand, block) % m
-        cand = cand[(colours[images - 1] == colours[block - 1]).all(axis=1)]
+    if isinstance(c, LengthColouring):
+        if c.kind != CYCLIC:
+            return None
+        return np.concatenate(([0], length_colours(c)))[None, :]
+    n = c.order
+    for q in range(n, 1, -1):
+        if (n % q == 0
+                and (q == n or preserves_colours(c, translation(n, n, q)))
+                and preserves_colours(c, translation(n, q, 1))):
+            return c.edge_colour[0].reshape(n // q, q)
+    return None
+
+
+def multipliers(c: LengthColouring | ExplicitColouring,
+                table: np.ndarray | None = None) -> np.ndarray:
+    """The unit pairs (a, b) of Z_p x Z_q with F[a*u, b*v] = F[u, v] for
+    every vertex (u, v), where F = `cayley_table(c)` has shape (p, q).
+
+    Each pair's map (u, v) -> (a*u, b*v) fixes vertex 0 and keeps every
+    edge colour, so it maps cliques to cliques of the same colour.  A pair
+    is given as a*q + b, the image of vertex (1, 1), and they come in
+    ascending order.  For a cyclic colouring, the 1 x m case, these are the
+    units a of Z_m with c(a*l) = c(l) for every length l.  p and q may be
+    composite.  Only the pairs that keep the colour of vertex (1, 1) are
+    tested, all at once, on blocks of vertices that double in size; a pair
+    is dropped after the first block where it fails.  `table` is
+    `cayley_table(c)`, when the caller already has it.
+    """
+    if table is None:
+        table = cayley_table(c)
+        if table is None:
+            raise ColouringError(
+                "multipliers: needs a cyclic colouring or a Cayley colour "
+                "table")
+    p, q = table.shape
+    flat = table.ravel()
+    ids = np.arange(p * q)
+    u, v = np.divmod(ids, q)
+    # pair a*q + b maps vertex (1, 1) to vertex a*q + b.  A pair with a
+    # non-unit entry sends a vertex other than 0, such as (p/gcd(a, p), 0),
+    # to 0, whose entry 0 is no colour, so only unit pairs pass
+    cand = ids[flat == flat[1 % p * q + 1]]
+    # F(-x) = F(x) and each map commutes with x -> -x, so one vertex of
+    # each pair {x, -x} suffices: for p = 1 the lengths 1..m/2
+    half = ids[ids <= -u % p * q + -v % q][1:]
+    ca, cb, hu, hv = u[cand], v[cand], u[half], v[half]
+    start, width = 0, 64
+    while start < half.size and ca.size:
+        block = slice(start, start + width)
+        images = np.outer(cb, hv[block]) % q
+        if p > 1:  # a cyclic colouring has u = 0 throughout
+            images += np.outer(ca, hu[block]) % p * q
+        keep = (flat[images] == flat[half[block]]).all(axis=1)
+        ca, cb = ca[keep], cb[keep]
         start, width = start + width, 2 * width
-    return cand
+    return ca * q + cb
 
 
 def check_cyclic_symmetry(c: LengthColouring | ExplicitColouring) -> bool:
@@ -336,7 +379,18 @@ def serialize_colouring(c: LengthColouring | ExplicitColouring) -> str:
             obj["comment"] = c.comment
     else:
         raise ColouringError(f"cannot serialize {type(c).__name__}")
-    return json.dumps(obj, indent=2) + "\n"
+    return ("{\n" + ",\n".join(f'  "{key}": {_indented(value)}'
+                                for key, value in obj.items()) + "\n}\n")
+
+
+def _indented(value) -> str:
+    """`value` as json.dumps(obj, indent=2) writes a field of obj.  An int
+    list is written by one join, not by the encoder's pass per entry."""
+    if not isinstance(value, list):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
 
 
 def parse_colouring(text: str) -> LengthColouring | ExplicitColouring:
@@ -356,12 +410,13 @@ def parse_colouring(text: str) -> LengthColouring | ExplicitColouring:
     order = _expect_int(obj, "order")
     num_colours = _expect_int(obj, "num_colours")
     colours = obj["colours"]
-    if not (isinstance(colours, list) and all(isinstance(x, int) for x in colours)):
+    if not (isinstance(colours, list)
+            and all(type(x) is int for x in colours)):
         raise ColouringError("colours: expected a list of integers")
     avoid = None
     if "avoid" in obj:
         if not (isinstance(obj["avoid"], list)
-                and all(isinstance(x, int) for x in obj["avoid"])):
+                and all(type(x) is int for x in obj["avoid"])):
             raise ColouringError("avoid: expected a list of integers")
         avoid = tuple(obj["avoid"])
     comment = obj.get("comment")
@@ -373,7 +428,7 @@ def parse_colouring(text: str) -> LengthColouring | ExplicitColouring:
         return explicit_from_upper_triangle(order, num_colours, colours,
                                             avoid=avoid, comment=comment)
     template_colour = obj.get("template_colour")
-    if template_colour is not None and not isinstance(template_colour, int):
+    if template_colour is not None and type(template_colour) is not int:
         raise ColouringError("template_colour: expected an integer")
     return LengthColouring(kind, order, num_colours, tuple(colours),
                            avoid=avoid, template_colour=template_colour,
@@ -382,7 +437,7 @@ def parse_colouring(text: str) -> LengthColouring | ExplicitColouring:
 
 def _expect_int(obj: dict, key: str) -> int:
     v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool):
+    if type(v) is not int:
         raise ColouringError(f"{key}: expected an integer")
     return v
 

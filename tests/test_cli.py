@@ -74,6 +74,20 @@ def test_verify_bad_avoid(pentagon_file, capsys):
     assert dispatch(["verify", pentagon_file, "--avoid", "three"]) == 2
 
 
+@pytest.mark.parametrize("field", ["colours", "avoid"])
+def test_verify_boolean_entries_exit_2(field, tmp_path, capsys):
+    """true used to verify PASS, read as colour 1."""
+    path = tmp_path / "bool.json"
+    path.write_text('{"kind": "cyclic", "order": 5, "num_colours": 2, '
+                    + ('"avoid": [3, 3], "colours": [true, 2]}'
+                       if field == "colours" else
+                       '"avoid": [3, true], "colours": [1, 2]}'))
+    assert dispatch(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field}: expected a list of integers\n"
+
+
 @pytest.mark.parametrize("entry", [3, 2**32 + 1, 2**70])
 def test_verify_explicit_colour_out_of_range_exit_2(entry, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -1151,7 +1165,19 @@ _C5_STEP = {"op": "colouring", "name": "c5", "builtin": "pentagon"}
       "step 2: fact for 'c5' fails verification"]),
     ([{"op": "seed"}, {"op": "frobnicate"}],
      ["step 1: seeded 10 facts", "step 2: unknown op 'frobnicate'"]),
-], ids=["verify-failed", "add-fact-fails", "unknown-op"])
+    ([{"op": "seed"}, {"name": "c5", "builtin": "pentagon"}],
+     ["step 1: seeded 10 facts", "step 2: error: missing key 'op'"]),
+    ([{"op": "seed"}, {"op": "expect", "kind": "foo", "parameters": [3, 3],
+                       "min_value": 6}],
+     ["step 1: seeded 10 facts", "step 2: error: unknown kind 'foo'"]),
+    ([_C5_STEP, {"op": "verify", "target": "c6", "avoid": [3, 3]}],
+     ["step 1: colouring 'c5' order 5",
+      "step 2: error: no colouring named 'c6'"]),
+    ([_C5_STEP, {"op": "colouring", "name": "c6", "builtin": "hexagon"}],
+     ["step 1: colouring 'c5' order 5",
+      "step 2: error: unknown builtin 'hexagon'"]),
+], ids=["verify-failed", "add-fact-fails", "unknown-op", "missing-op",
+        "unknown-kind", "unknown-target", "unknown-builtin"])
 def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
                                           capsys):
     recipe = tmp_path / "r.json"

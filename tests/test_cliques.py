@@ -23,6 +23,7 @@ from ramseykit.colouring import (
     CYCLIC,
     ExplicitColouring,
     LengthColouring,
+    cayley_table,
     expand_to_explicit,
     length_colours,
     multipliers,
@@ -467,7 +468,7 @@ def test_multiplier_orbits_match_set_oracle(m, gens, seed):
     c = _coset_colouring(random.Random(seed), m, 2, _subgroup(m, gens))
     units = multipliers(c).tolist()
     assert set(units) == _subgroup(m, gens)
-    orbit = cliques._multiplier_orbits(c, length_colours(c))
+    orbit = cliques._multiplier_orbits(c, cayley_table(c))
     for v in range(m):
         mask = orbit(v)
         assert {x for x in range(m) if mask >> x & 1} == \
@@ -575,3 +576,223 @@ def test_reflections_only_is_exact_when_it_says_so(monkeypatch):
     for s in (1, 2):
         plain = _plain_vertex_zero(_length_bitrows(c, s), None)
         assert (report.per_colour_max[s - 1], report.witness[s - 1]) == plain
+
+
+# -- explicit colourings under their multiplier pairs --------------------------
+
+def _vertex_map(p, q, a, b):
+    """The map (u, v) -> (a*u mod p, b*v mod q) on vertices u*q + v."""
+    u, v = np.divmod(np.arange(p * q), q)
+    return a * u % p * q + b * v % q
+
+
+def _brute_pairs(table):
+    """Every unit pair (a, b) of Z_p x Z_q whose map keeps the colour of
+    each vertex's edge to 0, as a*q + b, by trying each pair on every
+    vertex."""
+    p, q = table.shape
+    flat = table.ravel()
+    return [a * q + b for a in range(p) if gcd(a, p) == 1
+            for b in range(q) if gcd(b, q) == 1
+            if (flat[_vertex_map(p, q, a, b)] == flat).all()]
+
+
+def _planted_cayley(rng, p, q, r, gens):
+    """A random r-colouring of Z_p x Z_q on vertices u*q + v, constant on
+    each orbit of the nonzero vertices under the pairs generated by
+    (-1, -1) and `gens`; the edge {x, y} takes the colour of y - x."""
+    group, frontier = {(1, 1)}, [(1, 1)]
+    while frontier:
+        a, b = frontier.pop()
+        for g, h in ((p - 1, q - 1), *gens):
+            pair = (a * g % p, b * h % q)
+            if pair not in group:
+                group.add(pair)
+                frontier.append(pair)
+    table = np.zeros(p * q, dtype=np.int32)
+    for x in range(1, p * q):
+        if not table[x]:
+            s = rng.randint(1, r)
+            for a, b in group:
+                table[_vertex_map(p, q, a, b)[x]] = s
+    return _cayley_colouring(table.reshape(p, q), r)
+
+
+def _cayley_colouring(table, r):
+    """The colouring of Z_p x Z_q whose edge {x, y} takes the colour
+    table[y - x]; table[-x] = table[x] keeps it symmetric."""
+    p, q = table.shape
+    u, v = np.divmod(np.arange(p * q), q)
+    diff = (u[None, :] - u[:, None]) % p * q + (v[None, :] - v[:, None]) % q
+    return ExplicitColouring(p * q, r, table.ravel()[diff])
+
+
+def _planted_unit(rng, m):
+    return rng.choice([a for a in range(1, m) if gcd(a, m) == 1])
+
+
+def _explicit_cayley_cases(rng):
+    """Grid products of planted-coset cyclic factors, planted Cayley
+    colourings of Z_p x Z_q, and circulants; prime and composite orders."""
+    for p, q in ((9, 4), (5, 3), (4, 4), (7, 6), (3, 5), (6, 6), (2, 9),
+                 (5, 8)):
+        r = rng.randint(1, 3)
+        a, b = (_coset_colouring(rng, m, r,
+                                 _subgroup(m, rng.sample(_units(m), 1)))
+                for m in (p, q))
+        yield song_product(expand_to_explicit(a), expand_to_explicit(b))
+        gens = [(_planted_unit(rng, p), _planted_unit(rng, q))]
+        yield _planted_cayley(rng, p, q, r, gens)
+        yield expand_to_explicit(_random_cyclic(rng, p * q, r))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_explicit_orbit_check_matches_plain_vertex_zero(seed):
+    """Explicit colourings with a two-factor Cayley form, exact and
+    early-stop: the orbit-pruned check gives the plain vertex-0 search's
+    sizes and witnesses, and the full search's (and brute force's) clique
+    numbers.  The table is row 0 reshaped, and every edge takes the colour
+    of its difference in Z_p x Z_q."""
+    rng = random.Random(900 + seed)
+    for g in _explicit_cayley_cases(rng):
+        table = cayley_table(g)
+        p, q = table.shape
+        assert np.array_equal(table.ravel(), g.edge_colour[0])
+        u, v = np.divmod(np.arange(g.order), q)
+        diff = ((u[None, :] - u[:, None]) % p * q
+                + (v[None, :] - v[:, None]) % q)
+        assert np.array_equal(g.edge_colour, table.ravel()[diff])
+        colours = range(1, g.num_colours + 1)
+        full = [max_clique_in_colour(g, s)[0] for s in colours]
+        if g.order <= BRUTE_ORDER_CAP:
+            assert full == [max_clique_brute(g, s) for s in colours]
+        avoid = tuple(rng.randint(2, 7) for _ in full)
+        for exact in (True, False):
+            report = ramsey_check(g, avoid, exact=exact)
+            for s, k in enumerate(avoid, start=1):
+                stop = None if exact else k
+                plain = _plain_vertex_zero(_colour_bitrows(g, s), stop)
+                got = (report.per_colour_max[s - 1], report.witness[s - 1])
+                assert got == plain
+                assert is_clique(g, s, got[1])
+                if exact:
+                    assert got[0] == full[s - 1]
+                else:
+                    assert min(got[0], k) == min(full[s - 1], k)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_multiplier_pairs_match_brute_force(seed):
+    """multipliers gives exactly the pairs that keep every colour, each
+    pair's vertex map keeps the whole matrix, and every orbit mask, of
+    unit and non-unit vertices alike, holds exactly the images of its
+    vertex.  A circulant's pairs are its cyclic form's multipliers."""
+    rng = random.Random(950 + seed)
+    for g in _explicit_cayley_cases(rng):
+        table = cayley_table(g)
+        p, q = table.shape
+        pairs = multipliers(g).tolist()
+        assert pairs == _brute_pairs(table)
+        assert pairs == multipliers(g, table).tolist()
+        maps = [_vertex_map(p, q, *divmod(x, q)) for x in pairs]
+        assert all(preserves_colours(g, perm) for perm in maps)
+        orbit = cliques._multiplier_orbits(g, table)
+        for x in range(g.order):
+            mask = orbit(x)
+            assert {y for y in range(g.order) if mask >> y & 1} == \
+                {int(perm[x]) for perm in maps}
+        if p == 1:
+            c = LengthColouring(CYCLIC, q, g.num_colours,
+                                tuple(table[0, 1:q // 2 + 1].tolist()))
+            assert expand_to_explicit(c) == g
+            assert pairs == multipliers(c).tolist()
+    # Z_2 x Z_13: row 0 is Paley 13's, kept by the six residues, and so
+    # is vertex (1, 1)'s colour, but row 1 only by +-1: 3*2 = 6 moves its
+    # colour.  (1, v) and (1, -v) both lie above vertex 13, so the
+    # vertices checked are one of each pair {x, -x}, not 1..13
+    table = np.zeros((2, 13), dtype=np.int32)
+    table[0, 1:] = length_colours(paley_colouring(13))
+    table[1] = 1
+    table[1, [5, 6, 7, 8]] = 2
+    g = _cayley_colouring(table, 2)
+    assert np.array_equal(cayley_table(g), table)
+    assert multipliers(g).tolist() == _brute_pairs(table) == [14, 25]
+    # Z_9 x Z_4: (3, 2) has no unit coordinate, and (-1, -1) fixes
+    # (0, 2), whose orbit is that vertex alone
+    g = _planted_cayley(random.Random(1), 9, 4, 2, [(2, 1)])
+    assert cayley_table(g).shape == (9, 4)
+    orbit = cliques._multiplier_orbits(g, cayley_table(g))
+    assert orbit(2) == 1 << 2
+    assert orbit(3 * 4 + 2) == 1 << 3 * 4 + 2 | 1 << 6 * 4 + 2
+
+
+def test_colourings_without_a_two_factor_form_get_no_orbit(monkeypatch):
+    """GF(16)'s XOR translations, a three-factor grid, and a grid product
+    under a shuffled numbering keep today's path, with the full search's
+    clique numbers."""
+    from test_acceptance import _greenwood_gleason_colouring
+
+    def refuse(*args):
+        raise AssertionError("orbits built without a two-factor form")
+
+    rng = random.Random(31)
+    grid = _grid(rng, [4, 5], 2)
+    c5 = expand_to_explicit(pentagon())
+    cases = [(_greenwood_gleason_colouring(), True),
+             (song_product(song_product(c5, c5), c5), True),
+             (_relabelled(rng, grid), False)]
+    monkeypatch.setattr(cliques, "_multiplier_orbits", refuse)
+    for g, transitive in cases:
+        assert cayley_table(g) is None
+        assert translation_transitive(g) == transitive
+        with pytest.raises(colouring.ColouringError):
+            multipliers(g)
+        report = ramsey_check(g, (g.order,) * g.num_colours, exact=True)
+        assert report.per_colour_max == tuple(
+            max_clique_in_colour(g, s)[0]
+            for s in range(1, g.num_colours + 1))
+    assert cayley_table(grid).shape == (4, 5)
+
+
+def _song_p29_c5():
+    return song_product(expand_to_explicit(paley_colouring(29)),
+                        expand_to_explicit(pentagon()))
+
+
+def test_paley_29_grid_branches_under_its_pairs(monkeypatch):
+    """Paley 29 x C5 has the 28 pairs (quadratic residue, +-1), computed
+    once for both colours; they cut its exact check from 3,469 nodes to
+    413, with the plain vertex-0 search's witnesses."""
+    g = _song_p29_c5()
+    residues = {x * x % 29 for x in range(1, 29)}
+    pairs = [divmod(x, 5) for x in multipliers(g).tolist()]
+    assert sorted(pairs) == sorted((a, b) for a in residues for b in (1, 4))
+    nodes, computed = [0], []
+    greedy, units_of = cliques._greedy_colour_order, cliques.multipliers
+
+    def counted(adj, cand):
+        nodes[0] += 1
+        return greedy(adj, cand)
+
+    def traced_units(*args):
+        computed.append(args[0].order)
+        return units_of(*args)
+
+    monkeypatch.setattr(cliques, "_greedy_colour_order", counted)
+    monkeypatch.setattr(cliques, "multipliers", traced_units)
+    report = ramsey_check(g, (9, 9), exact=True)
+    assert (nodes[0], computed) == (413, [145])
+    nodes[0] = 0
+    plain = [_plain_vertex_zero(_colour_bitrows(g, s), None) for s in (1, 2)]
+    assert nodes[0] == 3469
+    assert list(zip(report.per_colour_max, report.witness)) == plain
+    assert report.per_colour_max == (8, 8) and report.passes
+
+
+def test_early_stop_on_the_first_branch_computes_no_pairs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pairs computed for an early stop")
+
+    monkeypatch.setattr(cliques, "multipliers", refuse)
+    report = ramsey_check(_song_p29_c5(), (5, 5))
+    assert report.exact == (False, False) and not report.passes

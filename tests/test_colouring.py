@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ramseykit.colouring import (
@@ -108,6 +109,53 @@ def test_serialize_canonical_layout():
     assert list(data) == ["kind", "order", "num_colours", "avoid", "colours"]
     # key order is fixed, so serialization is byte-deterministic
     assert text == serialize_colouring(pentagon())
+
+
+def _serialize_cases():
+    p = pentagon()
+    yield p
+    yield LengthColouring("cyclic", 5, 2, (1, 2))
+    yield LengthColouring("linear", 4, 3, (3, 1, 2), avoid=(3, 4, 5),
+                          template_colour=2, comment='doubled "C5"\n\u00e9')
+    yield LengthColouring("linear", 2, 1, (1,), template_colour=1)
+    yield LengthColouring("cyclic", 3, 1, (1,), comment="")
+    yield expand_to_explicit(p)
+    yield explicit_from_upper_triangle(3, 2, [1, 2, 1], avoid=(3, 3),
+                                       comment="three\tvertices")
+    yield ExplicitColouring(1, 1, [[0]])
+    yield ExplicitColouring(0, 2, np.zeros((0, 0)), avoid=(2, 2))
+
+
+def test_serialize_is_json_dumps_with_indent_2():
+    """Length and explicit colourings, with and without avoid,
+    template_colour and comment, and empty colour lists: the bytes are
+    json.dumps(obj, indent=2) + newline of the same fields."""
+    for c in _serialize_cases():
+        obj = {"kind": getattr(c, "kind", "explicit"), "order": c.order,
+               "num_colours": c.num_colours}
+        if c.avoid is not None:
+            obj["avoid"] = list(c.avoid)
+        obj["colours"] = (list(c.colour_of) if isinstance(c, LengthColouring)
+                          else c.upper_triangle())
+        if getattr(c, "template_colour", None) is not None:
+            obj["template_colour"] = c.template_colour
+        if c.comment is not None:
+            obj["comment"] = c.comment
+        assert serialize_colouring(c) == json.dumps(obj, indent=2) + "\n"
+    assert '"colours": []' in serialize_colouring(ExplicitColouring(
+        0, 1, np.zeros((0, 0))))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("colours", [True, 2], "colours: expected a list of integers"),
+    ("avoid", [3, True], "avoid: expected a list of integers"),
+    ("template_colour", True, "template_colour: expected an integer"),
+])
+def test_parse_rejects_booleans(field, value, message):
+    obj = {"kind": "cyclic", "order": 5, "num_colours": 2, "avoid": [3, 3],
+           "colours": [1, 2], field: value}
+    with pytest.raises(ColouringError, match=message):
+        parse_colouring(json.dumps(obj))
 
 
 def test_parse_roundtrip():
