@@ -275,10 +275,8 @@ def cmd_ledger(args) -> int:
                 print(_fact_line(f))
             return PASS
         if args.ledger_cmd == "table":
-            k_lo, k_hi = _parse_range(args.k)
-            r_lo, r_hi = _parse_range(args.r)
-            sys.stdout.write(ledger.emit_table(range(k_lo, k_hi + 1),
-                                               range(r_lo, r_hi + 1),
+            sys.stdout.write(ledger.emit_table(_parse_range(args.k),
+                                               _parse_range(args.r),
                                                fmt=args.format))
             return PASS
         if args.ledger_cmd == "seed":
@@ -356,12 +354,16 @@ def _parse_query(text: str):
     return _KINDS[m.group(1)], params
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+def _parse_range(text: str) -> range:
+    """`a..b`, or one value `a`, as the range a..b; a > b is refused."""
+    ends = text.split("..")
+    try:
+        lo, hi = int(ends[0]), int(ends[-1])
+        if len(ends) <= 2 and lo <= hi:
+            return range(lo, hi + 1)
+    except ValueError:
+        pass
+    raise ValueError(f"bad range {text!r}")
 
 
 # -- pipeline ---------------------------------------------------------------

@@ -4,14 +4,14 @@ The search is a branch-and-bound over bitset adjacency rows with a greedy
 colouring upper bound.  A length colouring is searched through vertex 0
 only, on rows built from its lengths; for a cyclic one the top level skips
 the orbit-mates, under its multipliers l -> a*l, of each neighbour of 0 it
-has branched on.  An explicit colouring is searched through vertex 0 when
-translations checked on its matrix move 0 to every vertex, and over all
-its vertices otherwise.  When it is a Cayley colouring of Z_p x Z_q (a
-circulant, a grid product) its top level also skips orbit-mates, under
-its multiplier pairs (u, v) -> (a*u, b*v).  The full search
-(`max_clique_in_colour`) and an exhaustive oracle (`max_clique_brute`)
-provide independent ground truth, so nothing emitted by the constructions
-or the SAT search is trusted without a second opinion.
+has branched on.  An explicit colouring that is a Cayley colouring of a
+product of cyclic groups (a circulant, a grid product of any number of
+factors, GF(16) as Z_2^4) is searched through vertex 0 in the same way,
+under its multiplier tuples, and any other over all its vertices.  The
+full search (`max_clique_in_colour`) and an exhaustive oracle
+(`max_clique_brute`) provide independent ground truth, so nothing emitted
+by the constructions or the SAT search is trusted without a second
+opinion.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .colouring import (
     cayley_table,
     length_colours,
     multipliers,
-    translation_transitive,
 )
 
 BRUTE_ORDER_CAP = 16
@@ -194,10 +193,11 @@ def _clique_through_zero(adj: list[int], stop_at: int | None,
 
     Valid when every clique has a copy of the same size through vertex 0.
     Shifting a clique by minus its least vertex keeps every edge length of
-    a length colouring, linear or cyclic; a translation-transitive explicit
-    colouring has an automorphism taking any vertex to 0.  Then the clique
-    number is 1 + the clique number of 0's neighbourhood.  `orbit` is as in
-    `_search`, for a group that fixes 0 and keeps the colour.
+    a length colouring, linear or cyclic, and shifting it by minus any of
+    its vertices keeps every colour of an explicit Cayley colouring.  Then
+    the clique number is 1 + the clique number of 0's neighbourhood.
+    `orbit` is as in `_search`, for a group that fixes 0 and keeps the
+    colour.
     """
     size, wit = _search(adj, adj[0],
                         None if stop_at is None else stop_at - 1, 0, (),
@@ -208,28 +208,28 @@ def _clique_through_zero(adj: list[int], stop_at: int | None,
 def _multiplier_orbits(c: LengthColouring | ExplicitColouring,
                        table: np.ndarray | None = None
                        ) -> Callable[[int], int]:
-    """v -> bitmask of v's images under the multiplier pairs of c, for
-    every colour: {(a*u mod p)*q + (b*w mod q)} for v = u*q + w, where
-    `table` is `cayley_table(c)`, of shape (p, q).
+    """v -> bitmask of v's images a*v under the multiplier tuples a of c,
+    for every colour, taken digit by digit in the shape of `table`,
+    `cayley_table(c)`.
 
-    The pairs fix 0 and keep each colour, so they map each colour's
+    The tuples fix 0 and keep each colour, so they map each colour's
     neighbourhood of 0 onto itself.  They, and the table when it is not
     given, are computed on the first call, and only then.
     """
-    pairs = None
+    units = None
 
     def orbit(v: int) -> int:
-        nonlocal pairs, table
-        if pairs is None:
+        nonlocal units, table
+        if units is None:
             if table is None:
                 table = cayley_table(c)
-            q = table.shape[1]
-            pairs = [divmod(x, q) for x in multipliers(c, table).tolist()]
-        p, q = table.shape
-        u, w = divmod(v, q)
-        # a non-unit v has fewer images than there are pairs
-        return sum(1 << x for x in {a * u % p * q + b * w % q
-                                    for a, b in pairs})
+            units = np.unravel_index(multipliers(c, table), table.shape)
+        shape = table.shape
+        images = np.ravel_multi_index(
+            [a * d % f for a, d, f in
+             zip(units, np.unravel_index(v, shape), shape)], shape)
+        # a non-unit v has fewer images than there are tuples
+        return sum(1 << x for x in set(images.tolist()))
 
     return orbit
 
@@ -287,14 +287,14 @@ def ramsey_check(
     """Check that every colour's clique number stays below its bound.
 
     By default each colour's search stops as soon as a clique matching its
-    bound is found; pass exact=True for full clique numbers.  A length
-    colouring is never expanded, and a translation-transitive explicit one
-    is searched through vertex 0: their witnesses start at 0.  Cyclic
-    colourings, and explicit ones with a `cayley_table` (circulants, grid
-    products), branch under their multipliers; sizes and witnesses are
-    those of the search without them.  The GF(16) colouring, three-factor
-    grids and shuffled numberings have no such table and search through 0
-    without an orbit when transitive.  Any other colouring gets the full
+    bound is found; pass exact=True for full clique numbers.  There are
+    three paths.  A length colouring is never expanded and is searched
+    through vertex 0, a cyclic one under its multipliers.  An explicit
+    colouring with a `cayley_table` (a circulant, a grid product of any
+    number of factors, GF(16)) is searched through vertex 0 under its
+    multiplier tuples.  On both, witnesses start at 0, and sizes and
+    witnesses are those of the search without the multipliers.  Any other
+    colouring, such as a grid under a shuffled numbering, gets the full
     search.
     """
     avoid = tuple(avoid)
@@ -313,8 +313,6 @@ def ramsey_check(
     elif (table := cayley_table(c)) is not None:
         rows = _colour_bitrows
         orbit = _multiplier_orbits(c, table)
-    elif translation_transitive(c):
-        rows = _colour_bitrows
     else:
         rows = None
     sizes: list[int] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -190,8 +191,10 @@ def expand_to_explicit(c: LengthColouring) -> ExplicitColouring:
 def translation(n: int, c: int, b: int) -> np.ndarray:
     """The vertex map i -> (i//c)c + (i mod c + b) mod c on n vertices.
 
-    With c = n it is the cyclic shift by b; with c = |H| and b = 1 it
-    shifts the right factor of a grid product numbered u|H| + v.
+    With c = n it is the cyclic shift by b.  With b | c it adds 1 to the
+    digit of place value b in a mixed-radix numbering whose next place
+    value is c, without carry: for a grid product numbered u|H| + v,
+    translation(n, n, |H|) shifts u and translation(n, |H|, 1) shifts v.
     """
     ids = np.arange(n)
     return ids - ids % c + (ids % c + b) % c
@@ -208,38 +211,6 @@ def preserves_colours(g: ExplicitColouring, perm: np.ndarray) -> bool:
         and np.array_equal(mat[np.ix_(perm, perm)], mat))
 
 
-def translation_transitive(g: ExplicitColouring) -> bool:
-    """True iff the translations that preserve g's colours, over b | c |
-    order with b < c, move vertex 0 to every vertex.
-
-    The orbit of 0 grows with each translation that passes, and the test
-    stops once it is every vertex.  Order 0 is not transitive.
-    """
-    n = g.order
-    if n == 0:
-        return False
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    kept: list[np.ndarray] = []
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    for c in reversed(divisors):
-        for b in (d for d in divisors if d < c and c % d == 0):
-            if reached.all():
-                return True
-            perm = translation(n, c, b)
-            if not preserves_colours(g, perm):
-                continue
-            kept.append(perm)
-            while True:
-                grown = reached.copy()
-                for p in kept:
-                    grown[p[reached]] = True
-                if np.array_equal(grown, reached):
-                    break
-                reached = grown
-    return bool(reached.all())
-
-
 def length_colours(c: LengthColouring) -> np.ndarray:
     """The colour of every length 1..order-1; entry l - 1 is c(l).
 
@@ -254,44 +225,57 @@ def length_colours(c: LengthColouring) -> np.ndarray:
 
 
 def cayley_table(c: LengthColouring | ExplicitColouring) -> np.ndarray | None:
-    """The colour table F of c as a Cayley colouring of Z_p x Z_q, or None.
+    """The colour table F of c as a Cayley colouring of a product of
+    cyclic groups Z_{f_1} x ... x Z_{f_k}, or None.
 
-    Vertex u*q + v is the pair (u, v), and F[u, v] is the colour of its
-    edge to vertex 0 (F[0, 0] = 0), so F is row 0 reshaped to (p, q).  A
-    cyclic length colouring is the 1 x m case.  An explicit colouring of
-    order n has this form when the shift i -> i + q mod n and the in-block
-    shift `translation(n, q, 1)` both keep its colours: then the colour of
-    an edge depends only on the difference of its ends in Z_{n/q} x Z_q.
-    q = n (a circulant) is tried first, then the divisors 1 < q < n from
-    the largest down.  Linear colourings, and explicit ones with no such
-    q, give None.
+    Vertex i is the digit tuple `np.unravel_index(i, F.shape)`, and F is
+    row 0 reshaped, so F[x] is the colour of x's edge to 0.  A cyclic
+    length colouring is the 1-D case, shape (m,).  An explicit colouring
+    of order n has this form when a chain of divisors n = c_0 > c_1 > ...
+    > c_k = 1 has digit shifts `translation(n, c_{j-1}, c_j)` that all keep
+    its colours; then f_j = c_{j-1}/c_j.  Each step tries the smaller
+    divisors first, so a circulant is 1-D and GF(16) is Z_2^4, and backs
+    up from a dead end.  Linear colourings, and explicit ones with no
+    such chain (order 0 among them), give None.
     """
     if isinstance(c, LengthColouring):
         if c.kind != CYCLIC:
             return None
-        return np.concatenate(([0], length_colours(c)))[None, :]
+        return np.concatenate(([0], length_colours(c)))
     n = c.order
-    for q in range(n, 1, -1):
-        if (n % q == 0
-                and (q == n or preserves_colours(c, translation(n, n, q)))
-                and preserves_colours(c, translation(n, q, 1))):
-            return c.edge_colour[0].reshape(n // q, q)
-    return None
+    divisors = [d for d in range(1, n) if n % d == 0]
+
+    @cache
+    def chain(top: int) -> tuple[int, ...] | None:
+        """The c_j after `top`, down to 1, or None."""
+        if top == 1:
+            return ()
+        for b in (d for d in divisors if d < top and top % d == 0):
+            if (preserves_colours(c, translation(n, top, b))
+                    and (rest := chain(b)) is not None):
+                return (b, *rest)
+        return None
+
+    steps = chain(n)
+    if steps is None:
+        return None
+    shape = [hi // lo for hi, lo in zip((n, *steps), steps)]
+    return c.edge_colour[0].reshape(shape or (1,))  # order 1: shape (1,)
 
 
 def multipliers(c: LengthColouring | ExplicitColouring,
                 table: np.ndarray | None = None) -> np.ndarray:
-    """The unit pairs (a, b) of Z_p x Z_q with F[a*u, b*v] = F[u, v] for
-    every vertex (u, v), where F = `cayley_table(c)` has shape (p, q).
+    """The unit tuples a of Z_{f_1} x ... x Z_{f_k} with F[a*x] = F[x] for
+    every vertex x, where F = `cayley_table(c)` has shape (f_1, ..., f_k)
+    and a*x multiplies digit by digit.
 
-    Each pair's map (u, v) -> (a*u, b*v) fixes vertex 0 and keeps every
-    edge colour, so it maps cliques to cliques of the same colour.  A pair
-    is given as a*q + b, the image of vertex (1, 1), and they come in
-    ascending order.  For a cyclic colouring, the 1 x m case, these are the
-    units a of Z_m with c(a*l) = c(l) for every length l.  p and q may be
-    composite.  Only the pairs that keep the colour of vertex (1, 1) are
-    tested, all at once, on blocks of vertices that double in size; a pair
-    is dropped after the first block where it fails.  `table` is
+    Each tuple's map x -> a*x fixes vertex 0 and keeps every edge colour,
+    so it maps cliques to cliques of the same colour.  A tuple is given as
+    its vertex index, ascending: a for the units of a cyclic colouring,
+    with c(a*l) = c(l) for every length l, and a*q + b for a pair of
+    Z_p x Z_q.  Only the tuples that keep the colour of vertex (1, ..., 1)
+    are tested, all at once, on blocks of vertices that double in size; a
+    tuple is dropped after the first block where it fails.  `table` is
     `cayley_table(c)`, when the caller already has it.
     """
     if table is None:
@@ -300,28 +284,31 @@ def multipliers(c: LengthColouring | ExplicitColouring,
             raise ColouringError(
                 "multipliers: needs a cyclic colouring or a Cayley colour "
                 "table")
-    p, q = table.shape
+    shape = table.shape
     flat = table.ravel()
-    ids = np.arange(p * q)
-    u, v = np.divmod(ids, q)
-    # pair a*q + b maps vertex (1, 1) to vertex a*q + b.  A pair with a
-    # non-unit entry sends a vertex other than 0, such as (p/gcd(a, p), 0),
-    # to 0, whose entry 0 is no colour, so only unit pairs pass
-    cand = ids[flat == flat[1 % p * q + 1]]
+    ids = np.arange(flat.size)
+    digits = np.unravel_index(ids, shape)
+    # a tuple with a non-unit digit sends a vertex other than 0, such as
+    # (0, .., f_j/gcd(a_j, f_j), .., 0), to 0, whose entry 0 is no colour,
+    # so only unit tuples pass
+    cand = ids[flat == flat[np.ravel_multi_index([1 % f for f in shape],
+                                                 shape)]]
     # F(-x) = F(x) and each map commutes with x -> -x, so one vertex of
-    # each pair {x, -x} suffices: for p = 1 the lengths 1..m/2
-    half = ids[ids <= -u % p * q + -v % q][1:]
-    ca, cb, hu, hv = u[cand], v[cand], u[half], v[half]
+    # each pair {x, -x} suffices: for a cyclic colouring the lengths 1..m/2
+    minus = np.ravel_multi_index([-d % f for d, f in zip(digits, shape)],
+                                 shape)
+    half = ids[ids <= minus][1:]
+    units = [d[cand] for d in digits]
     start, width = 0, 64
-    while start < half.size and ca.size:
-        block = slice(start, start + width)
-        images = np.outer(cb, hv[block]) % q
-        if p > 1:  # a cyclic colouring has u = 0 throughout
-            images += np.outer(ca, hu[block]) % p * q
-        keep = (flat[images] == flat[half[block]]).all(axis=1)
-        ca, cb = ca[keep], cb[keep]
+    while start < half.size:
+        block = half[start:start + width]
+        images = np.ravel_multi_index(
+            [np.outer(a, d[block]) % f
+             for a, d, f in zip(units, digits, shape)], shape)
+        keep = (flat[images] == flat[block]).all(axis=1)
+        units = [a[keep] for a in units]
         start, width = start + width, 2 * width
-    return ca * q + cb
+    return np.ravel_multi_index(units, shape)
 
 
 def check_cyclic_symmetry(c: LengthColouring | ExplicitColouring) -> bool:

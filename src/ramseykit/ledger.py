@@ -351,7 +351,14 @@ class Ledger:
         the fact is stored, and looked up, with the certificate marked
         verified.  The fact is built anew only for what changes, so a store
         line that already carries its mark and its id is kept as it is.
+        A derived fact's parents must be stored facts, which come before
+        it, so provenance cannot be rewired by reordering or editing lines.
         """
+        fid = len(self.facts) + 1
+        for pid in f.certificate.get("parents", ()):
+            if not 1 <= pid < fid:
+                raise LedgerError(f"fact {fid} names parent {pid}, which "
+                                  "does not come before it")
         if f.certificate.get("type") == "explicit":
             self._verify_explicit(f, base_dir)
             if f.certificate.get("verified") is not True:
@@ -409,6 +416,8 @@ class Ledger:
             )
 
     def get(self, fact_id: int) -> BoundFact:
+        if not 1 <= fact_id <= len(self.facts):
+            raise LedgerError(f"no fact {fact_id}")
         return self.facts[fact_id - 1]
 
     # -- closure ----------------------------------------------------------
@@ -596,9 +605,9 @@ class Ledger:
         """Read a store; explicit certificate paths resolve against its
         directory.
 
-        Each fact must load under its stored id, and a derived fact's
-        parents must come before it, so provenance cannot be rewired by
-        reordering or editing lines.
+        Each fact must load under its stored id, its line number, which
+        is checked before `add_fact` checks that its parents come first;
+        a duplicate line loads as its first copy's id.
         """
         base_dir = os.path.dirname(path) or "."
         ledger = cls()
@@ -606,15 +615,11 @@ class Ledger:
         with open(path, encoding="utf-8") as f:
             for read, fact in enumerate(_read_facts(f), start=1):
                 explicit += fact.certificate.get("type") == "explicit"
-                fid = ledger.add_fact(fact, base_dir)
+                fid = (ledger.add_fact(fact, base_dir)
+                       if fact.fact_id == read else read)
                 if fact.fact_id != fid:
                     raise LedgerError(f"{path}: fact stored as id "
                                       f"{fact.fact_id} loads as id {fid}")
-                for pid in fact.certificate.get("parents", ()):
-                    if not 1 <= pid < fid:
-                        raise LedgerError(f"{path}: fact {fid} names parent "
-                                          f"{pid}, which does not come "
-                                          "before it")
         _log.debug("loaded %s: %d facts read, %d explicit certificates "
                    "re-verified", path, read, explicit)
         return ledger

@@ -14,13 +14,13 @@ from ramseykit.cliques import is_clique, max_clique_in_colour
 from ramseykit.colouring import (
     ExplicitColouring,
     LengthColouring,
+    cayley_table,
     expand_to_explicit,
     load_colouring,
     pentagon,
     save_colouring,
     serialize_colouring,
     single_edge,
-    translation_transitive,
 )
 from ramseykit.constructions import (
     paley_colouring,
@@ -787,12 +787,12 @@ def _song_p29_c5(tmp_path, capsys) -> str:
 
 
 def test_explicit_grid_product_witnesses_are_pinned(tmp_path, capsys):
-    """The grid product Paley 29 x C5 is translation-transitive, so verify
+    """The grid product Paley 29 x C5 has a Cayley table, so verify
     searches it through vertex 0; the full search stays its oracle, with
     the witness it has always found."""
     s145 = _song_p29_c5(tmp_path, capsys)
     g = load_colouring(s145)
-    assert translation_transitive(g)
+    assert cayley_table(g).shape == (29, 5)
     oracle = [max_clique_in_colour(g, s) for s in (1, 2)]
     assert oracle[0] == (8, (113, 114, 118, 119, 138, 139, 143, 144))
     assert dispatch(["verify", s145, "--exact", "--witness"]) == 0
@@ -804,16 +804,16 @@ def test_explicit_grid_product_witnesses_are_pinned(tmp_path, capsys):
 
 
 def test_untransitive_explicit_verify_output_is_pinned(tmp_path, capsys):
-    """An explicit colouring that no translation set moves around keeps the
-    full search: verify's output on Paley 13 x C5 under a shuffled vertex
-    numbering is byte-for-byte that of the full search alone."""
+    """An explicit colouring with no Cayley table keeps the full search:
+    verify's output on Paley 13 x C5 under a shuffled vertex numbering is
+    byte-for-byte that of the full search alone."""
     g = song_product(expand_to_explicit(paley_colouring(13)),
                      expand_to_explicit(pentagon()))
     perm = list(range(g.order))
     random.Random(65).shuffle(perm)
     h = ExplicitColouring(g.order, 2, g.edge_colour[np.ix_(perm, perm)],
                           avoid=(7, 7))
-    assert not translation_transitive(h)
+    assert cayley_table(h) is None
     path = str(tmp_path / "r65.json")
     save_colouring(h, path)
     assert dispatch(["verify", path, "--exact", "--witness"]) == 0
@@ -1198,8 +1198,14 @@ def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
     (["template-check", "{c5}", "--avoid", "3,3"],
      "file does not carry a template_colour"),
     (["verify", "{bare}"], "no avoid vector given or stored in the file"),
+    (["ledger", "table", "--k", "3..x", "--r", "2"], "bad range '3..x'"),
+    (["ledger", "table", "--k", "3..5..7", "--r", "2"],
+     "bad range '3..5..7'"),
+    (["ledger", "table", "--k", "9..3", "--r", "2"], "bad range '9..3'"),
+    (["ledger", "table", "--k", "3", "--r", ""], "bad range ''"),
 ], ids=["bad-avoid", "bad-query", "missing-recipe", "missing-file",
-        "no-template-colour", "no-avoid"])
+        "no-template-colour", "no-avoid", "range-not-int", "range-three-ends",
+        "range-reversed", "range-empty"])
 def test_usage_error_is_one_stderr_line(argv, message, store, pentagon_file,
                                         tmp_path, capsys):
     names = {"c5": pentagon_file, "missing": str(tmp_path / "nope.json"),

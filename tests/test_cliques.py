@@ -1,6 +1,6 @@
 import random
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, prod
 
 import pytest
 
@@ -30,11 +30,10 @@ from ramseykit.colouring import (
     pentagon,
     preserves_colours,
     translation,
-    translation_transitive,
 )
 from ramseykit.constructions import paley_colouring, song_product
 
-from conftest import random_colouring
+from conftest import random_colouring, translation_transitive
 
 
 def test_pentagon_clique_numbers():
@@ -286,23 +285,22 @@ def test_translations_and_transitivity():
     times = lambda a: np.arange(13) * a % 13
     assert preserves_colours(g, times(3))
     assert not preserves_colours(g, times(2))
-    assert translation_transitive(g)
+    assert translation_transitive(g) and cayley_table(g).shape == (13,)
     # order 0 keeps the full search; order 1 is trivially transitive
-    assert not translation_transitive(ExplicitColouring(0, 1, np.zeros((0, 0))))
-    assert translation_transitive(ExplicitColouring(1, 1, np.zeros((1, 1))))
+    empty = ExplicitColouring(0, 1, np.zeros((0, 0)))
+    assert not translation_transitive(empty) and cayley_table(empty) is None
+    point = ExplicitColouring(1, 1, np.zeros((1, 1)))
+    assert translation_transitive(point) and cayley_table(point).shape == (1,)
+    assert ramsey_check(point, (2,), exact=True).witness == ((0,),)
 
 
 def test_partial_orbit_falls_back_to_full_search():
     """Even-even and even-odd edges take colour 1, odd-odd edges colour 2.
     The shift by 2 keeps the colours, but 0's orbit is only the even
     vertices, and no colour-2 clique goes through 0."""
-    ids = np.arange(6)
-    odd = ids % 2 == 1
-    mat = np.where(odd[:, None] & odd[None, :], 2, 1)
-    np.fill_diagonal(mat, 0)
-    g = ExplicitColouring(6, 2, mat)
+    g = _even_odd_colouring()
     assert preserves_colours(g, translation(6, 6, 2))
-    assert not translation_transitive(g)
+    assert cayley_table(g) is None and not translation_transitive(g)
     report = ramsey_check(g, (5, 5), exact=True)
     assert report.per_colour_max == (4, 3)
     assert report.witness[1] == (1, 3, 5)
@@ -578,53 +576,73 @@ def test_reflections_only_is_exact_when_it_says_so(monkeypatch):
         assert (report.per_colour_max[s - 1], report.witness[s - 1]) == plain
 
 
-# -- explicit colourings under their multiplier pairs --------------------------
+# -- explicit colourings under their multiplier tuples -------------------------
 
-def _vertex_map(p, q, a, b):
-    """The map (u, v) -> (a*u mod p, b*v mod q) on vertices u*q + v."""
-    u, v = np.divmod(np.arange(p * q), q)
-    return a * u % p * q + b * v % q
+def _digits(x, shape):
+    """Vertex x as its digit tuple in the mixed radix `shape`."""
+    out = []
+    for f in reversed(shape):
+        x, d = divmod(x, f)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+def _index(digits, shape):
+    """The vertex of a digit tuple, each digit taken mod its factor."""
+    x = 0
+    for d, f in zip(digits, shape):
+        x = x * f + d % f
+    return x
+
+
+def _vertex_map(shape, a):
+    """The map x -> a*x, digit by digit, on the vertices of
+    Z_{f_1} x ... x Z_{f_k} numbered in mixed radix."""
+    return np.array([_index([b * d for b, d in zip(a, _digits(x, shape))],
+                            shape) for x in range(prod(shape))])
 
 
 def _brute_pairs(table):
-    """Every unit pair (a, b) of Z_p x Z_q whose map keeps the colour of
-    each vertex's edge to 0, as a*q + b, by trying each pair on every
-    vertex."""
-    p, q = table.shape
+    """Every unit tuple whose map keeps the colour of each vertex's edge to
+    0, as its vertex index, by trying each tuple on every vertex."""
+    shape = table.shape
     flat = table.ravel()
-    return [a * q + b for a in range(p) if gcd(a, p) == 1
-            for b in range(q) if gcd(b, q) == 1
-            if (flat[_vertex_map(p, q, a, b)] == flat).all()]
+    return [_index(a, shape) for a in product(*map(_units, shape))
+            if (flat[_vertex_map(shape, a)] == flat).all()]
 
 
-def _planted_cayley(rng, p, q, r, gens):
-    """A random r-colouring of Z_p x Z_q on vertices u*q + v, constant on
-    each orbit of the nonzero vertices under the pairs generated by
-    (-1, -1) and `gens`; the edge {x, y} takes the colour of y - x."""
-    group, frontier = {(1, 1)}, [(1, 1)]
+def _planted_cayley(rng, shape, r, gens):
+    """A random r-colouring of Z_{f_1} x ... x Z_{f_k}, `shape` being the
+    f_j, constant on each orbit of the nonzero vertices under the tuples
+    generated by (-1, ..., -1) and `gens`."""
+    one = (1,) * len(shape)
+    group, frontier = {one}, [one]
     while frontier:
-        a, b = frontier.pop()
-        for g, h in ((p - 1, q - 1), *gens):
-            pair = (a * g % p, b * h % q)
-            if pair not in group:
-                group.add(pair)
-                frontier.append(pair)
-    table = np.zeros(p * q, dtype=np.int32)
-    for x in range(1, p * q):
+        a = frontier.pop()
+        for g in (tuple(f - 1 for f in shape), *gens):
+            t = tuple(x * y % f for x, y, f in zip(a, g, shape))
+            if t not in group:
+                group.add(t)
+                frontier.append(t)
+    maps = [_vertex_map(shape, a) for a in group]
+    table = np.zeros(prod(shape), dtype=np.int32)
+    for x in range(1, table.size):
         if not table[x]:
             s = rng.randint(1, r)
-            for a, b in group:
-                table[_vertex_map(p, q, a, b)[x]] = s
-    return _cayley_colouring(table.reshape(p, q), r)
+            for perm in maps:
+                table[perm[x]] = s
+    return _cayley_colouring(table.reshape(shape), r)
 
 
 def _cayley_colouring(table, r):
-    """The colouring of Z_p x Z_q whose edge {x, y} takes the colour
-    table[y - x]; table[-x] = table[x] keeps it symmetric."""
-    p, q = table.shape
-    u, v = np.divmod(np.arange(p * q), q)
-    diff = (u[None, :] - u[:, None]) % p * q + (v[None, :] - v[:, None]) % q
-    return ExplicitColouring(p * q, r, table.ravel()[diff])
+    """The colouring whose edge {x, y} takes the colour table[y - x], the
+    difference taken digit by digit; table[-x] = table[x] keeps it
+    symmetric."""
+    shape, flat = table.shape, table.ravel()
+    digits = [_digits(x, shape) for x in range(flat.size)]
+    return ExplicitColouring(flat.size, r, np.array(
+        [[flat[_index([b - a for a, b in zip(dx, dy)], shape)]
+          for dy in digits] for dx in digits]))
 
 
 def _planted_unit(rng, m):
@@ -633,35 +651,37 @@ def _planted_unit(rng, m):
 
 def _explicit_cayley_cases(rng):
     """Grid products of planted-coset cyclic factors, planted Cayley
-    colourings of Z_p x Z_q, and circulants; prime and composite orders."""
-    for p, q in ((9, 4), (5, 3), (4, 4), (7, 6), (3, 5), (6, 6), (2, 9),
-                 (5, 8)):
+    colourings, and circulants, over two and three factors of prime and
+    composite orders; then GF(16), which is Z_2^4."""
+    from test_acceptance import _greenwood_gleason_colouring
+
+    for shape in ((9, 4), (5, 3), (4, 4), (7, 6), (3, 5), (6, 6), (2, 9),
+                  (5, 8), (3, 4, 5), (2, 3, 3), (4, 2, 5)):
         r = rng.randint(1, 3)
-        a, b = (_coset_colouring(rng, m, r,
-                                 _subgroup(m, rng.sample(_units(m), 1)))
-                for m in (p, q))
-        yield song_product(expand_to_explicit(a), expand_to_explicit(b))
-        gens = [(_planted_unit(rng, p), _planted_unit(rng, q))]
-        yield _planted_cayley(rng, p, q, r, gens)
-        yield expand_to_explicit(_random_cyclic(rng, p * q, r))
+        grid = None
+        for m in shape:
+            h = expand_to_explicit(_coset_colouring(
+                rng, m, r, _subgroup(m, rng.sample(_units(m), 1))))
+            grid = h if grid is None else song_product(grid, h)
+        yield grid
+        gens = [tuple(_planted_unit(rng, m) for m in shape)]
+        yield _planted_cayley(rng, shape, r, gens)
+        yield expand_to_explicit(_random_cyclic(rng, prod(shape), r))
+    yield _greenwood_gleason_colouring()
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_explicit_orbit_check_matches_plain_vertex_zero(seed):
-    """Explicit colourings with a two-factor Cayley form, exact and
+    """Explicit Cayley colourings of one to four cyclic factors, exact and
     early-stop: the orbit-pruned check gives the plain vertex-0 search's
     sizes and witnesses, and the full search's (and brute force's) clique
     numbers.  The table is row 0 reshaped, and every edge takes the colour
-    of its difference in Z_p x Z_q."""
+    of its digit-wise difference."""
     rng = random.Random(900 + seed)
     for g in _explicit_cayley_cases(rng):
         table = cayley_table(g)
-        p, q = table.shape
         assert np.array_equal(table.ravel(), g.edge_colour[0])
-        u, v = np.divmod(np.arange(g.order), q)
-        diff = ((u[None, :] - u[:, None]) % p * q
-                + (v[None, :] - v[:, None]) % q)
-        assert np.array_equal(g.edge_colour, table.ravel()[diff])
+        assert _cayley_colouring(table, g.num_colours) == g
         colours = range(1, g.num_colours + 1)
         full = [max_clique_in_colour(g, s)[0] for s in colours]
         if g.order <= BRUTE_ORDER_CAP:
@@ -683,29 +703,32 @@ def test_explicit_orbit_check_matches_plain_vertex_zero(seed):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_multiplier_pairs_match_brute_force(seed):
-    """multipliers gives exactly the pairs that keep every colour, each
-    pair's vertex map keeps the whole matrix, and every orbit mask, of
+    """multipliers gives exactly the tuples that keep every colour, each
+    tuple's vertex map keeps the whole matrix, and every orbit mask, of
     unit and non-unit vertices alike, holds exactly the images of its
-    vertex.  A circulant's pairs are its cyclic form's multipliers."""
+    vertex.  A circulant's tuples are its cyclic form's multipliers."""
     rng = random.Random(950 + seed)
+    shapes = set()  # one to four factors, GF(16) being (2, 2, 2, 2)
     for g in _explicit_cayley_cases(rng):
         table = cayley_table(g)
-        p, q = table.shape
+        shape = table.shape
+        shapes.add(shape)
         pairs = multipliers(g).tolist()
         assert pairs == _brute_pairs(table)
         assert pairs == multipliers(g, table).tolist()
-        maps = [_vertex_map(p, q, *divmod(x, q)) for x in pairs]
+        maps = [_vertex_map(shape, _digits(x, shape)) for x in pairs]
         assert all(preserves_colours(g, perm) for perm in maps)
         orbit = cliques._multiplier_orbits(g, table)
         for x in range(g.order):
             mask = orbit(x)
             assert {y for y in range(g.order) if mask >> y & 1} == \
                 {int(perm[x]) for perm in maps}
-        if p == 1:
-            c = LengthColouring(CYCLIC, q, g.num_colours,
-                                tuple(table[0, 1:q // 2 + 1].tolist()))
+        if len(shape) == 1:
+            c = LengthColouring(CYCLIC, g.order, g.num_colours,
+                                tuple(table[1:g.order // 2 + 1].tolist()))
             assert expand_to_explicit(c) == g
             assert pairs == multipliers(c).tolist()
+    assert {len(shape) for shape in shapes} == {1, 2, 3, 4}
     # Z_2 x Z_13: row 0 is Paley 13's, kept by the six residues, and so
     # is vertex (1, 1)'s colour, but row 1 only by +-1: 3*2 = 6 moves its
     # colour.  (1, v) and (1, -v) both lie above vertex 13, so the
@@ -719,38 +742,62 @@ def test_multiplier_pairs_match_brute_force(seed):
     assert multipliers(g).tolist() == _brute_pairs(table) == [14, 25]
     # Z_9 x Z_4: (3, 2) has no unit coordinate, and (-1, -1) fixes
     # (0, 2), whose orbit is that vertex alone
-    g = _planted_cayley(random.Random(1), 9, 4, 2, [(2, 1)])
+    g = _planted_cayley(random.Random(1), (9, 4), 2, [(2, 1)])
     assert cayley_table(g).shape == (9, 4)
     orbit = cliques._multiplier_orbits(g, cayley_table(g))
     assert orbit(2) == 1 << 2
     assert orbit(3 * 4 + 2) == 1 << 3 * 4 + 2 | 1 << 6 * 4 + 2
 
 
-def test_colourings_without_a_two_factor_form_get_no_orbit(monkeypatch):
-    """GF(16)'s XOR translations, a three-factor grid, and a grid product
-    under a shuffled numbering keep today's path, with the full search's
-    clique numbers."""
-    from test_acceptance import _greenwood_gleason_colouring
+def _even_odd_colouring():
+    """Order 6: even-even and even-odd edges take colour 1, odd-odd edges
+    colour 2."""
+    odd = np.arange(6) % 2 == 1
+    mat = np.where(odd[:, None] & odd[None, :], 2, 1)
+    np.fill_diagonal(mat, 0)
+    return ExplicitColouring(6, 2, mat)
 
+
+@pytest.mark.parametrize("seed", range(2))
+def test_cayley_table_is_found_exactly_when_translations_are_transitive(
+        seed):
+    """`cayley_table` tries one divisor chain of digit shifts at a time;
+    the oracle closes 0's orbit under every translation that keeps the
+    colours.  On circulants, two- and three-factor grids, planted Cayley
+    colourings, GF(16), their shuffled numberings, the partial orbit and
+    orders 0 and 1, a table is found exactly when the oracle says
+    transitive."""
+    rng = random.Random(1300 + seed)
+    cases = [*_transitive_cases(rng), *_explicit_cayley_cases(rng)]
+    cases += [_relabelled(rng, g) for g in cases]
+    cases += [_even_odd_colouring(), ExplicitColouring(0, 1, np.zeros((0, 0))),
+              ExplicitColouring(1, 1, np.zeros((1, 1)))]
+    said = {True: 0, False: 0}
+    for g in cases:
+        found = cayley_table(g) is not None
+        assert found == translation_transitive(g)
+        said[found] += 1
+    assert min(said.values()) > 40
+
+
+def test_colourings_without_a_two_factor_form_get_no_orbit(monkeypatch):
+    """A grid product under a shuffled numbering has no Cayley table and no
+    transitive translations: it builds no orbit and gets the full search,
+    with the full search's clique numbers."""
     def refuse(*args):
-        raise AssertionError("orbits built without a two-factor form")
+        raise AssertionError("orbits built without a Cayley table")
 
     rng = random.Random(31)
     grid = _grid(rng, [4, 5], 2)
-    c5 = expand_to_explicit(pentagon())
-    cases = [(_greenwood_gleason_colouring(), True),
-             (song_product(song_product(c5, c5), c5), True),
-             (_relabelled(rng, grid), False)]
+    g = _relabelled(rng, grid)
     monkeypatch.setattr(cliques, "_multiplier_orbits", refuse)
-    for g, transitive in cases:
-        assert cayley_table(g) is None
-        assert translation_transitive(g) == transitive
-        with pytest.raises(colouring.ColouringError):
-            multipliers(g)
-        report = ramsey_check(g, (g.order,) * g.num_colours, exact=True)
-        assert report.per_colour_max == tuple(
-            max_clique_in_colour(g, s)[0]
-            for s in range(1, g.num_colours + 1))
+    assert cayley_table(g) is None and not translation_transitive(g)
+    with pytest.raises(colouring.ColouringError):
+        multipliers(g)
+    report = ramsey_check(g, (g.order,) * g.num_colours, exact=True)
+    assert report.per_colour_max == tuple(
+        max_clique_in_colour(g, s)[0] for s in range(1, g.num_colours + 1))
+    assert report.witness[0][0] != 0
     assert cayley_table(grid).shape == (4, 5)
 
 
@@ -787,6 +834,37 @@ def test_paley_29_grid_branches_under_its_pairs(monkeypatch):
     assert nodes[0] == 3469
     assert list(zip(report.per_colour_max, report.witness)) == plain
     assert report.per_colour_max == (8, 8) and report.passes
+
+
+def test_three_factor_grid_branches_under_its_tuples(monkeypatch):
+    """C5 x C5 x Paley 13 (order 325) is found as Z_5 x Z_5 x Z_13, with
+    the 24 tuples (+-1, +-1, quadratic residue); they cut its exact check
+    from 309,831 nodes to 42,228, with the plain vertex-0 search's sizes
+    and witnesses."""
+    c5 = expand_to_explicit(pentagon())
+    g = song_product(song_product(c5, c5),
+                     expand_to_explicit(paley_colouring(13)))
+    assert cayley_table(g).shape == (5, 5, 13)
+    residues = {x * x % 13 for x in range(1, 13)}
+    assert [_digits(x, (5, 5, 13)) for x in multipliers(g).tolist()] == [
+        (a, b, c) for a in (1, 4) for b in (1, 4) for c in sorted(residues)]
+    nodes = [0]
+    greedy = cliques._greedy_colour_order
+
+    def counted(adj, cand):
+        nodes[0] += 1
+        return greedy(adj, cand)
+
+    monkeypatch.setattr(cliques, "_greedy_colour_order", counted)
+    report = ramsey_check(g, (13, 13), exact=True)
+    assert nodes[0] == 42228
+    nodes[0] = 0
+    monkeypatch.setattr(cliques, "_multiplier_orbits", lambda c, table: None)
+    assert ramsey_check(g, (13, 13), exact=True) == report
+    assert nodes[0] == 309831
+    assert report.per_colour_max == (12, 12) and report.passes
+    assert report.witness[0] == (0, 9, 12, 60, 61, 64, 307, 308, 311, 320,
+                                 321, 324)
 
 
 def test_early_stop_on_the_first_branch_computes_no_pairs(monkeypatch):

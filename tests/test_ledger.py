@@ -734,6 +734,27 @@ def test_load_rejects_a_parent_after_its_child(tmp_path):
         Ledger.load(path)
 
 
+@pytest.mark.parametrize("parent", [-1, 0, 2])
+def test_add_fact_refuses_a_parent_that_is_not_stored(parent):
+    """Parents -1 and 0 would read as Python's negative indexes, and a
+    fact's own id comes after nothing stored; each is refused on add,
+    as on load, and leaves the ledger as it was.  Ids outside the store
+    are no fact to `get` either."""
+    ledger = Ledger()
+    c5 = ledger.add_fact(graph_fact((3, 3), 5, asserted("c5"), cyclic=True))
+    bad = BoundFact(RAMSEY, (3, 3), 6, derived("r7", [parent]))
+    with pytest.raises(LedgerError, match=f"fact 2 names parent {parent}, "
+                                          "which does not come before it"):
+        ledger.add_fact(bad)
+    assert len(ledger.facts) == 1
+    for fact_id in (-1, 0, 2):
+        with pytest.raises(LedgerError, match=f"no fact {fact_id}"):
+            ledger.get(fact_id)
+    good = ledger.add_fact(replace(bad, certificate=derived("r7", [c5])))
+    ledger.recompute_check()
+    assert ledger.get(good).value == 6
+
+
 def test_failed_save_leaves_the_old_store(tmp_path, monkeypatch):
     path = _derived_store(tmp_path)
     before = path.read_bytes()
@@ -800,13 +821,17 @@ def test_cyclic_flag_fits_cyclic_colourings(tmp_path):
 
 class _IdentityLedger:
     """Ingestion as one dict from each offered fact's JSON identity to its
-    id, the reference for `Ledger.add_fact`'s dedupe."""
+    id, the reference for `Ledger.add_fact`'s dedupe.  A fact naming a
+    parent that is not yet stored is refused."""
 
     def __init__(self):
         self.facts = []
         self._ids = {}
 
     def add_fact(self, f):
+        if not set(f.certificate.get("parents", ())) <= set(
+                range(1, len(self.facts) + 1)):
+            raise LedgerError("a parent is not stored")
         if (f.certificate.get("type") == "explicit"
                 and f.certificate.get("verified") is not True):
             f = replace(f, certificate={**f.certificate, "verified": True})
@@ -868,7 +893,13 @@ def test_add_fact_matches_identity_dict_oracle(seed, tmp_path):
         else:
             f = _random_fact(rng, pent)
         offered.append(f)
-        assert ledger.add_fact(f) == oracle.add_fact(f)
+        try:
+            want = oracle.add_fact(f)
+        except LedgerError:
+            with pytest.raises(LedgerError, match="does not come before"):
+                ledger.add_fact(f)
+            continue
+        assert ledger.add_fact(f) == want
     assert [repr(f) for f in ledger.facts] == [repr(f) for f in oracle.facts]
     # the streams reach every case the buckets must tell apart
     stored = {(f.kind, f.parameters, f.certificate.get("type"))
