@@ -260,6 +260,9 @@ def _load_store(path) -> led.Ledger:
 
 
 def cmd_ledger(args) -> int:
+    if (args.ledger_cmd == "assert" and args.phi is not None
+            and not args.template):
+        raise ValueError("ledger assert: --phi applies only with --template")
     path = _store_path(args)
     with _locked_store(path):
         ledger = _load_store(path)

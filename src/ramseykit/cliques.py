@@ -1,17 +1,17 @@
 """Exact per-colour clique numbers and Ramsey-property verification.
 
-The search is a branch-and-bound over bitset adjacency rows with a greedy
-colouring upper bound.  A length colouring is searched through vertex 0
-only, on rows built from its lengths; for a cyclic one the top level skips
-the orbit-mates, under its multipliers l -> a*l, of each neighbour of 0 it
-has branched on.  An explicit colouring that is a Cayley colouring of a
-product of cyclic groups (a circulant, a grid product of any number of
-factors, GF(16) as Z_2^4) is searched through vertex 0 in the same way,
-under its multiplier tuples, and any other over all its vertices.  The
-full search (`max_clique_in_colour`) and an exhaustive oracle
-(`max_clique_brute`) provide independent ground truth, so nothing emitted
-by the constructions or the SAT search is trusted without a second
-opinion.
+There is one search: a branch-and-bound over bitset adjacency rows with a
+greedy-colouring upper bound, which extends a seed clique.  The full
+search (`max_clique_in_colour`) extends the empty clique over all
+vertices.  When every clique has a copy through vertex 0 (a length
+colouring, linear or cyclic, or an explicit Cayley colouring of a product
+of cyclic groups: a circulant, a grid product of any number of factors,
+GF(16) as Z_2^4), `ramsey_check` extends the clique (0,) inside 0's
+neighbourhood, skipping at the first level the orbit-mates of each
+vertex it has branched on under the colouring's multipliers.  The full
+search and an exhaustive oracle (`max_clique_brute`) provide independent
+ground truth, so nothing emitted by the constructions or the SAT search
+is trusted without a second opinion.
 """
 
 from __future__ import annotations
@@ -106,65 +106,56 @@ def _greedy_colour_order(adj: list[int], cand: int) -> list[tuple[int, int]]:
     return ordered
 
 
-def _search(adj: list[int], cand: int, stop_at: int | None, best_size: int,
-            best: tuple[int, ...], orbit: Callable[[int], int] | None = None
+def _search(adj: list[int], r: list[int], cand: int, stop_at: int | None,
+            orbit: Callable[[int], int] | None = None
             ) -> tuple[int, tuple[int, ...]]:
-    """The larger of `best` and the largest clique inside the set `cand`.
+    """The largest clique that extends the clique `r` inside the set `cand`.
 
-    Branch-and-bound with greedy-colouring bounds (Tomita and Seki, DMTCS
-    2003).  With `stop_at` the search returns as soon as it holds a clique
-    of that size.  Deterministic: candidate vertices are expanded
-    lowest-index-first within the bound ordering.
+    `r` is [] or [0], and every vertex of `cand` is adjacent to all of
+    `r`.  The search starts from the lone clique (0,) of size 1, which it
+    returns when nothing larger is found.  Branch-and-bound with
+    greedy-colouring bounds (Tomita and Seki, DMTCS 2003).  With `stop_at`
+    the search returns as soon as it holds a clique of that size.
+    Deterministic: candidate vertices are expanded lowest-index-first
+    within the bound ordering.
 
     `orbit(v)`, when given, is the bitmask of v's orbit under a group of
-    automorphisms of the graph that map `cand` onto itself.  Once the top
-    level has searched every clique through v, a later top-level vertex of
-    that orbit can only give cliques of the same sizes, so its branch is
-    skipped (orbital branching: Ostrowski, Linderoth, Rossi and Smriglio,
-    Math. Programming 126, 2011).  A skipped branch would find no larger
-    clique, and the vertex leaves `cand` when its turn comes, as it does
-    after a branch, so sizes and witnesses are those of the plain search.
-    Below the top level the search is the same either way.
+    automorphisms of the graph that fix `r` and map `cand` onto itself.
+    Once the first level has searched every clique through v, a later
+    first-level vertex of that orbit can only give cliques of the same
+    sizes, so its branch is skipped (orbital branching: Ostrowski,
+    Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  A skipped
+    branch would find no larger clique, and the vertex leaves `cand` when
+    its turn comes, as it does after a branch, so sizes and witnesses are
+    those of the plain search.  Deeper levels search the same either way.
     """
+    best = (0,)
 
-    def expand(r: list[int], cand: int):
-        nonlocal best_size, best
-        ordered = _greedy_colour_order(adj, cand)
-        for v, bound in reversed(ordered):
-            if len(r) + bound <= best_size:
+    def expand(cand: int, orbit: Callable[[int], int] | None):
+        nonlocal best
+        done = 0  # the orbits of the vertices already branched on
+        for v, bound in reversed(_greedy_colour_order(adj, cand)):
+            if len(r) + bound <= len(best):
                 return
+            bit = 1 << v
+            cand &= ~bit
+            if done & bit:
+                continue
             r.append(v)
             sub = cand & adj[v]
             if sub:
-                expand(r, sub)
-            elif len(r) > best_size:
-                best_size = len(r)
+                expand(sub, None)
+            elif len(r) > len(best):
                 best = tuple(sorted(r))
             r.pop()
-            cand &= ~(1 << v)
-            if stop_at is not None and best_size >= stop_at:
+            if stop_at is not None and len(best) >= stop_at:
                 return
+            if orbit is not None and cand:
+                done |= orbit(v)
 
-    if stop_at is not None and best_size >= stop_at:
-        return best_size, best
-    done = 0  # the orbits of the top-level vertices already branched on
-    for v, bound in reversed(_greedy_colour_order(adj, cand)):
-        if bound <= best_size:
-            break
-        bit = 1 << v
-        cand &= ~bit
-        if done & bit:
-            continue
-        sub = cand & adj[v]
-        if sub:
-            expand([v], sub)
-        elif best_size < 1:
-            best_size, best = 1, (v,)
-        if stop_at is not None and best_size >= stop_at:
-            break
-        if orbit is not None and cand:
-            done |= orbit(v)
-    return best_size, best
+    if stop_at is None or stop_at > 1:
+        expand(cand, orbit)
+    return len(best), best
 
 
 def max_clique_in_colour(
@@ -182,27 +173,7 @@ def max_clique_in_colour(
         raise ColouringError(f"colour {s} out of range 1..{g.num_colours}")
     if g.order == 0:
         return 0, ()
-    full = (1 << g.order) - 1
-    return _search(_colour_bitrows(g, s), full, stop_at, 1, (0,))
-
-
-def _clique_through_zero(adj: list[int], stop_at: int | None,
-                         orbit: Callable[[int], int] | None = None
-                         ) -> tuple[int, tuple[int, ...]]:
-    """Maximum clique of the graph with bit rows `adj`, found through 0.
-
-    Valid when every clique has a copy of the same size through vertex 0.
-    Shifting a clique by minus its least vertex keeps every edge length of
-    a length colouring, linear or cyclic, and shifting it by minus any of
-    its vertices keeps every colour of an explicit Cayley colouring.  Then
-    the clique number is 1 + the clique number of 0's neighbourhood.
-    `orbit` is as in `_search`, for a group that fixes 0 and keeps the
-    colour.
-    """
-    size, wit = _search(adj, adj[0],
-                        None if stop_at is None else stop_at - 1, 0, (),
-                        orbit)
-    return size + 1, (0,) + wit
+    return _search(_colour_bitrows(g, s), [], (1 << g.order) - 1, stop_at)
 
 
 def _multiplier_orbits(c: LengthColouring | ExplicitColouring,
@@ -288,14 +259,16 @@ def ramsey_check(
 
     By default each colour's search stops as soon as a clique matching its
     bound is found; pass exact=True for full clique numbers.  There are
-    three paths.  A length colouring is never expanded and is searched
-    through vertex 0, a cyclic one under its multipliers.  An explicit
-    colouring with a `cayley_table` (a circulant, a grid product of any
-    number of factors, GF(16)) is searched through vertex 0 under its
-    multiplier tuples.  On both, witnesses start at 0, and sizes and
-    witnesses are those of the search without the multipliers.  Any other
-    colouring, such as a grid under a shuffled numbering, gets the full
-    search.
+    three paths.  A length colouring is never expanded: its rows are built
+    from its lengths, and a cyclic one branches under its multipliers.  An
+    explicit colouring with a `cayley_table` (a circulant, a grid product
+    of any number of factors, GF(16)) branches under its multiplier tuples.
+    Shifting a clique by minus its least vertex keeps every edge length of
+    a length colouring, and shifting it by minus any of its vertices keeps
+    every colour of a Cayley colouring, so on both the search extends (0,)
+    inside 0's neighbourhood: witnesses start at 0, and sizes and witnesses
+    are those of the search without the multipliers.  Any other colouring,
+    such as a grid under a shuffled numbering, gets the full search.
     """
     avoid = tuple(avoid)
     if len(avoid) != c.num_colours:
@@ -321,8 +294,11 @@ def ramsey_check(
     passes = True
     for s, k in enumerate(avoid, start=1):
         stop = None if exact else k
-        size, wit = (max_clique_in_colour(c, s, stop) if rows is None
-                     else _clique_through_zero(rows(c, s), stop, orbit))
+        if rows is None:
+            size, wit = max_clique_in_colour(c, s, stop)
+        else:
+            adj = rows(c, s)
+            size, wit = _search(adj, [0], adj[0], stop, orbit)
         sizes.append(size)
         witnesses.append(wit)
         exact_flags.append(exact or size < k)

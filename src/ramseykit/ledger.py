@@ -27,6 +27,11 @@ GRAPH = "graph_exists"
 RAMSEY = "ramsey_lower_bound"
 GAMMA = "gamma_lower_bound"
 
+# Far above any root a rule makes (r10's root is a template's number of
+# non-template colours); comparing two gammas takes a power of each base to
+# the other's root, so an unbounded root could stall every query.
+MAX_GAMMA_ROOT = 64
+
 _log = logging.getLogger(__name__)
 
 
@@ -46,8 +51,11 @@ class GammaValue:
 
     def __post_init__(self):
         object.__setattr__(self, "base", Fraction(self.base))
-        if self.root < 1:
-            raise LedgerError(f"root must be >= 1, got {self.root}")
+        if self.base < 0:
+            raise LedgerError(f"gamma base must be >= 0, got {self.base}")
+        if not 1 <= self.root <= MAX_GAMMA_ROOT:
+            raise LedgerError(f"gamma root must be 1..{MAX_GAMMA_ROOT}, "
+                              f"got {self.root}")
 
     def render(self, places: int = 6) -> str:
         with localcontext() as ctx:
@@ -67,10 +75,6 @@ class GammaValue:
     def __lt__(self, other):
         a, b = self._cmp_key(other)
         return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,8 @@ def _rule_gamma_from_template(f: BoundFact):
         return None
     non_template = tuple(k for k in f.parameters if k != 3)
     p = len(non_template)
-    if p == 0 or len(non_template) != len(f.parameters) - 1:
+    if not (1 <= p <= MAX_GAMMA_ROOT
+            and len(non_template) == len(f.parameters) - 1):
         return None
     if len(set(non_template)) != 1:
         return None

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -973,6 +974,48 @@ def test_store_line_that_is_not_a_fact_exits_2(line, tmp_path, capsys):
                      "graph(3,3)"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _gamma_line(fact_id, base, root):
+    return json.dumps({"id": fact_id, "kind": "gamma_lower_bound",
+                       "parameters": [3],
+                       "value": {"base": base, "root": root},
+                       "certificate": {"type": "asserted", "source": "s"},
+                       "flags": {}})
+
+
+@pytest.mark.parametrize("values, message", [
+    ([([-82, 25], 2)], "gamma base must be >= 0, got -82/25"),
+    ([([82, 25], 1), ([83, 25], 3_000_000)],
+     "gamma root must be 1..64, got 3000000"),
+], ids=["negative-base", "huge-root"])
+def test_gamma_value_out_of_range_exits_2(values, message, tmp_path,
+                                          capsys):
+    """A negative base ended `ledger best` in a decimal traceback, and a
+    root of 3,000,000 stalled it for seconds on one exact comparison."""
+    path = tmp_path / "facts.jsonl"
+    path.write_text("".join(_gamma_line(i, base, root) + "\n" for i, (
+        base, root) in enumerate(values, start=1)))
+    start = time.monotonic()
+    assert dispatch(["ledger", "--store", str(path), "best",
+                     "gamma(3)"]) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_assert_phi_needs_template(store, capsys):
+    """--phi without --template used to store the fact without its phi."""
+    argv = ["ledger", "assert", "3,3,3", "14", "--source", "s", "--phi", "4"]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: ledger assert: --phi applies only with --template\n"
+    assert not os.path.exists(store)
+    assert dispatch([*argv, "--template"]) == 0
+    with open(store) as f:
+        assert json.loads(f.read())["flags"] == {"template": True, "phi": 4}
 
 
 def _derived_store(path, r7_value, r1_value, r1_parents=(1,), r1_rule="r1"):

@@ -306,6 +306,29 @@ def test_partial_orbit_falls_back_to_full_search():
     assert report.witness[1] == (1, 3, 5)
 
 
+@pytest.mark.parametrize("kind", ["cyclic", "linear", "cayley",
+                                  "not-cayley"])
+def test_lone_vertex_is_the_clique_on_every_path(kind):
+    """Bound 1 stops each colour before it branches, and colour 3 has no
+    edge.  On each of ramsey_check's three paths both give size 1 and the
+    witness (0,), the clique every search starts from."""
+    cyclic = LengthColouring(CYCLIC, 6, 3, (1, 2, 1))
+    c = {"cyclic": cyclic,
+         "linear": LengthColouring("linear", 6, 3, (1, 2, 1, 2, 1)),
+         "cayley": expand_to_explicit(cyclic),
+         "not-cayley": ExplicitColouring(
+             6, 3, _even_odd_colouring().edge_colour)}[kind]
+    if isinstance(c, ExplicitColouring):
+        assert (cayley_table(c) is None) == (kind == "not-cayley")
+    early = ramsey_check(c, (1, 1, 1))
+    assert early.per_colour_max == (1, 1, 1)
+    assert early.witness == ((0,),) * 3
+    assert early.exact == (False,) * 3 and not early.passes
+    exact = ramsey_check(c, (7, 7, 7), exact=True)
+    assert exact.per_colour_max[2] == 1 and exact.witness[2] == (0,)
+    assert exact.passes and exact.exact == (True,) * 3
+
+
 # -- orbital branching under the multiplier group ------------------------------
 
 def _plain_vertex_zero(adj, stop_at):
@@ -506,12 +529,12 @@ def test_paley_401_branches_on_one_neighbour_per_colour(monkeypatch):
     branched, computed = [], []
     search, units_of = cliques._search, cliques.multipliers
 
-    def traced_search(adj, cand, stop_at, best_size, best, orbit=None):
+    def traced_search(adj, r, cand, stop_at, orbit=None):
         def counted(v):
             mask = orbit(v)
             branched.append((v, mask == cand))
             return mask
-        return search(adj, cand, stop_at, best_size, best,
+        return search(adj, r, cand, stop_at,
                       None if orbit is None else counted)
 
     def traced_units(*args):

@@ -66,8 +66,20 @@ def test_gamma_value_exact_comparison():
 
 
 def test_gamma_value_validation():
-    with pytest.raises(LedgerError):
-        GammaValue(Fraction(2), 0)
+    for base, root in ((2, 0), (2, 65), (Fraction(-82, 25), 2)):
+        with pytest.raises(LedgerError):
+            GammaValue(Fraction(base), root)
+    assert GammaValue(Fraction(0), 64).render() == "0.000000"
+
+
+def test_r10_derives_no_root_above_the_bound():
+    """r10's root is a template's number of non-template colours; past the
+    bound GammaValue would refuse it, so the rule derives nothing."""
+    for p, root in ((64, 64), (65, None)):
+        f = replace(graph_fact((5,) * p + (3,), 100, asserted("s"),
+                               template=True, phi=1), fact_id=1)
+        out = UNARY_RULES["r10"](f)
+        assert (out and out.value.root) == root
 
 
 def test_fact_validation():
