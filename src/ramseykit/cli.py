@@ -260,9 +260,13 @@ def _load_store(path) -> led.Ledger:
 
 
 def cmd_ledger(args) -> int:
-    if (args.ledger_cmd == "assert" and args.phi is not None
-            and not args.template):
-        raise ValueError("ledger assert: --phi applies only with --template")
+    if args.ledger_cmd == "assert":
+        if args.phi is not None and not args.template:
+            raise ValueError("ledger assert: --phi applies only with "
+                             "--template")
+        if args.degree_index is not None and args.degree is None:
+            raise ValueError("ledger assert: --degree-index applies only "
+                             "with --degree")
     path = _store_path(args)
     with _locked_store(path):
         ledger = _load_store(path)
@@ -309,7 +313,7 @@ def cmd_ledger(args) -> int:
                 flags["phi"] = args.phi
             if args.degree is not None:
                 flags["special_degree"] = args.degree
-                flags["special_degree_index"] = args.degree_index
+                flags["special_degree_index"] = args.degree_index or 0
             fact = led.graph_fact(params, args.order,
                                   led.asserted(args.source), **flags)
             fid = ledger.add_fact(fact)
@@ -603,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     lassert.add_argument("--template", action="store_true")
     lassert.add_argument("--phi", type=int)
     lassert.add_argument("--degree", type=int)
-    lassert.add_argument("--degree-index", type=int, default=0)
+    lassert.add_argument("--degree-index", type=int)
     ld = lg_sub.add_parser("derive", help="close the ledger under rules")
     ld.add_argument("--rules", help="comma-separated rule ids (default all)")
     ld.add_argument("--depth", type=int, default=2)

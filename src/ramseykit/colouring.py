@@ -343,31 +343,18 @@ _KEY_ORDER = ("kind", "order", "num_colours", "avoid", "colours",
 
 
 def serialize_colouring(c: LengthColouring | ExplicitColouring) -> str:
-    obj: dict = {}
     if isinstance(c, LengthColouring):
-        obj["kind"] = c.kind
-        obj["order"] = c.order
-        obj["num_colours"] = c.num_colours
-        if c.avoid is not None:
-            obj["avoid"] = list(c.avoid)
-        obj["colours"] = list(c.colour_of)
-        if c.template_colour is not None:
-            obj["template_colour"] = c.template_colour
-        if c.comment is not None:
-            obj["comment"] = c.comment
+        kind, colours, template = c.kind, list(c.colour_of), c.template_colour
     elif isinstance(c, ExplicitColouring):
-        obj["kind"] = EXPLICIT
-        obj["order"] = c.order
-        obj["num_colours"] = c.num_colours
-        if c.avoid is not None:
-            obj["avoid"] = list(c.avoid)
-        obj["colours"] = c.upper_triangle()
-        if c.comment is not None:
-            obj["comment"] = c.comment
+        kind, colours, template = EXPLICIT, c.upper_triangle(), None
     else:
         raise ColouringError(f"cannot serialize {type(c).__name__}")
+    values = (kind, c.order, c.num_colours,
+              None if c.avoid is None else list(c.avoid), colours, template,
+              c.comment)
     return ("{\n" + ",\n".join(f'  "{key}": {_indented(value)}'
-                                for key, value in obj.items()) + "\n}\n")
+                                for key, value in zip(_KEY_ORDER, values)
+                                if value is not None) + "\n}\n")
 
 
 def _indented(value) -> str:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from .colouring import ExplicitColouring, check_cyclic_symmetry, load_colouring
 from .cliques import ramsey_check
@@ -96,6 +97,14 @@ class BoundFact:
             raise LedgerError("gamma facts need a GammaValue")
         if self.kind != GAMMA and not isinstance(self.value, int):
             raise LedgerError("order/bound facts need an integer value")
+        if self.kind == GRAPH and self.value < 1:
+            raise LedgerError(f"graph order must be >= 1, got {self.value}")
+        # the rules do arithmetic on these, and build orders from them
+        for name, least in (("phi", 0), ("special_degree", 1)):
+            flag = self.flags.get(name)
+            if flag is not None and not (type(flag) is int and flag >= least):
+                raise LedgerError(f"{name} must be an integer >= {least}, "
+                                  f"got {flag!r}")
         idx = self.flags.get("special_degree_index")
         if idx is not None and not (type(idx) is int
                                     and 0 <= idx < len(self.parameters)):
@@ -131,8 +140,9 @@ def derived(rule: str, parents: list[int], note: str | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Derivation rules.  Each rule is pure: given parent facts it either returns
-# a new fact (without an id) or None when inapplicable.
+# Derivation rules, declared in `RULES`.  Each rule is pure: given parents
+# that pass its tests it returns a new fact (without an id), or None where
+# a condition on their parameters or values fails.
 
 def _is_linear_graph(f: BoundFact) -> bool:
     # every cyclic colouring is in particular linear
@@ -150,7 +160,7 @@ def _is_template_graph(f: BoundFact) -> bool:
 def _rule_giraud(f: BoundFact):
     """Add one colour with bound 3 to a cyclic graph: order x 3.
     Needs two bounds >= 3: the edge (3; 2) would give (3, 3; 6), R(3,3) = 6."""
-    if not _is_cyclic_graph(f) or sum(k >= 3 for k in f.parameters) < 2:
+    if sum(k >= 3 for k in f.parameters) < 2:
         return None
     return BoundFact(GRAPH, f.parameters + (3,), 3 * f.value,
                      derived("r1", [f.fact_id]), {"cyclic": True})
@@ -159,8 +169,6 @@ def _rule_giraud(f: BoundFact):
 def _rule_product(f1: BoundFact, f2: BoundFact):
     """The template compound of the doubled left factor; cyclic when both
     factors are, as `constructions.product_cyclic` builds it."""
-    if not (_is_linear_graph(f1) and _is_linear_graph(f2)):
-        return None
     order = compound_order(*doubled_shape(f1.value), f2.value)
     shape = ("cyclic" if _is_cyclic_graph(f1) and _is_cyclic_graph(f2)
              else "linear")
@@ -170,11 +178,6 @@ def _rule_product(f1: BoundFact, f2: BoundFact):
 
 def _rule_template_compound(ft: BoundFact, fg: BoundFact):
     """Template of order t with offset phi, times a linear graph."""
-    if not (_is_template_graph(ft) and ft.flags.get("phi") is not None
-            and ft.parameters and ft.parameters[-1] == 3):
-        return None
-    if not _is_linear_graph(fg):
-        return None
     params = ft.parameters[:-1] + fg.parameters  # drop the template's 3
     value = compound_order(ft.value, ft.flags["phi"], fg.value)
     return BoundFact(GRAPH, params, value,
@@ -184,8 +187,6 @@ def _rule_template_compound(ft: BoundFact, fg: BoundFact):
 
 def _rule_song(f1: BoundFact, f2: BoundFact):
     """Pointwise product of Ramsey lower bounds (bounds matched sorted)."""
-    if not (f1.kind == RAMSEY and f2.kind == RAMSEY):
-        return None
     if len(f1.parameters) != len(f2.parameters):
         return None
     p1 = f1.sorted_parameters
@@ -198,8 +199,6 @@ def _rule_song(f1: BoundFact, f2: BoundFact):
 
 
 def _rule_graph_to_bound(f: BoundFact):
-    if f.kind != GRAPH:
-        return None
     note = f.flags.get("provenance_note")
     return BoundFact(RAMSEY, f.parameters, f.value + 1,
                      derived("r7", [f.fact_id], note=note))
@@ -212,8 +211,6 @@ def _rule_quadruple_twice(f: BoundFact):
     triangle-free colour).  A known colour-degree in that colour propagates
     through the composite degree formula 9*d + 7*n + 5.
     """
-    if not _is_cyclic_graph(f):
-        return None
     if f.parameters.count(3) != 1 or len(f.parameters) < 2:
         return None
     i3 = f.parameters.index(3)
@@ -231,8 +228,6 @@ def _rule_quadruple_twice(f: BoundFact):
 def _rule_degree_neighbourhood(f: BoundFact):
     """Regular colour degree D: the neighbourhood in that colour induces a
     graph with the colour's bound reduced by one and order D."""
-    if f.kind != GRAPH:
-        return None
     d = f.flags.get("special_degree")
     idx = f.flags.get("special_degree_index")
     if d is None or idx is None:
@@ -246,8 +241,6 @@ def _rule_degree_neighbourhood(f: BoundFact):
 
 def _rule_gamma_from_template(f: BoundFact):
     """Diagonal (k x p, 3)-template of order t gives Gamma(k) >= (t-1)**(1/p)."""
-    if not _is_template_graph(f):
-        return None
     non_template = tuple(k for k in f.parameters if k != 3)
     p = len(non_template)
     if not (1 <= p <= MAX_GAMMA_ROOT
@@ -274,44 +267,50 @@ def _rule_abbott_fifth(f: BoundFact):
     return None
 
 
-UNARY_RULES = {
-    "r1": _rule_giraud,
-    "r7": _rule_graph_to_bound,
-    "r8": _rule_quadruple_twice,
-    "r9": _rule_degree_neighbourhood,
-    "r10": _rule_gamma_from_template,
-    "r11": _rule_abbott_fifth,
-}
+class Rule(NamedTuple):
+    """A rule's function, one test per parent, and, for a binary rule, its
+    join (room, exact): given the left parent, `room(left, max_colours)` is
+    a colour count n, and the right parent must have exactly n colours if
+    `exact`, else at most n, the most for the product to fit."""
+    fn: Callable
+    tests: tuple
+    join: tuple | None = None
 
-BINARY_RULES = {
-    "r3": _rule_product,
-    "r5": _rule_template_compound,
-    "r6": _rule_song,
-}
 
-_RULES = UNARY_RULES | BINARY_RULES
-ALL_RULES = tuple(sorted(_RULES))
+RULES = {
+    "r1": Rule(_rule_giraud, (_is_cyclic_graph,)),
+    "r3": Rule(_rule_product, (_is_linear_graph, _is_linear_graph),
+               (lambda f, max_colours: max_colours - len(f.parameters),
+                False)),
+    # a template with a phi whose last bound, 3, the product drops
+    "r5": Rule(_rule_template_compound,
+               (lambda f: (_is_template_graph(f) and f.parameters[-1:] == (3,)
+                           and f.flags.get("phi") is not None),
+                _is_linear_graph),
+               (lambda f, max_colours: max_colours - len(f.parameters) + 1,
+                False)),
+    # r6 keeps the length of its parents, which must be equal
+    "r6": Rule(_rule_song, (lambda f: f.kind == RAMSEY,) * 2,
+               (lambda f, max_colours: len(f.parameters), True)),
+    "r7": Rule(_rule_graph_to_bound, (lambda f: f.kind == GRAPH,)),
+    "r8": Rule(_rule_quadruple_twice, (_is_cyclic_graph,)),
+    "r9": Rule(_rule_degree_neighbourhood, (lambda f: f.kind == GRAPH,)),
+    "r10": Rule(_rule_gamma_from_template, (_is_template_graph,)),
+    "r11": Rule(_rule_abbott_fifth, (lambda f: True,)),  # reads two kinds
+}
+ALL_RULES = tuple(sorted(RULES))
 _FOLDED = {"r2": "r3", "r4": "r3"}  # retired product rules, read as r3
 
 
-def _room(f: BoundFact, max_colours: int) -> int:
-    return max_colours - len(f.parameters)
-
-
-# The parents each binary rule can accept, left and right; given the left
-# parent, a colour count n for the right one; and whether the right parent
-# must have exactly n colours rather than at most n, the most for the
-# product to fit in max_colours.  All are read before a product is built,
-# so the closure never builds a product it would drop for length, nor
-# offers a rule a pair it would refuse for length.
-_JOINS = {
-    "r3": (_is_linear_graph, _is_linear_graph, _room, False),
-    "r5": (_is_template_graph, _is_linear_graph,
-           lambda ft, max_colours: _room(ft, max_colours) + 1, False),
-    # r6 keeps the length of its parents, which must be equal
-    "r6": (lambda f: f.kind == RAMSEY, lambda f: f.kind == RAMSEY,
-           lambda f, max_colours: len(f.parameters), True),
-}
+def apply_rule(rule_id: str, parents) -> BoundFact | None:
+    """The fact rule `rule_id` derives from `parents`, or None if it derives
+    none: the rule is unknown, the parents are too few or too many, or one
+    fails its test or the rule's own conditions.  r2 and r4 read as r3."""
+    rule = RULES.get(_FOLDED.get(rule_id, rule_id))
+    if (rule is None or len(parents) != len(rule.tests)
+            or not all(test(f) for test, f in zip(rule.tests, parents))):
+        return None
+    return rule.fn(*parents)
 
 
 def dominance_key(f: BoundFact) -> tuple:
@@ -440,8 +439,10 @@ class Ledger:
         all best facts, since a store does not record which pairs were
         joined; each later pass applies unary rules to the facts new in the
         previous pass, and binary rules to the pairs with at least one new
-        fact.  Pairs a rule cannot accept, or whose product would have more
-        than `max_colours` colours, are skipped before a product is built.
+        fact.  Each rule's parent tests and join come from `RULES`, as
+        `apply_rule` reads them: a fact or pair that fails a test, or whose
+        product would have more than `max_colours` colours, is skipped
+        before a product is built.
 
         Parents are taken in id order, so the result is deterministic for a
         given insertion order, one call of depth d leaves the same facts as
@@ -451,7 +452,7 @@ class Ledger:
             raise LedgerError(f"depth: must be >= 0, got {depth}")
         requested = list(ALL_RULES if rules is None else rules)
         for r in requested:
-            if r not in _RULES and r != "r4":  # r4 still names r3
+            if r not in RULES and r != "r4":  # r4 still names r3
                 raise LedgerError(f"unknown rule {r!r}")
         enabled = list(dict.fromkeys(_FOLDED.get(r, r) for r in requested))
         new_facts: list[BoundFact] = []
@@ -481,13 +482,15 @@ class Ledger:
                 added.append((self._store(out, key), key))
 
             for rule_id in enabled:
-                if rule_id in UNARY_RULES:
-                    fn = UNARY_RULES[rule_id]
+                fn, tests, join = RULES[rule_id]
+                if join is None:
+                    test, = tests
                     for f in fresh:
-                        offer(fn(f))
+                        if test(f):
+                            offer(fn(f))
                     continue
-                fn = BINARY_RULES[rule_id]
-                accept_left, accept_right, room, exact = _JOINS[rule_id]
+                accept_left, accept_right = tests
+                room, exact = join
                 right = [f for f in parents if accept_right(f)]
                 right_new = [f for f in fresh if accept_right(f)]
                 fits = _by_colours(right, exact)
@@ -543,12 +546,7 @@ class Ledger:
             if f.certificate.get("type") != "derived":
                 continue
             rule_id, parents = f.certificate["rule"], f.certificate["parents"]
-            rule = _FOLDED.get(rule_id, rule_id)
-            fn = _RULES.get(rule)
-            out = None
-            if fn is not None and len(parents) == (1 if rule in UNARY_RULES
-                                                   else 2):
-                out = fn(*(self.get(p) for p in parents))
+            out = apply_rule(rule_id, [self.get(p) for p in parents])
             if out is None or out.value != f.value or out.parameters != f.parameters:
                 raise LedgerError(
                     f"fact {f.fact_id}: not recomputable by rule {rule_id}"
@@ -678,10 +676,6 @@ def _fact_from_json(obj) -> BoundFact:
         raise LedgerError("a derived certificate needs a string rule")
     if ctype == "explicit" and not isinstance(cert.get("path"), str):
         raise LedgerError("an explicit certificate needs a string path")
-    for name in ("phi", "special_degree"):  # the rules do arithmetic on them
-        flag = flags.get(name)
-        if flag is not None and type(flag) is not int:
-            raise LedgerError(f"{name} {flag!r} is not an integer")
     value, fact_id = obj["value"], obj.get("id")
     if type(value) is bool:
         raise LedgerError(f"fact value {value!r} is not a number")

@@ -1018,6 +1018,74 @@ def test_assert_phi_needs_template(store, capsys):
         assert json.loads(f.read())["flags"] == {"template": True, "phi": 4}
 
 
+def test_assert_degree_index_needs_degree(store, capsys):
+    """--degree-index without --degree used to be dropped, storing no
+    flags; --degree alone stores index 0."""
+    argv = ["ledger", "assert", "5,5,3", "20", "--source", "s"]
+    assert dispatch([*argv, "--degree-index", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: ledger assert: --degree-index applies only with --degree\n"
+    assert not os.path.exists(store)
+    assert dispatch([*argv, "--degree", "7", "--degree-index", "2"]) == 0
+    assert dispatch(["ledger", "assert", "5,5,3", "21", "--source", "s",
+                     "--degree", "8"]) == 0
+    with open(store) as f:
+        assert [json.loads(line)["flags"] for line in f] == [
+            {"special_degree": 7, "special_degree_index": 2},
+            {"special_degree": 8, "special_degree_index": 0}]
+
+
+_IMPOSSIBLE_FACTS = [
+    # (assert arguments, the store line's value and flags, the error)
+    pytest.param(["5,5,3", "0"], 0, {}, "graph order must be >= 1, got 0",
+                 id="order-0"),
+    pytest.param(["5,5,3", "-4"], -4, {}, "graph order must be >= 1, got -4",
+                 id="order-negative"),
+    pytest.param(["5,5,3", "93", "--template", "--phi", "-1"], 93,
+                 {"template": True, "phi": -1},
+                 "phi must be an integer >= 0, got -1", id="phi-negative"),
+    pytest.param(["7,7,3", "673", "--degree", "0"], 673,
+                 {"special_degree": 0, "special_degree_index": 0},
+                 "special_degree must be an integer >= 1, got 0",
+                 id="degree-0"),
+]
+
+
+@pytest.mark.parametrize("args, value, flags, message", _IMPOSSIBLE_FACTS)
+def test_assert_refuses_an_impossible_fact(args, value, flags, message,
+                                           store, capsys):
+    """An order below 1 once reached r10 as a negative gamma base and
+    ended the whole closure; the store is left as it was."""
+    assert dispatch(["ledger", "assert", "3,3", "5", "--source", "s"]) == 0
+    with open(store, "rb") as f:
+        before = f.read()
+    capsys.readouterr()
+    assert dispatch(["ledger", "assert", *args[:2], "--source", "s",
+                     *args[2:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    with open(store, "rb") as f:
+        assert f.read() == before
+
+
+@pytest.mark.parametrize("args, value, flags, message", _IMPOSSIBLE_FACTS)
+def test_store_line_with_an_impossible_fact_exits_2(args, value, flags,
+                                                    message, tmp_path,
+                                                    capsys):
+    path = tmp_path / "facts.jsonl"
+    path.write_text(json.dumps(
+        {"id": 1, "kind": "graph_exists",
+         "parameters": [int(k) for k in args[0].split(",")], "value": value,
+         "certificate": {"type": "asserted", "source": "s"},
+         "flags": flags}) + "\n")
+    before = path.read_bytes()
+    assert dispatch(["ledger", "--store", str(path), "derive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert path.read_bytes() == before
+
 def _derived_store(path, r7_value, r1_value, r1_parents=(1,), r1_rule="r1"):
     """graph (3,3; 5), then R(3,3) by r7 and graph (3,3,3) by r1 from it;
     the true values are 6 and 15."""

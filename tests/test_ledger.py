@@ -23,16 +23,15 @@ from ramseykit.constructions import (
 )
 from ramseykit.ledger import (
     ALL_RULES,
-    BINARY_RULES,
     GAMMA,
     GRAPH,
     RAMSEY,
-    UNARY_RULES,
-    _JOINS,
+    RULES,
     BoundFact,
     GammaValue,
     Ledger,
     LedgerError,
+    apply_rule,
     asserted,
     derived,
     dominance_key,
@@ -78,7 +77,7 @@ def test_r10_derives_no_root_above_the_bound():
     for p, root in ((64, 64), (65, None)):
         f = replace(graph_fact((5,) * p + (3,), 100, asserted("s"),
                                template=True, phi=1), fact_id=1)
-        out = UNARY_RULES["r10"](f)
+        out = apply_rule("r10", [f])
         assert (out and out.value.root) == root
 
 
@@ -318,14 +317,26 @@ def _exact(f):
             f.value)
 
 
-def _naive_closure(facts, depth, max_colours, binary=BINARY_RULES):
+def _applied(rule_id):
+    return lambda *parents: apply_rule(rule_id, parents)
+
+
+# The rules as `apply_rule` applies them, parent tests included: the tests
+# define each rule, so the oracle shares them, and checks the closure's
+# semi-naive loop, its join and its dominance pruning.
+UNARY = {r: _applied(r) for r, rule in RULES.items() if rule.join is None}
+BINARY = {r: _applied(r) for r, rule in RULES.items()
+          if rule.join is not None}
+
+
+def _naive_closure(facts, depth, max_colours, binary=BINARY):
     """Every unary rule on every fact and every rule of `binary` on every
     ordered pair of facts, in each pass."""
     facts = [replace(f, fact_id=i) for i, f in enumerate(facts, 1)]
     seen = {_exact(f) for f in facts}
     for _ in range(depth):
         produced = []
-        for fn in UNARY_RULES.values():
+        for fn in UNARY.values():
             produced += [fn(f) for f in facts]
         for fn in binary.values():
             produced += [fn(a, b) for a in facts for b in facts]
@@ -399,7 +410,7 @@ def _split_product(label, accepts, shape):
     return rule
 
 
-SPLIT_PRODUCTS = BINARY_RULES | {
+SPLIT_PRODUCTS = BINARY | {
     "r3": _split_product(
         "r3", lambda f: f.flags.get("linear") or f.flags.get("cyclic"),
         "linear"),
@@ -416,7 +427,7 @@ def test_closure_matches_naive_oracle(seed):
     for depth in (1, 2, 3):
         ledger = _ledger_of(pack)
         ledger.derive_closure(depth=depth, max_colours=6)
-        for binary in (BINARY_RULES, SPLIT_PRODUCTS):
+        for binary in (BINARY, SPLIT_PRODUCTS):
             oracle = _naive_closure(pack, depth, max_colours=6, binary=binary)
             assert _best_values(ledger.facts) == _best_values(oracle), (
                 depth, sorted(binary))
@@ -435,11 +446,11 @@ def test_r6_is_offered_equal_colour_counts_only(monkeypatch):
     """r6 refuses parents with different colour counts, so the closure
     offers it none, and keeps the facts it kept when it offered r6 every
     partner with at most as many colours."""
-    song, offered = BINARY_RULES["r6"], []
+    rule, offered = RULES["r6"], []
 
     def traced(f1, f2):
         offered.append((len(f1.parameters), len(f2.parameters)))
-        return song(f1, f2)
+        return rule.fn(f1, f2)
 
     def closures():
         out = []
@@ -449,12 +460,13 @@ def test_r6_is_offered_equal_colour_counts_only(monkeypatch):
             out.append([(f.fact_id, f.identity()) for f in ledger.facts])
         return out
 
-    monkeypatch.setitem(BINARY_RULES, "r6", traced)
+    monkeypatch.setitem(RULES, "r6", rule._replace(fn=traced))
     grouped = closures()
     assert offered and all(a == b for a, b in offered)
-    accept, _, room, exact = _JOINS["r6"]
+    room, exact = rule.join
     assert exact
-    monkeypatch.setitem(_JOINS, "r6", (accept, accept, room, False))
+    monkeypatch.setitem(RULES, "r6", rule._replace(fn=traced,
+                                                   join=(room, False)))
     offered.clear()
     assert closures() == grouped
     assert any(a != b for a, b in offered)
@@ -483,11 +495,10 @@ def test_rules_are_monotone_within_a_key():
     facts += seeded.facts
     rng = random.Random(0)
     for rule_id in ALL_RULES:
-        if rule_id in UNARY_RULES:
-            fn = UNARY_RULES[rule_id]
+        fn = _applied(rule_id)
+        if RULES[rule_id].join is None:
             cases = [(f,) for f in facts]
         else:
-            fn = BINARY_RULES[rule_id]
             cases = [(rng.choice(facts), rng.choice(facts))
                      for _ in range(20000)]
         cases = [c for c in cases if fn(*c) is not None]
@@ -650,7 +661,7 @@ def _rule_cases():
                     f"order{built.order}")
     for rule, parents, built, flags in _rule_cases()])
 def test_rule_value_is_the_built_order(rule, parents, built, flags):
-    out = BINARY_RULES[rule](*parents)
+    out = apply_rule(rule, parents)
     assert out.flags == flags
     if rule == "r6":
         assert out.value == built.order + 1
@@ -658,6 +669,66 @@ def test_rule_value_is_the_built_order(rule, parents, built, flags):
         assert out.value == built.order
     assert built.avoid == out.parameters
     assert ramsey_check(built, out.parameters).passes
+
+
+# -- each rule's parent tests, as `RULES` declares them ------------------------
+
+def _g(params, order, **flags):
+    return graph_fact(params, order, asserted("s"), **flags)
+
+
+_R33 = BoundFact(RAMSEY, (3, 3), 6, asserted("s"))
+
+# parents each rule applies to, and the flag it reads of the first one
+_GOOD_PARENTS = {
+    "r1": ([_g((3, 3), 5, cyclic=True)], "cyclic"),
+    "r3": ([_g((3, 3), 5, cyclic=True), _g((3,), 2, linear=True)], "cyclic"),
+    "r5": ([_g((4, 3), 10, template=True, phi=0),
+            _g((3, 3), 5, linear=True)], "phi"),
+    "r6": ([_R33, _R33], None),
+    "r7": ([_g((3, 3), 5)], None),
+    "r8": ([_g((3, 4), 13, cyclic=True)], "cyclic"),
+    "r9": ([_g((3, 4), 13, special_degree=4, special_degree_index=1)],
+           "special_degree"),
+    "r10": ([_g((5, 3), 20, template=True, phi=1)], "template"),
+    "r11": ([_R33], None),
+}
+
+
+def _broken(parents, flag, wrong):
+    """`parents` with the first of another kind, without `flag`, or one too
+    many or too few."""
+    first = parents[0]
+    if wrong == "kind":
+        return [replace(first, kind=RAMSEY if first.kind == GRAPH
+                        else GRAPH), *parents[1:]]
+    if wrong == "flag":
+        return [replace(first, flags={**first.flags, flag: None}),
+                *parents[1:]]
+    return parents * 2 if len(parents) == 1 else parents[:1]
+
+
+@pytest.mark.parametrize("rule, wrong", [
+    (rule, wrong) for rule in ALL_RULES for wrong in ("kind", "flag", "count")
+    if wrong != "flag" or _GOOD_PARENTS[rule][1]])
+def test_a_rule_refuses_parents_that_fail_its_tests(rule, wrong):
+    """A stored fact that names a rule over parents failing the rule's tests
+    does not recompute, though it claims what the rule derives from
+    parents that pass them."""
+    assert sorted(_GOOD_PARENTS) == sorted(RULES)
+    good, flag = _GOOD_PARENTS[rule]
+    ledger = Ledger()
+    parent_ids = [[ledger.add_fact(f) for f in parents]
+                  for parents in (good, _broken(good, flag, wrong))]
+    built, refused = ([apply_rule(rule, [ledger.get(i) for i in ids])
+                       for ids in parent_ids])
+    assert built is not None and refused is None
+    claims = [ledger.add_fact(replace(built, certificate=derived(rule, ids)))
+              for ids in parent_ids]
+    ledger.recompute_check([ledger.get(claims[0])])
+    with pytest.raises(LedgerError, match=f"fact {claims[1]}: not "
+                                          f"recomputable by rule {rule}$"):
+        ledger.recompute_check([ledger.get(claims[1])])
 
 
 def _store_line(fact_id, params, value, certificate, **flags):
@@ -962,7 +1033,7 @@ def test_r1_refuses_a_single_edge(params):
     """The single edge has one bound >= 3; adding a colour to it would
     claim a triangle-free 2-colouring of K_6."""
     edge = graph_fact(params, 2, asserted("z"), cyclic=True)
-    assert UNARY_RULES["r1"](replace(edge, fact_id=1)) is None
+    assert apply_rule("r1", [replace(edge, fact_id=1)]) is None
     ledger = Ledger()
     ledger.add_fact(edge)
     ledger.derive_closure(depth=2)
