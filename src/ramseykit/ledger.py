@@ -141,8 +141,19 @@ def derived(rule: str, parents: list[int], note: str | None = None) -> dict:
 
 # ---------------------------------------------------------------------------
 # Derivation rules, declared in `RULES`.  Each rule is pure: given parents
-# that pass its tests it returns a new fact (without an id), or None where
-# a condition on their parameters or values fails.
+# that pass its tests it returns a `Product` (kind, parameters, value,
+# flags), or None where a condition on their parameters or values fails.
+# A product is not a fact: the closure builds one only where it stores it,
+# and `_fact` then attaches the derived certificate and the id.
+
+class Product(NamedTuple):
+    """What a rule derives, before it is a fact: no certificate, no id."""
+    kind: str
+    parameters: tuple[int, ...]
+    value: int | GammaValue
+    flags: dict
+    note: str | None = None  # r7 carries its parent's provenance note
+
 
 def _is_linear_graph(f: BoundFact) -> bool:
     # every cyclic colouring is in particular linear
@@ -162,8 +173,7 @@ def _rule_giraud(f: BoundFact):
     Needs two bounds >= 3: the edge (3; 2) would give (3, 3; 6), R(3,3) = 6."""
     if sum(k >= 3 for k in f.parameters) < 2:
         return None
-    return BoundFact(GRAPH, f.parameters + (3,), 3 * f.value,
-                     derived("r1", [f.fact_id]), {"cyclic": True})
+    return Product(GRAPH, f.parameters + (3,), 3 * f.value, {"cyclic": True})
 
 
 def _rule_product(f1: BoundFact, f2: BoundFact):
@@ -172,17 +182,14 @@ def _rule_product(f1: BoundFact, f2: BoundFact):
     order = compound_order(*doubled_shape(f1.value), f2.value)
     shape = ("cyclic" if _is_cyclic_graph(f1) and _is_cyclic_graph(f2)
              else "linear")
-    return BoundFact(GRAPH, f1.parameters + f2.parameters, order,
-                     derived("r3", [f1.fact_id, f2.fact_id]), {shape: True})
+    return Product(GRAPH, f1.parameters + f2.parameters, order, {shape: True})
 
 
 def _rule_template_compound(ft: BoundFact, fg: BoundFact):
     """Template of order t with offset phi, times a linear graph."""
     params = ft.parameters[:-1] + fg.parameters  # drop the template's 3
     value = compound_order(ft.value, ft.flags["phi"], fg.value)
-    return BoundFact(GRAPH, params, value,
-                     derived("r5", [ft.fact_id, fg.fact_id]),
-                     {"linear": True})
+    return Product(GRAPH, params, value, {"linear": True})
 
 
 def _rule_song(f1: BoundFact, f2: BoundFact):
@@ -194,14 +201,12 @@ def _rule_song(f1: BoundFact, f2: BoundFact):
     if any(k < 2 for k in p1 + p2):
         return None
     params = tuple(grid_bound(a, b) for a, b in zip(p1, p2))
-    return BoundFact(RAMSEY, params, grid_bound(f1.value, f2.value),
-                     derived("r6", [f1.fact_id, f2.fact_id]))
+    return Product(RAMSEY, params, grid_bound(f1.value, f2.value), {})
 
 
 def _rule_graph_to_bound(f: BoundFact):
-    note = f.flags.get("provenance_note")
-    return BoundFact(RAMSEY, f.parameters, f.value + 1,
-                     derived("r7", [f.fact_id], note=note))
+    return Product(RAMSEY, f.parameters, f.value + 1, {},
+                   f.flags.get("provenance_note"))
 
 
 def _rule_quadruple_twice(f: BoundFact):
@@ -221,8 +226,7 @@ def _rule_quadruple_twice(f: BoundFact):
     if d is not None:
         flags["special_degree"] = 9 * d + 7 * f.value + 5
         flags["special_degree_index"] = 0
-    return BoundFact(GRAPH, params, 16 * f.value,
-                     derived("r8", [f.fact_id]), flags)
+    return Product(GRAPH, params, 16 * f.value, flags)
 
 
 def _rule_degree_neighbourhood(f: BoundFact):
@@ -236,7 +240,7 @@ def _rule_degree_neighbourhood(f: BoundFact):
     if k <= 2:
         return None
     params = (f.parameters[:idx] + (k - 1,) + f.parameters[idx + 1:])
-    return BoundFact(GRAPH, params, d, derived("r9", [f.fact_id]))
+    return Product(GRAPH, params, d, {})
 
 
 def _rule_gamma_from_template(f: BoundFact):
@@ -249,21 +253,17 @@ def _rule_gamma_from_template(f: BoundFact):
     if len(set(non_template)) != 1:
         return None
     k = non_template[0]
-    return BoundFact(GAMMA, (k,), GammaValue(Fraction(f.value - 1), p),
-                     derived("r10", [f.fact_id]))
+    return Product(GAMMA, (k,), GammaValue(Fraction(f.value - 1), p), {})
 
 
 def _rule_abbott_fifth(f: BoundFact):
     """R_r(5) >= (R_r(3) - 1)**2 + 1, and Gamma(5) >= Gamma(3)**2."""
     if f.kind == GAMMA and f.parameters == (3,):
         g = f.value
-        return BoundFact(GAMMA, (5,),
-                         GammaValue(g.base ** 2, g.root),
-                         derived("r11", [f.fact_id]))
+        return Product(GAMMA, (5,), GammaValue(g.base ** 2, g.root), {})
     if f.kind == RAMSEY and f.parameters and set(f.parameters) == {3}:
         r = len(f.parameters)
-        return BoundFact(RAMSEY, (5,) * r, (f.value - 1) ** 2 + 1,
-                         derived("r11", [f.fact_id]))
+        return Product(RAMSEY, (5,) * r, (f.value - 1) ** 2 + 1, {})
     return None
 
 
@@ -302,15 +302,45 @@ ALL_RULES = tuple(sorted(RULES))
 _FOLDED = {"r2": "r3", "r4": "r3"}  # retired product rules, read as r3
 
 
-def apply_rule(rule_id: str, parents) -> BoundFact | None:
-    """The fact rule `rule_id` derives from `parents`, or None if it derives
-    none: the rule is unknown, the parents are too few or too many, or one
-    fails its test or the rule's own conditions.  r2 and r4 read as r3."""
+def _product(rule_id: str, parents) -> Product | None:
+    """The product rule `rule_id` derives from `parents`, or None if it
+    derives none: the rule is unknown, the parents are too few or too many,
+    or one fails its test or the rule's own conditions."""
     rule = RULES.get(_FOLDED.get(rule_id, rule_id))
     if (rule is None or len(parents) != len(rule.tests)
             or not all(test(f) for test, f in zip(rule.tests, parents))):
         return None
     return rule.fn(*parents)
+
+
+def _fact(rule_id: str, parents, p: Product,
+          fact_id: int | None = None) -> BoundFact:
+    """Product `p` of rule `rule_id` on `parents` as a fact, with its derived
+    certificate; r2 and r4 are recorded as r3."""
+    cert = derived(_FOLDED.get(rule_id, rule_id),
+                   [f.fact_id for f in parents], note=p.note)
+    return BoundFact(p.kind, p.parameters, p.value, cert, p.flags, fact_id)
+
+
+def apply_rule(rule_id: str, parents) -> BoundFact | None:
+    """The fact rule `rule_id` derives from `parents`, or None if it
+    derives none (see `_product`): the rule's product with its derived
+    certificate attached, and no id.  r2 and r4 read as r3."""
+    p = _product(rule_id, parents)
+    return None if p is None else _fact(rule_id, parents, p)
+
+
+def _key(kind: str, parameters: tuple, rule: str | None, flags: dict) -> tuple:
+    """The dominance key of a fact or product with these fields; see
+    `dominance_key`."""
+    template = kind == GRAPH and bool(flags.get("template"))
+    idx = flags.get("special_degree_index")
+    return (kind, tuple(sorted(parameters)), rule,
+            bool(flags.get("cyclic")), bool(flags.get("linear")), template,
+            flags.get("phi"),
+            template and bool(parameters) and parameters[-1] == 3,
+            flags.get("special_degree"),
+            None if idx is None else parameters[idx])
 
 
 def dominance_key(f: BoundFact) -> tuple:
@@ -324,15 +354,7 @@ def dominance_key(f: BoundFact) -> tuple:
     another rule's better facts of the same shape, such as r10's template
     rate beside r11's squared rate for Gamma(5).
     """
-    flags = f.flags
-    template = _is_template_graph(f)
-    idx = flags.get("special_degree_index")
-    return (f.kind, f.sorted_parameters, f.certificate.get("rule"),
-            bool(flags.get("cyclic")), bool(flags.get("linear")), template,
-            flags.get("phi"),
-            template and bool(f.parameters) and f.parameters[-1] == 3,
-            flags.get("special_degree"),
-            None if idx is None else f.parameters[idx])
+    return _key(f.kind, f.parameters, f.certificate.get("rule"), f.flags)
 
 
 class Ledger:
@@ -444,6 +466,17 @@ class Ledger:
         product would have more than `max_colours` colours, is skipped
         before a product is built.
 
+        A rule returns a `Product`, and the closure keys it from its fields
+        (`_key`); only a product that beats the best fact of its key is
+        built as a fact, once, with its certificate and its id.  It passes
+        `BoundFact`'s checks like any stored fact.  A dominated product
+        skips them, but no rule builds an invalid product from valid
+        parents: graph orders stay >= 1 (3n, 16n, a special degree >= 1, or
+        a compound order (n-1)(t-1) + 1 + phi with n, t >= 1 and phi >= 0),
+        r8's special degree 9d + 7n + 5 is >= 1 and its index 0 names a
+        colour, and r10 and r11 build their `GammaValue`s, which check
+        themselves, from a base t - 1 >= 0 or a square.
+
         Parents are taken in id order, so the result is deterministic for a
         given insertion order, one call of depth d leaves the same facts as
         d calls of depth 1, and re-running is idempotent.
@@ -466,20 +499,22 @@ class Ledger:
                                     "dominated"), 0)
             added: list[tuple[BoundFact, tuple]] = []  # (fact, its key)
 
-            def offer(out):
+            def offer(rule_id, parents, out):
                 if out is None:
                     return
                 counts["built"] += 1
                 if len(out.parameters) > max_colours:
                     counts["by_length"] += 1
                     return
-                key = dominance_key(out)
+                key = _key(out.kind, out.parameters, rule_id, out.flags)
                 best = self._best.get(key)
                 if best is not None and not best.value < out.value:
                     counts["dominated"] += 1
                     return
-                # a rule's product carries no explicit certificate
-                added.append((self._store(out, key), key))
+                # no fact of this key holds this value, so `_store` keeps
+                # the fact as built; a product carries no explicit certificate
+                fact = _fact(rule_id, parents, out, len(self.facts) + 1)
+                added.append((self._store(fact, key), key))
 
             for rule_id in enabled:
                 fn, tests, join = RULES[rule_id]
@@ -487,7 +522,7 @@ class Ledger:
                     test, = tests
                     for f in fresh:
                         if test(f):
-                            offer(fn(f))
+                            offer(rule_id, (f,), fn(f))
                     continue
                 accept_left, accept_right = tests
                 room, exact = join
@@ -506,7 +541,7 @@ class Ledger:
                                             - len(partners))
                     counts["pairs"] += len(partners)
                     for f2 in partners:
-                        offer(fn(f1, f2))
+                        offer(rule_id, (f1, f2), fn(f1, f2))
             _log.debug("derive pass %d: %d pairs tried, %d skipped by "
                        "length, %d products built, %d kept, %d dominated",
                        pass_no, counts["pairs"], counts["by_length"],
@@ -546,8 +581,9 @@ class Ledger:
             if f.certificate.get("type") != "derived":
                 continue
             rule_id, parents = f.certificate["rule"], f.certificate["parents"]
-            out = apply_rule(rule_id, [self.get(p) for p in parents])
-            if out is None or out.value != f.value or out.parameters != f.parameters:
+            out = _product(rule_id, [self.get(p) for p in parents])
+            if out is None or ((out.kind, out.parameters, out.value, out.flags)
+                               != (f.kind, f.parameters, f.value, f.flags)):
                 raise LedgerError(
                     f"fact {f.fact_id}: not recomputable by rule {rule_id}"
                 )

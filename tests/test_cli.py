@@ -1125,6 +1125,45 @@ def test_ledger_queries_recompute_what_they_print(argv, forged, tmp_path,
                             f"not recomputable by rule {forged}\n")
 
 
+def _product_store(path, kind, flags):
+    """graph (3,3; 5) flagged linear, then its r3 square (3,3,3,3; 41) with
+    the given kind and flags; the true ones are graph_exists and linear."""
+    lines = [
+        {"kind": "graph_exists", "parameters": [3, 3], "value": 5,
+         "certificate": {"type": "asserted", "source": "s"},
+         "flags": {"linear": True}},
+        {"kind": kind, "parameters": [3, 3, 3, 3], "value": 41,
+         "certificate": {"type": "derived", "rule": "r3", "parents": [1, 1]},
+         "flags": flags},
+    ]
+    path.write_text("".join(json.dumps({"id": i, **line}) + "\n"
+                            for i, line in enumerate(lines, start=1)))
+
+
+@pytest.mark.parametrize("kind, flags, query", [
+    ("graph_exists", {"cyclic": True}, "graph(3,3,3,3)"),
+    ("ramsey_lower_bound", {"linear": True}, "R(3,3,3,3)"),
+], ids=["flags", "kind"])
+def test_ledger_best_recomputes_a_products_kind_and_flags(kind, flags, query,
+                                                          tmp_path, capsys):
+    path = tmp_path / "facts.jsonl"
+    store = ["ledger", "--store", str(path)]
+    _product_store(path, "graph_exists", {"linear": True})
+    assert dispatch([*store, "best", "graph(3,3,3,3)"]) == 0
+    capsys.readouterr()
+    _product_store(path, kind, flags)
+    assert dispatch([*store, "best", query]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fact 2: not recomputable by rule r3\n"
+    if flags.get("cyclic"):
+        # r1 extends the forged cyclic flag, but no chain through it is served
+        assert dispatch([*store, "derive", "--rules", "r1", "--depth", "1"]) == 0
+        capsys.readouterr()
+        assert dispatch([*store, "best", "graph(3,3,3,3,3)"]) == 2
+        assert "fact 2: not recomputable by rule r3" in capsys.readouterr().err
+
+
 def test_pipeline_expectation_recomputes_its_fact(tmp_path, capsys):
     path = tmp_path / "facts.jsonl"
     recipe = tmp_path / "expect.json"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import random
@@ -529,6 +530,46 @@ def test_depth_one_passes_equal_one_deep_closure():
         stepped.derive_closure(depth=1)
     assert ([(f.fact_id, f.identity()) for f in stepped.facts]
             == [(f.fact_id, f.identity()) for f in one.facts])
+
+
+R3_R4_R7_R11 = ["r3", "r4", "r7", "r8", "r9", "r10", "r11"]
+
+
+@pytest.mark.parametrize("rules, depth, count, digest", [
+    (R3_R4_R7_R11, 3, 775, "87ca88bfcd72dc145f024a8a6eac15ef"
+                           "48e1c172a5e4f63a4d9872e7fa59a8d9"),
+    (None, 2, 506, "33fab3bfaa2bf96fec462e2113f9cae7"
+                   "7ffe9d4475aa01dc27f73877625b964f"),
+    (None, 3, 2987, "e425f6b7cc7474130e32507cc5bf2c22"
+                    "afe6e2ab79cf2097e9c90e4614d22bb2"),
+    (None, 4, 22257, "4b8c9069fab167582a2bdded26f51e4e"
+                     "2137a60d98012b853f85feb97ac4d8c0"),
+], ids=["r3r4r7-r11-d3", "all-d2", "all-d3", "all-d4"])
+def test_seeded_closure_is_pinned(rules, depth, count, digest):
+    """Every fact, id and identity of four seed-pack closures: how the
+    closure builds its facts must not change which ones it stores."""
+    ledger = _seeded()
+    ledger.derive_closure(rules=rules, depth=depth)
+    assert len(ledger.facts) == count
+    pinned = repr([(f.fact_id, f.identity()) for f in ledger.facts])
+    assert hashlib.sha256(pinned.encode()).hexdigest() == digest
+
+
+def test_closure_builds_only_the_facts_it_stores(monkeypatch):
+    """A dominated product is never built as a fact, and a stored one is
+    built once, with its id."""
+    built = []
+    check = BoundFact.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    ledger = _seeded()
+    monkeypatch.setattr(BoundFact, "__post_init__", counted)
+    new = ledger.derive_closure(rules=R3_R4_R7_R11, depth=3)
+    assert len(new) == 765
+    assert [id(f) for f in built] == [id(f) for f in new]
 
 
 def test_closure_is_byte_deterministic(tmp_path):
