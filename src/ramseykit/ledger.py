@@ -13,10 +13,12 @@ from __future__ import annotations
 import json
 import logging
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .colouring import ExplicitColouring, check_cyclic_symmetry, load_colouring
@@ -93,12 +95,21 @@ class BoundFact:
         ctype = self.certificate.get("type")
         if ctype not in ("explicit", "asserted", "derived"):
             raise LedgerError(f"unknown certificate type {ctype!r}")
-        if self.kind == GAMMA and not isinstance(self.value, GammaValue):
-            raise LedgerError("gamma facts need a GammaValue")
-        if self.kind != GAMMA and not isinstance(self.value, int):
+        if self.kind == GAMMA:
+            if not isinstance(self.value, GammaValue):
+                raise LedgerError("gamma facts need a GammaValue")
+        elif not isinstance(self.value, int):
             raise LedgerError("order/bound facts need an integer value")
-        if self.kind == GRAPH and self.value < 1:
-            raise LedgerError(f"graph order must be >= 1, got {self.value}")
+        # below 1, (v-1)**2 + 1 and (a-1)(b-1) + 1 fall as v, a or b rise,
+        # and dominance needs every rule non-decreasing in its parents
+        elif self.value < 1:
+            what = "graph order" if self.kind == GRAPH else "Ramsey value"
+            raise LedgerError(f"{what} must be >= 1, got {self.value}")
+        if self.parameters and min(self.parameters) < 1:
+            raise LedgerError(f"clique bounds must be >= 1, got "
+                              f"{self.parameters}")
+        if not self.flags:
+            return
         # the rules do arithmetic on these, and build orders from them
         for name, least in (("phi", 0), ("special_degree", 1)):
             flag = self.flags.get(name)
@@ -271,17 +282,20 @@ class Rule(NamedTuple):
     """A rule's function, one test per parent, and, for a binary rule, its
     join (room, exact): given the left parent, `room(left, max_colours)` is
     a colour count n, and the right parent must have exactly n colours if
-    `exact`, else at most n, the most for the product to fit."""
+    `exact`, else at most n, the most for the product to fit.  A
+    `symmetric` rule derives the same key and value from (B, A) as from
+    (A, B), so the closure joins each unordered pair once."""
     fn: Callable
     tests: tuple
     join: tuple | None = None
+    symmetric: bool = False
 
 
 RULES = {
     "r1": Rule(_rule_giraud, (_is_cyclic_graph,)),
     "r3": Rule(_rule_product, (_is_linear_graph, _is_linear_graph),
                (lambda f, max_colours: max_colours - len(f.parameters),
-                False)),
+                False), symmetric=True),
     # a template with a phi whose last bound, 3, the product drops
     "r5": Rule(_rule_template_compound,
                (lambda f: (_is_template_graph(f) and f.parameters[-1:] == (3,)
@@ -291,7 +305,8 @@ RULES = {
                 False)),
     # r6 keeps the length of its parents, which must be equal
     "r6": Rule(_rule_song, (lambda f: f.kind == RAMSEY,) * 2,
-               (lambda f, max_colours: len(f.parameters), True)),
+               (lambda f, max_colours: len(f.parameters), True),
+               symmetric=True),
     "r7": Rule(_rule_graph_to_bound, (lambda f: f.kind == GRAPH,)),
     "r8": Rule(_rule_quadruple_twice, (_is_cyclic_graph,)),
     "r9": Rule(_rule_degree_neighbourhood, (lambda f: f.kind == GRAPH,)),
@@ -363,6 +378,8 @@ class Ledger:
 
     def __init__(self):
         self.facts: list[BoundFact] = []
+        # fact id -> the store line `load` read it from, as `save` writes it
+        self._lines: dict[int, str] = {}
         # (dominance key, value) -> its fact, or identity -> fact once shared
         self._held: dict = {}
         self._best: dict = {}  # dominance key -> first fact of the best value
@@ -466,6 +483,20 @@ class Ledger:
         product would have more than `max_colours` colours, is skipped
         before a product is built.
 
+        A symmetric rule (r3, r6) joins each unordered pair once: the
+        partners of f1 are only the facts from f1's id on, a slice of the
+        id-ordered partner list.  This is exact.  r3's value is
+        (n2-1)(2n1-1) + 1 + (n1-1) = 2n1n2 - n1 - n2 + 1, its key sorts the
+        joined parameters, and it is cyclic exactly when both parents are;
+        r6 zips the sorted parameters through `grid_bound`, which is
+        symmetric.  Both apply one test to each parent, and their joins are
+        symmetric, so (B, A) has the key and value of (A, B).  The full
+        join offers (A, B) first, whether each of A and B is new or old:
+        f1 rises through the parents and each partner list is in id order.
+        An offer that does not beat the best fact of its key is never
+        stored, so (B, A) never was, and the stored facts, their ids and
+        their parents' order are those of the full join.
+
         A rule returns a `Product`, and the closure keys it from its fields
         (`_key`); only a product that beats the best fact of its key is
         built as a fact, once, with its certificate and its id.  It passes
@@ -473,9 +504,12 @@ class Ledger:
         skips them, but no rule builds an invalid product from valid
         parents: graph orders stay >= 1 (3n, 16n, a special degree >= 1, or
         a compound order (n-1)(t-1) + 1 + phi with n, t >= 1 and phi >= 0),
-        r8's special degree 9d + 7n + 5 is >= 1 and its index 0 names a
-        colour, and r10 and r11 build their `GammaValue`s, which check
-        themselves, from a base t - 1 >= 0 or a square.
+        Ramsey values stay >= 1 (n + 1, (a-1)(b-1) + 1 with a, b >= 1, or
+        (v-1)**2 + 1), clique bounds stay >= 1 (a parent's bounds, 3, 5, 9,
+        k + 1, k - 1 with k > 2, or (a-1)(b-1) + 1 with a, b >= 2), r8's
+        special degree 9d + 7n + 5 is >= 1 and its index 0 names a colour,
+        and r10 and r11 build their `GammaValue`s, which check themselves,
+        from a base t - 1 >= 0 or a square.
 
         Parents are taken in id order, so the result is deterministic for a
         given insertion order, one call of depth d leaves the same facts as
@@ -517,7 +551,7 @@ class Ledger:
                 added.append((self._store(fact, key), key))
 
             for rule_id in enabled:
-                fn, tests, join = RULES[rule_id]
+                fn, tests, join, symmetric = RULES[rule_id]
                 if join is None:
                     test, = tests
                     for f in fresh:
@@ -539,6 +573,9 @@ class Ledger:
                         room(f1, max_colours))
                     counts["by_length"] += (len(right if new else right_new)
                                             - len(partners))
+                    if symmetric:  # (f2, f1) with f2 before f1 is a mirror
+                        partners = partners[bisect_left(
+                            partners, f1.fact_id, key=_fact_id):]
                     counts["pairs"] += len(partners)
                     for f2 in partners:
                         offer(rule_id, (f1, f2), fn(f1, f2))
@@ -625,12 +662,17 @@ class Ledger:
 
     def save(self, path) -> None:
         """Write the store whole, or leave the old one as it was: the facts
-        go to a temporary file that replaces the store once on disk."""
+        go to a temporary file that replaces the store once on disk.  A fact
+        that `load` kept as it read it is written as the line it was read
+        from; only the others are encoded."""
         tmp = f"{path}.tmp"
+        lines = self._lines
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-                f.write("".join([json.dumps(_fact_to_json(fact)) + "\n"
-                                 for fact in self.facts]))
+                f.write("".join([
+                    (lines[fact.fact_id] if fact.fact_id in lines
+                     else json.dumps(_fact_to_json(fact))) + "\n"
+                    for fact in self.facts]))
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
@@ -646,22 +688,29 @@ class Ledger:
 
         Each fact must load under its stored id, its line number, which
         is checked before `add_fact` checks that its parents come first;
-        a duplicate line loads as its first copy's id.
+        a duplicate line loads as its first copy's id.  A fact that
+        `add_fact` stores as it was read keeps its line, bytes and all, for
+        `save`; an explicit fact just marked verified does not.
         """
         base_dir = os.path.dirname(path) or "."
         ledger = cls()
         read = explicit = 0
         with open(path, encoding="utf-8") as f:
-            for read, fact in enumerate(_read_facts(f), start=1):
+            for read, (line, fact) in enumerate(_read_facts(f), start=1):
                 explicit += fact.certificate.get("type") == "explicit"
                 fid = (ledger.add_fact(fact, base_dir)
                        if fact.fact_id == read else read)
                 if fact.fact_id != fid:
                     raise LedgerError(f"{path}: fact stored as id "
                                       f"{fact.fact_id} loads as id {fid}")
+                if ledger.facts[-1] is fact:
+                    ledger._lines[fid] = line
         _log.debug("loaded %s: %d facts read, %d explicit certificates "
                    "re-verified", path, read, explicit)
         return ledger
+
+
+_fact_id = attrgetter("fact_id")
 
 
 def _by_colours(facts: list[BoundFact], exact: bool):
@@ -712,6 +761,9 @@ def _fact_from_json(obj) -> BoundFact:
         raise LedgerError("a derived certificate needs a string rule")
     if ctype == "explicit" and not isinstance(cert.get("path"), str):
         raise LedgerError("an explicit certificate needs a string path")
+    for name in ("kind", "value"):
+        if name not in obj:
+            raise LedgerError(f"a fact needs a {name!r} field")
     value, fact_id = obj["value"], obj.get("id")
     if type(value) is bool:
         raise LedgerError(f"fact value {value!r} is not a number")
@@ -728,14 +780,16 @@ def _fact_from_json(obj) -> BoundFact:
 
 
 def _read_facts(lines):
-    """The facts of a store's lines, blank lines skipped."""
+    """(line, its fact) for each of a store's lines, stripped, blank lines
+    skipped."""
     for line in lines:
         line = line.strip()
         if line:
-            yield _fact_from_json(json.loads(line))
+            yield line, _fact_from_json(json.loads(line))
 
 
 def load_seed_pack(ledger: Ledger) -> list[int]:
     """Load the shipped asserted-fact pack into a ledger."""
     text = (resources.files("ramseykit.data") / "seed_facts.jsonl").read_text()
-    return [ledger.add_fact(fact) for fact in _read_facts(text.splitlines())]
+    return [ledger.add_fact(fact)
+            for _, fact in _read_facts(text.splitlines())]

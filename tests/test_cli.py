@@ -962,11 +962,15 @@ _ASSERTED = '"certificate": {"type": "asserted", "source": "s"}'
     '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
     '"certificate": {"type": "asserted", "source": "s", "rule": ["x"]}, '
     '"flags": {}}',
+    f'{{"id": 1, "parameters": [3, 3], "value": 5, {_ASSERTED}, '
+    '"flags": {}}',
+    f'{{"id": 1, "kind": "graph_exists", "parameters": [3, 3], {_ASSERTED}, '
+    '"flags": {}}',
 ], ids=["list", "number", "flags-list", "index-string",
         "certificate-string", "parameters-int", "gamma-no-base",
         "gamma-base-int", "gamma-zero-den", "parents-int", "path-int",
         "value-bool", "id-bool", "phi-string", "degree-string",
-        "rule-list", "asserted-rule-list"])
+        "rule-list", "asserted-rule-list", "no-kind", "no-value"])
 def test_store_line_that_is_not_a_fact_exits_2(line, tmp_path, capsys):
     path = tmp_path / "facts.jsonl"
     path.write_text(line + "\n")
@@ -974,6 +978,21 @@ def test_store_line_that_is_not_a_fact_exits_2(line, tmp_path, capsys):
                      "graph(3,3)"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["kind", "value"])
+def test_store_line_without_a_field_names_it(field, tmp_path, capsys):
+    """A missing field once ended in the bare text of a KeyError."""
+    fact = {"id": 1, "kind": "graph_exists", "parameters": [3, 3],
+            "value": 5, "certificate": {"type": "asserted", "source": "s"},
+            "flags": {}}
+    del fact[field]
+    path = tmp_path / "facts.jsonl"
+    path.write_text(json.dumps(fact) + "\n")
+    assert dispatch(["ledger", "--store", str(path), "best",
+                     "graph(3,3)"]) == 2
+    assert capsys.readouterr().err == (f"error: a fact needs a {field!r} "
+                                       "field\n")
 
 
 def _gamma_line(fact_id, base, root):
@@ -1050,6 +1069,11 @@ _IMPOSSIBLE_FACTS = [
                  {"special_degree": 0, "special_degree_index": 0},
                  "special_degree must be an integer >= 1, got 0",
                  id="degree-0"),
+    pytest.param(["3,-3", "5"], 5, {},
+                 "clique bounds must be >= 1, got (3, -3)",
+                 id="bound-negative"),
+    pytest.param(["3,0", "5"], 5, {}, "clique bounds must be >= 1, got (3, 0)",
+                 id="bound-0"),
 ]
 
 
@@ -1070,13 +1094,25 @@ def test_assert_refuses_an_impossible_fact(args, value, flags, message,
         assert f.read() == before
 
 
-@pytest.mark.parametrize("args, value, flags, message", _IMPOSSIBLE_FACTS)
-def test_store_line_with_an_impossible_fact_exits_2(args, value, flags,
+# a Ramsey value below 1 breaks the monotonicity that dominance relies on:
+# R(3,3) >= -5 once derived R(5,5) >= 37 and R(9,9) >= -215
+@pytest.mark.parametrize("kind, args, value, flags, message", [
+    pytest.param("graph_exists", *p.values, id=p.id)
+    for p in _IMPOSSIBLE_FACTS] + [
+    pytest.param("ramsey_lower_bound", ["3,3"], -5, {},
+                 "Ramsey value must be >= 1, got -5", id="ramsey-negative"),
+    pytest.param("ramsey_lower_bound", ["3,3"], 0, {},
+                 "Ramsey value must be >= 1, got 0", id="ramsey-0"),
+    pytest.param("ramsey_lower_bound", ["3,-3"], 6, {},
+                 "clique bounds must be >= 1, got (3, -3)",
+                 id="ramsey-bound-negative"),
+])
+def test_store_line_with_an_impossible_fact_exits_2(kind, args, value, flags,
                                                     message, tmp_path,
                                                     capsys):
     path = tmp_path / "facts.jsonl"
     path.write_text(json.dumps(
-        {"id": 1, "kind": "graph_exists",
+        {"id": 1, "kind": kind,
          "parameters": [int(k) for k in args[0].split(",")], "value": value,
          "certificate": {"type": "asserted", "source": "s"},
          "flags": flags}) + "\n")

@@ -32,6 +32,8 @@ from ramseykit.ledger import (
     GammaValue,
     Ledger,
     LedgerError,
+    _key,
+    _product,
     apply_rule,
     asserted,
     derived,
@@ -572,6 +574,78 @@ def test_closure_builds_only_the_facts_it_stores(monkeypatch):
     assert [id(f) for f in built] == [id(f) for f in new]
 
 
+SYMMETRIC = sorted(r for r, rule in RULES.items() if rule.symmetric)
+
+
+def test_symmetric_rules_give_one_product_for_both_orders():
+    """What the closure's half join rests on: one test for both parents, a
+    symmetric join, and the key, value and flags of (A, B) for (B, A)."""
+    assert SYMMETRIC == ["r3", "r6"]
+    ledger = _seeded()
+    ledger.derive_closure(depth=2)
+    rng = random.Random(0)
+    for rule_id in SYMMETRIC:
+        rule = RULES[rule_id]
+        test, other = rule.tests
+        assert test is other
+        room, exact = rule.join
+        eligible = [f for f in ledger.facts if test(f)]
+        products = 0
+        for _ in range(3000):
+            a, b = rng.choice(eligible), rng.choice(eligible)
+            fits = [(len(right.parameters) == room(left, 16) if exact
+                     else len(right.parameters) <= room(left, 16))
+                    for left, right in ((a, b), (b, a))]
+            assert fits[0] == fits[1]
+            ab, ba = _product(rule_id, (a, b)), _product(rule_id, (b, a))
+            assert (ab is None) == (ba is None)
+            if ab is None:
+                continue
+            products += 1
+            assert (_key(ab.kind, ab.parameters, rule_id, ab.flags)
+                    == _key(ba.kind, ba.parameters, rule_id, ba.flags))
+            assert (ab.value, ab.flags) == (ba.value, ba.flags)
+        assert products > 500, rule_id
+
+
+def test_symmetric_rules_join_each_pair_once(monkeypatch):
+    """The closure calls r3 and r6 on each unordered pair once, the lower
+    id first."""
+    calls = {rule_id: [] for rule_id in SYMMETRIC}
+    for rule_id, seen in calls.items():
+        rule = RULES[rule_id]
+
+        def traced(f1, f2, fn=rule.fn, seen=seen):
+            seen.append((f1.fact_id, f2.fact_id))
+            return fn(f1, f2)
+
+        monkeypatch.setitem(RULES, rule_id, rule._replace(fn=traced))
+    for rules, depth in ((R3_R4_R7_R11, 3), (None, 2), (None, 3)):
+        ledger = _seeded()
+        ledger.derive_closure(rules=rules, depth=depth)
+        for rule_id, seen in calls.items():
+            assert seen or rule_id not in (rules or ALL_RULES), rule_id
+            assert all(a <= b for a, b in seen), rule_id
+            assert len(set(seen)) == len(seen), rule_id
+            seen.clear()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_symmetric_join_stores_what_the_full_join_stores(seed, monkeypatch):
+    pack = _random_pack(random.Random(seed))
+
+    def closure():
+        ledger = _ledger_of(pack)
+        ledger.derive_closure(depth=3, max_colours=6)
+        return [(f.fact_id, f.identity()) for f in ledger.facts]
+
+    half = closure()
+    for rule_id in SYMMETRIC:
+        monkeypatch.setitem(RULES, rule_id,
+                            RULES[rule_id]._replace(symmetric=False))
+    assert closure() == half
+
+
 def test_closure_is_byte_deterministic(tmp_path):
     paths = []
     for name in ("a.jsonl", "b.jsonl"):
@@ -1045,6 +1119,45 @@ def test_load_encodes_no_identity(tmp_path, monkeypatch):
     monkeypatch.setattr(BoundFact, "identity", counting)
     assert len(Ledger.load(path).facts) == len(ledger.facts)
     assert calls == []
+
+
+def test_save_writes_back_the_lines_it_read(tmp_path, monkeypatch):
+    """A store that was itself saved loads and saves again with no fact
+    encoded and the same bytes; a loaded line keeps its key order and its
+    spacing."""
+    ledger = _store_with_every_certificate(tmp_path)
+    path = tmp_path / "facts.jsonl"
+    ledger.save(path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = json.dumps(json.loads(lines[0]), sort_keys=True,
+                          separators=(",", ":")) + "\n"
+    path.write_text("".join(lines))
+    before = path.read_bytes()
+    calls = []
+    dumps = json.dumps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    Ledger.load(path).save(path)
+    assert calls == []
+    assert path.read_bytes() == before
+
+
+def test_explicit_line_without_its_mark_is_written_with_it(tmp_path):
+    save_colouring(pentagon(), tmp_path / "pent.json")
+    path = tmp_path / "facts.jsonl"
+    kept = _store_line(2, (4, 4), 17, asserted("s"), cyclic=True)
+    path.write_text(_store_line(1, (3, 3), 5, {"type": "explicit",
+                                               "path": "pent.json"},
+                                cyclic=True) + kept)
+    Ledger.load(path).save(path)
+    first, second = path.read_text().splitlines(keepends=True)
+    assert json.loads(first)["certificate"] == {
+        "type": "explicit", "path": "pent.json", "verified": True}
+    assert second == kept
 
 
 def test_load_rejects_a_duplicate_with_reordered_certificate(tmp_path):
