@@ -110,6 +110,10 @@ class BoundFact:
                               f"{self.parameters}")
         if not self.flags:
             return
+        for name in ("cyclic", "linear", "template"):  # null reads as unset
+            if type(self.flags.get(name)) not in (bool, type(None)):
+                raise LedgerError(f"{name} must be true or false, got "
+                                  f"{self.flags[name]!r}")
         # the rules do arithmetic on these, and build orders from them
         for name, least in (("phi", 0), ("special_degree", 1)):
             flag = self.flags.get(name)
@@ -519,7 +523,7 @@ class Ledger:
             raise LedgerError(f"depth: must be >= 0, got {depth}")
         requested = list(ALL_RULES if rules is None else rules)
         for r in requested:
-            if r not in RULES and r != "r4":  # r4 still names r3
+            if _FOLDED.get(r, r) not in RULES:
                 raise LedgerError(f"unknown rule {r!r}")
         enabled = list(dict.fromkeys(_FOLDED.get(r, r) for r in requested))
         new_facts: list[BoundFact] = []
@@ -759,8 +763,9 @@ def _fact_from_json(obj) -> BoundFact:
     if (ctype == "derived" or "rule" in cert) and not isinstance(
             cert.get("rule"), str):
         raise LedgerError("a derived certificate needs a string rule")
-    if ctype == "explicit" and not isinstance(cert.get("path"), str):
-        raise LedgerError("an explicit certificate needs a string path")
+    need = {"explicit": "path", "asserted": "source"}.get(ctype)
+    if need and not isinstance(cert.get(need), str):
+        raise LedgerError(f"an {ctype} certificate needs a string {need}")
     for name in ("kind", "value"):
         if name not in obj:
             raise LedgerError(f"a fact needs a {name!r} field")

@@ -22,7 +22,6 @@ from math import comb
 import numpy as np
 
 from .colouring import CYCLIC, LINEAR, LengthColouring, length_domain_size
-from .cliques import ramsey_check
 from .templates import TF, TemplateGraph, validate_template
 
 DEFAULT_CLAUSE_CAP = 10_000_000
@@ -643,44 +642,22 @@ def _violation_clause(lengths, colour, instance: CnfInstance
     return tuple(sorted(-instance.var_map.id(l, colour) for l in free)) or None
 
 
-def _candidate_failure(colouring: LengthColouring, spec: SearchSpec):
-    """None if a decoded candidate is a valid template.  Otherwise the
-    failing colour, the lengths to blame, and the log phrases for a stop on
-    fixed lengths and for a refinement.
-
-    The clique check of `spec.avoid` comes first: a decoded model is never
-    trusted.  Then `validate_template`; its tf stage never reports a
-    missing top length, since N-1 folds onto length n, which is fixed to
-    the template colour.
-    """
-    report = ramsey_check(colouring, spec.avoid)
-    if not report.passes:
-        colour = report.first_failure(spec.avoid) + 1
-        wit = report.witness[colour - 1]
-        return (colour, {abs(j - i) for i, j in combinations(wit, 2)},
-                f"fixed lengths alone break colour {colour}",
-                f"clique violation in colour {colour}")
-    failure = validate_template(colouring, spec.template_colour,
-                                spec.avoid[:-1])
-    if failure is None:
-        return None
-    if failure.stage == TF:
-        return (failure.colour, failure.lengths,
-                "fixed template lengths form a triangle",
-                f"template triangle at lengths {failure.lengths}")
-    return (failure.colour, failure.lengths,
-            f"repetition q={failure.q} fails on fixed lengths",
-            f"repetition q={failure.q} failed")
-
-
 def search_template(spec: SearchSpec,
                     conflict_budget: int = DEFAULT_CONFLICT_BUDGET
                     ) -> TemplateSearchResult:
     """Encode, solve, validate, refine: loop until a validated template graph
     comes out, the encoding is exhausted, or MAX_ITERATIONS solves have run.
 
-    Each failure of `_candidate_failure` adds a clause over the free
-    lengths of its witness and the instance is re-solved.
+    A candidate meets one check, `validate_template`; a failure adds a
+    clause over the free lengths of its witness, or ends the search as
+    unsatisfiable as posed if it has none.  A clique check of `spec.avoid`
+    would never fail: the encoder lists every k-clique {0 < v_1 < ...} of
+    order N whose folded lengths are free or fixed to s, and a monochromatic
+    clique of the decoded linear colouring, shifted to 0, is one of them, so
+    the model breaks its clause, or the clause is empty and the instance is
+    UNSAT.  The tilings are clique-checked, and the 1-fold one starts with
+    the candidate.  The tf stage never reports a missing top length, since
+    N-1 folds onto length n, fixed to the template colour.
     """
     if conflict_budget < 0:
         raise ValueError(f"budget: must be >= 0, got {conflict_budget}")
@@ -698,20 +675,22 @@ def search_template(spec: SearchSpec,
             log.append(f"iteration {iteration}: solver budget exhausted")
             return TemplateSearchResult("budget", None, iteration, log)
         colouring = decode_model(result.model, instance)
-        failure = _candidate_failure(colouring, spec)
+        failure = validate_template(colouring, spec.template_colour,
+                                    spec.avoid[:-1])
         if failure is None:
             template = TemplateGraph(colouring, spec.template_colour)
             log.append(f"iteration {iteration}: validated template of order "
                        f"{spec.target_order}, phi {template.phi}")
             return TemplateSearchResult("found", template, iteration, log)
-        colour, lengths, fixed_msg, refined_msg = failure
-        cl = _violation_clause(lengths, colour, instance)
+        phrase = (f"repetition q={failure.q} failed" if failure.stage != TF
+                  else f"template triangle at lengths {failure.lengths}")
+        cl = _violation_clause(failure.lengths, failure.colour, instance)
         if cl is None:
-            log.append(f"iteration {iteration}: {fixed_msg}; "
+            log.append(f"iteration {iteration}: {phrase}; "
                        "unsatisfiable as posed")
             return TemplateSearchResult("none", None, iteration, log)
         extra.append(cl)
-        log.append(f"iteration {iteration}: {refined_msg}, refined")
+        log.append(f"iteration {iteration}: {phrase}, refined")
 
     log.append(f"stopped after {MAX_ITERATIONS} iterations")
     return TemplateSearchResult("budget", None, MAX_ITERATIONS, log)

@@ -722,10 +722,23 @@ def test_solve_dev_null_is_not_satisfiable(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_ledger_derive_rejects_r2(store, capsys):
-    assert dispatch(["ledger", "seed"]) == 0
-    assert dispatch(["ledger", "derive", "--rules", "r2"]) == 2
-    assert "unknown rule 'r2'" in capsys.readouterr().err
+def test_ledger_derive_takes_r2_as_r3(store, capsys):
+    """`--rules` reads names through the same folding as stored facts: r2
+    names r3, as a stored r2 fact is recomputed as r3; r12 names nothing."""
+    stores = []
+    for rules in ("r3", "r2", "r2,r3"):
+        if os.path.exists(store):
+            os.remove(store)
+        assert dispatch(["ledger", "seed"]) == 0
+        assert dispatch(["ledger", "derive", "--rules", rules,
+                         "--depth", "2"]) == 0
+        with open(store, "rb") as f:
+            stores.append(f.read())
+    assert b'"r2"' not in stores[0]
+    assert stores == [stores[0]] * 3
+    capsys.readouterr()
+    assert dispatch(["ledger", "derive", "--rules", "r12"]) == 2
+    assert "unknown rule 'r12'" in capsys.readouterr().err
 
 
 def test_ledger_derive_takes_r4_as_r3(store, capsys):
@@ -946,6 +959,8 @@ _ASSERTED = '"certificate": {"type": "asserted", "source": "s"}'
     '"parents": 5}, "flags": {}}',
     '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
     '"certificate": {"type": "explicit", "path": 5}, "flags": {}}',
+    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+    '"certificate": {"type": "asserted"}, "flags": {}}',
     '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": true, '
     f'{_ASSERTED}, "flags": {{}}}}',
     '{"id": true, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
@@ -969,6 +984,7 @@ _ASSERTED = '"certificate": {"type": "asserted", "source": "s"}'
 ], ids=["list", "number", "flags-list", "index-string",
         "certificate-string", "parameters-int", "gamma-no-base",
         "gamma-base-int", "gamma-zero-den", "parents-int", "path-int",
+        "asserted-no-source",
         "value-bool", "id-bool", "phi-string", "degree-string",
         "rule-list", "asserted-rule-list", "no-kind", "no-value"])
 def test_store_line_that_is_not_a_fact_exits_2(line, tmp_path, capsys):
@@ -993,6 +1009,24 @@ def test_store_line_without_a_field_names_it(field, tmp_path, capsys):
                      "graph(3,3)"]) == 2
     assert capsys.readouterr().err == (f"error: a fact needs a {field!r} "
                                        "field\n")
+
+
+@pytest.mark.parametrize("argv", [["best", "graph(3,3)"],
+                                  ["derive", "--rules", "r7", "--depth", "1"]],
+                         ids=["best", "derive"])
+def test_asserted_certificate_without_a_source_names_it(argv, tmp_path,
+                                                        capsys):
+    """Such a line once loaded, and `ledger best` then ended in the bare
+    text of a KeyError, "error: 'source'"."""
+    path = tmp_path / "facts.jsonl"
+    path.write_text(json.dumps({
+        "id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5,
+        "certificate": {"type": "asserted"}, "flags": {}}) + "\n")
+    before = path.read_bytes()
+    assert dispatch(["ledger", "--store", str(path), *argv]) == 2
+    assert capsys.readouterr().err == \
+        "error: an asserted certificate needs a string source\n"
+    assert path.read_bytes() == before
 
 
 def _gamma_line(fact_id, base, root):
@@ -1373,6 +1407,34 @@ def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
     assert captured.out.splitlines() == [*log, "pipeline stopped at step 2"]
     assert captured.err == ""
     assert not os.path.exists(store)
+
+
+@pytest.mark.parametrize("flags, message", [
+    ({"cyclic": "false"}, "cyclic must be true or false, got 'false'"),
+    ({"linear": [1]}, "linear must be true or false, got [1]"),
+    ({"template": 1, "phi": 0}, "template must be true or false, got 1"),
+], ids=["cyclic-string", "linear-list", "template-int"])
+def test_shape_flag_that_is_not_a_boolean_exits_2(flags, message, tmp_path,
+                                                  capsys):
+    """A store line's "cyclic": "false" once read as cyclic, so r1 stored
+    (3,3,3;15) from it; a pipeline fact meets the same check."""
+    path = tmp_path / "facts.jsonl"
+    path.write_text(json.dumps({
+        "id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5,
+        "certificate": {"type": "asserted", "source": "s"},
+        "flags": flags}) + "\n")
+    before = path.read_bytes()
+    assert dispatch(["ledger", "--store", str(path), "derive", "--rules",
+                     "r1,r3", "--depth", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert path.read_bytes() == before
+    recipe = tmp_path / "r.json"
+    recipe.write_text(json.dumps({"name": "r", "steps": [_C5_STEP, {
+        "op": "add_fact", "target": "c5", "avoid": [3, 3], "flags": flags}]}))
+    assert dispatch(["pipeline", str(recipe)]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"step 2: error: {message}", "pipeline stopped at step 2"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1060,7 +1060,8 @@ def _random_fact(rng, pent):
     ))
     flags = {}
     if kind == GRAPH:
-        flags = rng.choice(({}, {"cyclic": True}, {"cyclic": 1},
+        flags = rng.choice(({}, {"cyclic": True},
+                            {"cyclic": True, "provenance_note": "n"},
                             {"linear": True}, {"template": True, "phi": 0},
                             {"phi": 0, "template": True},
                             {"special_degree": 2, "special_degree_index": 0}))

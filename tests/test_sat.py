@@ -1,11 +1,17 @@
 import hashlib
+import random
 import time
 
 import pytest
 
 from ramseykit import sat, templates
 from ramseykit.cliques import ramsey_check
-from ramseykit.colouring import LengthColouring, pentagon
+from ramseykit.colouring import (
+    CYCLIC,
+    LengthColouring,
+    length_domain_size,
+    pentagon,
+)
 from ramseykit.constructions import paley_colouring
 from ramseykit.sat import (
     ClauseCapError,
@@ -300,6 +306,47 @@ def test_search_template_stops_after_max_iterations(monkeypatch):
         ("budget", 1, None)
     assert result.log == ["iteration 1: repetition q=2 failed, refined",
                           "stopped after 1 iterations"]
+
+
+def test_template_triangle_on_fixed_lengths_is_unsatisfiable_as_posed():
+    """Length 3 is fixed to the template colour, and 3 + 3 = 6 folds onto
+    it: no clause can block the triangle."""
+    proto = LengthColouring(CYCLIC, 3, 3, (3,))
+    result = search_template(SearchSpec(proto, 1, (2, 4, 4, 4)))
+    assert (result.status, result.iterations, result.log) == ("none", 1, [
+        "iteration 1: template triangle at lengths (3, 3, 6); "
+        "unsatisfiable as posed"])
+
+
+def _random_extension_spec(rng):
+    r = rng.choice((1, 2))
+    n = rng.randint(3, 8)
+    colours = tuple(rng.randint(1, r)
+                    for _ in range(length_domain_size(CYCLIC, n)))
+    return SearchSpec(LengthColouring(CYCLIC, n, r, colours),
+                      rng.randint(1, 2 * n - 1),
+                      tuple(rng.randint(3, 5) for _ in range(r + 1)))
+
+
+def test_decoded_candidates_pass_the_clique_check(monkeypatch):
+    """Why `search_template` runs no clique check of `spec.avoid`: the
+    encoder blocks every monochromatic clique through 0, so each decoded
+    candidate, refined or not, already passes it."""
+    candidates = []
+
+    def checked(lits, instance):
+        colouring = decode_model(lits, instance)
+        candidates.append(ramsey_check(colouring, spec.avoid).passes)
+        return colouring
+
+    monkeypatch.setattr(sat, "decode_model", checked)
+    refined = 0
+    for seed in range(300):
+        spec = _random_extension_spec(random.Random(seed))
+        result = search_template(spec, conflict_budget=20_000)
+        refined += any(line.endswith(", refined") for line in result.log)
+    assert all(candidates)
+    assert len(candidates) > 150 and refined > 30
 
 
 def test_top_length_folds_onto_the_template_colour():
