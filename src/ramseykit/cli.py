@@ -14,6 +14,7 @@ import re
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 
 from . import colouring as col
@@ -422,7 +423,7 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                            f"{step['rule']}, order {c.order}")
             elif op == "verify":
                 target = named(step["target"])
-                avoid = tuple(step["avoid"])
+                avoid = col.clique_bounds(step["avoid"])
                 report = ramsey_check(target, avoid)
                 if not report.passes:
                     log.append(f"step {i}: verify '{step['target']}' FAILED")
@@ -431,7 +432,7 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                            f"against {avoid}")
             elif op == "add_fact":
                 target = named(step["target"])
-                avoid = tuple(step["avoid"])
+                avoid = col.clique_bounds(step["avoid"])
                 report = ramsey_check(target, avoid)
                 if not report.passes:
                     log.append(f"step {i}: fact for '{step['target']}' "
@@ -459,11 +460,11 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                                          tuple(step["parameters"]))
                 if fact is not None:
                     ledger.recompute_check(ledger.provenance_chain(fact))
-                want = step["min_value"]
-                got = (float(fact.value) if fact is not None else None)
-                if fact is None or got < float(want) - 1e-9:
+                want, got = step["min_value"], getattr(fact, "value", None)
+                if got is None or got < (led.GammaValue(Fraction(str(want)))
+                                         if fact.kind == led.GAMMA else want):
                     log.append(f"step {i}: expectation {step} FAILED "
-                               f"(got {got})")
+                               f"(got {_render(got)})")
                     return i, log
                 log.append(f"step {i}: {step['kind']}"
                            f"({','.join(map(str, step['parameters']))}) "

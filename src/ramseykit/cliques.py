@@ -28,6 +28,7 @@ from .colouring import (
     ExplicitColouring,
     LengthColouring,
     cayley_table,
+    clique_bounds,
     length_colours,
     multipliers,
 )
@@ -270,11 +271,7 @@ def ramsey_check(
     are those of the search without the multipliers.  Any other colouring,
     such as a grid under a shuffled numbering, gets the full search.
     """
-    avoid = tuple(avoid)
-    if len(avoid) != c.num_colours:
-        raise ColouringError(
-            f"avoid: expected {c.num_colours} bounds, got {len(avoid)}"
-        )
+    avoid = clique_bounds(avoid, c.num_colours)
     orbit = None
     if isinstance(c, LengthColouring):
         lengths = length_colours(c)

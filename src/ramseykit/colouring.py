@@ -24,6 +24,24 @@ class ColouringError(ValueError):
     """Raised for malformed or inconsistent colourings and colouring files."""
 
 
+def clique_bounds(avoid, colours: int | None = None) -> tuple[int, ...]:
+    """`avoid` as a tuple: the one check of a bound vector.  ColouringError
+    unless it is a list or tuple of ints, not bools, each at least 1, with
+    `colours` entries if given, else at least one.  A bound of 1 is
+    well-formed: it fails on any colouring with a vertex."""
+    if not (isinstance(avoid, (list, tuple))
+            and all(type(k) is int for k in avoid)):
+        raise ColouringError("avoid: expected a list of integers")
+    if colours is not None and len(avoid) != colours:
+        raise ColouringError(f"avoid: expected {colours} bounds, "
+                             f"got {len(avoid)}")
+    if not avoid and colours is None:
+        raise ColouringError("avoid: at least one clique bound is needed")
+    if min(avoid, default=1) < 1:
+        raise ColouringError(f"avoid: clique bound {min(avoid)} below 1")
+    return tuple(avoid)
+
+
 def length_domain_size(kind: str, order: int) -> int:
     if kind == LINEAR:
         return order - 1
@@ -73,13 +91,7 @@ class LengthColouring:
                     f"colours[{idx}]: colour {c} out of range 1..{self.num_colours}"
                 )
         if self.avoid is not None:
-            if len(self.avoid) != self.num_colours:
-                raise ColouringError(
-                    f"avoid: expected {self.num_colours} entries, got {len(self.avoid)}"
-                )
-            for idx, k in enumerate(self.avoid):
-                if k < 2:
-                    raise ColouringError(f"avoid[{idx}]: clique bound {k} below 2")
+            clique_bounds(self.avoid, self.num_colours)
         if self.template_colour is not None and not (
             1 <= self.template_colour <= self.num_colours
         ):
@@ -138,6 +150,8 @@ class ExplicitColouring:
             raise ColouringError(
                 f"edge_colour: entries must lie in 1..{self.num_colours}"
             )
+        if self.avoid is not None:
+            clique_bounds(self.avoid, self.num_colours)
 
     def colour(self, i: int, j: int) -> int:
         if i == j:
@@ -387,12 +401,7 @@ def parse_colouring(text: str) -> LengthColouring | ExplicitColouring:
     if not (isinstance(colours, list)
             and all(type(x) is int for x in colours)):
         raise ColouringError("colours: expected a list of integers")
-    avoid = None
-    if "avoid" in obj:
-        if not (isinstance(obj["avoid"], list)
-                and all(type(x) is int for x in obj["avoid"])):
-            raise ColouringError("avoid: expected a list of integers")
-        avoid = tuple(obj["avoid"])
+    avoid = clique_bounds(obj["avoid"]) if "avoid" in obj else None
     comment = obj.get("comment")
     if comment is not None and not isinstance(comment, str):
         raise ColouringError("comment: expected a string")

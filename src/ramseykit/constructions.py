@@ -3,8 +3,10 @@ generators.
 
 Every construction here is an explicit colouring rule whose output order is
 given by a closed formula; callers are expected to re-verify outputs with the
-clique checker before treating them as certificates (the CLI refuses to emit
-unverified compounds).
+clique checker before treating them as certificates.  The CLI's `construct`
+checks an output that carries clique bounds, as a compound of two bounded
+operands does, and refuses to emit one that fails; `--no-verify` marks the
+output `unverified` instead, and an output without bounds gets neither.
 """
 
 from __future__ import annotations

@@ -123,7 +123,7 @@ class BoundFact:
         idx = self.flags.get("special_degree_index")
         if idx is not None and not (type(idx) is int
                                     and 0 <= idx < len(self.parameters)):
-            raise LedgerError(f"special_degree_index {idx} is not a "
+            raise LedgerError(f"special_degree_index {idx!r} is not a "
                               f"position in {self.parameters}")
 
     @property

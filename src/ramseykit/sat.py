@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .colouring import CYCLIC, LINEAR, LengthColouring, length_domain_size
+from .colouring import CYCLIC, LINEAR, LengthColouring, clique_bounds, length_domain_size
 from .templates import TF, TemplateGraph, validate_template
 
 DEFAULT_CLAUSE_CAP = 10_000_000
@@ -96,11 +96,7 @@ class SearchSpec:
             raise EncodingError(f"extension width t must be >= 1, got {self.t}")
         if self.t >= 2 * n:
             raise EncodingError(f"extension width t={self.t} too large for order {n}")
-        if len(self.avoid) != self.prototype.num_colours + 1:
-            raise EncodingError(
-                f"avoid: expected {self.prototype.num_colours + 1} bounds, "
-                f"got {len(self.avoid)}"
-            )
+        clique_bounds(self.avoid, self.prototype.num_colours + 1)
 
     @property
     def template_colour(self) -> int:
@@ -255,14 +251,11 @@ def _encode(meta: dict, fixed: dict, clause_cap: int) -> CnfInstance:
 
 
 def _encode_free(kind: str, m: int, avoid, clause_cap: int) -> CnfInstance:
-    avoid = tuple(avoid)
+    avoid = clique_bounds(avoid)
     if m < 3:
         raise EncodingError(f"order must be >= 3, got {m}")
-    if not avoid:
-        raise EncodingError("avoid: at least one clique bound is needed")
-    for k in avoid:
-        if k < 2:
-            raise EncodingError(f"clique bound {k} below 2")
+    if min(avoid) < 2:  # the cyclic listing starts from an edge {0, v_1}
+        raise EncodingError(f"clique bound {min(avoid)} below 2")
     # listed cliques, at least: each cyclic class has <= 2k members through 0
     listed = sum(-(-comb(m - 1, k - 1) // (2 * k if kind == CYCLIC else 1))
                  for k in avoid)
@@ -305,12 +298,9 @@ def encode_extension(spec: SearchSpec,
     the cliques through 0 at order N of lengths free or fixed to s, so none
     is satisfied by a fixed length; ClauseCapError past `clause_cap` of them.
     """
-    avoid = tuple(spec.avoid)
-    if min(avoid) < 1:
-        raise EncodingError(f"clique bound {min(avoid)} below 1")
-    meta = {"kind": "extension", "order": spec.target_order, "avoid": avoid,
-            "prototype_order": spec.prototype.order, "t": spec.t,
-            "template_colour": spec.template_colour}
+    meta = {"kind": "extension", "order": spec.target_order,
+            "avoid": tuple(spec.avoid), "prototype_order": spec.prototype.order,
+            "t": spec.t, "template_colour": spec.template_colour}
     return _encode(meta, _extension_fixed(spec), clause_cap)
 
 
@@ -420,11 +410,8 @@ def read_dimacs(text: str) -> CnfInstance:
     var_map = VarMap((), 0)
     if meta:
         try:
-            meta["avoid"] = tuple(meta["avoid"])
-            if not meta["avoid"]:
-                raise EncodingError("'c meta' has an empty avoid")
-            if not (type(meta["order"]) is int  # not bool, nor float
-                    and all(type(k) is int and k >= 1 for k in meta["avoid"])):
+            meta["avoid"] = clique_bounds(meta["avoid"])
+            if type(meta["order"]) is not int:  # not bool, nor float
                 raise EncodingError("'c meta' needs int order and avoid >= 1")
             # every fold is at most two-to-one, so the lengths 1..order-1
             # need at least (order-1)/2 canonical lengths, free or fixed
@@ -480,6 +467,8 @@ def decode_model(lits, instance: CnfInstance) -> LengthColouring:
     """Rebuild the full colouring from a model's true literals: each length
     takes the colour, fixed or chosen, of its canonical length.  Extensions
     come back as linear colourings with their template colour."""
+    if not instance.meta:
+        raise ModelError("no 'c meta' line, so the model cannot be decoded")
     var_map = instance.var_map
     chosen: dict[int, int] = {}
     for lit in lits:

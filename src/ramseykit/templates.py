@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
-from .colouring import LINEAR, ColouringError, LengthColouring
+from .colouring import LINEAR, ColouringError, LengthColouring, clique_bounds
 from .cliques import CliqueReport, ramsey_check
 
 TF, REPETITION = "tf-template", "repetition"
@@ -108,15 +108,6 @@ def tiled_colouring(T: TemplateGraph, q: int) -> LengthColouring:
                            template_colour=T.template_colour)
 
 
-def _check_avoid(base: LengthColouring, avoid) -> tuple[int, ...]:
-    """`avoid` as a tuple, if it bounds each non-template colour of `base`."""
-    avoid = tuple(avoid)
-    if len(avoid) != base.num_colours - 1:
-        raise ColouringError(f"avoid: expected {base.num_colours - 1} bounds "
-                             f"for the non-template colours, got {len(avoid)}")
-    return avoid
-
-
 def repetition_check(T: TemplateGraph, q: int, avoid) -> CliqueReport:
     """Clique check of the q-fold tiling, on the non-template colours only.
 
@@ -125,7 +116,7 @@ def repetition_check(T: TemplateGraph, q: int, avoid) -> CliqueReport:
     the tiling by design.  The report carries a witness per colour, in
     vertices of the tiling.
     """
-    avoid = _check_avoid(T.base, avoid)
+    avoid = clique_bounds(avoid, T.base.num_colours - 1)
     tiled = tiled_colouring(T, q)
     # Unconstrain the template colour: bound = order + 1 can never fail.
     i = T.template_colour - 1
@@ -207,7 +198,7 @@ def validate_template(base: LengthColouring, template_colour: int, avoid
     vertices), so only q = 1, 2, 4, ... below q*, then q*, are checked; a
     failure reports the least q whose tiling holds its witness.
     """
-    avoid = _check_avoid(base, avoid)
+    avoid = clique_bounds(avoid, base.num_colours - 1)
     triple = _tf_violation(base, template_colour)
     if triple is not None:
         return TemplateFailure(TF, template_colour, lengths=triple)

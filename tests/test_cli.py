@@ -677,6 +677,13 @@ _BAD_META_TYPES = {
     "avoid-zero": ("5", "[0, 3]"), "order-string": ('"5"', "[3, 3]"),
     "order-float": ("5.0", "[3, 3]"), "order-bool": ("true", "[3, 3]"),
 }
+# the message of each: colouring.clique_bounds reads the avoid,
+# read_dimacs checks the order
+_BAD_META_MESSAGES = {
+    name: ("avoid: clique bound 0 below 1" if name == "avoid-zero"
+           else "avoid: expected a list of integers"
+           if name.startswith("avoid") else "needs int order and avoid >= 1")
+    for name in _BAD_META_TYPES}
 
 
 @pytest.mark.parametrize("text, message", [
@@ -685,10 +692,10 @@ _BAD_META_TYPES = {
     ('c meta {"kind": "linear", "order": 9, "avoid": [3]}\nc fixed 1 1\n'
      'p cnf 2 0\n', "declares 2 variables, too few for 'c meta' order 9"),
     ('c meta {"kind": "cyclic", "order": 5, "avoid": []}\np cnf 0 0\n',
-     "'c meta' has an empty avoid"),
+     "avoid: at least one clique bound is needed"),
 ] + [(f'c meta {{"kind": "cyclic", "order": {order}, "avoid": {avoid}}}\n'
-      'p cnf 4 0\n', "needs int order and avoid >= 1")
-     for order, avoid in _BAD_META_TYPES.values()],
+      'p cnf 4 0\n', _BAD_META_MESSAGES[name])
+     for name, (order, avoid) in _BAD_META_TYPES.items()],
     ids=["huge-order", "linear-order", "empty-avoid", *_BAD_META_TYPES])
 def test_solve_rejects_meta_before_building_var_map(text, message, tmp_path,
                                                     capsys, monkeypatch):
@@ -704,9 +711,10 @@ def test_solve_rejects_meta_before_building_var_map(text, message, tmp_path,
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("order, avoid", _BAD_META_TYPES.values(),
-                         ids=_BAD_META_TYPES)
-def test_decode_rejects_meta_types(order, avoid, tmp_path, capsys):
+@pytest.mark.parametrize("order, avoid, message",
+                         [(*_BAD_META_TYPES[name], _BAD_META_MESSAGES[name])
+                          for name in _BAD_META_TYPES], ids=_BAD_META_TYPES)
+def test_decode_rejects_meta_types(order, avoid, message, tmp_path, capsys):
     """A model decodes against a `c meta` of the wrong types to exit 2,
     not to a traceback from the clique check."""
     cnf, model = tmp_path / "bad.cnf", tmp_path / "model.txt"
@@ -714,7 +722,20 @@ def test_decode_rejects_meta_types(order, avoid, tmp_path, capsys):
                    f'"avoid": {avoid}}}\np cnf 4 0\n')
     model.write_text("s SATISFIABLE\nv 1 -2 3 -4 0\n")
     assert dispatch(["decode", "--cnf", str(cnf), "--model", str(model)]) == 2
-    assert "needs int order and avoid >= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_decode_without_meta_names_the_missing_line(tmp_path, capsys):
+    """A CNF without `c meta` can be solved but not decoded; decode once
+    ended in "variable 1 out of range"."""
+    cnf, model = tmp_path / "plain.cnf", tmp_path / "model.txt"
+    cnf.write_text("p cnf 2 1\n1 2 0\n")
+    model.write_text("s SATISFIABLE\nv 1 -2 0\n")
+    assert dispatch(["solve", str(cnf)]) == 0
+    capsys.readouterr()
+    assert dispatch(["decode", "--cnf", str(cnf), "--model", str(model)]) == 2
+    assert capsys.readouterr().err == ("error: no 'c meta' line, so the "
+                                       "model cannot be decoded\n")
 
 
 def test_solve_dev_null_is_not_satisfiable(capsys):
@@ -937,63 +958,80 @@ def test_shared_parser_keeps_no_option_between_calls(pentagon_file, capsys):
 _ASSERTED = '"certificate": {"type": "asserted", "source": "s"}'
 
 
-@pytest.mark.parametrize("line", [
-    "[1, 2]",
-    "5",
-    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
-    f'{_ASSERTED}, "flags": []}}',
-    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
-    f'{_ASSERTED}, "flags": {{"special_degree_index": "0"}}}}',
-    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
-    '"certificate": "asserted", "flags": {}}',
-    '{"id": 1, "kind": "graph_exists", "parameters": 5, "value": 5, '
-    f'{_ASSERTED}, "flags": {{}}}}',
-    '{"id": 1, "kind": "gamma_lower_bound", "parameters": [3], '
-    f'"value": {{"root": 2}}, {_ASSERTED}, "flags": {{}}}}',
-    '{"id": 1, "kind": "gamma_lower_bound", "parameters": [3], '
-    f'"value": {{"base": 5, "root": 2}}, {_ASSERTED}, "flags": {{}}}}',
-    '{"id": 1, "kind": "gamma_lower_bound", "parameters": [3], '
-    f'"value": {{"base": [5, 0], "root": 2}}, {_ASSERTED}, "flags": {{}}}}',
-    '{"id": 1, "kind": "ramsey_lower_bound", "parameters": [3, 3], '
-    '"value": 6, "certificate": {"type": "derived", "rule": "r7", '
-    '"parents": 5}, "flags": {}}',
-    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
-    '"certificate": {"type": "explicit", "path": 5}, "flags": {}}',
-    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
-    '"certificate": {"type": "asserted"}, "flags": {}}',
-    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": true, '
-    f'{_ASSERTED}, "flags": {{}}}}',
-    '{"id": true, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
-    f'{_ASSERTED}, "flags": {{}}}}',
-    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
-    f'{_ASSERTED}, "flags": {{"template": true, "phi": "x"}}}}',
-    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
-    f'{_ASSERTED}, "flags": {{"special_degree": "x", '
-    '"special_degree_index": 0}}',
-    '{"id": 1, "kind": "ramsey_lower_bound", "parameters": [3, 3], '
-    '"value": 6, "certificate": {"type": "derived", "rule": ["r7"], '
-    '"parents": []}, "flags": {}}',
+_NOT_A_FACT = "a fact needs a list of integer parameters, a certificate " \
+    "object and a flags object"
+_BAD_GAMMA = "a gamma value needs a [num, den] base of integers, den != 0, " \
+    "and an integer root"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "store line [1, 2] is not a fact object"),
+    ("5", "store line 5 is not a fact object"),
+    ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+     f'{_ASSERTED}, "flags": []}}', _NOT_A_FACT),
+    ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+     f'{_ASSERTED}, "flags": {{"special_degree_index": "0"}}}}',
+     "special_degree_index '0' is not a position in (3, 3)"),
+    ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+     '"certificate": "asserted", "flags": {}}', _NOT_A_FACT),
+    ('{"id": 1, "kind": "graph_exists", "parameters": 5, "value": 5, '
+     f'{_ASSERTED}, "flags": {{}}}}', _NOT_A_FACT),
+    ('{"id": 1, "kind": "gamma_lower_bound", "parameters": [3], '
+     f'"value": {{"root": 2}}, {_ASSERTED}, "flags": {{}}}}', _BAD_GAMMA),
+    ('{"id": 1, "kind": "gamma_lower_bound", "parameters": [3], '
+     f'"value": {{"base": 5, "root": 2}}, {_ASSERTED}, "flags": {{}}}}',
+     _BAD_GAMMA),
+    ('{"id": 1, "kind": "gamma_lower_bound", "parameters": [3], '
+     f'"value": {{"base": [5, 0], "root": 2}}, {_ASSERTED}, "flags": {{}}}}',
+     _BAD_GAMMA),
+    ('{"id": 1, "kind": "ramsey_lower_bound", "parameters": [3, 3], '
+     '"value": 6, "certificate": {"type": "derived", "rule": "r7", '
+     '"parents": 5}, "flags": {}}',
+     "a derived certificate needs a list of integer parent ids"),
+    ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+     '"certificate": {"type": "explicit", "path": 5}, "flags": {}}',
+     "an explicit certificate needs a string path"),
+    ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+     '"certificate": {"type": "asserted"}, "flags": {}}',
+     "an asserted certificate needs a string source"),
+    ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], '
+     f'"value": true, {_ASSERTED}, "flags": {{}}}}',
+     "fact value True is not a number"),
+    ('{"id": true, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+     f'{_ASSERTED}, "flags": {{}}}}', "fact id True is not an integer"),
+    ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+     f'{_ASSERTED}, "flags": {{"template": true, "phi": "x"}}}}',
+     "phi must be an integer >= 0, got 'x'"),
+    ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+     f'{_ASSERTED}, "flags": {{"special_degree": "x", '
+     '"special_degree_index": 0}}',
+     "special_degree must be an integer >= 1, got 'x'"),
+    ('{"id": 1, "kind": "ramsey_lower_bound", "parameters": [3, 3], '
+     '"value": 6, "certificate": {"type": "derived", "rule": ["r7"], '
+     '"parents": []}, "flags": {}}',
+     "a derived certificate needs a string rule"),
     # a rule is checked wherever it is present: dominance_key hashes it
-    '{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
-    '"certificate": {"type": "asserted", "source": "s", "rule": ["x"]}, '
-    '"flags": {}}',
-    f'{{"id": 1, "parameters": [3, 3], "value": 5, {_ASSERTED}, '
-    '"flags": {}}',
-    f'{{"id": 1, "kind": "graph_exists", "parameters": [3, 3], {_ASSERTED}, '
-    '"flags": {}}',
+    ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+     '"certificate": {"type": "asserted", "source": "s", "rule": ["x"]}, '
+     '"flags": {}}', "a derived certificate needs a string rule"),
+    (f'{{"id": 1, "parameters": [3, 3], "value": 5, {_ASSERTED}, '
+     '"flags": {}}', "a fact needs a 'kind' field"),
+    (f'{{"id": 1, "kind": "graph_exists", "parameters": [3, 3], {_ASSERTED}, '
+     '"flags": {}}', "a fact needs a 'value' field"),
 ], ids=["list", "number", "flags-list", "index-string",
         "certificate-string", "parameters-int", "gamma-no-base",
         "gamma-base-int", "gamma-zero-den", "parents-int", "path-int",
         "asserted-no-source",
         "value-bool", "id-bool", "phi-string", "degree-string",
         "rule-list", "asserted-rule-list", "no-kind", "no-value"])
-def test_store_line_that_is_not_a_fact_exits_2(line, tmp_path, capsys):
+def test_store_line_that_is_not_a_fact_exits_2(line, message, tmp_path,
+                                                capsys):
+    """Each refusal names what is wrong, not the bare text of a KeyError."""
     path = tmp_path / "facts.jsonl"
     path.write_text(line + "\n")
     assert dispatch(["ledger", "--store", str(path), "best",
                      "graph(3,3)"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("field", ["kind", "value"])
@@ -1406,6 +1444,91 @@ def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [*log, "pipeline stopped at step 2"]
     assert captured.err == ""
+    assert not os.path.exists(store)
+
+
+@pytest.mark.parametrize("min_value, line", [
+    (6, "step 4: R(3,3) >= 6 confirmed (6)"),
+    (6.0000000005, "step 4: expectation {'op': 'expect', 'kind': 'R', "
+     "'parameters': [3, 3], 'min_value': 6.0000000005} FAILED (got 6)"),
+], ids=["at-the-bound", "above-the-bound"])
+def test_pipeline_expect_compares_exactly(min_value, line, tmp_path, capsys):
+    """R(3,3) >= 6 does not confirm a bound above 6, however close."""
+    recipe = tmp_path / "r.json"
+    recipe.write_text(json.dumps({"name": "r", "steps": [
+        _C5_STEP,
+        {"op": "add_fact", "target": "c5", "avoid": [3, 3],
+         "flags": {"cyclic": True}},
+        {"op": "derive", "rules": ["r7"], "depth": 1},
+        {"op": "expect", "kind": "R", "parameters": [3, 3],
+         "min_value": min_value}]}))
+    assert dispatch(["pipeline", str(recipe)]) == (min_value != 6)
+    assert capsys.readouterr().out.splitlines()[3] == line
+
+
+def test_pipeline_expect_compares_a_gamma_exactly(tmp_path, capsys):
+    """Gamma(6) = 234**(1/2) = 15.29705854077...: 15.297058 holds, and a
+    figure 4e-10 above it does not."""
+    recipe = tmp_path / "r.json"
+    steps = [{"op": "seed"}, {"op": "derive", "rules": ["r10"], "depth": 1}]
+    for want in (15.297058, 15.2970585412):
+        steps.append({"op": "expect", "kind": "gamma", "parameters": [6],
+                      "min_value": want})
+    recipe.write_text(json.dumps({"name": "r", "steps": steps}))
+    assert dispatch(["pipeline", str(recipe)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "step 3: gamma(6) >= 15.297058 confirmed (15.297058)"
+    assert out[3].endswith("FAILED (got 15.297058)")
+
+
+_PENTAGON_EXPLICIT = json.loads(serialize_colouring(
+    expand_to_explicit(pentagon())))
+
+
+@pytest.mark.parametrize("doc, argv, code, out, err", [
+    (pentagon(), ["verify", "{}", "--avoid", "0,0"], 2, "",
+     "error: avoid: clique bound 0 below 1\n"),
+    (templates.double_to_template(pentagon()).base,
+     ["template-check", "{}", "--avoid", "0,0"], 2, "",
+     "error: avoid: clique bound 0 below 1\n"),
+    ({**_PENTAGON_EXPLICIT, "avoid": [0, 0]}, ["verify", "{}"], 2, "",
+     "error: avoid: clique bound 0 below 1\n"),
+    ({"name": "r", "steps": [_C5_STEP, {"op": "add_fact", "target": "c5",
+                                         "avoid": [3.0, 3]}]},
+     ["pipeline", "{}", "--use-store"], 1,
+     "step 1: colouring 'c5' order 5\n"
+     "step 2: error: avoid: expected a list of integers\n"
+     "pipeline stopped at step 2\n", ""),
+    ({"name": "r", "steps": [_C5_STEP, {"op": "add_fact", "target": "c5",
+                                         "avoid": [True, 3]}]},
+     ["pipeline", "{}", "--use-store"], 1,
+     "step 1: colouring 'c5' order 5\n"
+     "step 2: error: avoid: expected a list of integers\n"
+     "pipeline stopped at step 2\n", ""),
+    ({"name": "r", "steps": [_C5_STEP, {"op": "verify", "target": "c5",
+                                         "avoid": 5}]},
+     ["pipeline", "{}", "--use-store"], 1,
+     "step 1: colouring 'c5' order 5\n"
+     "step 2: error: avoid: expected a list of integers\n"
+     "pipeline stopped at step 2\n", ""),
+    # well-formed but false: any colouring with a vertex has a K_1
+    ({"kind": "cyclic", "order": 5, "num_colours": 2, "avoid": [1, 3],
+      "colours": [1, 2]}, ["verify", "{}"], 1,
+     "colour 1: max clique >= 1 (bound 1) CLIQUE\n"
+     "colour 2: max clique = 2 (bound 3) ok\nFAIL\n", ""),
+], ids=["verify-zero", "template-check-zero", "explicit-file-zero",
+        "add-fact-float", "add-fact-bool", "verify-step-int",
+        "cyclic-file-one"])
+def test_one_bound_rule_at_every_entry(doc, argv, code, out, err, store,
+                                       tmp_path, capsys):
+    """A bound vector is read through colouring.clique_bounds wherever it
+    enters: ints, not bools or floats, each at least 1.  Refused input
+    exits 2, or fails its pipeline step, and writes no store."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc) if isinstance(doc, dict)
+                    else serialize_colouring(doc))
+    assert dispatch([a.format(path) for a in argv]) == code
+    assert capsys.readouterr() == (out, err)
     assert not os.path.exists(store)
 
 

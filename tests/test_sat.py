@@ -8,6 +8,7 @@ from ramseykit import sat, templates
 from ramseykit.cliques import ramsey_check
 from ramseykit.colouring import (
     CYCLIC,
+    ColouringError,
     LengthColouring,
     length_domain_size,
     pentagon,
@@ -161,7 +162,8 @@ def test_fold_length_is_idempotent():
 def test_free_encoding_refuses_an_empty_avoid(encode):
     """An instance with no colours would be written with a `c meta` avoid
     that `read_dimacs` refuses, so the encoder refuses it first."""
-    with pytest.raises(EncodingError, match="avoid"):
+    with pytest.raises(ColouringError,
+                       match="avoid: at least one clique bound is needed"):
         encode(5, ())
 
 
@@ -185,7 +187,8 @@ def test_search_spec_validation():
         SearchSpec(pentagon().as_linear(), 2, (3, 3, 3))
     with pytest.raises(EncodingError):
         SearchSpec(pentagon(), 0, (3, 3, 3))
-    with pytest.raises(EncodingError):
+    with pytest.raises(ColouringError,
+                       match="avoid: expected 3 bounds, got 2"):
         SearchSpec(pentagon(), 2, (3, 3))
 
 
