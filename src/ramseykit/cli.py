@@ -293,12 +293,9 @@ def cmd_ledger(args) -> int:
         elif args.ledger_cmd == "add":
             avoid = _parse_avoid(args.avoid)
             c = col.load_colouring(args.file)
-            if args.cyclic:
-                flags = {"cyclic": True}
-            elif isinstance(c, col.LengthColouring):
-                flags = {"linear": True}
-            else:  # an explicit colouring has no length form
-                flags = {}
+            flags = ({"cyclic": True} if args.cyclic else
+                     {"linear": True} if isinstance(c, col.LengthColouring)
+                     else {})  # an explicit colouring has no length form
             store_dir = os.path.dirname(path) or "."
             fact = led.graph_fact(
                 avoid, c.order,
@@ -320,7 +317,7 @@ def cmd_ledger(args) -> int:
             fid = ledger.add_fact(fact)
             print(f"fact {fid}: graph {params}; order {args.order} (asserted)")
         else:  # derive
-            rules = args.rules.split(",") if args.rules else None
+            rules = None if args.rules is None else args.rules.split(",")
             for f in ledger.derive_closure(rules=rules, depth=args.depth):
                 print(_fact_line(f))
         ledger.save(path)
@@ -355,11 +352,10 @@ def _fact_line(f: led.BoundFact) -> str:
 
 
 def _parse_query(text: str):
-    m = re.fullmatch(r"\s*(\w+)\s*\(([\d,\s]+)\)\s*", text)
+    m = re.fullmatch(r"\s*(\w+)\s*\(((?:\s*\d+\s*,)*\s*\d+\s*)\)\s*", text)
     if not m or m.group(1) not in _KINDS:
         raise ValueError(f"cannot parse query {text!r}")
-    params = tuple(int(x) for x in m.group(2).split(","))
-    return _KINDS[m.group(1)], params
+    return _KINDS[m.group(1)], tuple(map(int, m.group(2).split(",")))
 
 
 def _parse_range(text: str) -> range:
@@ -432,18 +428,12 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                            f"against {avoid}")
             elif op == "add_fact":
                 target = named(step["target"])
-                avoid = col.clique_bounds(step["avoid"])
-                report = ramsey_check(target, avoid)
-                if not report.passes:
-                    log.append(f"step {i}: fact for '{step['target']}' "
-                               "fails verification")
-                    return i, log
-                flags = dict(step.get("flags", {}))
                 fact = led.graph_fact(
-                    avoid, target.order,
+                    col.clique_bounds(step["avoid"]), target.order,
                     led.asserted(f"constructed in pipeline "
                                  f"{recipe.get('name', '?')}"),
-                    **flags)
+                    **dict(step.get("flags", {})))
+                led.check_certificate(fact, target, f"'{step['target']}'")
                 fid = ledger.add_fact(fact)
                 log.append(f"step {i}: fact {fid} added for "
                            f"'{step['target']}'")

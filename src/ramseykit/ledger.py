@@ -68,9 +68,6 @@ class GammaValue:
             quantum = Decimal(1).scaleb(-places)
             return str(val.quantize(quantum, rounding=ROUND_DOWN))
 
-    def __float__(self) -> float:
-        return float(self.base) ** (1.0 / self.root)
-
     def _cmp_key(self, other: "GammaValue"):
         # a**(1/p) vs c**(1/q)  <=>  a**q vs c**p, exactly in rationals
         return self.base ** other.root, other.base ** self.root
@@ -141,6 +138,32 @@ class BoundFact:
 
 def graph_fact(parameters, order, certificate, **flags) -> BoundFact:
     return BoundFact(GRAPH, tuple(parameters), order, certificate, dict(flags))
+
+
+def check_certificate(f: BoundFact, colouring, name: str) -> None:
+    """LedgerError unless `colouring`, named `name` in messages, certifies
+    graph fact `f`: its order, clique bounds and cyclic or linear flag.  No
+    colouring check confirms a rule's other flags; only assertions set them."""
+    if f.kind != GRAPH:
+        raise LedgerError("explicit certificates apply to graph facts")
+    if colouring.order != f.value:
+        raise LedgerError(f"certificate order {colouring.order} != fact "
+                          f"order {f.value}")
+    for flag in ("template", "phi", "special_degree", "special_degree_index"):
+        if f.flags.get(flag) is not None and f.flags[flag] is not False:
+            raise LedgerError(f"certificate {name} is flagged {flag}, which "
+                              "no colouring check confirms")
+    if f.flags.get("cyclic") and not check_cyclic_symmetry(colouring):
+        raise LedgerError(f"certificate {name} is flagged cyclic but its "
+                          "colouring is not cyclic-symmetric")
+    if f.flags.get("linear") and isinstance(colouring, ExplicitColouring):
+        raise LedgerError(f"certificate {name} is flagged linear but its "
+                          "colouring is explicit")
+    report = ramsey_check(colouring, f.parameters)
+    if not report.passes:
+        raise LedgerError(f"certificate {name} fails verification: clique "
+                          f"sizes {report.per_colour_max} vs bounds "
+                          f"{f.parameters}")
 
 
 def asserted(source: str) -> dict:
@@ -394,7 +417,7 @@ class Ledger:
         """Store a fact; idempotent on identical facts.
 
         An explicit certificate is re-verified every time it is offered: the
-        referenced colouring file must pass the fact's parameter vector, and
+        fact and its colouring file must pass `check_certificate`, and
         the fact is stored, and looked up, with the certificate marked
         verified.  The fact is built anew only for what changes, so a store
         line that already carries its mark and its id is kept as it is.
@@ -438,29 +461,11 @@ class Ledger:
         return fact
 
     def _verify_explicit(self, f: BoundFact, base_dir: str) -> None:
-        if f.kind != GRAPH:
-            raise LedgerError("explicit certificates apply to graph facts")
         path = f.certificate.get("path")
         if not path:
             raise LedgerError("explicit certificate without a file path")
         full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-        colouring = load_colouring(full)
-        if colouring.order != f.value:
-            raise LedgerError(
-                f"certificate order {colouring.order} != fact order {f.value}"
-            )
-        if f.flags.get("cyclic") and not check_cyclic_symmetry(colouring):
-            raise LedgerError(f"certificate {path} is flagged cyclic but its "
-                              "colouring is not cyclic-symmetric")
-        if f.flags.get("linear") and isinstance(colouring, ExplicitColouring):
-            raise LedgerError(f"certificate {path} is flagged linear but its "
-                              "colouring is explicit")
-        report = ramsey_check(colouring, f.parameters)
-        if not report.passes:
-            raise LedgerError(
-                f"certificate fails verification: clique sizes "
-                f"{report.per_colour_max} vs bounds {f.parameters}"
-            )
+        check_certificate(f, load_colouring(full), path)
 
     def get(self, fact_id: int) -> BoundFact:
         if not 1 <= fact_id <= len(self.facts):

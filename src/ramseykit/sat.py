@@ -241,9 +241,15 @@ def _finish(clauses: list[tuple[int, ...]], var_map: VarMap,
     return CnfInstance(var_map.num_vars, tuple(canonical), var_map, fixed, meta)
 
 
-def _encode(meta: dict, fixed: dict, clause_cap: int) -> CnfInstance:
+def _encode(meta: dict, fixed: dict, clause_cap: int, least=0) -> CnfInstance:
     """Exactly-one clauses over the free lengths, then the clique clauses of
-    order `meta["order"]` under the fold of `meta`."""
+    order `meta["order"]` under the fold of `meta`.  A negative cap, or one
+    below `least` cliques to list, is refused before any listing."""
+    if clause_cap < 0:
+        raise EncodingError(f"clause cap: must be >= 0, got {clause_cap}")
+    if least > clause_cap:
+        raise ClauseCapError(f"at least {least} cliques to list exceed the "
+                             f"clause cap of {clause_cap} listed cliques")
     var_map = _var_map(meta, fixed)
     clauses = _exactly_one_clauses(var_map)
     clauses += _clique_clauses(meta, var_map, fixed, clause_cap)
@@ -259,10 +265,8 @@ def _encode_free(kind: str, m: int, avoid, clause_cap: int) -> CnfInstance:
     # listed cliques, at least: each cyclic class has <= 2k members through 0
     listed = sum(-(-comb(m - 1, k - 1) // (2 * k if kind == CYCLIC else 1))
                  for k in avoid)
-    if listed > clause_cap:
-        raise ClauseCapError(f"at least {listed} cliques to list exceed the "
-                             f"clause cap of {clause_cap} listed cliques")
-    return _encode({"kind": kind, "order": m, "avoid": avoid}, {}, clause_cap)
+    return _encode({"kind": kind, "order": m, "avoid": avoid}, {}, clause_cap,
+                   listed)
 
 
 def encode_cyclic(m: int, avoid, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfInstance:

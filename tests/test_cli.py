@@ -624,6 +624,23 @@ def test_negative_budget_exit_2(argv, pentagon_file, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode", "cyclic", "--order", "5", "--avoid", "3,3"],
+    ["encode", "linear", "--order", "5", "--avoid", "3,3"],
+    ["encode", "extension", "--prototype", "{c5}", "--t", "2",
+     "--avoid", "3,3,3"],
+], ids=["cyclic", "linear", "extension"])
+def test_negative_clause_cap_exit_2(argv, pentagon_file, tmp_path, capsys):
+    """A cap of -1 was accepted, then reported as exceeded; it is refused
+    before any clique is listed, as a budget of -1 is."""
+    out = tmp_path / "out.cnf"
+    argv = [a.format(c5=pentagon_file) for a in argv]
+    assert dispatch([*argv, "--clause-cap", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: clause cap: must be >= 0, got -1\n")
+    assert not out.exists()
+
+
 def test_solve_reports_search_effort(tmp_path, capsys):
     cnf = str(tmp_path / "c14.cnf")
     assert dispatch(["encode", "cyclic", "--order", "14",
@@ -760,6 +777,27 @@ def test_ledger_derive_takes_r2_as_r3(store, capsys):
     capsys.readouterr()
     assert dispatch(["ledger", "derive", "--rules", "r12"]) == 2
     assert "unknown rule 'r12'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rules", ["", "r3,,r7"], ids=["empty", "empty-name"])
+def test_ledger_derive_empty_rule_name_exits_2(rules, store, capsys):
+    """`--rules ''` once ran every rule, as if no option were given."""
+    assert dispatch(["ledger", "seed"]) == 0
+    with open(store, "rb") as f:
+        before = f.read()
+    capsys.readouterr()
+    assert dispatch(["ledger", "derive", "--rules", rules]) == 2
+    assert capsys.readouterr() == ("", "error: unknown rule ''\n")
+    with open(store, "rb") as f:
+        assert f.read() == before
+
+
+def test_pipeline_empty_rules_runs_no_rule(tmp_path, capsys):
+    recipe = tmp_path / "r.json"
+    recipe.write_text(json.dumps({"name": "r", "steps": [
+        {"op": "seed"}, {"op": "derive", "rules": []}]}))
+    assert dispatch(["pipeline", str(recipe)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "step 2: derived 0 facts"
 
 
 def test_ledger_derive_takes_r4_as_r3(store, capsys):
@@ -1420,7 +1458,8 @@ _C5_STEP = {"op": "colouring", "name": "c5", "builtin": "pentagon"}
      ["step 1: colouring 'c5' order 5", "step 2: verify 'c5' FAILED"]),
     ([_C5_STEP, {"op": "add_fact", "target": "c5", "avoid": [3, 2]}],
      ["step 1: colouring 'c5' order 5",
-      "step 2: fact for 'c5' fails verification"]),
+      "step 2: error: certificate 'c5' fails verification: clique sizes "
+      "(2, 2) vs bounds (3, 2)"]),
     ([{"op": "seed"}, {"op": "frobnicate"}],
      ["step 1: seeded 10 facts", "step 2: unknown op 'frobnicate'"]),
     ([{"op": "seed"}, {"name": "c5", "builtin": "pentagon"}],
@@ -1560,9 +1599,55 @@ def test_shape_flag_that_is_not_a_boolean_exits_2(flags, message, tmp_path,
         f"step 2: error: {message}", "pipeline stopped at step 2"]
 
 
+def test_forged_flags_on_a_certificate_exit_2(pentagon_file, tmp_path,
+                                             capsys):
+    """A store line that put template flags on the pentagon's certificate
+    loaded, and r5 then r7 derived R(3,3,3) >= 21, though R(3,3,3) = 17;
+    no colouring check confirms those flags, so the line is refused."""
+    path = tmp_path / "facts.jsonl"
+    path.write_text(json.dumps({
+        "id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5,
+        "certificate": {"type": "explicit", "path": pentagon_file},
+        "flags": {"linear": True, "template": True, "phi": 3,
+                  "special_degree": 4}}) + "\n")
+    before = path.read_bytes()
+    for argv in (["derive", "--rules", "r5,r9,r10"],
+                 ["derive", "--rules", "r7"], ["best", "R(3,3,3)"]):
+        assert dispatch(["ledger", "--store", str(path), *argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: certificate {pentagon_file} is flagged template, "
+            "which no colouring check confirms\n")
+    assert path.read_bytes() == before
+
+
+def test_cyclic_flag_on_a_linear_colouring_is_one_refusal(store, tmp_path,
+                                                          capsys):
+    """`ledger add --cyclic` and a recipe's `add_fact` refuse the linear
+    colouring (1,2,2) flagged cyclic with one message; the recipe once
+    stored it, and r1 derived (3,3,3; 12) from it."""
+    path = tmp_path / "c.json"
+    save_colouring(LengthColouring("linear", 4, 2, (1, 2, 2)), path)
+    why = "is flagged cyclic but its colouring is not cyclic-symmetric"
+    assert dispatch(["ledger", "add", str(path), "--avoid", "3,3",
+                     "--cyclic"]) == 2
+    assert capsys.readouterr() == ("", f"error: certificate c.json {why}\n")
+    recipe = tmp_path / "r.json"
+    recipe.write_text(json.dumps({"name": "r", "steps": [
+        {"op": "colouring", "name": "c", "path": str(path)},
+        {"op": "add_fact", "target": "c", "avoid": [3, 3],
+         "flags": {"cyclic": True}},
+        {"op": "derive", "rules": ["r1"], "depth": 1}]}))
+    assert dispatch(["pipeline", str(recipe), "--use-store"]) == 1
+    assert capsys.readouterr() == (
+        f"step 1: colouring 'c' order 4\nstep 2: error: certificate 'c' "
+        f"{why}\npipeline stopped at step 2\n", "")
+    assert not os.path.exists(store)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "{c5}", "--avoid", "three"], "bad avoid list 'three'"),
     (["ledger", "best", "what is R?"], "cannot parse query 'what is R?'"),
+    (["ledger", "best", "R(3,,3)"], "cannot parse query 'R(3,,3)'"),
     (["pipeline", "no_such_recipe"], "no recipe 'no_such_recipe'"),
     (["verify", "{missing}"],
      "[Errno 2] No such file or directory: '{missing}'"),
@@ -1574,9 +1659,9 @@ def test_shape_flag_that_is_not_a_boolean_exits_2(flags, message, tmp_path,
      "bad range '3..5..7'"),
     (["ledger", "table", "--k", "9..3", "--r", "2"], "bad range '9..3'"),
     (["ledger", "table", "--k", "3", "--r", ""], "bad range ''"),
-], ids=["bad-avoid", "bad-query", "missing-recipe", "missing-file",
-        "no-template-colour", "no-avoid", "range-not-int", "range-three-ends",
-        "range-reversed", "range-empty"])
+], ids=["bad-avoid", "bad-query", "empty-query-bound", "missing-recipe",
+        "missing-file", "no-template-colour", "no-avoid", "range-not-int",
+        "range-three-ends", "range-reversed", "range-empty"])
 def test_usage_error_is_one_stderr_line(argv, message, store, pentagon_file,
                                         tmp_path, capsys):
     names = {"c5": pentagon_file, "missing": str(tmp_path / "nope.json"),

@@ -2,11 +2,13 @@ import hashlib
 import json
 import logging
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from ramseykit.cli import run_pipeline
 from ramseykit.cliques import ramsey_check
 from ramseykit.colouring import (
     LengthColouring,
@@ -980,29 +982,55 @@ def test_failed_save_leaves_the_old_store(tmp_path, monkeypatch):
 @pytest.mark.parametrize("colouring, flags, message", [
     # lengths 1 and 3 differ, so the colouring has no cyclic form
     (LengthColouring("linear", 4, 2, (1, 2, 2)), {"cyclic": True},
-     "flagged cyclic"),
+     "is flagged cyclic but its colouring is not cyclic-symmetric"),
     (song_product(expand_to_explicit(pentagon()),
                   expand_to_explicit(pentagon())), {"cyclic": True},
-     "flagged cyclic"),
-    (expand_to_explicit(pentagon()), {"linear": True}, "flagged linear"),
-])
+     "is flagged cyclic but its colouring is not cyclic-symmetric"),
+    (expand_to_explicit(pentagon()), {"linear": True},
+     "is flagged linear but its colouring is explicit"),
+    # no colouring check confirms these flags, so r5, r9 and r10 would read
+    # them unchecked: these once gave (3,3,3; 20), so R(3,3,3) >= 21
+    (pentagon(), {"linear": True, "template": True, "phi": 3,
+                  "special_degree": 4},
+     "is flagged template, which no colouring check confirms"),
+    (pentagon(), {"phi": 0},  # set, though 0 == False
+     "is flagged phi, which no colouring check confirms"),
+    (expand_to_explicit(pentagon()),
+     {"special_degree": 2, "special_degree_index": 0},
+     "is flagged special_degree, which no colouring check confirms"),
+], ids=["linear-as-cyclic", "grid-as-cyclic", "explicit-as-linear",
+        "template", "phi-0", "special-degree"])
 def test_certificate_flags_must_fit_the_colouring(tmp_path, colouring, flags,
                                                   message):
+    """`ledger add`, store loads and pipeline `add_fact` meet one check, with
+    one message naming the file or the recipe's colouring."""
     save_colouring(colouring, tmp_path / "c.json")
     avoid = ramsey_check(colouring, (99,) * colouring.num_colours,
                          exact=True).per_colour_max
     params = tuple(k + 1 for k in avoid)
     cert = {"type": "explicit", "path": "c.json"}
-    with pytest.raises(LedgerError, match=message):
+    refusal = re.escape(f"certificate c.json {message}")
+    with pytest.raises(LedgerError, match=f"^{refusal}$"):
         Ledger().add_fact(graph_fact(params, colouring.order, cert, **flags),
                           base_dir=str(tmp_path))
     path = tmp_path / "facts.jsonl"
     path.write_text(_store_line(1, params, colouring.order, cert, **flags))
-    with pytest.raises(LedgerError, match=message):
+    with pytest.raises(LedgerError, match=f"^{refusal}$"):
         Ledger.load(path)
-    # without the contradicting flag the certificate is accepted
+
+    def pipeline(flags):
+        return run_pipeline({"name": "r", "steps": [
+            {"op": "colouring", "name": "c", "path": str(tmp_path / "c.json")},
+            {"op": "add_fact", "target": "c", "avoid": list(params),
+             "flags": flags}]})
+
+    failed, log = pipeline(flags)
+    assert (failed, log[1:]) == (2, [f"step 2: error: certificate 'c' "
+                                     f"{message}"])
+    # without the contradicting flags the certificate is accepted
     Ledger().add_fact(graph_fact(params, colouring.order, cert),
                       base_dir=str(tmp_path))
+    assert pipeline({})[0] == 0
 
 
 def test_cyclic_flag_fits_cyclic_colourings(tmp_path):
