@@ -58,7 +58,7 @@ def _print_report(report: CliqueReport, avoid, witness: bool) -> None:
 
 def cmd_verify(args) -> int:
     c = col.load_colouring(args.file)
-    avoid = _parse_avoid(args.avoid) if args.avoid else c.avoid
+    avoid = c.avoid if args.avoid is None else _parse_avoid(args.avoid)
     if avoid is None:
         raise ValueError("no avoid vector given or stored in the file")
     report = ramsey_check(c, avoid, exact=args.exact)
@@ -109,9 +109,8 @@ def _length(what: str, name: str, c):
 
 
 def _explicit(c):
-    if isinstance(c, col.ExplicitColouring):
-        return c
-    return col.expand_to_explicit(c)
+    return (c if isinstance(c, col.ExplicitColouring)
+            else col.expand_to_explicit(c))
 
 
 def _product(a, b):
@@ -238,8 +237,7 @@ def cmd_search(args) -> int:
 
 @contextmanager
 def _locked_store(path):
-    lock_path = path + ".lock"
-    fd = os.open(lock_path, os.O_CREAT | os.O_RDWR)
+    fd = os.open(path + ".lock", os.O_CREAT | os.O_RDWR)
     try:
         try:
             import fcntl
@@ -261,19 +259,11 @@ def _load_store(path) -> led.Ledger:
 
 
 def cmd_ledger(args) -> int:
-    if args.ledger_cmd == "assert":
-        if args.phi is not None and not args.template:
-            raise ValueError("ledger assert: --phi applies only with "
-                             "--template")
-        if args.degree_index is not None and args.degree is None:
-            raise ValueError("ledger assert: --degree-index applies only "
-                             "with --degree")
     path = _store_path(args)
     with _locked_store(path):
         ledger = _load_store(path)
         if args.ledger_cmd == "best":
-            kind, params = _parse_query(args.query)
-            fact = ledger.best_bound(kind, params)
+            fact = ledger.best_bound(*_parse_query(args.query))
             if fact is None:
                 print("no matching fact")
                 return FAIL
@@ -306,12 +296,11 @@ def cmd_ledger(args) -> int:
         elif args.ledger_cmd == "assert":
             params = _parse_avoid(args.params)
             flags = {"cyclic": True} if args.cyclic else {}
-            if args.template:
-                flags["template"] = True
-                flags["phi"] = args.phi
-            if args.degree is not None:
-                flags["special_degree"] = args.degree
-                flags["special_degree_index"] = args.degree_index or 0
+            if args.template or args.phi is not None:  # phi null if absent
+                flags.update(template=args.template or None, phi=args.phi)
+            if args.degree is not None or args.degree_index is not None:
+                flags.update(special_degree=args.degree,
+                             special_degree_index=args.degree_index or 0)
             fact = led.graph_fact(params, args.order,
                                   led.asserted(args.source), **flags)
             fid = ledger.add_fact(fact)
@@ -355,15 +344,16 @@ def _parse_query(text: str):
     m = re.fullmatch(r"\s*(\w+)\s*\(((?:\s*\d+\s*,)*\s*\d+\s*)\)\s*", text)
     if not m or m.group(1) not in _KINDS:
         raise ValueError(f"cannot parse query {text!r}")
-    return _KINDS[m.group(1)], tuple(map(int, m.group(2).split(",")))
+    return _KINDS[m.group(1)], col.clique_bounds(
+        [int(k) for k in m.group(2).split(",")])
 
 
 def _parse_range(text: str) -> range:
-    """`a..b`, or one value `a`, as the range a..b; a > b is refused."""
+    """`a..b`, or one value `a`, as the range a..b, with 1 <= a <= b."""
     ends = text.split("..")
     try:
         lo, hi = int(ends[0]), int(ends[-1])
-        if len(ends) <= 2 and lo <= hi:
+        if len(ends) <= 2 and 1 <= lo <= hi:
             return range(lo, hi + 1)
     except ValueError:
         pass
@@ -447,7 +437,7 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                 if step["kind"] not in _KINDS:
                     raise ValueError(f"unknown kind {step['kind']!r}")
                 fact = ledger.best_bound(_KINDS[step["kind"]],
-                                         tuple(step["parameters"]))
+                                         col.clique_bounds(step["parameters"]))
                 if fact is not None:
                     ledger.recompute_check(ledger.provenance_chain(fact))
                 want, got = step["min_value"], getattr(fact, "value", None)

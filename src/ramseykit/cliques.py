@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -223,19 +224,13 @@ def _reflections_only(c: LengthColouring, lengths: np.ndarray) -> bool:
 
 
 def is_clique(g: ExplicitColouring, s: int, vertices) -> bool:
-    vs = list(vertices)
-    return all(
-        g.edge_colour[vs[a], vs[b]] == s
-        for a in range(len(vs))
-        for b in range(a + 1, len(vs))
-    )
+    return all(g.edge_colour[a, b] == s
+               for a, b in combinations(vertices, 2))
 
 
 def max_clique_brute(g: ExplicitColouring, s: int,
                      order_cap: int = BRUTE_ORDER_CAP) -> int:
     """Exhaustive maximum clique size in colour s.  Ground truth for testing."""
-    from itertools import combinations
-
     if g.order > order_cap:
         raise OracleCapError(
             f"order {g.order} above brute-force cap {order_cap}"

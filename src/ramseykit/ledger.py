@@ -68,13 +68,40 @@ class GammaValue:
             quantum = Decimal(1).scaleb(-places)
             return str(val.quantize(quantum, rounding=ROUND_DOWN))
 
-    def _cmp_key(self, other: "GammaValue"):
-        # a**(1/p) vs c**(1/q)  <=>  a**q vs c**p, exactly in rationals
-        return self.base ** other.root, other.base ** self.root
-
     def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
+        # a**(1/p) vs c**(1/q)  <=>  a**q vs c**p, exactly in rationals
+        return self.base ** other.root < other.base ** self.root
+
+
+class Flag(NamedTuple):
+    """A fact flag: `fits(value, parameters)` tests a value other than null,
+    and `holds` says in words what fits ({} is the parameters); the flag it
+    `needs` set; and the colouring check that `confirms` it, with why that
+    check fails, or None where none does.  A flag is a boolean by default."""
+    fits: Callable = lambda v, _: type(v) is bool
+    holds: str = "true or false"
+    needs: str | None = None
+    confirms: tuple | None = None
+
+
+# The rules do arithmetic on phi and special_degree, and build orders from
+# them; r7 carries a provenance note to its product.
+FLAGS = {
+    "cyclic": Flag(confirms=(check_cyclic_symmetry,
+                             "its colouring is not cyclic-symmetric")),
+    "linear": Flag(confirms=(lambda c: not isinstance(c, ExplicitColouring),
+                             "its colouring is explicit")),
+    "template": Flag(),
+    "phi": Flag(lambda v, _: type(v) is int and v >= 0, "an integer >= 0",
+                "template"),
+    "special_degree": Flag(lambda v, _: type(v) is int and v >= 1,
+                           "an integer >= 1"),
+    "special_degree_index": Flag(lambda v, p: type(v) is int
+                                 and 0 <= v < len(p), "a position in {}",
+                                 "special_degree"),
+    "provenance_note": Flag(lambda v, _: type(v) is str, "a string",
+                            confirms=(lambda c: True, "")),  # claims nothing
+}
 
 
 @dataclass(frozen=True)
@@ -105,23 +132,18 @@ class BoundFact:
         if self.parameters and min(self.parameters) < 1:
             raise LedgerError(f"clique bounds must be >= 1, got "
                               f"{self.parameters}")
-        if not self.flags:
-            return
-        for name in ("cyclic", "linear", "template"):  # null reads as unset
-            if type(self.flags.get(name)) not in (bool, type(None)):
-                raise LedgerError(f"{name} must be true or false, got "
-                                  f"{self.flags[name]!r}")
-        # the rules do arithmetic on these, and build orders from them
-        for name, least in (("phi", 0), ("special_degree", 1)):
-            flag = self.flags.get(name)
-            if flag is not None and not (type(flag) is int and flag >= least):
-                raise LedgerError(f"{name} must be an integer >= {least}, "
-                                  f"got {flag!r}")
-        idx = self.flags.get("special_degree_index")
-        if idx is not None and not (type(idx) is int
-                                    and 0 <= idx < len(self.parameters)):
-            raise LedgerError(f"special_degree_index {idx!r} is not a "
-                              f"position in {self.parameters}")
+        for name, value in self.flags.items():  # null reads as unset
+            flag = FLAGS.get(name)
+            if flag is None:
+                raise LedgerError(f"unknown flag {name!r}")
+            if value is None:
+                continue
+            if not flag.fits(value, self.parameters):
+                what = flag.holds.format(self.parameters)
+                raise LedgerError(f"{name} must be {what}, got {value!r}")
+            # a needed flag that fits is never 0, so `in` reads null and false
+            if flag.needs and self.flags.get(flag.needs) in (None, False):
+                raise LedgerError(f"{name} applies only with {flag.needs}")
 
     @property
     def sorted_parameters(self) -> tuple[int, ...]:
@@ -142,23 +164,22 @@ def graph_fact(parameters, order, certificate, **flags) -> BoundFact:
 
 def check_certificate(f: BoundFact, colouring, name: str) -> None:
     """LedgerError unless `colouring`, named `name` in messages, certifies
-    graph fact `f`: its order, clique bounds and cyclic or linear flag.  No
-    colouring check confirms a rule's other flags; only assertions set them."""
+    graph fact `f`: order, clique bounds and each flag it sets (`FLAGS`)."""
     if f.kind != GRAPH:
         raise LedgerError("explicit certificates apply to graph facts")
     if colouring.order != f.value:
         raise LedgerError(f"certificate order {colouring.order} != fact "
                           f"order {f.value}")
-    for flag in ("template", "phi", "special_degree", "special_degree_index"):
-        if f.flags.get(flag) is not None and f.flags[flag] is not False:
-            raise LedgerError(f"certificate {name} is flagged {flag}, which "
-                              "no colouring check confirms")
-    if f.flags.get("cyclic") and not check_cyclic_symmetry(colouring):
-        raise LedgerError(f"certificate {name} is flagged cyclic but its "
-                          "colouring is not cyclic-symmetric")
-    if f.flags.get("linear") and isinstance(colouring, ExplicitColouring):
-        raise LedgerError(f"certificate {name} is flagged linear but its "
-                          "colouring is explicit")
+    for flag_name, value in f.flags.items():
+        if value is None or value is False:  # 0 is set
+            continue
+        confirms = FLAGS[flag_name].confirms
+        if confirms is None:
+            raise LedgerError(f"certificate {name} is flagged {flag_name}, "
+                              "which no colouring check confirms")
+        if not confirms[0](colouring):
+            raise LedgerError(f"certificate {name} is flagged {flag_name} "
+                              f"but {confirms[1]}")
     report = ramsey_check(colouring, f.parameters)
     if not report.passes:
         raise LedgerError(f"certificate {name} fails verification: clique "
@@ -430,7 +451,12 @@ class Ledger:
                 raise LedgerError(f"fact {fid} names parent {pid}, which "
                                   "does not come before it")
         if f.certificate.get("type") == "explicit":
-            self._verify_explicit(f, base_dir)
+            path = f.certificate.get("path")
+            if not path:
+                raise LedgerError("explicit certificate without a file path")
+            # an absolute path replaces base_dir
+            check_certificate(f, load_colouring(os.path.join(base_dir, path)),
+                              path)
             if f.certificate.get("verified") is not True:
                 f = replace(f, certificate={**f.certificate, "verified": True})
         return self._store(f, dominance_key(f)).fact_id
@@ -459,13 +485,6 @@ class Ledger:
             if best is None or best.value < fact.value:
                 index[k] = fact
         return fact
-
-    def _verify_explicit(self, f: BoundFact, base_dir: str) -> None:
-        path = f.certificate.get("path")
-        if not path:
-            raise LedgerError("explicit certificate without a file path")
-        full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-        check_certificate(f, load_colouring(full), path)
 
     def get(self, fact_id: int) -> BoundFact:
         if not 1 <= fact_id <= len(self.facts):
@@ -630,9 +649,8 @@ class Ledger:
             out = _product(rule_id, [self.get(p) for p in parents])
             if out is None or ((out.kind, out.parameters, out.value, out.flags)
                                != (f.kind, f.parameters, f.value, f.flags)):
-                raise LedgerError(
-                    f"fact {f.fact_id}: not recomputable by rule {rule_id}"
-                )
+                raise LedgerError(f"fact {f.fact_id}: not recomputable by "
+                                  f"rule {rule_id}")
 
     def emit_table(self, k_range, r_range, fmt: str = "md") -> str:
         """Grid of best known graph orders for diagonal parameters.
@@ -641,12 +659,9 @@ class Ledger:
         The provenance chain of each cell's fact passes `recompute_check`
         first.
         """
-        ks = list(k_range)
         rs = list(r_range)
-        rows = []
-        header = ["k\\r"] + [str(r) for r in rs]
-        rows.append(header)
-        for k in ks:
+        rows = [["k\\r"] + [str(r) for r in rs]]
+        for k in k_range:
             row = [str(k)]
             for r in rs:
                 f = self.best_bound(GRAPH, (k,) * r)
@@ -660,10 +675,8 @@ class Ledger:
         if fmt == "csv":
             return "\n".join(",".join(row) for row in rows) + "\n"
         if fmt == "md":
-            out = ["| " + " | ".join(rows[0]) + " |",
-                   "|" + "|".join("---" for _ in rows[0]) + "|"]
-            for row in rows[1:]:
-                out.append("| " + " | ".join(row) + " |")
+            out = ["| " + " | ".join(row) + " |" for row in rows]
+            out.insert(1, "|" + "|".join("---" for _ in rows[0]) + "|")
             return "\n".join(out) + "\n"
         raise LedgerError(f"unknown table format {fmt!r}")
 

@@ -1009,7 +1009,7 @@ _BAD_GAMMA = "a gamma value needs a [num, den] base of integers, den != 0, " \
      f'{_ASSERTED}, "flags": []}}', _NOT_A_FACT),
     ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
      f'{_ASSERTED}, "flags": {{"special_degree_index": "0"}}}}',
-     "special_degree_index '0' is not a position in (3, 3)"),
+     "special_degree_index must be a position in (3, 3), got '0'"),
     ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
      '"certificate": "asserted", "flags": {}}', _NOT_A_FACT),
     ('{"id": 1, "kind": "graph_exists", "parameters": 5, "value": 5, '
@@ -1139,8 +1139,7 @@ def test_assert_phi_needs_template(store, capsys):
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == \
-        "error: ledger assert: --phi applies only with --template\n"
+    assert captured.err == "error: phi applies only with template\n"
     assert not os.path.exists(store)
     assert dispatch([*argv, "--template"]) == 0
     with open(store) as f:
@@ -1155,7 +1154,7 @@ def test_assert_degree_index_needs_degree(store, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == \
-        "error: ledger assert: --degree-index applies only with --degree\n"
+        "error: special_degree_index applies only with special_degree\n"
     assert not os.path.exists(store)
     assert dispatch([*argv, "--degree", "7", "--degree-index", "2"]) == 0
     assert dispatch(["ledger", "assert", "5,5,3", "21", "--source", "s",
@@ -1473,8 +1472,17 @@ _C5_STEP = {"op": "colouring", "name": "c5", "builtin": "pentagon"}
     ([_C5_STEP, {"op": "colouring", "name": "c6", "builtin": "hexagon"}],
      ["step 1: colouring 'c5' order 5",
       "step 2: error: unknown builtin 'hexagon'"]),
+    ([{"op": "seed"}, {"op": "expect", "kind": "R", "parameters": [3, "3"],
+                       "min_value": 6}],
+     ["step 1: seeded 10 facts",
+      "step 2: error: avoid: expected a list of integers"]),
+    ([{"op": "seed"}, {"op": "expect", "kind": "R", "parameters": [0, 3],
+                       "min_value": 6}],
+     ["step 1: seeded 10 facts",
+      "step 2: error: avoid: clique bound 0 below 1"]),
 ], ids=["verify-failed", "add-fact-fails", "unknown-op", "missing-op",
-        "unknown-kind", "unknown-target", "unknown-builtin"])
+        "unknown-kind", "unknown-target", "unknown-builtin",
+        "expect-string-bound", "expect-bound-0"])
 def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
                                           capsys):
     recipe = tmp_path / "r.json"
@@ -1599,6 +1607,45 @@ def test_shape_flag_that_is_not_a_boolean_exits_2(flags, message, tmp_path,
         f"step 2: error: {message}", "pipeline stopped at step 2"]
 
 
+@pytest.mark.parametrize("flags, assert_args, message", [
+    ({"cylic": True}, None, "unknown flag 'cylic'"),
+    ({"phi": 2}, ["--phi", "2"], "phi applies only with template"),
+    ({"special_degree_index": 0}, ["--degree-index", "0"],
+     "special_degree_index applies only with special_degree"),
+    ({"provenance_note": 5}, None, "provenance_note must be a string, got 5"),
+], ids=["misspelt", "phi-without-template", "index-without-degree",
+        "note-not-a-string"])
+def test_flag_refusal_is_one_at_every_entry(flags, assert_args, message,
+                                            store, tmp_path, capsys):
+    """A flag the table refuses is refused with one message wherever the
+    fact enters: a store line (left as it was), `ledger assert` where it
+    has the option, and a recipe's `add_fact`.  A misspelt cyclic flag
+    once stored the pentagon unflagged, so r1 derived nothing from it."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({
+        "id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5,
+        "certificate": {"type": "asserted", "source": "s"},
+        "flags": flags}) + "\n")
+    before = path.read_bytes()
+    assert dispatch(["ledger", "--store", str(path), "best",
+                     "graph(3,3)"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert path.read_bytes() == before
+    if assert_args is not None:
+        assert dispatch(["ledger", "assert", "3,3", "5", "--source", "s",
+                         *assert_args]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not os.path.exists(store)
+    recipe = tmp_path / "r.json"
+    recipe.write_text(json.dumps({"name": "r", "steps": [_C5_STEP, {
+        "op": "add_fact", "target": "c5", "avoid": [3, 3], "flags": flags}]}))
+    assert dispatch(["pipeline", str(recipe), "--use-store"]) == 1
+    assert capsys.readouterr() == (
+        f"step 1: colouring 'c5' order 5\nstep 2: error: {message}\n"
+        "pipeline stopped at step 2\n", "")
+    assert not os.path.exists(store)
+
+
 def test_forged_flags_on_a_certificate_exit_2(pentagon_file, tmp_path,
                                              capsys):
     """A store line that put template flags on the pentagon's certificate
@@ -1659,9 +1706,17 @@ def test_cyclic_flag_on_a_linear_colouring_is_one_refusal(store, tmp_path,
      "bad range '3..5..7'"),
     (["ledger", "table", "--k", "9..3", "--r", "2"], "bad range '9..3'"),
     (["ledger", "table", "--k", "3", "--r", ""], "bad range ''"),
+    # an empty --avoid is given, so it is parsed, not read as absent
+    (["verify", "{c5}", "--avoid", ""], "bad avoid list ''"),
+    (["verify", "{bare}", "--avoid", ""], "bad avoid list ''"),
+    (["ledger", "best", "R(0,3)"], "avoid: clique bound 0 below 1"),
+    (["ledger", "table", "--k", "0..1", "--r", "0..1"], "bad range '0..1'"),
+    (["ledger", "table", "--k", "3", "--r", "0..2"], "bad range '0..2'"),
 ], ids=["bad-avoid", "bad-query", "empty-query-bound", "missing-recipe",
         "missing-file", "no-template-colour", "no-avoid", "range-not-int",
-        "range-three-ends", "range-reversed", "range-empty"])
+        "range-three-ends", "range-reversed", "range-empty",
+        "empty-avoid-stored", "empty-avoid-bare", "query-bound-0",
+        "range-k-0", "range-r-0"])
 def test_usage_error_is_one_stderr_line(argv, message, store, pentagon_file,
                                         tmp_path, capsys):
     names = {"c5": pentagon_file, "missing": str(tmp_path / "nope.json"),

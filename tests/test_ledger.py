@@ -486,7 +486,7 @@ def _raised(f, step):
 
 def _degree_free_key(f):
     flags = {k: v for k, v in f.flags.items() if k != "special_degree"}
-    return dominance_key(replace(f, flags=flags))
+    return _key(f.kind, f.parameters, f.certificate.get("rule"), flags)
 
 
 def test_rules_are_monotone_within_a_key():
@@ -805,9 +805,11 @@ _GOOD_PARENTS = {
     "r6": ([_R33, _R33], None),
     "r7": ([_g((3, 3), 5)], None),
     "r8": ([_g((3, 4), 13, cyclic=True)], "cyclic"),
+    # an index needs its degree, so a parent without the index is the one
+    # a fact can be
     "r9": ([_g((3, 4), 13, special_degree=4, special_degree_index=1)],
-           "special_degree"),
-    "r10": ([_g((5, 3), 20, template=True, phi=1)], "template"),
+           "special_degree_index"),
+    "r10": ([_g((5, 3), 20, template=True)], "template"),
     "r11": ([_R33], None),
 }
 
@@ -993,7 +995,7 @@ def test_failed_save_leaves_the_old_store(tmp_path, monkeypatch):
     (pentagon(), {"linear": True, "template": True, "phi": 3,
                   "special_degree": 4},
      "is flagged template, which no colouring check confirms"),
-    (pentagon(), {"phi": 0},  # set, though 0 == False
+    (pentagon(), {"phi": 0, "template": True},  # set, though 0 == False
      "is flagged phi, which no colouring check confirms"),
     (expand_to_explicit(pentagon()),
      {"special_degree": 2, "special_degree_index": 0},
