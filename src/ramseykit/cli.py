@@ -16,6 +16,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
+from math import isfinite
 
 from . import colouring as col
 from . import constructions as cons
@@ -333,10 +334,8 @@ def _fact_line(f: led.BoundFact) -> str:
         prov = f"explicit: {cert['path']}"
     name = KIND_NAMES[f.kind]
     params = ",".join(str(k) for k in f.parameters)
-    if f.kind == led.GRAPH:
-        head = f"{name} ({params}; {value})"
-    else:
-        head = f"{name}({params}) >= {value}"
+    head = (f"{name} ({params}; {value})" if f.kind == led.GRAPH
+            else f"{name}({params}) >= {value}")
     return f"fact {f.fact_id}: {head} -- {prov}"
 
 
@@ -436,11 +435,16 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
             elif op == "expect":
                 if step["kind"] not in _KINDS:
                     raise ValueError(f"unknown kind {step['kind']!r}")
+                want = step["min_value"]
+                if not (type(want) is int
+                        or type(want) is float and isfinite(want)):
+                    raise ValueError(f"min_value: expected a finite number, "
+                                     f"got {want!r}")
                 fact = ledger.best_bound(_KINDS[step["kind"]],
                                          col.clique_bounds(step["parameters"]))
                 if fact is not None:
                     ledger.recompute_check(ledger.provenance_chain(fact))
-                want, got = step["min_value"], getattr(fact, "value", None)
+                got = getattr(fact, "value", None)
                 if got is None or got < (led.GammaValue(Fraction(str(want)))
                                          if fact.kind == led.GAMMA else want):
                     log.append(f"step {i}: expectation {step} FAILED "

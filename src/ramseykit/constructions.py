@@ -11,6 +11,8 @@ output `unverified` instead, and an output without bounds gets neither.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
 from .colouring import (
@@ -95,26 +97,13 @@ def song_product(G: ExplicitColouring, H: ExplicitColouring) -> ExplicitColourin
     return ExplicitColouring(a * b, G.num_colours, mat, avoid=avoid)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def paley_colouring(q: int) -> LengthColouring:
     """Cyclic 2-colouring of order q from quadratic residues mod q.
 
     Needs q prime with q = 1 (mod 4), so that -1 is a residue and the
     residue classes are symmetric under l -> q - l.
     """
-    if not _is_prime(q):
+    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
         raise ColouringError(f"{q} is not prime")
     if q % 4 != 1:
         raise ColouringError(f"{q} is not 1 mod 4")

@@ -104,6 +104,25 @@ FLAGS = {
 }
 
 
+def _ints(xs) -> bool:
+    return isinstance(xs, list) and set(map(type, xs)) <= {int}
+
+
+# Certificate field -> the type that needs it, the test its value must pass
+# wherever it appears (`dominance_key` hashes any rule), and the refusal.
+CERTIFICATE = {
+    "parents": ("derived", _ints,
+                "a derived certificate needs a list of integer parent ids"),
+    "rule": ("derived", lambda v: type(v) is str,
+             "a derived certificate needs a string rule"),
+    "path": ("explicit", lambda v: type(v) is str and v != "",
+             "an explicit certificate needs a string path"),
+    "source": ("asserted", lambda v: type(v) is str,
+               "an asserted certificate needs a string source"),
+}
+CERTIFICATE_TYPES = {need for need, _, _ in CERTIFICATE.values()}
+
+
 @dataclass(frozen=True)
 class BoundFact:
     kind: str
@@ -116,9 +135,9 @@ class BoundFact:
     def __post_init__(self):
         if self.kind not in (GRAPH, RAMSEY, GAMMA):
             raise LedgerError(f"unknown fact kind {self.kind!r}")
-        ctype = self.certificate.get("type")
-        if ctype not in ("explicit", "asserted", "derived"):
-            raise LedgerError(f"unknown certificate type {ctype!r}")
+        if self.flags and self.kind != GRAPH:
+            raise LedgerError(f"only graph facts carry flags, got "
+                              f"{self.flags!r} on a {self.kind} fact")
         if self.kind == GAMMA:
             if not isinstance(self.value, GammaValue):
                 raise LedgerError("gamma facts need a GammaValue")
@@ -150,10 +169,8 @@ class BoundFact:
         return tuple(sorted(self.parameters))
 
     def identity(self):
-        value_key = (
-            (self.value.base, self.value.root)
-            if isinstance(self.value, GammaValue) else self.value
-        )
+        value_key = ((self.value.base, self.value.root)
+                     if isinstance(self.value, GammaValue) else self.value)
         return (self.kind, self.parameters, value_key,
                 json.dumps([self.certificate, self.flags], sort_keys=True))
 
@@ -214,17 +231,18 @@ class Product(NamedTuple):
     note: str | None = None  # r7 carries its parent's provenance note
 
 
+# only graph facts carry flags, so a flag test is also a graph test
 def _is_linear_graph(f: BoundFact) -> bool:
     # every cyclic colouring is in particular linear
-    return f.kind == GRAPH and (f.flags.get("linear") or f.flags.get("cyclic"))
+    return f.flags.get("linear") or f.flags.get("cyclic")
 
 
 def _is_cyclic_graph(f: BoundFact) -> bool:
-    return f.kind == GRAPH and bool(f.flags.get("cyclic"))
+    return bool(f.flags.get("cyclic"))
 
 
 def _is_template_graph(f: BoundFact) -> bool:
-    return f.kind == GRAPH and bool(f.flags.get("template"))
+    return bool(f.flags.get("template"))
 
 
 def _rule_giraud(f: BoundFact):
@@ -291,15 +309,12 @@ def _rule_quadruple_twice(f: BoundFact):
 def _rule_degree_neighbourhood(f: BoundFact):
     """Regular colour degree D: the neighbourhood in that colour induces a
     graph with the colour's bound reduced by one and order D."""
-    d = f.flags.get("special_degree")
-    idx = f.flags.get("special_degree_index")
-    if d is None or idx is None:
-        return None
+    idx = f.flags["special_degree_index"]  # which needs special_degree
     k = f.parameters[idx]
     if k <= 2:
         return None
     params = (f.parameters[:idx] + (k - 1,) + f.parameters[idx + 1:])
-    return Product(GRAPH, params, d, {})
+    return Product(GRAPH, params, f.flags["special_degree"], {})
 
 
 def _rule_gamma_from_template(f: BoundFact):
@@ -357,7 +372,8 @@ RULES = {
                symmetric=True),
     "r7": Rule(_rule_graph_to_bound, (lambda f: f.kind == GRAPH,)),
     "r8": Rule(_rule_quadruple_twice, (_is_cyclic_graph,)),
-    "r9": Rule(_rule_degree_neighbourhood, (lambda f: f.kind == GRAPH,)),
+    "r9": Rule(_rule_degree_neighbourhood,
+               (lambda f: f.flags.get("special_degree_index") is not None,)),
     "r10": Rule(_rule_gamma_from_template, (_is_template_graph,)),
     "r11": Rule(_rule_abbott_fifth, (lambda f: True,)),  # reads two kinds
 }
@@ -396,7 +412,7 @@ def apply_rule(rule_id: str, parents) -> BoundFact | None:
 def _key(kind: str, parameters: tuple, rule: str | None, flags: dict) -> tuple:
     """The dominance key of a fact or product with these fields; see
     `dominance_key`."""
-    template = kind == GRAPH and bool(flags.get("template"))
+    template = bool(flags.get("template"))
     idx = flags.get("special_degree_index")
     return (kind, tuple(sorted(parameters)), rule,
             bool(flags.get("cyclic")), bool(flags.get("linear")), template,
@@ -435,7 +451,7 @@ class Ledger:
         self._top: dict = {}
 
     def add_fact(self, f: BoundFact, base_dir: str = ".") -> int:
-        """Store a fact; idempotent on identical facts.
+        """Store a fact whose certificate fits `CERTIFICATE`; idempotent.
 
         An explicit certificate is re-verified every time it is offered: the
         fact and its colouring file must pass `check_certificate`, and
@@ -445,20 +461,25 @@ class Ledger:
         A derived fact's parents must be stored facts, which come before
         it, so provenance cannot be rewired by reordering or editing lines.
         """
+        cert = f.certificate
+        ctype = cert.get("type")
+        if ctype not in CERTIFICATE_TYPES:
+            raise LedgerError(f"unknown certificate type {ctype!r}")
+        for name, (need, fits, refusal) in CERTIFICATE.items():
+            if (name in cert or need == ctype) and not fits(cert.get(name)):
+                raise LedgerError(refusal)
         fid = len(self.facts) + 1
-        for pid in f.certificate.get("parents", ()):
+        for pid in cert.get("parents", ()):
             if not 1 <= pid < fid:
                 raise LedgerError(f"fact {fid} names parent {pid}, which "
                                   "does not come before it")
-        if f.certificate.get("type") == "explicit":
-            path = f.certificate.get("path")
-            if not path:
-                raise LedgerError("explicit certificate without a file path")
+        if ctype == "explicit":
+            path = cert["path"]
             # an absolute path replaces base_dir
             check_certificate(f, load_colouring(os.path.join(base_dir, path)),
                               path)
-            if f.certificate.get("verified") is not True:
-                f = replace(f, certificate={**f.certificate, "verified": True})
+            if cert.get("verified") is not True:
+                f = replace(f, certificate={**cert, "verified": True})
         return self._store(f, dominance_key(f)).fact_id
 
     def _store(self, f: BoundFact, key: tuple) -> BoundFact:
@@ -759,10 +780,6 @@ def _fact_to_json(f: BoundFact) -> dict:
             "value": value, "certificate": f.certificate, "flags": f.flags}
 
 
-def _ints(xs) -> bool:
-    return isinstance(xs, list) and set(map(type, xs)) <= {int}
-
-
 def _fact_from_json(obj) -> BoundFact:
     """The fact of one store line; LedgerError unless it is a fact object."""
     if not isinstance(obj, dict):
@@ -773,17 +790,6 @@ def _fact_from_json(obj) -> BoundFact:
             and isinstance(flags, dict)):
         raise LedgerError("a fact needs a list of integer parameters, a "
                           "certificate object and a flags object")
-    ctype = cert.get("type")
-    if (ctype == "derived" or "parents" in cert) and not _ints(
-            cert.get("parents")):
-        raise LedgerError("a derived certificate needs a list of integer "
-                          "parent ids")
-    if (ctype == "derived" or "rule" in cert) and not isinstance(
-            cert.get("rule"), str):
-        raise LedgerError("a derived certificate needs a string rule")
-    need = {"explicit": "path", "asserted": "source"}.get(ctype)
-    if need and not isinstance(cert.get(need), str):
-        raise LedgerError(f"an {ctype} certificate needs a string {need}")
     for name in ("kind", "value"):
         if name not in obj:
             raise LedgerError(f"a fact needs a {name!r} field")

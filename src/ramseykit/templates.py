@@ -41,9 +41,7 @@ def _tf_violation(c: LengthColouring, s: int) -> tuple[int, ...] | None:
     triple = next(((x, y, x + y) for i, x in enumerate(ordered)
                    for y in ordered[i:bisect_right(ordered, c.order - 1 - x)]
                    if x + y in cls), None)
-    if triple is not None:
-        return triple
-    return None if (c.order - 1) in cls else ()
+    return triple or (None if (c.order - 1) in cls else ())
 
 
 def is_tf_template(c: LengthColouring, s: int) -> bool:
@@ -113,17 +111,18 @@ def repetition_check(T: TemplateGraph, q: int, avoid) -> CliqueReport:
 
     `avoid` lists the clique bounds of the non-template colours in colour
     order.  The template colour is unconstrained here: its class grows with
-    the tiling by design.  The report carries a witness per colour, in
-    vertices of the tiling.
+    the tiling by design, so the report leaves it out, and its search gets
+    bound 1, which stops at its seed vertex.  The report carries a witness
+    per colour, in vertices of the tiling.
     """
     avoid = clique_bounds(avoid, T.base.num_colours - 1)
     tiled = tiled_colouring(T, q)
-    # Unconstrain the template colour: bound = order + 1 can never fail.
     i = T.template_colour - 1
-    report = ramsey_check(tiled, avoid[:i] + (tiled.order + 1,) + avoid[i:])
+    report = ramsey_check(tiled, avoid[:i] + (1,) + avoid[i:])
     fields = (report.per_colour_max, report.witness, report.exact)
     sizes, wits, exact = (xs[:i] + xs[i + 1:] for xs in fields)
-    return CliqueReport(sizes, wits, report.passes, exact)
+    return CliqueReport(sizes, wits,
+                        all(s < k for s, k in zip(sizes, avoid)), exact)
 
 
 def doubled_shape(m: int) -> tuple[int, int]:

@@ -1287,7 +1287,8 @@ def _product_store(path, kind, flags):
 
 @pytest.mark.parametrize("kind, flags, query", [
     ("graph_exists", {"cyclic": True}, "graph(3,3,3,3)"),
-    ("ramsey_lower_bound", {"linear": True}, "R(3,3,3,3)"),
+    # only graph facts carry flags, so the forged kind comes without them
+    ("ramsey_lower_bound", {}, "R(3,3,3,3)"),
 ], ids=["flags", "kind"])
 def test_ledger_best_recomputes_a_products_kind_and_flags(kind, flags, query,
                                                           tmp_path, capsys):
@@ -1480,9 +1481,30 @@ _C5_STEP = {"op": "colouring", "name": "c5", "builtin": "pentagon"}
                        "min_value": 6}],
      ["step 1: seeded 10 facts",
       "step 2: error: avoid: clique bound 0 below 1"]),
+    # refused before the lookup: true once confirmed R(3,3) >= True from
+    # a stored R(3,3) >= 6, and "6" and a gamma's true stopped with
+    # Python's own comparison and Fraction errors
+    ([{"op": "seed"}, {"op": "expect", "kind": "R", "parameters": [3, 3],
+                       "min_value": True}],
+     ["step 1: seeded 10 facts",
+      "step 2: error: min_value: expected a finite number, got True"]),
+    ([{"op": "seed"}, {"op": "expect", "kind": "R", "parameters": [3, 3],
+                       "min_value": "6"}],
+     ["step 1: seeded 10 facts",
+      "step 2: error: min_value: expected a finite number, got '6'"]),
+    ([{"op": "seed"}, {"op": "expect", "kind": "gamma", "parameters": [3],
+                       "min_value": True}],
+     ["step 1: seeded 10 facts",
+      "step 2: error: min_value: expected a finite number, got True"]),
+    # NaN, which Python's json reads, compares false, so it confirmed too
+    ([{"op": "seed"}, {"op": "expect", "kind": "R", "parameters": [3, 3],
+                       "min_value": float("nan")}],
+     ["step 1: seeded 10 facts",
+      "step 2: error: min_value: expected a finite number, got nan"]),
 ], ids=["verify-failed", "add-fact-fails", "unknown-op", "missing-op",
         "unknown-kind", "unknown-target", "unknown-builtin",
-        "expect-string-bound", "expect-bound-0"])
+        "expect-string-bound", "expect-bound-0", "expect-min-true",
+        "expect-min-string", "expect-gamma-min-true", "expect-min-nan"])
 def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
                                           capsys):
     recipe = tmp_path / "r.json"
@@ -1644,6 +1666,32 @@ def test_flag_refusal_is_one_at_every_entry(flags, assert_args, message,
         f"step 1: colouring 'c5' order 5\nstep 2: error: {message}\n"
         "pipeline stopped at step 2\n", "")
     assert not os.path.exists(store)
+
+
+@pytest.mark.parametrize("kind, parameters, value, flags", [
+    ("ramsey_lower_bound", [3, 3], 6, {"cyclic": True}),
+    ("gamma_lower_bound", [3], {"base": [82, 25], "root": 1},
+     {"template": True}),
+    ("ramsey_lower_bound", [3, 3], 6, {"cyclic": None}),
+], ids=["ramsey-cyclic", "gamma-template", "ramsey-null-flag"])
+def test_flags_on_a_ramsey_or_gamma_line_exit_2(kind, parameters, value,
+                                                flags, tmp_path, capsys):
+    """Only graph facts carry flags.  A Ramsey line flagged cyclic once
+    loaded beside its unflagged twin under a dominance key of its own, so
+    the closure took both as parents; now the line is refused, even where
+    its flag is null, and the store is left as it was."""
+    path = tmp_path / "facts.jsonl"
+    line = {"kind": kind, "parameters": parameters, "value": value,
+            "certificate": {"type": "asserted", "source": "s"}}
+    path.write_text(json.dumps({"id": 1, **line, "flags": {}}) + "\n"
+                    + json.dumps({"id": 2, **line, "flags": flags}) + "\n")
+    before = path.read_bytes()
+    assert dispatch(["ledger", "--store", str(path), "derive", "--rules",
+                     "r6", "--depth", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: only graph facts carry "
+                                       f"flags, got {flags!r} on a {kind} "
+                                       "fact\n")
+    assert path.read_bytes() == before
 
 
 def test_forged_flags_on_a_certificate_exit_2(pentagon_file, tmp_path,

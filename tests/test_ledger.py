@@ -89,10 +89,62 @@ def test_r10_derives_no_root_above_the_bound():
 def test_fact_validation():
     with pytest.raises(LedgerError):
         BoundFact("wrong_kind", (3, 3), 5, asserted("x"))
-    with pytest.raises(LedgerError):
-        BoundFact(GRAPH, (3, 3), 5, {"type": "imagined"})
+    with pytest.raises(LedgerError, match="unknown certificate type"):
+        Ledger().add_fact(BoundFact(GRAPH, (3, 3), 5, {"type": "imagined"}))
     with pytest.raises(LedgerError):
         BoundFact(GAMMA, (3,), 5, asserted("x"))  # needs a GammaValue
+    with pytest.raises(LedgerError, match="only graph facts carry flags"):
+        BoundFact(RAMSEY, (3, 3), 6, asserted("x"), {"cyclic": None})
+
+
+_NO_PARENTS = "a derived certificate needs a list of integer parent ids"
+
+# certificate -> the refusal of `add_fact`, or None where it stores it
+_CERTIFICATES = {
+    "asserted": (asserted("s"), None),
+    "derived": (derived("r7", [1]), None),
+    "asserted-rule": ({"type": "asserted", "source": "s", "rule": "x"},
+                      None),
+    "parents-string": ({"type": "derived", "rule": "r7", "parents": "ab"},
+                       _NO_PARENTS),
+    "no-parents": ({"type": "derived", "rule": "r7"}, _NO_PARENTS),
+    "rule-list": ({"type": "derived", "rule": ["r7"], "parents": [1]},
+                  "a derived certificate needs a string rule"),
+    "no-source": ({"type": "asserted"},
+                  "an asserted certificate needs a string source"),
+    "empty-path": ({"type": "explicit", "path": ""},
+                   "an explicit certificate needs a string path"),
+    "no-type": ({"source": "s"}, "unknown certificate type None"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CERTIFICATES))
+def test_add_fact_reads_the_certificate_table(name, tmp_path):
+    """A refused certificate leaves the ledger as it was, with a
+    LedgerError that names the field: parents "ab" once raised a
+    TypeError, a derived fact without parents was stored and then
+    `provenance_chain` raised a KeyError, and an asserted fact without a
+    source was stored and saved into a store that `load` refused.  A
+    stored one saves into a store that loads again."""
+    cert, refusal = _CERTIFICATES[name]
+    ledger = _ledger_of([graph_fact((3, 3), 5, asserted("c5"))])
+    fact = BoundFact(RAMSEY, (3, 3), 6, cert)
+
+    def state():
+        return (list(ledger.facts), dict(ledger._held), dict(ledger._best),
+                dict(ledger._top))
+
+    if refusal is not None:
+        before = state()
+        with pytest.raises(LedgerError, match=f"^{re.escape(refusal)}$"):
+            ledger.add_fact(fact)
+        assert state() == before
+        return
+    ledger.add_fact(fact)
+    path = tmp_path / "facts.jsonl"
+    ledger.save(path)
+    assert ([repr(f) for f in Ledger.load(path).facts]
+            == [repr(f) for f in ledger.facts])
 
 
 def test_add_fact_idempotent():
@@ -815,12 +867,12 @@ _GOOD_PARENTS = {
 
 
 def _broken(parents, flag, wrong):
-    """`parents` with the first of another kind, without `flag`, or one too
-    many or too few."""
+    """`parents` with the first of another kind (and no flags, which only
+    graph facts carry), without `flag`, or one too many or too few."""
     first = parents[0]
     if wrong == "kind":
         return [replace(first, kind=RAMSEY if first.kind == GRAPH
-                        else GRAPH), *parents[1:]]
+                        else GRAPH, flags={}), *parents[1:]]
     if wrong == "flag":
         return [replace(first, flags={**first.flags, flag: None}),
                 *parents[1:]]

@@ -145,6 +145,34 @@ def _random_template(rng):
             return TemplateGraph(base, 3)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_repetition_check_is_the_tilings_clique_check(seed):
+    """The report is `ramsey_check`'s on the tiling with the template
+    colour unbounded (bound order + 1), less that colour: the same sizes,
+    witnesses, exact flags and verdict, wherever the template colour is."""
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(20):
+        T = _random_template(rng)
+        to = rng.sample((1, 2, 3), 3)  # colour s becomes to[s - 1]
+        T = TemplateGraph(LengthColouring(
+            "linear", T.order, 3, tuple(to[s - 1] for s in T.base.colour_of)),
+            to[2])
+        avoid = (rng.randint(2, 4), rng.randint(2, 4))
+        i = T.template_colour - 1
+        for q in range(1, 4):
+            tiled = tiled_colouring(T, q)
+            full = ramsey_check(tiled,
+                                avoid[:i] + (tiled.order + 1,) + avoid[i:])
+            want = [xs[:i] + xs[i + 1:] for xs in (
+                full.per_colour_max, full.witness, full.exact)]
+            report = repetition_check(T, q, avoid)
+            assert [report.per_colour_max, report.witness, report.exact,
+                    report.passes] == [*want, full.passes]
+            verdicts.add(report.passes)
+    assert verdicts == {True, False}
+
+
 def _rainbow(n):
     """Linear prototype of order n giving each length its own colour: every
     class is a single length, so no colour holds a triangle."""
