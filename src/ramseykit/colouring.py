@@ -86,6 +86,9 @@ class LengthColouring:
                 f"{self.order}, got {len(self.colour_of)}"
             )
         for idx, c in enumerate(self.colour_of):
+            if type(c) is not int:
+                raise ColouringError(f"colours[{idx}]: colour {c!r} is not "
+                                     "an integer")
             if not (1 <= c <= self.num_colours):
                 raise ColouringError(
                     f"colours[{idx}]: colour {c} out of range 1..{self.num_colours}"

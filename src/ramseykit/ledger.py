@@ -56,9 +56,9 @@ class GammaValue:
         object.__setattr__(self, "base", Fraction(self.base))
         if self.base < 0:
             raise LedgerError(f"gamma base must be >= 0, got {self.base}")
-        if not 1 <= self.root <= MAX_GAMMA_ROOT:
+        if not (type(self.root) is int and 1 <= self.root <= MAX_GAMMA_ROOT):
             raise LedgerError(f"gamma root must be 1..{MAX_GAMMA_ROOT}, "
-                              f"got {self.root}")
+                              f"got {self.root!r}")
 
     def render(self, places: int = 6) -> str:
         with localcontext() as ctx:
@@ -104,8 +104,8 @@ FLAGS = {
 }
 
 
-def _ints(xs) -> bool:
-    return isinstance(xs, list) and set(map(type, xs)) <= {int}
+def _ints(xs, seq=list) -> bool:
+    return isinstance(xs, seq) and set(map(type, xs)) <= {int}
 
 
 # Certificate field -> the type that needs it, the test its value must pass
@@ -133,22 +133,33 @@ class BoundFact:
     fact_id: int | None = None
 
     def __post_init__(self):
+        if type(self.parameters) is list:  # as read; rules build tuples
+            object.__setattr__(self, "parameters", tuple(self.parameters))
+        if not (_ints(self.parameters, tuple)
+                and isinstance(self.certificate, dict)
+                and isinstance(self.flags, dict)):
+            raise LedgerError("a fact needs a list of integer parameters, a "
+                              "certificate object and a flags object")
+        if not self.parameters:
+            raise LedgerError("a fact needs at least one clique bound")
         if self.kind not in (GRAPH, RAMSEY, GAMMA):
             raise LedgerError(f"unknown fact kind {self.kind!r}")
+        if not (self.fact_id is None or type(self.fact_id) is int):
+            raise LedgerError(f"fact id {self.fact_id!r} is not an integer")
         if self.flags and self.kind != GRAPH:
             raise LedgerError(f"only graph facts carry flags, got "
                               f"{self.flags!r} on a {self.kind} fact")
         if self.kind == GAMMA:
             if not isinstance(self.value, GammaValue):
                 raise LedgerError("gamma facts need a GammaValue")
-        elif not isinstance(self.value, int):
-            raise LedgerError("order/bound facts need an integer value")
+        elif type(self.value) is not int:
+            raise LedgerError(f"fact value {self.value!r} is not a number")
         # below 1, (v-1)**2 + 1 and (a-1)(b-1) + 1 fall as v, a or b rise,
         # and dominance needs every rule non-decreasing in its parents
         elif self.value < 1:
             what = "graph order" if self.kind == GRAPH else "Ramsey value"
             raise LedgerError(f"{what} must be >= 1, got {self.value}")
-        if self.parameters and min(self.parameters) < 1:
+        if min(self.parameters) < 1:
             raise LedgerError(f"clique bounds must be >= 1, got "
                               f"{self.parameters}")
         for name, value in self.flags.items():  # null reads as unset
@@ -176,7 +187,7 @@ class BoundFact:
 
 
 def graph_fact(parameters, order, certificate, **flags) -> BoundFact:
-    return BoundFact(GRAPH, tuple(parameters), order, certificate, dict(flags))
+    return BoundFact(GRAPH, parameters, order, certificate, flags)
 
 
 def check_certificate(f: BoundFact, colouring, name: str) -> None:
@@ -335,7 +346,7 @@ def _rule_abbott_fifth(f: BoundFact):
     if f.kind == GAMMA and f.parameters == (3,):
         g = f.value
         return Product(GAMMA, (5,), GammaValue(g.base ** 2, g.root), {})
-    if f.kind == RAMSEY and f.parameters and set(f.parameters) == {3}:
+    if f.kind == RAMSEY and set(f.parameters) == {3}:
         r = len(f.parameters)
         return Product(RAMSEY, (5,) * r, (f.value - 1) ** 2 + 1, {})
     return None
@@ -417,7 +428,7 @@ def _key(kind: str, parameters: tuple, rule: str | None, flags: dict) -> tuple:
     return (kind, tuple(sorted(parameters)), rule,
             bool(flags.get("cyclic")), bool(flags.get("linear")), template,
             flags.get("phi"),
-            template and bool(parameters) and parameters[-1] == 3,
+            template and parameters[-1] == 3,
             flags.get("special_degree"),
             None if idx is None else parameters[idx])
 
@@ -518,7 +529,8 @@ class Ledger:
                        max_colours: int = 16) -> list[BoundFact]:
         """Apply the rule set to fixpoint, bounded by `depth` passes.
 
-        `rules` defaults to `ALL_RULES`; "r4" names r3; repeats run once.
+        `depth` is an integer; `rules`, a list or tuple of rule names,
+        defaults to `ALL_RULES`; "r4" names r3; repeats run once.
 
         The closure is semi-naive over each key's best fact (see
         `dominance_key`).  Only the best fact of a key is a parent, and a
@@ -554,23 +566,31 @@ class Ledger:
         parents: graph orders stay >= 1 (3n, 16n, a special degree >= 1, or
         a compound order (n-1)(t-1) + 1 + phi with n, t >= 1 and phi >= 0),
         Ramsey values stay >= 1 (n + 1, (a-1)(b-1) + 1 with a, b >= 1, or
-        (v-1)**2 + 1), clique bounds stay >= 1 (a parent's bounds, 3, 5, 9,
-        k + 1, k - 1 with k > 2, or (a-1)(b-1) + 1 with a, b >= 2), r8's
-        special degree 9d + 7n + 5 is >= 1 and its index 0 names a colour,
-        and r10 and r11 build their `GammaValue`s, which check themselves,
-        from a base t - 1 >= 0 or a square.
+        (v-1)**2 + 1), a product keeps at least one clique bound, each
+        >= 1 (a parent's bounds, 3, 5, 9, k + 1, k - 1 with k > 2, or
+        (a-1)(b-1) + 1 with a, b >= 2), r8's special degree 9d + 7n + 5 is
+        >= 1 and its index 0 names a colour, and r10 and r11 build their
+        `GammaValue`s, which check themselves, from a base t - 1 >= 0 or a
+        square.
 
         Parents are taken in id order, so the result is deterministic for a
         given insertion order, one call of depth d leaves the same facts as
         d calls of depth 1, and re-running is idempotent.
         """
+        if type(depth) is not int:
+            raise LedgerError(f"depth: expected an integer, got {depth!r}")
         if depth < 0:
             raise LedgerError(f"depth: must be >= 0, got {depth}")
-        requested = list(ALL_RULES if rules is None else rules)
-        for r in requested:
+        if rules is None:
+            rules = ALL_RULES
+        elif not (isinstance(rules, (list, tuple))
+                  and all(type(r) is str for r in rules)):
+            raise LedgerError(f"rules: expected a list of rule names, "
+                              f"got {rules!r}")
+        for r in rules:
             if _FOLDED.get(r, r) not in RULES:
                 raise LedgerError(f"unknown rule {r!r}")
-        enabled = list(dict.fromkeys(_FOLDED.get(r, r) for r in requested))
+        enabled = list(dict.fromkeys(_FOLDED.get(r, r) for r in rules))
         new_facts: list[BoundFact] = []
         new_ids = None  # first pass: every best fact counts as new
         for pass_no in range(1, depth + 1):
@@ -781,31 +801,22 @@ def _fact_to_json(f: BoundFact) -> dict:
 
 
 def _fact_from_json(obj) -> BoundFact:
-    """The fact of one store line; LedgerError unless it is a fact object."""
+    """The fact of one store line, whose fields `BoundFact` checks;
+    LedgerError unless it is an object with a kind and a value."""
     if not isinstance(obj, dict):
         raise LedgerError(f"store line {obj!r} is not a fact object")
-    params, cert = obj.get("parameters"), obj.get("certificate")
-    flags = obj.get("flags", {})
-    if not (_ints(params) and isinstance(cert, dict)
-            and isinstance(flags, dict)):
-        raise LedgerError("a fact needs a list of integer parameters, a "
-                          "certificate object and a flags object")
     for name in ("kind", "value"):
         if name not in obj:
             raise LedgerError(f"a fact needs a {name!r} field")
-    value, fact_id = obj["value"], obj.get("id")
-    if type(value) is bool:
-        raise LedgerError(f"fact value {value!r} is not a number")
-    if not (fact_id is None or type(fact_id) is int):
-        raise LedgerError(f"fact id {fact_id!r} is not an integer")
-    if isinstance(value, dict):
-        base, root = value.get("base"), value.get("root")
-        if not (_ints(base) and len(base) == 2 and base[1]
-                and type(root) is int):
+    if isinstance(value := obj["value"], dict):
+        base = value.get("base")
+        if not (_ints(base) and len(base) == 2 and base[1]):
             raise LedgerError("a gamma value needs a [num, den] base of "
                               "integers, den != 0, and an integer root")
-        value = GammaValue(Fraction(*base), root)
-    return BoundFact(obj["kind"], tuple(params), value, cert, flags, fact_id)
+        value = GammaValue(Fraction(*base), value.get("root"))
+    return BoundFact(obj["kind"], obj.get("parameters"), value,
+                     obj.get("certificate"), obj.get("flags", {}),
+                     obj.get("id"))
 
 
 def _read_facts(lines):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import threading
 import time
 from dataclasses import replace
@@ -29,6 +30,7 @@ from ramseykit.constructions import (
     product_linear,
     song_product,
 )
+from ramseykit.ledger import BoundFact, LedgerError
 
 
 @pytest.fixture
@@ -1002,7 +1004,7 @@ _BAD_GAMMA = "a gamma value needs a [num, den] base of integers, den != 0, " \
     "and an integer root"
 
 
-@pytest.mark.parametrize("line, message", [
+_NOT_FACT_LINES = [
     ("[1, 2]", "store line [1, 2] is not a fact object"),
     ("5", "store line 5 is not a fact object"),
     ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
@@ -1056,12 +1058,16 @@ _BAD_GAMMA = "a gamma value needs a [num, den] base of integers, den != 0, " \
      '"flags": {}}', "a fact needs a 'kind' field"),
     (f'{{"id": 1, "kind": "graph_exists", "parameters": [3, 3], {_ASSERTED}, '
      '"flags": {}}', "a fact needs a 'value' field"),
-], ids=["list", "number", "flags-list", "index-string",
-        "certificate-string", "parameters-int", "gamma-no-base",
-        "gamma-base-int", "gamma-zero-den", "parents-int", "path-int",
-        "asserted-no-source",
-        "value-bool", "id-bool", "phi-string", "degree-string",
-        "rule-list", "asserted-rule-list", "no-kind", "no-value"])
+]
+_NOT_FACT_IDS = ["list", "number", "flags-list", "index-string",
+                 "certificate-string", "parameters-int", "gamma-no-base",
+                 "gamma-base-int", "gamma-zero-den", "parents-int", "path-int",
+                 "asserted-no-source",
+                 "value-bool", "id-bool", "phi-string", "degree-string",
+                 "rule-list", "asserted-rule-list", "no-kind", "no-value"]
+
+
+@pytest.mark.parametrize("line, message", _NOT_FACT_LINES, ids=_NOT_FACT_IDS)
 def test_store_line_that_is_not_a_fact_exits_2(line, message, tmp_path,
                                                 capsys):
     """Each refusal names what is wrong, not the bare text of a KeyError."""
@@ -1070,6 +1076,26 @@ def test_store_line_that_is_not_a_fact_exits_2(line, message, tmp_path,
     assert dispatch(["ledger", "--store", str(path), "best",
                      "graph(3,3)"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# the rows that refuse a fact's field, which BoundFact checks: the store
+# reader only decodes the line
+_FIELD_ROWS = ["flags-list", "certificate-string", "parameters-int",
+               "value-bool", "id-bool", "index-string", "phi-string",
+               "degree-string"]
+
+
+@pytest.mark.parametrize("line, message", [
+    dict(zip(_NOT_FACT_IDS, _NOT_FACT_LINES))[name] for name in _FIELD_ROWS],
+    ids=_FIELD_ROWS)
+def test_bound_fact_refuses_what_the_store_reader_refuses(line, message):
+    """The same fields given to `BoundFact` end in the same LedgerError:
+    a library fact with a boolean value, or a list of flags, was once
+    built, and `add_fact` stored it or raised an AttributeError."""
+    obj = json.loads(line)
+    with pytest.raises(LedgerError, match=f"^{re.escape(message)}$"):
+        BoundFact(obj["kind"], obj["parameters"], obj["value"],
+                  obj["certificate"], obj["flags"], obj["id"])
 
 
 @pytest.mark.parametrize("field", ["kind", "value"])
@@ -1215,6 +1241,10 @@ def test_assert_refuses_an_impossible_fact(args, value, flags, message,
     pytest.param("ramsey_lower_bound", ["3,-3"], 6, {},
                  "clique bounds must be >= 1, got (3, -3)",
                  id="ramsey-bound-negative"),
+    # a line without bounds once loaded, and r7 and r6 derived R() >= 6
+    # and R() >= 26 from it
+    pytest.param("graph_exists", [""], 5, {},
+                 "a fact needs at least one clique bound", id="no-bounds"),
 ])
 def test_store_line_with_an_impossible_fact_exits_2(kind, args, value, flags,
                                                     message, tmp_path,
@@ -1222,7 +1252,8 @@ def test_store_line_with_an_impossible_fact_exits_2(kind, args, value, flags,
     path = tmp_path / "facts.jsonl"
     path.write_text(json.dumps(
         {"id": 1, "kind": kind,
-         "parameters": [int(k) for k in args[0].split(",")], "value": value,
+         "parameters": [int(k) for k in args[0].split(",") if k],
+         "value": value,
          "certificate": {"type": "asserted", "source": "s"},
          "flags": flags}) + "\n")
     before = path.read_bytes()
@@ -1501,10 +1532,18 @@ _C5_STEP = {"op": "colouring", "name": "c5", "builtin": "pentagon"}
                        "min_value": float("nan")}],
      ["step 1: seeded 10 facts",
       "step 2: error: min_value: expected a finite number, got nan"]),
+    # true once ran one pass, and "r7" was read as the rules "r" and "7"
+    ([{"op": "seed"}, {"op": "derive", "depth": True}],
+     ["step 1: seeded 10 facts",
+      "step 2: error: depth: expected an integer, got True"]),
+    ([{"op": "seed"}, {"op": "derive", "rules": "r7"}],
+     ["step 1: seeded 10 facts",
+      "step 2: error: rules: expected a list of rule names, got 'r7'"]),
 ], ids=["verify-failed", "add-fact-fails", "unknown-op", "missing-op",
         "unknown-kind", "unknown-target", "unknown-builtin",
         "expect-string-bound", "expect-bound-0", "expect-min-true",
-        "expect-min-string", "expect-gamma-min-true", "expect-min-nan"])
+        "expect-min-string", "expect-gamma-min-true", "expect-min-nan",
+        "derive-depth-true", "derive-rules-string"])
 def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
                                           capsys):
     recipe = tmp_path / "r.json"

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ def test_constructor_validation():
         LengthColouring("cyclic", 5, 2, (1, 3))  # colour out of range
     with pytest.raises(ColouringError):
         LengthColouring("linear", 1, 1, ())
+    # save_colouring once wrote True, which is not JSON, and 1.0, which
+    # parse_colouring refuses
+    for bad in (True, 1.0):
+        with pytest.raises(ColouringError, match=re.escape(
+                f"colours[1]: colour {bad!r} is not an integer")):
+            LengthColouring("linear", 3, 2, (1, bad))
 
 
 def test_as_linear_expands_reflection():

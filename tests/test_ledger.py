@@ -147,6 +147,59 @@ def test_add_fact_reads_the_certificate_table(name, tmp_path):
             == [repr(f) for f in ledger.facts])
 
 
+_NOT_A_FACT = ("a fact needs a list of integer parameters, a certificate "
+               "object and a flags object")
+
+# fact -> the refusal of its construction, or None where `add_fact`
+# stores it
+_LIBRARY_FACTS = {
+    "value-true": (lambda: BoundFact(GRAPH, (3, 3), True, asserted("s")),
+                   "fact value True is not a number"),
+    "bound-true": (lambda: BoundFact(GRAPH, (True, 3), 5, asserted("s")),
+                   _NOT_A_FACT),
+    "bound-float": (lambda: BoundFact(GRAPH, (3.0, 3), 5, asserted("s")),
+                    _NOT_A_FACT),
+    "root-float": (lambda: BoundFact(GAMMA, (3,), GammaValue(5, 2.5),
+                                     asserted("s")),
+                   "gamma root must be 1..64, got 2.5"),
+    "root-true": (lambda: BoundFact(GAMMA, (3,), GammaValue(5, True),
+                                    asserted("s")),
+                  "gamma root must be 1..64, got True"),
+    "certificate-string": (lambda: BoundFact(GRAPH, (3, 3), 5, "asserted"),
+                           _NOT_A_FACT),
+    "flags-list": (lambda: BoundFact(GRAPH, (3, 3), 5, asserted("s"),
+                                     ["cyclic"]), _NOT_A_FACT),
+    "no-bounds": (lambda: BoundFact(GRAPH, (), 5, asserted("s")),
+                  "a fact needs at least one clique bound"),
+    "id-true": (lambda: BoundFact(GRAPH, (3, 3), 5, asserted("s"), {}, True),
+                "fact id True is not an integer"),
+    "bounds-list": (lambda: BoundFact(GRAPH, [3, 3], 5, asserted("s"),
+                                      {"cyclic": True}), None),
+    "gamma": (lambda: BoundFact(GAMMA, (3,), GammaValue(Fraction(82, 25), 2),
+                                asserted("s")), None),
+    "ramsey": (lambda: BoundFact(RAMSEY, (4, 3), 9, asserted("s")), None),
+}
+
+
+@pytest.mark.parametrize("name", list(_LIBRARY_FACTS))
+def test_bound_fact_checks_every_field(name, tmp_path):
+    """Only the store reader once checked these fields, so `add_fact`
+    stored a fact that `save` wrote and `load` refused, or ended in an
+    AttributeError; a stored fact loads back with its identity."""
+    build, refusal = _LIBRARY_FACTS[name]
+    ledger = Ledger()
+    if refusal is not None:
+        with pytest.raises(LedgerError, match=f"^{re.escape(refusal)}$"):
+            ledger.add_fact(build())
+        assert ledger.facts == []
+        return
+    fact = ledger.get(ledger.add_fact(build()))
+    assert type(fact.parameters) is tuple
+    path = tmp_path / "facts.jsonl"
+    ledger.save(path)
+    assert Ledger.load(path).get(1).identity() == fact.identity()
+
+
 def test_add_fact_idempotent():
     ledger = Ledger()
     f = graph_fact((3, 3), 5, asserted("test"), cyclic=True)
