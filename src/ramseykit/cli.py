@@ -417,11 +417,14 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                            f"against {avoid}")
             elif op == "add_fact":
                 target = named(step["target"])
+                flags = step.get("flags", {})
+                if not isinstance(flags, dict):
+                    raise ValueError(f"flags: expected an object, got "
+                                     f"{flags!r}")
                 fact = led.graph_fact(
                     col.clique_bounds(step["avoid"]), target.order,
                     led.asserted(f"constructed in pipeline "
-                                 f"{recipe.get('name', '?')}"),
-                    **dict(step.get("flags", {})))
+                                 f"{recipe.get('name', '?')}"), **flags)
                 led.check_certificate(fact, target, f"'{step['target']}'")
                 fid = ledger.add_fact(fact)
                 log.append(f"step {i}: fact {fid} added for "

@@ -14,7 +14,7 @@ import json
 import logging
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
@@ -53,7 +53,11 @@ class GammaValue:
     root: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "base", Fraction(self.base))
+        if type(self.base) is int:
+            object.__setattr__(self, "base", Fraction(self.base))
+        elif not isinstance(self.base, Fraction):
+            raise LedgerError(f"gamma base must be an integer or a Fraction, "
+                              f"got {self.base!r}")
         if self.base < 0:
             raise LedgerError(f"gamma base must be >= 0, got {self.base}")
         if not (type(self.root) is int and 1 <= self.root <= MAX_GAMMA_ROOT):
@@ -104,8 +108,11 @@ FLAGS = {
 }
 
 
+_INT = frozenset({int})
+
+
 def _ints(xs, seq=list) -> bool:
-    return isinstance(xs, seq) and set(map(type, xs)) <= {int}
+    return isinstance(xs, seq) and _INT.issuperset(map(type, xs))
 
 
 # Certificate field -> the type that needs it, the test its value must pass
@@ -120,10 +127,14 @@ CERTIFICATE = {
     "source": ("asserted", lambda v: type(v) is str,
                "an asserted certificate needs a string source"),
 }
-CERTIFICATE_TYPES = {need for need, _, _ in CERTIFICATE.values()}
+# certificate type -> (field, needed, test, refusal), in `CERTIFICATE` order
+CERTIFICATE_TYPES = {
+    t: tuple((name, need == t, fits, refusal)
+             for name, (need, fits, refusal) in CERTIFICATE.items())
+    for t in ("derived", "explicit", "asserted")}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundFact:
     kind: str
     parameters: tuple[int, ...]
@@ -132,48 +143,54 @@ class BoundFact:
     flags: dict = field(default_factory=dict)
     fact_id: int | None = None
 
-    def __post_init__(self):
-        if type(self.parameters) is list:  # as read; rules build tuples
-            object.__setattr__(self, "parameters", tuple(self.parameters))
-        if not (_ints(self.parameters, tuple)
-                and isinstance(self.certificate, dict)
-                and isinstance(self.flags, dict)):
+    def __init__(self, kind, parameters, value, certificate, flags=MISSING,
+                 fact_id=None):
+        """Check every field, then set each in the instance dict, faster
+        than the `object.__setattr__` of a generated frozen `__init__`."""
+        if type(parameters) is list:  # as read; rules build tuples
+            parameters = tuple(parameters)
+        if flags is MISSING:
+            flags = {}
+        if not (_ints(parameters, tuple) and isinstance(certificate, dict)
+                and isinstance(flags, dict)):
             raise LedgerError("a fact needs a list of integer parameters, a "
                               "certificate object and a flags object")
-        if not self.parameters:
+        if not parameters:
             raise LedgerError("a fact needs at least one clique bound")
-        if self.kind not in (GRAPH, RAMSEY, GAMMA):
-            raise LedgerError(f"unknown fact kind {self.kind!r}")
-        if not (self.fact_id is None or type(self.fact_id) is int):
-            raise LedgerError(f"fact id {self.fact_id!r} is not an integer")
-        if self.flags and self.kind != GRAPH:
+        if kind not in (GRAPH, RAMSEY, GAMMA):
+            raise LedgerError(f"unknown fact kind {kind!r}")
+        if not (fact_id is None or type(fact_id) is int):
+            raise LedgerError(f"fact id {fact_id!r} is not an integer")
+        if flags and kind != GRAPH:
             raise LedgerError(f"only graph facts carry flags, got "
-                              f"{self.flags!r} on a {self.kind} fact")
-        if self.kind == GAMMA:
-            if not isinstance(self.value, GammaValue):
+                              f"{flags!r} on a {kind} fact")
+        if kind == GAMMA:
+            if not isinstance(value, GammaValue):
                 raise LedgerError("gamma facts need a GammaValue")
-        elif type(self.value) is not int:
-            raise LedgerError(f"fact value {self.value!r} is not a number")
+        elif type(value) is not int:
+            raise LedgerError(f"fact value {value!r} is not a number")
         # below 1, (v-1)**2 + 1 and (a-1)(b-1) + 1 fall as v, a or b rise,
         # and dominance needs every rule non-decreasing in its parents
-        elif self.value < 1:
-            what = "graph order" if self.kind == GRAPH else "Ramsey value"
-            raise LedgerError(f"{what} must be >= 1, got {self.value}")
-        if min(self.parameters) < 1:
-            raise LedgerError(f"clique bounds must be >= 1, got "
-                              f"{self.parameters}")
-        for name, value in self.flags.items():  # null reads as unset
+        elif value < 1:
+            what = "graph order" if kind == GRAPH else "Ramsey value"
+            raise LedgerError(f"{what} must be >= 1, got {value}")
+        if min(parameters) < 1:
+            raise LedgerError(f"clique bounds must be >= 1, got {parameters}")
+        for name, v in flags.items():  # null reads as unset
             flag = FLAGS.get(name)
             if flag is None:
                 raise LedgerError(f"unknown flag {name!r}")
-            if value is None:
+            if v is None:
                 continue
-            if not flag.fits(value, self.parameters):
-                what = flag.holds.format(self.parameters)
-                raise LedgerError(f"{name} must be {what}, got {value!r}")
+            if not flag.fits(v, parameters):
+                what = flag.holds.format(parameters)
+                raise LedgerError(f"{name} must be {what}, got {v!r}")
             # a needed flag that fits is never 0, so `in` reads null and false
-            if flag.needs and self.flags.get(flag.needs) in (None, False):
+            if flag.needs and flags.get(flag.needs) in (None, False):
                 raise LedgerError(f"{name} applies only with {flag.needs}")
+        d = vars(self)
+        d["kind"], d["parameters"], d["value"] = kind, parameters, value
+        d["certificate"], d["flags"], d["fact_id"] = certificate, flags, fact_id
 
     @property
     def sorted_parameters(self) -> tuple[int, ...]:
@@ -474,10 +491,11 @@ class Ledger:
         """
         cert = f.certificate
         ctype = cert.get("type")
-        if ctype not in CERTIFICATE_TYPES:
+        checks = CERTIFICATE_TYPES.get(ctype) if type(ctype) is str else None
+        if checks is None:
             raise LedgerError(f"unknown certificate type {ctype!r}")
-        for name, (need, fits, refusal) in CERTIFICATE.items():
-            if (name in cert or need == ctype) and not fits(cert.get(name)):
+        for name, needed, fits, refusal in checks:
+            if (needed or name in cert) and not fits(cert.get(name)):
                 raise LedgerError(refusal)
         fid = len(self.facts) + 1
         for pid in cert.get("parents", ()):
@@ -498,7 +516,10 @@ class Ledger:
         dominance key.  Identical facts share their key and value, so only
         a fact offered where one is held has its identity encoded."""
         slot = (key, f.value)
-        held = self._held.get(slot)
+        best = self._best.get(key)
+        # a fact that beats its key's best has no identical fact held
+        held = (None if best is None or best.value < f.value
+                else self._held.get(slot))
         if held is not None:
             if type(held) is not dict:
                 held = self._held[slot] = {held.identity(): held}
@@ -512,10 +533,12 @@ class Ledger:
             self._held[slot] = fact
         else:
             held[identity] = fact
-        for index, k in ((self._best, key), (self._top, key[:2])):
-            best = index.get(k)
-            if best is None or best.value < fact.value:
-                index[k] = fact
+        # the best of a key's (kind, sorted parameters) is at least its best
+        if best is None or best.value < fact.value:
+            self._best[key] = fact
+            top = self._top.get(shape := key[:2])
+            if top is None or top.value < fact.value:
+                self._top[shape] = fact
         return fact
 
     def get(self, fact_id: int) -> BoundFact:
@@ -759,7 +782,8 @@ class Ledger:
         ledger = cls()
         read = explicit = 0
         with open(path, encoding="utf-8") as f:
-            for read, (line, fact) in enumerate(_read_facts(f), start=1):
+            for read, line in enumerate(filter(None, map(str.strip, f)), 1):
+                fact = _fact_from_json(_decode(line))
                 explicit += fact.certificate.get("type") == "explicit"
                 fid = (ledger.add_fact(fact, base_dir)
                        if fact.fact_id == read else read)
@@ -805,31 +829,38 @@ def _fact_from_json(obj) -> BoundFact:
     LedgerError unless it is an object with a kind and a value."""
     if not isinstance(obj, dict):
         raise LedgerError(f"store line {obj!r} is not a fact object")
-    for name in ("kind", "value"):
-        if name not in obj:
-            raise LedgerError(f"a fact needs a {name!r} field")
-    if isinstance(value := obj["value"], dict):
+    try:
+        kind, value = obj["kind"], obj["value"]
+    except KeyError as e:
+        raise LedgerError(f"a fact needs a {e.args[0]!r} field") from None
+    if isinstance(value, dict):
         base = value.get("base")
         if not (_ints(base) and len(base) == 2 and base[1]):
             raise LedgerError("a gamma value needs a [num, den] base of "
                               "integers, den != 0, and an integer root")
         value = GammaValue(Fraction(*base), value.get("root"))
-    return BoundFact(obj["kind"], obj.get("parameters"), value,
+    return BoundFact(kind, obj.get("parameters"), value,
                      obj.get("certificate"), obj.get("flags", {}),
                      obj.get("id"))
 
 
-def _read_facts(lines):
-    """(line, its fact) for each of a store's lines, stripped, blank lines
-    skipped."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield line, _fact_from_json(json.loads(line))
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _decode(line: str):
+    """`json.loads(line)` for a stripped line, less its wrapper's cost: one
+    JSON value and nothing else, or `json.loads`'s own error."""
+    try:
+        obj, end = _DECODE(line)
+    except json.JSONDecodeError:
+        end = None
+    if end != len(line):
+        json.loads(line)  # raises: no JSON, data after it, or a BOM
+    return obj
 
 
 def load_seed_pack(ledger: Ledger) -> list[int]:
     """Load the shipped asserted-fact pack into a ledger."""
     text = (resources.files("ramseykit.data") / "seed_facts.jsonl").read_text()
-    return [ledger.add_fact(fact)
-            for _, fact in _read_facts(text.splitlines())]
+    return [ledger.add_fact(_fact_from_json(_decode(line)))
+            for line in filter(None, map(str.strip, text.splitlines()))]

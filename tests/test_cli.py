@@ -1058,13 +1058,18 @@ _NOT_FACT_LINES = [
      '"flags": {}}', "a fact needs a 'kind' field"),
     (f'{{"id": 1, "kind": "graph_exists", "parameters": [3, 3], {_ASSERTED}, '
      '"flags": {}}', "a fact needs a 'value' field"),
+    # an unhashable type once ended in a TypeError traceback
+    ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], "value": 5, '
+     '"certificate": {"type": ["asserted"]}, "flags": {}}',
+     "unknown certificate type ['asserted']"),
 ]
 _NOT_FACT_IDS = ["list", "number", "flags-list", "index-string",
                  "certificate-string", "parameters-int", "gamma-no-base",
                  "gamma-base-int", "gamma-zero-den", "parents-int", "path-int",
                  "asserted-no-source",
                  "value-bool", "id-bool", "phi-string", "degree-string",
-                 "rule-list", "asserted-rule-list", "no-kind", "no-value"]
+                 "rule-list", "asserted-rule-list", "no-kind", "no-value",
+                 "type-list"]
 
 
 @pytest.mark.parametrize("line, message", _NOT_FACT_LINES, ids=_NOT_FACT_IDS)
@@ -1076,6 +1081,29 @@ def test_store_line_that_is_not_a_fact_exits_2(line, message, tmp_path,
     assert dispatch(["ledger", "--store", str(path), "best",
                      "graph(3,3)"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_FACT = ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], '
+         f'"value": 5, {_ASSERTED}, "flags": {{}}}}')
+
+
+@pytest.mark.parametrize("text", [
+    _FACT + ' {"id": 2}\n',
+    _FACT.replace('"value"', '\n"value"') + "\n",
+], ids=["extra-data", "split-fact"])
+def test_store_line_that_is_not_one_object_exits_2(text, tmp_path, capsys):
+    """Each store line holds exactly one fact: data after it, or a fact
+    split over two lines (which joined would load), is refused with json's
+    own message, and even a command that saves leaves the store as it
+    was."""
+    first = text.splitlines()[0].strip()  # as the reader reads it
+    with pytest.raises(json.JSONDecodeError) as refusal:
+        json.loads(first)
+    path = tmp_path / "facts.jsonl"
+    path.write_text(text)
+    assert dispatch(["ledger", "--store", str(path), "derive"]) == 2
+    assert capsys.readouterr().err == f"error: {refusal.value}\n"
+    assert path.read_text() == text
 
 
 # the rows that refuse a fact's field, which BoundFact checks: the store
@@ -1539,11 +1567,21 @@ _C5_STEP = {"op": "colouring", "name": "c5", "builtin": "pentagon"}
     ([{"op": "seed"}, {"op": "derive", "rules": "r7"}],
      ["step 1: seeded 10 facts",
       "step 2: error: rules: expected a list of rule names, got 'r7'"]),
+    # a list of pairs once stored a cyclic fact
+    ([_C5_STEP, {"op": "add_fact", "target": "c5", "avoid": [3, 3],
+                 "flags": [["cyclic", True]]}],
+     ["step 1: colouring 'c5' order 5",
+      "step 2: error: flags: expected an object, got [['cyclic', True]]"]),
+    ([_C5_STEP, {"op": "add_fact", "target": "c5", "avoid": [3, 3],
+                 "flags": "x"}],
+     ["step 1: colouring 'c5' order 5",
+      "step 2: error: flags: expected an object, got 'x'"]),
 ], ids=["verify-failed", "add-fact-fails", "unknown-op", "missing-op",
         "unknown-kind", "unknown-target", "unknown-builtin",
         "expect-string-bound", "expect-bound-0", "expect-min-true",
         "expect-min-string", "expect-gamma-min-true", "expect-min-nan",
-        "derive-depth-true", "derive-rules-string"])
+        "derive-depth-true", "derive-rules-string", "add-fact-flags-pairs",
+        "add-fact-flags-string"])
 def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
                                           capsys):
     recipe = tmp_path / "r.json"

@@ -34,6 +34,7 @@ from ramseykit.ledger import (
     GammaValue,
     Ledger,
     LedgerError,
+    _fact_from_json,
     _key,
     _product,
     apply_rule,
@@ -74,6 +75,21 @@ def test_gamma_value_validation():
         with pytest.raises(LedgerError):
             GammaValue(Fraction(base), root)
     assert GammaValue(Fraction(0), 64).render() == "0.000000"
+
+
+@pytest.mark.parametrize("base", ["x", None, float("inf"), True, 2.5, "1/2"],
+                         ids=["string", "none", "inf", "true", "float",
+                              "fraction-string"])
+def test_gamma_base_is_an_integer_or_a_fraction(base):
+    with pytest.raises(LedgerError, match=r"^gamma base must be an integer "
+                       r"or a Fraction, got "):
+        GammaValue(base)
+
+
+def test_gamma_base_builds_from_an_integer_or_a_fraction():
+    assert GammaValue(3, 2) == GammaValue(Fraction(3), 2)
+    assert type(GammaValue(3).base) is Fraction
+    assert GammaValue(Fraction(82, 25)).render() == "3.280000"
 
 
 def test_r10_derives_no_root_above_the_bound():
@@ -373,13 +389,13 @@ def test_load_builds_each_fact_once(tmp_path, monkeypatch):
     explicit = sum(f.certificate["type"] == "explicit" for f in ledger.facts)
     assert explicit == 1 and len(ledger.facts) > 20
     built = []
-    post_init = BoundFact.__post_init__
+    init = BoundFact.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(BoundFact, "__post_init__", counting)
+    monkeypatch.setattr(BoundFact, "__init__", counting)
     Ledger.load(path)
     others = len(ledger.facts) - explicit
     assert others <= len(built) <= others + 2 * explicit
@@ -668,14 +684,14 @@ def test_closure_builds_only_the_facts_it_stores(monkeypatch):
     """A dominated product is never built as a fact, and a stored one is
     built once, with its id."""
     built = []
-    check = BoundFact.__post_init__
+    init = BoundFact.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built.append(self)
-        check(self)
+        init(self, *args, **kwargs)
 
     ledger = _seeded()
-    monkeypatch.setattr(BoundFact, "__post_init__", counted)
+    monkeypatch.setattr(BoundFact, "__init__", counted)
     new = ledger.derive_closure(rules=R3_R4_R7_R11, depth=3)
     assert len(new) == 765
     assert [id(f) for f in built] == [id(f) for f in new]
@@ -1239,6 +1255,94 @@ def test_add_fact_matches_identity_dict_oracle(seed, tmp_path):
     stored = {(f.kind, f.parameters, f.certificate.get("type"))
               for f in ledger.facts}
     assert len(ledger.facts) > 60 and (GRAPH, (3, 3), "explicit") in stored
+
+
+def _oracle_load(path) -> Ledger:
+    """`Ledger.load` one line at a time: `json.loads` on each stripped line,
+    then `_fact_from_json`, then `add_fact`, checking each fact's id."""
+    ledger = Ledger()
+    base_dir = str(path.parent)
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    for read, line in enumerate(filter(None, lines), start=1):
+        fact = _fact_from_json(json.loads(line))
+        fid = ledger.add_fact(fact, base_dir) if fact.fact_id == read else read
+        if fact.fact_id != fid:
+            raise LedgerError(f"{path}: fact stored as id {fact.fact_id} "
+                              f"loads as id {fid}")
+        if ledger.facts[-1] is fact:
+            ledger._lines[fid] = line
+    return ledger
+
+
+def _paley_store(tmp_path) -> Ledger:
+    """Explicit cyclic Paley certificates beside the seed pack, and what
+    the closure derives from them."""
+    ledger = _seeded()
+    for q, bound in ((13, 4), (17, 4), (29, 5)):
+        save_colouring(paley_colouring(q), tmp_path / f"p{q}.json")
+        ledger.add_fact(graph_fact((bound, bound), q, {
+            "type": "explicit", "path": f"p{q}.json"}, cyclic=True),
+            base_dir=str(tmp_path))
+    ledger.derive_closure(depth=2)
+    return ledger
+
+
+def _same_load(path):
+    got, want = Ledger.load(path), _oracle_load(path)
+    assert ([(f.fact_id, f.identity()) for f in got.facts]
+            == [(f.fact_id, f.identity()) for f in want.facts])
+    assert got._lines == want._lines
+    assert ({k: f.fact_id for k, f in got._best.items()}
+            == {k: f.fact_id for k, f in want._best.items()})
+    for key in want._best:
+        assert (got.best_bound(*key[:2]).fact_id
+                == want.best_bound(*key[:2]).fact_id)
+    return got
+
+
+@pytest.mark.parametrize("store", ["r3r4r7-r11-d3", "all-d2", "paley"])
+def test_load_matches_a_per_line_oracle(store, tmp_path):
+    """The store reader against `json.loads` on each line: the same facts,
+    ids and identities, kept lines, best facts and best bounds."""
+    if store == "paley":
+        ledger = _paley_store(tmp_path)
+    else:
+        ledger = _seeded()
+        ledger.derive_closure(rules=R3_R4_R7_R11 if store != "all-d2"
+                              else None, depth=3 if store != "all-d2" else 2)
+    path = tmp_path / "facts.jsonl"
+    ledger.save(path)
+    lines = path.read_text().splitlines(keepends=True)
+    unmarked = None
+    if store == "paley":  # one as written before explicit facts carried it
+        unmarked = len(_seeded().facts) + 1
+        fact = json.loads(lines[unmarked - 1])
+        del fact["certificate"]["verified"]
+        lines[unmarked - 1] = json.dumps(fact) + "\n"
+    # blank lines and padding, which both readers skip and strip
+    path.write_text("\n" + "  \t" + "\n  ".join(lines) + "\n\n")
+    got = _same_load(path)
+    assert len(got.facts) == len(ledger.facts) > 100
+    assert sorted(got._lines) == [f.fact_id for f in got.facts
+                                  if f.fact_id != unmarked]
+
+
+@pytest.mark.parametrize("text", [
+    '{"id": 1} x', '{"id": 1} {"id": 2}', '{"id": 1}{"id": 2}', "1 2",
+    '{"id": 1, "kind": "graph_exists",', '"value": 5}', "[1, 2", "nul",
+    "\ufeff{}", '{"id": 1 "kind": 2}',
+], ids=["word", "two-objects", "no-space", "two-numbers", "first-half",
+        "second-half", "open-list", "bad-literal", "bom", "missing-comma"])
+def test_load_refuses_what_json_loads_refuses(text, tmp_path):
+    """A line that is not exactly one JSON value fails with the error
+    `json.loads` raises on it, message and position included."""
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    path = tmp_path / "facts.jsonl"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as got:
+        Ledger.load(path)
+    assert str(got.value) == str(want.value)
 
 
 def test_load_encodes_no_identity(tmp_path, monkeypatch):
