@@ -1300,7 +1300,10 @@ def _same_load(path):
     return got
 
 
-@pytest.mark.parametrize("store", ["r3r4r7-r11-d3", "all-d2", "paley"])
+_ORACLE_CLOSURES = {"r3r4r7-r11-d3": (R3_R4_R7_R11, 3), "all-d2": (None, 2)}
+
+
+@pytest.mark.parametrize("store", [*_ORACLE_CLOSURES, "paley"])
 def test_load_matches_a_per_line_oracle(store, tmp_path):
     """The store reader against `json.loads` on each line: the same facts,
     ids and identities, kept lines, best facts and best bounds."""
@@ -1308,8 +1311,7 @@ def test_load_matches_a_per_line_oracle(store, tmp_path):
         ledger = _paley_store(tmp_path)
     else:
         ledger = _seeded()
-        ledger.derive_closure(rules=R3_R4_R7_R11 if store != "all-d2"
-                              else None, depth=3 if store != "all-d2" else 2)
+        ledger.derive_closure(*_ORACLE_CLOSURES[store])
     path = tmp_path / "facts.jsonl"
     ledger.save(path)
     lines = path.read_text().splitlines(keepends=True)
