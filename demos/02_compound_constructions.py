@@ -7,7 +7,7 @@ R(3,3,3,3) > 41 without any search.
 
 from ramseykit import (
     expand_to_explicit,
-    max_clique_brute,
+    max_clique_in_colour,
     paley_colouring,
     product_cyclic,
     product_linear,
@@ -36,8 +36,10 @@ print(f"pentagon*pentagon is {cyc.kind} of order {cyc.order}")
 # two triangle-free factors give a K5-free result of order 25.
 g = expand_to_explicit(pentagon())
 grid = song_product(g, g)
-sizes = [max_clique_brute(grid, s, order_cap=25) for s in (1, 2)]
-print(f"grid product: order {grid.order}, clique numbers {sizes}")
+sizes = ramsey_check(grid, (5, 5), exact=True).per_colour_max
+full = tuple(max_clique_in_colour(grid, s)[0] for s in (1, 2))
+print(f"grid product: order {grid.order}, clique numbers {sizes}, "
+      f"full search {full}")
 
 # Quadratic residues modulo a prime q = 1 (mod 4) give another classic
 # family; q = 17 yields a (4,4) certificate.

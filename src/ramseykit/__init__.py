@@ -6,7 +6,6 @@ from .colouring import (
     ExplicitColouring,
     LengthColouring,
     check_cyclic_symmetry,
-    cyclic_length,
     expand_to_explicit,
     load_colouring,
     multipliers,
@@ -19,10 +18,7 @@ from .colouring import (
 )
 from .cliques import (
     CliqueReport,
-    colour_degree,
-    max_clique_brute,
     max_clique_in_colour,
-    neighbourhood_restrict,
     ramsey_check,
 )
 from .templates import (
@@ -30,7 +26,6 @@ from .templates import (
     TemplateGraph,
     covering_q,
     double_to_template,
-    is_tf_template,
     repetition_check,
     template_usable,
     validate_template,

@@ -283,16 +283,17 @@ def cmd_ledger(args) -> int:
             print(f"loaded {len(ids)} seed facts")
         elif args.ledger_cmd == "add":
             avoid = _parse_avoid(args.avoid)
-            c = col.load_colouring(args.file)
+            store_dir = os.path.dirname(path) or "."
+            cert_path = os.path.relpath(args.file, store_dir)
+            # read once, by the path every later load of the store reads
+            c = col.load_colouring(os.path.join(store_dir, cert_path))
             flags = ({"cyclic": True} if args.cyclic else
                      {"linear": True} if isinstance(c, col.LengthColouring)
                      else {})  # an explicit colouring has no length form
-            store_dir = os.path.dirname(path) or "."
             fact = led.graph_fact(
-                avoid, c.order,
-                {"type": "explicit",
-                 "path": os.path.relpath(args.file, store_dir)}, **flags)
-            fid = ledger.add_fact(fact, base_dir=store_dir)
+                avoid, c.order, {"type": "explicit", "path": cert_path},
+                **flags)
+            fid = ledger._add(fact, store_dir, c)
             print(f"fact {fid}: graph {avoid}; order {fact.value} (explicit)")
         elif args.ledger_cmd == "assert":
             params = _parse_avoid(args.params)
@@ -344,7 +345,7 @@ def _parse_query(text: str):
     if not m or m.group(1) not in _KINDS:
         raise ValueError(f"cannot parse query {text!r}")
     return _KINDS[m.group(1)], col.clique_bounds(
-        [int(k) for k in m.group(2).split(",")])
+        [int(k) for k in m.group(2).split(",")], name="parameters")
 
 
 def _parse_range(text: str) -> range:
@@ -443,8 +444,9 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                         or type(want) is float and isfinite(want)):
                     raise ValueError(f"min_value: expected a finite number, "
                                      f"got {want!r}")
-                fact = ledger.best_bound(_KINDS[step["kind"]],
-                                         col.clique_bounds(step["parameters"]))
+                fact = ledger.best_bound(
+                    _KINDS[step["kind"]],
+                    col.clique_bounds(step["parameters"], name="parameters"))
                 if fact is not None:
                     ledger.recompute_check(ledger.provenance_chain(fact))
                 got = getattr(fact, "value", None)
@@ -485,11 +487,17 @@ def _resolve_colouring(step: dict):
 def _load_recipe(name_or_path: str) -> dict:
     if os.path.exists(name_or_path):
         with open(name_or_path, encoding="utf-8") as f:
-            return json.load(f)
-    shipped = resources.files("ramseykit.data") / "recipes" / f"{name_or_path}.json"
-    if shipped.is_file():
-        return json.loads(shipped.read_text())
-    raise ValueError(f"no recipe {name_or_path!r}")
+            text = f.read()
+    else:
+        shipped = (resources.files("ramseykit.data") / "recipes"
+                   / f"{name_or_path}.json")
+        if not shipped.is_file():
+            raise ValueError(f"no recipe {name_or_path!r}")
+        text = shipped.read_text()
+    try:
+        return json.loads(text)
+    except RecursionError as e:
+        raise ValueError(f"recipe {name_or_path!r}: {e}") from None
 
 
 def cmd_pipeline(args) -> int:

@@ -9,9 +9,10 @@ of cyclic groups: a circulant, a grid product of any number of factors,
 GF(16) as Z_2^4), `ramsey_check` extends the clique (0,) inside 0's
 neighbourhood, skipping at the first level the orbit-mates of each
 vertex it has branched on under the colouring's multipliers.  The full
-search and an exhaustive oracle (`max_clique_brute`) provide independent
-ground truth, so nothing emitted by the constructions or the SAT search
-is trusted without a second opinion.
+search, and the exhaustive oracle that lives with the tests in
+`tests/conftest.py`, provide independent ground truth, so nothing
+emitted by the constructions or the SAT search is trusted without a
+second opinion.
 """
 
 from __future__ import annotations
@@ -33,12 +34,6 @@ from .colouring import (
     length_colours,
     multipliers,
 )
-
-BRUTE_ORDER_CAP = 16
-
-
-class OracleCapError(ValueError):
-    """The exhaustive oracle refuses orders above its cap."""
 
 
 @dataclass(frozen=True)
@@ -228,24 +223,6 @@ def is_clique(g: ExplicitColouring, s: int, vertices) -> bool:
                for a, b in combinations(vertices, 2))
 
 
-def max_clique_brute(g: ExplicitColouring, s: int,
-                     order_cap: int = BRUTE_ORDER_CAP) -> int:
-    """Exhaustive maximum clique size in colour s.  Ground truth for testing."""
-    if g.order > order_cap:
-        raise OracleCapError(
-            f"order {g.order} above brute-force cap {order_cap}"
-        )
-    if g.order == 0:
-        return 0
-    best = 1
-    for k in range(2, g.order + 1):
-        if not any(is_clique(g, s, sub)
-                   for sub in combinations(range(g.order), k)):
-            break
-        best = k
-    return best
-
-
 def ramsey_check(
     c: LengthColouring | ExplicitColouring,
     avoid,
@@ -298,23 +275,3 @@ def ramsey_check(
             passes = False
     return CliqueReport(tuple(sizes), tuple(witnesses), passes,
                         tuple(exact_flags))
-
-
-def colour_degree(g: ExplicitColouring, v: int, s: int) -> int:
-    """Number of colour-s neighbours of vertex v."""
-    if not (0 <= v < g.order):
-        raise ColouringError(f"vertex {v} out of range for order {g.order}")
-    return int((g.edge_colour[v] == s).sum())
-
-
-def neighbourhood_restrict(g: ExplicitColouring, v: int, s: int) -> ExplicitColouring:
-    """Induced colouring on the colour-s neighbourhood of v.
-
-    If g passes (k_1, ..., k_r), the result passes the same vector with k_s
-    reduced by one.
-    """
-    if not (0 <= v < g.order):
-        raise ColouringError(f"vertex {v} out of range for order {g.order}")
-    nbrs = [u for u in range(g.order) if u != v and g.edge_colour[v, u] == s]
-    sub = g.edge_colour[nbrs][:, nbrs]
-    return ExplicitColouring(len(nbrs), g.num_colours, sub)

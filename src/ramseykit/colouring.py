@@ -24,21 +24,23 @@ class ColouringError(ValueError):
     """Raised for malformed or inconsistent colourings and colouring files."""
 
 
-def clique_bounds(avoid, colours: int | None = None) -> tuple[int, ...]:
+def clique_bounds(avoid, colours: int | None = None, *,
+                  name: str = "avoid") -> tuple[int, ...]:
     """`avoid` as a tuple: the one check of a bound vector.  ColouringError
     unless it is a list or tuple of ints, not bools, each at least 1, with
     `colours` entries if given, else at least one.  A bound of 1 is
-    well-formed: it fails on any colouring with a vertex."""
+    well-formed: it fails on any colouring with a vertex.  Messages begin
+    with `name`, the field the vector was read from."""
     if not (isinstance(avoid, (list, tuple))
             and all(type(k) is int for k in avoid)):
-        raise ColouringError("avoid: expected a list of integers")
+        raise ColouringError(f"{name}: expected a list of integers")
     if colours is not None and len(avoid) != colours:
-        raise ColouringError(f"avoid: expected {colours} bounds, "
+        raise ColouringError(f"{name}: expected {colours} bounds, "
                              f"got {len(avoid)}")
     if not avoid and colours is None:
-        raise ColouringError("avoid: at least one clique bound is needed")
+        raise ColouringError(f"{name}: at least one clique bound is needed")
     if min(avoid, default=1) < 1:
-        raise ColouringError(f"avoid: clique bound {min(avoid)} below 1")
+        raise ColouringError(f"{name}: clique bound {min(avoid)} below 1")
     return tuple(avoid)
 
 
@@ -48,16 +50,6 @@ def length_domain_size(kind: str, order: int) -> int:
     if kind == CYCLIC:
         return order // 2
     raise ColouringError(f"kind: unknown colouring kind {kind!r}")
-
-
-def cyclic_length(i: int, j: int, m: int) -> int:
-    """Canonical cyclic distance between vertices i and j on m vertices."""
-    if not (0 <= i < m and 0 <= j < m):
-        raise ColouringError(f"vertex out of range for order {m}: ({i}, {j})")
-    if i == j:
-        raise ColouringError(f"degenerate edge ({i}, {i})")
-    d = abs(j - i)
-    return min(d, m - d)
 
 
 @dataclass(frozen=True)
@@ -387,7 +379,7 @@ def _indented(value) -> str:
 def parse_colouring(text: str) -> LengthColouring | ExplicitColouring:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ColouringError(f"document: invalid JSON ({e})") from None
     if not isinstance(obj, dict):
         raise ColouringError("document: expected a JSON object")

@@ -489,6 +489,11 @@ class Ledger:
         A derived fact's parents must be stored facts, which come before
         it, so provenance cannot be rewired by reordering or editing lines.
         """
+        return self._add(f, base_dir)
+
+    def _add(self, f: BoundFact, base_dir: str, colouring=None) -> int:
+        """`add_fact`, checking an explicit certificate against
+        `colouring`, when given: the file its path names, already read."""
         cert = f.certificate
         ctype = cert.get("type")
         checks = CERTIFICATE_TYPES.get(ctype) if type(ctype) is str else None
@@ -504,9 +509,10 @@ class Ledger:
                                   "does not come before it")
         if ctype == "explicit":
             path = cert["path"]
-            # an absolute path replaces base_dir
-            check_certificate(f, load_colouring(os.path.join(base_dir, path)),
-                              path)
+            if colouring is None:
+                # an absolute path replaces base_dir
+                colouring = load_colouring(os.path.join(base_dir, path))
+            check_certificate(f, colouring, path)
             if cert.get("verified") is not True:
                 f = replace(f, certificate={**cert, "verified": True})
         return self._store(f, dominance_key(f)).fact_id
@@ -849,11 +855,14 @@ _DECODE = json.JSONDecoder().raw_decode
 
 def _decode(line: str):
     """`json.loads(line)` for a stripped line, less its wrapper's cost: one
-    JSON value and nothing else, or `json.loads`'s own error."""
+    JSON value and nothing else, or `json.loads`'s own error.  A value
+    nested too deeply to decode is a LedgerError."""
     try:
         obj, end = _DECODE(line)
     except json.JSONDecodeError:
         end = None
+    except RecursionError as e:
+        raise LedgerError(f"store line: {e}") from None
     if end != len(line):
         json.loads(line)  # raises: no JSON, data after it, or a BOM
     return obj

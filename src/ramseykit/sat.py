@@ -377,7 +377,10 @@ def read_dimacs(text: str) -> CnfInstance:
         if not line:
             continue
         if line.startswith("c meta "):
-            meta = json.loads(line[7:])
+            try:
+                meta = json.loads(line[7:])
+            except (json.JSONDecodeError, RecursionError) as e:
+                raise EncodingError(f"bad 'c meta' line: {e!r}") from None
         elif line.startswith("c fixed "):
             l, s = (int(x) for x in line[8:].split())
             fixed[l] = s

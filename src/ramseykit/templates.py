@@ -44,11 +44,6 @@ def _tf_violation(c: LengthColouring, s: int) -> tuple[int, ...] | None:
     return triple or (None if (c.order - 1) in cls else ())
 
 
-def is_tf_template(c: LengthColouring, s: int) -> bool:
-    """True iff colour s is a triangle-free length class containing order-1."""
-    return _tf_violation(c, s) is None
-
-
 @dataclass(frozen=True)
 class TemplateGraph:
     """A linear colouring with a validated tf-template colour class."""
@@ -57,7 +52,7 @@ class TemplateGraph:
     template_colour: int
 
     def __post_init__(self):
-        if not is_tf_template(self.base, self.template_colour):
+        if _tf_violation(self.base, self.template_colour) is not None:
             raise TemplateError(
                 f"colour {self.template_colour} is not a tf-template of the base"
             )

@@ -1,13 +1,74 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the oracles no library path
+runs: the brute-force clique search, colour degrees, neighbourhood
+restriction and the cyclic distance of two vertices."""
+
+from itertools import combinations
 
 import numpy as np
 
+from ramseykit.cliques import is_clique
 from ramseykit.colouring import (
+    ColouringError,
+    ExplicitColouring,
     LengthColouring,
     length_domain_size,
     preserves_colours,
     translation,
 )
+
+BRUTE_ORDER_CAP = 16
+
+
+class OracleCapError(ValueError):
+    """The exhaustive oracle refuses orders above its cap."""
+
+
+def max_clique_brute(g: ExplicitColouring, s: int,
+                     order_cap: int = BRUTE_ORDER_CAP) -> int:
+    """Exhaustive maximum clique size in colour s.  Ground truth for testing."""
+    if g.order > order_cap:
+        raise OracleCapError(
+            f"order {g.order} above brute-force cap {order_cap}"
+        )
+    if g.order == 0:
+        return 0
+    best = 1
+    for k in range(2, g.order + 1):
+        if not any(is_clique(g, s, sub)
+                   for sub in combinations(range(g.order), k)):
+            break
+        best = k
+    return best
+
+
+def colour_degree(g: ExplicitColouring, v: int, s: int) -> int:
+    """Number of colour-s neighbours of vertex v."""
+    if not (0 <= v < g.order):
+        raise ColouringError(f"vertex {v} out of range for order {g.order}")
+    return int((g.edge_colour[v] == s).sum())
+
+
+def neighbourhood_restrict(g: ExplicitColouring, v: int, s: int) -> ExplicitColouring:
+    """Induced colouring on the colour-s neighbourhood of v.
+
+    If g passes (k_1, ..., k_r), the result passes the same vector with k_s
+    reduced by one.
+    """
+    if not (0 <= v < g.order):
+        raise ColouringError(f"vertex {v} out of range for order {g.order}")
+    nbrs = [u for u in range(g.order) if u != v and g.edge_colour[v, u] == s]
+    sub = g.edge_colour[nbrs][:, nbrs]
+    return ExplicitColouring(len(nbrs), g.num_colours, sub)
+
+
+def cyclic_length(i: int, j: int, m: int) -> int:
+    """Canonical cyclic distance between vertices i and j on m vertices."""
+    if not (0 <= i < m and 0 <= j < m):
+        raise ColouringError(f"vertex out of range for order {m}: ({i}, {j})")
+    if i == j:
+        raise ColouringError(f"degenerate edge ({i}, {i})")
+    d = abs(j - i)
+    return min(d, m - d)
 
 
 def random_colouring(rng, kind, order, num_colours):

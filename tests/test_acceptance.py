@@ -18,13 +18,7 @@ import random
 import time
 from fractions import Fraction
 
-from ramseykit.cliques import (
-    colour_degree,
-    max_clique_brute,
-    max_clique_in_colour,
-    neighbourhood_restrict,
-    ramsey_check,
-)
+from ramseykit.cliques import max_clique_in_colour, ramsey_check
 from ramseykit.colouring import (
     ExplicitColouring,
     LengthColouring,
@@ -49,12 +43,18 @@ from ramseykit.sat import (
     write_dimacs,
 )
 from ramseykit.templates import (
+    _tf_violation,
     double_to_template,
-    is_tf_template,
     repetition_check,
 )
 
-from conftest import all_cyclic_colourings, random_colouring
+from conftest import (
+    all_cyclic_colourings,
+    colour_degree,
+    max_clique_brute,
+    neighbourhood_restrict,
+    random_colouring,
+)
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:
@@ -205,7 +205,7 @@ def test_criterion_06_template_product_identity():
 
 def test_criterion_07_template_validity():
     T = double_to_template(pentagon())
-    tf = is_tf_template(T.base, T.template_colour)
+    tf = _tf_violation(T.base, T.template_colour) is None
     phi_ok = T.phi == 4
     reps_ok = all(repetition_check(T, q, (3, 3)).passes for q in range(1, 9))
     # the rainbow prototype of order n gives each length its own colour

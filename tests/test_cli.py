@@ -6,11 +6,12 @@ import re
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ramseykit import cli, cliques, sat, templates
+from ramseykit import cli, cliques, colouring, sat, templates
 from ramseykit.cli import _locked_store, dispatch, run_pipeline
 from ramseykit.cliques import is_clique, max_clique_in_colour
 from ramseykit.colouring import (
@@ -1535,11 +1536,11 @@ _C5_STEP = {"op": "colouring", "name": "c5", "builtin": "pentagon"}
     ([{"op": "seed"}, {"op": "expect", "kind": "R", "parameters": [3, "3"],
                        "min_value": 6}],
      ["step 1: seeded 10 facts",
-      "step 2: error: avoid: expected a list of integers"]),
+      "step 2: error: parameters: expected a list of integers"]),
     ([{"op": "seed"}, {"op": "expect", "kind": "R", "parameters": [0, 3],
                        "min_value": 6}],
      ["step 1: seeded 10 facts",
-      "step 2: error: avoid: clique bound 0 below 1"]),
+      "step 2: error: parameters: clique bound 0 below 1"]),
     # refused before the lookup: true once confirmed R(3,3) >= True from
     # a stored R(3,3) >= 6, and "6" and a gamma's true stopped with
     # Python's own comparison and Fraction errors
@@ -1834,7 +1835,7 @@ def test_cyclic_flag_on_a_linear_colouring_is_one_refusal(store, tmp_path,
     # an empty --avoid is given, so it is parsed, not read as absent
     (["verify", "{c5}", "--avoid", ""], "bad avoid list ''"),
     (["verify", "{bare}", "--avoid", ""], "bad avoid list ''"),
-    (["ledger", "best", "R(0,3)"], "avoid: clique bound 0 below 1"),
+    (["ledger", "best", "R(0,3)"], "parameters: clique bound 0 below 1"),
     (["ledger", "table", "--k", "0..1", "--r", "0..1"], "bad range '0..1'"),
     (["ledger", "table", "--k", "3", "--r", "0..2"], "bad range '0..2'"),
 ], ids=["bad-avoid", "bad-query", "empty-query-bound", "missing-recipe",
@@ -1852,6 +1853,56 @@ def test_usage_error_is_one_stderr_line(argv, message, store, pentagon_file,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.format(**names)}\n"
+
+
+# 100,000 opening brackets, then as many closing ones: valid JSON that
+# Python's decoder cannot descend into
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("deep.jsonl", _DEEP + "\n", ["ledger", "--store", "{}", "best", "R(3,3)"]),
+    ("deep.jsonl", _DEEP + "\n", ["ledger", "--store", "{}", "derive"]),
+    ("deep.json", _DEEP, ["verify", "{}", "--avoid", "3,3"]),
+    ("deep.cnf", f"c meta {_DEEP}\np cnf 0 0\n", ["solve", "{}"]),
+    ("deep_recipe.json", _DEEP, ["pipeline", "{}", "--use-store"]),
+], ids=["ledger-best", "ledger-derive", "verify", "solve-meta", "pipeline"])
+def test_nested_json_exits_2(name, text, argv, store, tmp_path, capsys):
+    """JSON nested too deeply to decode is refused by each reader with its
+    own error, not a RecursionError and a traceback, and no store is
+    written."""
+    assert dispatch(["ledger", "seed"]) == 0
+    path = tmp_path / name
+    path.write_text(text)
+    files = (Path(store), path)
+    before = [f.read_bytes() for f in files]
+    capsys.readouterr()
+    assert dispatch([a.format(path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "maximum recursion depth" in captured.err
+    assert "Traceback" not in captured.err
+    assert [f.read_bytes() for f in files] == before
+
+
+def test_ledger_add_parses_its_certificate_once(store, pentagon_file,
+                                                monkeypatch, capsys):
+    """`ledger add` verifies the colouring it read for the fact's order and
+    kind, rather than reading the file again; the next load re-verifies
+    it from the file."""
+    parse, parsed = colouring.parse_colouring, []
+
+    def counted(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(colouring, "parse_colouring", counted)
+    assert dispatch(["ledger", "add", pentagon_file, "--avoid", "3,3",
+                     "--cyclic"]) == 0
+    assert len(parsed) == 1
+    assert dispatch(["ledger", "best", "graph(3,3)"]) == 0
+    assert len(parsed) == 2
+    assert "explicit: " in capsys.readouterr().out
 
 
 def test_pipeline_store_needs_use_store(tmp_path, capsys):

@@ -8,15 +8,10 @@ import numpy as np
 
 from ramseykit import cliques, colouring
 from ramseykit.cliques import (
-    BRUTE_ORDER_CAP,
-    OracleCapError,
     _colour_bitrows,
     _length_bitrows,
-    colour_degree,
     is_clique,
-    max_clique_brute,
     max_clique_in_colour,
-    neighbourhood_restrict,
     ramsey_check,
 )
 from ramseykit.colouring import (
@@ -33,7 +28,15 @@ from ramseykit.colouring import (
 )
 from ramseykit.constructions import paley_colouring, song_product
 
-from conftest import random_colouring, translation_transitive
+from conftest import (
+    BRUTE_ORDER_CAP,
+    OracleCapError,
+    colour_degree,
+    max_clique_brute,
+    neighbourhood_restrict,
+    random_colouring,
+    translation_transitive,
+)
 
 
 def test_pentagon_clique_numbers():

@@ -10,7 +10,6 @@ from ramseykit.colouring import (
     ExplicitColouring,
     LengthColouring,
     check_cyclic_symmetry,
-    cyclic_length,
     expand_to_explicit,
     explicit_from_upper_triangle,
     length_domain_size,
@@ -23,7 +22,7 @@ from ramseykit.colouring import (
     to_cyclic,
 )
 
-from conftest import random_colouring
+from conftest import cyclic_length, random_colouring
 
 
 def test_cyclic_length_basics():

@@ -6,7 +6,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from ramseykit.cliques import max_clique_brute, ramsey_check
+from ramseykit.cliques import ramsey_check
 from ramseykit.colouring import (
     LengthColouring,
     check_cyclic_symmetry,
@@ -23,7 +23,7 @@ from ramseykit.constructions import (
 )
 from ramseykit.templates import double_to_template
 
-from conftest import all_linear_colourings, random_colouring
+from conftest import all_linear_colourings, max_clique_brute, random_colouring
 
 
 def test_product_order_formula():

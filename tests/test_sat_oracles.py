@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from ramseykit import sat
-from ramseykit.colouring import CYCLIC, LINEAR, LengthColouring, cyclic_length
+from ramseykit.colouring import CYCLIC, LINEAR, LengthColouring
 from ramseykit.constructions import paley_colouring
 from ramseykit.sat import (
     DEFAULT_CONFLICT_BUDGET,
@@ -38,6 +38,8 @@ from ramseykit.sat import (
     solve_internal,
     write_dimacs,
 )
+
+from conftest import cyclic_length
 
 _IMPLIED, _FIRST, _FLIPPED = 0, 1, 2
 

@@ -19,9 +19,9 @@ from ramseykit.templates import (
     TemplateError,
     TemplateFailure,
     TemplateGraph,
+    _tf_violation,
     covering_q,
     double_to_template,
-    is_tf_template,
     repetition_check,
     template_usable,
     tiled_colouring,
@@ -38,19 +38,19 @@ TEMPLATE_343 = LengthColouring(
 
 def test_is_tf_template_positive():
     base = double_to_template(pentagon()).base
-    assert is_tf_template(base, 3)
-    assert not is_tf_template(base, 1)  # class misses the top length
+    assert _tf_violation(base, 3) is None
+    assert _tf_violation(base, 1) is not None  # class misses the top length
 
 
 def test_is_tf_template_rejects_triangle():
     # template class {2, 3, 5}: 2 + 3 = 5 is a monochromatic triangle
     c = LengthColouring("linear", 6, 2, (1, 2, 2, 1, 2))
-    assert not is_tf_template(c, 2)
+    assert _tf_violation(c, 2) is not None
 
 
 def test_is_tf_template_requires_linear():
     with pytest.raises(TemplateError):
-        is_tf_template(pentagon(), 1)
+        _tf_violation(pentagon(), 1)
 
 
 def test_template_graph_validates():
@@ -141,7 +141,7 @@ def _random_template(rng):
         order = rng.randint(4, 9)
         colours = [rng.randint(1, 3) for _ in range(order - 2)] + [3]
         base = LengthColouring("linear", order, 3, tuple(colours))
-        if is_tf_template(base, 3):
+        if _tf_violation(base, 3) is None:
             return TemplateGraph(base, 3)
 
 
@@ -333,7 +333,7 @@ def test_compound_of_valid_template_passes():
     for order in range(4, 7):
         for colours in product((1, 2, 3), repeat=order - 2):
             base = LengthColouring("linear", order, 3, colours + (3,))
-            if not is_tf_template(base, 3):
+            if _tf_violation(base, 3) is not None:
                 continue
             T = TemplateGraph(base, 3)
             for avoid in product((3, 4), repeat=2):
