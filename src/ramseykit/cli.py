@@ -284,8 +284,10 @@ def cmd_ledger(args) -> int:
         elif args.ledger_cmd == "add":
             avoid = _parse_avoid(args.avoid)
             store_dir = os.path.dirname(path) or "."
-            cert_path = os.path.relpath(args.file, store_dir)
-            # read once, by the path every later load of the store reads
+            # relative to the real store directory, where loads climb; read once
+            file_dir, name = os.path.split(args.file)
+            cert_path = os.path.relpath(os.path.join(
+                os.path.realpath(file_dir), name), os.path.realpath(store_dir))
             c = col.load_colouring(os.path.join(store_dir, cert_path))
             flags = ({"cyclic": True} if args.cyclic else
                      {"linear": True} if isinstance(c, col.LengthColouring)
@@ -293,7 +295,7 @@ def cmd_ledger(args) -> int:
             fact = led.graph_fact(
                 avoid, c.order, {"type": "explicit", "path": cert_path},
                 **flags)
-            fid = ledger._add(fact, store_dir, c)
+            fid = ledger.add_fact(fact, store_dir, c)
             print(f"fact {fid}: graph {avoid}; order {fact.value} (explicit)")
         elif args.ledger_cmd == "assert":
             params = _parse_avoid(args.params)

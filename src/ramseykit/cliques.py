@@ -151,7 +151,11 @@ def _search(adj: list[int], r: list[int], cand: int, stop_at: int | None,
                 done |= orbit(v)
 
     if stop_at is None or stop_at > 1:
-        expand(cand, orbit)
+        try:
+            expand(cand, orbit)
+        except RecursionError:
+            raise ColouringError(f"a clique branch of {len(r)} vertices is "
+                                 "too deep for Python's recursion limit") from None
     return len(best), best
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import reprlib
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, replace
 from decimal import ROUND_DOWN, Decimal, localcontext
@@ -478,22 +479,18 @@ class Ledger:
         # (kind, sorted parameters) -> the same, for best_bound
         self._top: dict = {}
 
-    def add_fact(self, f: BoundFact, base_dir: str = ".") -> int:
+    def add_fact(self, f: BoundFact, base_dir: str = ".", colouring=None) -> int:
         """Store a fact whose certificate fits `CERTIFICATE`; idempotent.
 
-        An explicit certificate is re-verified every time it is offered: the
-        fact and its colouring file must pass `check_certificate`, and
-        the fact is stored, and looked up, with the certificate marked
-        verified.  The fact is built anew only for what changes, so a store
-        line that already carries its mark and its id is kept as it is.
-        A derived fact's parents must be stored facts, which come before
-        it, so provenance cannot be rewired by reordering or editing lines.
+        An explicit certificate is re-verified every time it is offered:
+        the fact and its colouring, `colouring` if given (the file its path
+        names, already read), else that file under `base_dir`, must pass
+        `check_certificate`, and the fact is stored, and looked up, marked
+        verified.  It is built anew only for what changes, so a store line
+        that already carries its mark and its id is kept as it is.  A
+        derived fact's parents must be stored facts, which come before it,
+        so provenance cannot be rewired by reordering or editing lines.
         """
-        return self._add(f, base_dir)
-
-    def _add(self, f: BoundFact, base_dir: str, colouring=None) -> int:
-        """`add_fact`, checking an explicit certificate against
-        `colouring`, when given: the file its path names, already read."""
         cert = f.certificate
         ctype = cert.get("type")
         checks = CERTIFICATE_TYPES.get(ctype) if type(ctype) is str else None
@@ -834,7 +831,7 @@ def _fact_from_json(obj) -> BoundFact:
     """The fact of one store line, whose fields `BoundFact` checks;
     LedgerError unless it is an object with a kind and a value."""
     if not isinstance(obj, dict):
-        raise LedgerError(f"store line {obj!r} is not a fact object")
+        raise LedgerError(f"store line {reprlib.repr(obj)} is not a fact object")
     try:
         kind, value = obj["kind"], obj["value"]
     except KeyError as e:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -212,25 +212,21 @@ def _clique_clauses(meta: dict, var_map: VarMap, fixed: dict,
                     grow(clique + (v,), cand & adj[v], m,
                          max(gap, v - clique[-1]))
 
-        if k == 1:  # {0} alone, a clique with no lengths (never cyclic)
-            grow((), 1, 0, 0)
-        else:
-            grow((0,), adj[0], 0, 0)
-        # lits fall as bits rise, so a clause reads its mask's bytes from
-        # the top, each through a table of its bits' literals, top bit first
+        try:
+            if k == 1:  # {0} alone, a clique with no lengths (never cyclic)
+                grow((), 1, 0, 0)
+            else:
+                grow((0,), adj[0], 0, 0)
+        except RecursionError:
+            raise EncodingError(f"listing the {k}-cliques of colour {s} is "
+                                "too deep for Python's recursion limit") from None
         lits = [-var_map.id(l, s) for l in var_map.free_lengths]
-        width = (len(lits) + 7) // 8
-        tables = []
-        for base in range(8 * width - 8, -8, -8):
-            table = [()]
-            for b in range(1, 256):
-                top = b.bit_length() - 1
-                hit = (lits[base + top],) if base + top < len(lits) else ()
-                table.append(hit + table[b ^ 1 << top])
-            tables.append(table)
-        clauses += [tuple(chain.from_iterable(map(
-            list.__getitem__, tables, mask.to_bytes(width, "big"))))
-            for mask in masks]
+        for mask in masks:
+            clause = []
+            while mask:  # top bit first: lits fall as bits rise
+                clause.append(lits[top := mask.bit_length() - 1])
+                mask ^= 1 << top
+            clauses.append(tuple(clause))
     return clauses
 
 

@@ -533,6 +533,33 @@ def test_ledger_store_opened_from_another_directory(tmp_path, monkeypatch,
     assert paths == ["c5.json", "c5.json"]
 
 
+def test_ledger_store_reached_through_a_symlink(tmp_path, monkeypatch,
+                                               capsys):
+    """A certificate path is stored relative to where the store's
+    directory resolves, since every load climbs from there: through
+    w/s -> ../real/deep, `add` once stored 's/../c13.json' lexically and
+    failed to read it back."""
+    work, deep = tmp_path / "w", tmp_path / "real" / "deep"
+    work.mkdir()
+    deep.mkdir(parents=True)
+    (work / "s").symlink_to(os.path.join("..", "real", "deep"))
+    save_colouring(paley_colouring(13), work / "c13.json")
+    monkeypatch.chdir(work)
+    for cert in ("c13.json", str(work / "c13.json")):
+        assert dispatch(["ledger", "--store", "s/facts.jsonl", "add", cert,
+                         "--avoid", "4,4", "--cyclic"]) == 0
+    paths = [json.loads(line)["certificate"]["path"]
+             for line in open(deep / "facts.jsonl", encoding="utf-8")]
+    assert paths == [os.path.join("..", "..", "w", "c13.json")]
+    capsys.readouterr()
+    assert dispatch(["ledger", "--store", "s/facts.jsonl", "best",
+                     "graph(4,4)"]) == 0
+    monkeypatch.chdir(deep)
+    assert dispatch(["ledger", "--store", "facts.jsonl", "best",
+                     "graph(4,4)"]) == 0
+    assert capsys.readouterr().out.count("explicit: ../../w/c13.json") == 2
+
+
 def test_ledger_load_keeps_relative_store_bytes(tmp_path, monkeypatch):
     from ramseykit.ledger import Ledger
 
@@ -1883,6 +1910,47 @@ def test_nested_json_exits_2(name, text, argv, store, tmp_path, capsys):
     assert "maximum recursion depth" in captured.err
     assert "Traceback" not in captured.err
     assert [f.read_bytes() for f in files] == before
+
+
+def test_store_line_too_nested_to_print_is_abbreviated(tmp_path, capsys):
+    """A store line that decodes to no fact object is named by an
+    abbreviated value: 500 nested arrays once made a message of some
+    1,000 brackets."""
+    path = tmp_path / "facts.jsonl"
+    path.write_text("[" * 500 + "]" * 500 + "\n")
+    assert dispatch(["ledger", "--store", str(path), "best",
+                     "graph(3,3)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: store line [[")
+    assert err.endswith(" is not a fact object\n")
+    assert err.count("\n") == 1 and len(err) < 100
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "{}", "--avoid", "1201"], "a clique branch of"),
+    (["verify", "{}", "--avoid", "1201", "--exact"], "a clique branch of"),
+    (["encode", "linear", "--order", "1100", "--avoid", "1100"],
+     "listing the 1100-cliques of colour 1"),
+], ids=["verify", "verify-exact", "encode"])
+def test_search_too_deep_to_recurse_exits_2(argv, message, tmp_path,
+                                            capsys):
+    """A search whose branch outgrows Python's recursion limit ends in its
+    module's error, not a RecursionError and a traceback: here a clique
+    of 1,200 vertices, and 1,100-cliques to list."""
+    path = tmp_path / "one.json"
+    save_colouring(LengthColouring("linear", 1200, 1, (1,) * 1199), path)
+    assert dispatch([a.format(path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.endswith(" too deep for Python's recursion limit\n")
+    assert "Traceback" not in err
+
+
+def test_search_within_the_recursion_limit_still_runs(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    save_colouring(LengthColouring("linear", 600, 1, (1,) * 599), path)
+    assert dispatch(["verify", str(path), "--avoid", "601", "--exact"]) == 0
+    assert "max clique = 600" in capsys.readouterr().out
 
 
 def test_ledger_add_parses_its_certificate_once(store, pentagon_file,

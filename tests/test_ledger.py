@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from ramseykit import ledger as led
 from ramseykit.cli import run_pipeline
 from ramseykit.cliques import ramsey_check
 from ramseykit.colouring import (
@@ -414,6 +415,28 @@ def test_explicit_fact_reverified_when_added_again(tmp_path):
         with pytest.raises(LedgerError, match="fails verification"):
             ledger.add_fact(again)
     assert len(ledger.facts) == 1
+
+
+def test_explicit_fact_offered_with_its_colouring(monkeypatch):
+    """A colouring given to `add_fact` is the one checked, and the path
+    the fact names is never opened: a colouring that breaks the fact's
+    bounds is refused with `check_certificate`'s message, and the store
+    is left as it was."""
+    def unopened(path):
+        raise AssertionError(f"{path} was opened")
+
+    monkeypatch.setattr(led, "load_colouring", unopened)
+    ledger = _seeded()
+    before = list(ledger.facts)
+    cert = {"type": "explicit", "path": "pent.json"}
+    refusal = ("certificate pent.json fails verification: clique sizes "
+               "(2, 2) vs bounds (2, 3)")
+    with pytest.raises(LedgerError, match=f"^{re.escape(refusal)}$"):
+        ledger.add_fact(graph_fact((2, 3), 5, cert), colouring=pentagon())
+    assert ledger.facts == before
+    assert ledger.best_bound(GRAPH, (2, 3)) is None
+    fid = ledger.add_fact(graph_fact((3, 3), 5, cert), colouring=pentagon())
+    assert ledger.get(fid).certificate == {**cert, "verified": True}
 
 
 def test_gamma_render_keeps_global_precision():

@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from ramseykit import sat
-from ramseykit.colouring import CYCLIC, LINEAR, LengthColouring
+from ramseykit.colouring import CYCLIC, LINEAR, LengthColouring, pentagon
 from ramseykit.constructions import paley_colouring
 from ramseykit.sat import (
     DEFAULT_CONFLICT_BUDGET,
@@ -545,3 +545,36 @@ def test_search_template_matches_references(proto, t, avoid, monkeypatch):
                for r in (got, want)]
     assert (got.status, got.iterations, got.log, colours[0]) == \
         (want.status, want.iterations, want.log, colours[1])
+
+
+# the extension searches of perfbench's sat-search workload, and one whose
+# prototype's fixed lengths already hold an edge of colour 1
+@pytest.mark.parametrize("proto, t, avoid", [
+    (LengthColouring(CYCLIC, 8, 2, (1, 2, 2, 1)), 3, (3, 4, 3)),
+    (paley_colouring(13), 3, (4, 4, 3)),
+    (paley_colouring(13), 4, (4, 4, 3)),
+    (pentagon(), 2, (3, 3, 3)),
+    (pentagon(), 3, (3, 3, 3)),
+    (pentagon(), 2, (2, 3, 3)),
+])
+def test_listed_clause_is_the_refinement_clause(proto, t, avoid):
+    """The encoder lists, for each clique through 0 whose lengths are free
+    or fixed to s, the very tuple that `search_template` adds when a
+    candidate holds that clique in colour s, so eager and lazy clauses for
+    one clique are one clause.  A clique of fixed lengths alone has no
+    refinement clause, and the listing then holds the empty clause."""
+    spec = SearchSpec(proto, t, avoid)
+    inst = encode_extension(spec)
+    clauses = set(inst.clauses)
+    n, N = proto.order, spec.target_order
+    for s, k in enumerate(avoid, start=1):
+        for rest in combinations(range(1, N), k - 1):
+            lengths = [j - i for i, j in combinations((0,) + rest, 2)]
+            folded = {fold_length(d, n, t) for d in lengths}
+            if any(inst.fixed.get(l, s) != s for l in folded):
+                continue
+            cl = sat._violation_clause(lengths, s, inst)
+            if folded <= set(inst.fixed):
+                assert cl is None and () in clauses, (s, rest)
+            else:
+                assert cl in clauses, (s, rest)
