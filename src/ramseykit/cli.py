@@ -263,22 +263,19 @@ def cmd_ledger(args) -> int:
     path = _store_path(args)
     with _locked_store(path):
         ledger = _load_store(path)
+        loaded = len(ledger.facts)
         if args.ledger_cmd == "best":
-            fact = ledger.best_bound(*_parse_query(args.query))
-            if fact is None:
+            chain = ledger.proof(*_parse_query(args.query))
+            if not chain:
                 print("no matching fact")
                 return FAIL
-            chain = ledger.provenance_chain(fact)
-            ledger.recompute_check(chain)  # a hand-edited store is no bound
             for f in chain:
                 print(_fact_line(f))
-            return PASS
-        if args.ledger_cmd == "table":
+        elif args.ledger_cmd == "table":
             sys.stdout.write(ledger.emit_table(_parse_range(args.k),
                                                _parse_range(args.r),
                                                fmt=args.format))
-            return PASS
-        if args.ledger_cmd == "seed":
+        elif args.ledger_cmd == "seed":
             ids = led.load_seed_pack(ledger)
             print(f"loaded {len(ids)} seed facts")
         elif args.ledger_cmd == "add":
@@ -313,7 +310,8 @@ def cmd_ledger(args) -> int:
             rules = None if args.rules is None else args.rules.split(",")
             for f in ledger.derive_closure(rules=rules, depth=args.depth):
                 print(_fact_line(f))
-        ledger.save(path)
+        if len(ledger.facts) > loaded:  # facts are append-only
+            ledger.save(path)
     return PASS
 
 
@@ -325,7 +323,6 @@ _KINDS = {**{name: kind for kind, name in KIND_NAMES.items()},
 
 
 def _fact_line(f: led.BoundFact) -> str:
-    value = _render(f.value)
     cert = f.certificate
     if cert["type"] == "derived":
         prov = f"derived[{cert['rule']}] from {cert['parents']}"
@@ -337,8 +334,8 @@ def _fact_line(f: led.BoundFact) -> str:
         prov = f"explicit: {cert['path']}"
     name = KIND_NAMES[f.kind]
     params = ",".join(str(k) for k in f.parameters)
-    head = (f"{name} ({params}; {value})" if f.kind == led.GRAPH
-            else f"{name}({params}) >= {value}")
+    head = (f"{name} ({params}; {f.value})" if f.kind == led.GRAPH
+            else f"{name}({params}) >= {f.value}")
     return f"fact {f.fact_id}: {head} -- {prov}"
 
 
@@ -374,8 +371,9 @@ class _Step(dict):
 def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list[str]]:
     """Execute a recipe's steps in order; stop at the first failure.
 
-    Fact-store changes are applied only if every step succeeds.  A recipe
-    that is not an object, or a step that is not one, is a ValueError.
+    The fact store is rewritten only if every step succeeds and facts were
+    added, as `ledger` rewrites it.  A recipe that is not an object, or a
+    step that is not one, is a ValueError.
     """
     steps = recipe.get("steps", []) if isinstance(recipe, dict) else None
     if not (isinstance(steps, list)
@@ -384,6 +382,7 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                          "objects")
     log: list[str] = []
     ledger = _load_store(store_path) if store_path else led.Ledger()
+    loaded = len(ledger.facts)
     bag: dict[str, object] = {}
 
     def named(name):
@@ -391,14 +390,12 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
             raise ValueError(f"no colouring named {name!r}")
         return bag[name]
 
-    dirty = False
     for i, step in enumerate(map(_Step, steps), start=1):
         try:
             op = step["op"]
             if op == "seed":
                 ids = led.load_seed_pack(ledger)
                 log.append(f"step {i}: seeded {len(ids)} facts")
-                dirty = True
             elif op == "colouring":
                 c = _resolve_colouring(step)
                 bag[step["name"]] = c
@@ -432,47 +429,39 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                 fid = ledger.add_fact(fact)
                 log.append(f"step {i}: fact {fid} added for "
                            f"'{step['target']}'")
-                dirty = True
             elif op == "derive":
                 new = ledger.derive_closure(rules=step.get("rules"),
                                             depth=step.get("depth", 2))
                 log.append(f"step {i}: derived {len(new)} facts")
-                dirty = True
             elif op == "expect":
-                if step["kind"] not in _KINDS:
+                kind = _KINDS.get(step["kind"])
+                if kind is None:
                     raise ValueError(f"unknown kind {step['kind']!r}")
                 want = step["min_value"]
                 if not (type(want) is int
                         or type(want) is float and isfinite(want)):
                     raise ValueError(f"min_value: expected a finite number, "
                                      f"got {want!r}")
-                fact = ledger.best_bound(
-                    _KINDS[step["kind"]],
-                    col.clique_bounds(step["parameters"], name="parameters"))
-                if fact is not None:
-                    ledger.recompute_check(ledger.provenance_chain(fact))
-                got = getattr(fact, "value", None)
+                chain = ledger.proof(kind, col.clique_bounds(
+                    step["parameters"], name="parameters"))
+                got = chain[-1].value if chain else None
                 if got is None or got < (led.GammaValue(Fraction(str(want)))
-                                         if fact.kind == led.GAMMA else want):
+                                         if kind == led.GAMMA else want):
                     log.append(f"step {i}: expectation {step} FAILED "
-                               f"(got {_render(got)})")
+                               f"(got {got})")
                     return i, log
                 log.append(f"step {i}: {step['kind']}"
                            f"({','.join(map(str, step['parameters']))}) "
-                           f">= {want} confirmed ({_render(fact.value)})")
+                           f">= {want} confirmed ({got})")
             else:
                 log.append(f"step {i}: unknown op {op!r}")
                 return i, log
         except Exception as e:  # any step error is a pipeline failure
             log.append(f"step {i}: error: {e}")
             return i, log
-    if dirty and store_path:
+    if store_path and len(ledger.facts) > loaded:
         ledger.save(store_path)
     return 0, log
-
-
-def _render(value):
-    return value.render() if isinstance(value, led.GammaValue) else value
 
 
 def _resolve_colouring(step: dict):
@@ -498,7 +487,7 @@ def _load_recipe(name_or_path: str) -> dict:
         text = shipped.read_text()
     try:
         return json.loads(text)
-    except RecursionError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"recipe {name_or_path!r}: {e}") from None
 
 
@@ -635,7 +624,7 @@ def dispatch(argv=None) -> int:
         return ERROR if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, led.LedgerError) as e:
+    except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return ERROR
 

@@ -22,7 +22,8 @@ from importlib import resources
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .colouring import ExplicitColouring, check_cyclic_symmetry, load_colouring
+from .colouring import (ColouringError, ExplicitColouring,
+                        check_cyclic_symmetry, load_colouring)
 from .cliques import ramsey_check
 from .constructions import grid_bound
 from .templates import compound_order, doubled_shape
@@ -72,6 +73,8 @@ class GammaValue:
             val = x ** (Decimal(1) / Decimal(self.root)) if self.root > 1 else x
             quantum = Decimal(1).scaleb(-places)
             return str(val.quantize(quantum, rounding=ROUND_DOWN))
+
+    __str__ = render
 
     def __lt__(self, other):
         # a**(1/p) vs c**(1/q)  <=>  a**q vs c**p, exactly in rationals
@@ -507,8 +510,10 @@ class Ledger:
         if ctype == "explicit":
             path = cert["path"]
             if colouring is None:
-                # an absolute path replaces base_dir
-                colouring = load_colouring(os.path.join(base_dir, path))
+                try:  # an absolute path replaces base_dir
+                    colouring = load_colouring(os.path.join(base_dir, path))
+                except ColouringError as e:
+                    raise LedgerError(f"certificate {path}: {e}") from None
             check_certificate(f, colouring, path)
             if cert.get("verified") is not True:
                 f = replace(f, certificate={**cert, "verified": True})
@@ -719,25 +724,33 @@ class Ledger:
                 raise LedgerError(f"fact {f.fact_id}: not recomputable by "
                                   f"rule {rule_id}")
 
+    def proof(self, kind: str, parameters) -> list[BoundFact]:
+        """`provenance_chain` of `best_bound(kind, parameters)` once
+        `recompute_check` passes on it; [] if there is no such fact."""
+        f = self.best_bound(kind, parameters)
+        if f is None:
+            return []
+        chain = self.provenance_chain(f)
+        self.recompute_check(chain)
+        return chain
+
     def emit_table(self, k_range, r_range, fmt: str = "md") -> str:
         """Grid of best known graph orders for diagonal parameters.
 
         Cell markers: e = explicit certificate, a = asserted, d = derived.
-        The provenance chain of each cell's fact passes `recompute_check`
-        first.
+        Each cell's fact is read through `proof`.
         """
         rs = list(r_range)
         rows = [["k\\r"] + [str(r) for r in rs]]
         for k in k_range:
             row = [str(k)]
             for r in rs:
-                f = self.best_bound(GRAPH, (k,) * r)
-                if f is None:
-                    row.append("-")
+                chain = self.proof(GRAPH, (k,) * r)
+                if chain:
+                    f = chain[-1]
+                    row.append(f"{f.value} ({f.certificate['type'][0]})")
                 else:
-                    self.recompute_check(self.provenance_chain(f))
-                    marker = f.certificate["type"][0]
-                    row.append(f"{f.value} ({marker})")
+                    row.append("-")
             rows.append(row)
         if fmt == "csv":
             return "\n".join(",".join(row) for row in rows) + "\n"
@@ -785,8 +798,7 @@ class Ledger:
         ledger = cls()
         read = explicit = 0
         with open(path, encoding="utf-8") as f:
-            for read, line in enumerate(filter(None, map(str.strip, f)), 1):
-                fact = _fact_from_json(_decode(line))
+            for read, line, fact in _read_facts(f, path):
                 explicit += fact.certificate.get("type") == "explicit"
                 fid = (ledger.add_fact(fact, base_dir)
                        if fact.fact_id == read else read)
@@ -852,21 +864,30 @@ _DECODE = json.JSONDecoder().raw_decode
 
 def _decode(line: str):
     """`json.loads(line)` for a stripped line, less its wrapper's cost: one
-    JSON value and nothing else, or `json.loads`'s own error.  A value
-    nested too deeply to decode is a LedgerError."""
+    JSON value and nothing else, or `json.loads`'s own error; a value
+    nested too deeply to decode is a RecursionError."""
     try:
         obj, end = _DECODE(line)
     except json.JSONDecodeError:
         end = None
-    except RecursionError as e:
-        raise LedgerError(f"store line: {e}") from None
     if end != len(line):
         json.loads(line)  # raises: no JSON, data after it, or a BOM
     return obj
 
 
+def _read_facts(lines, name):
+    """(n, line, fact) for the n-th non-blank line, stripped; a line that
+    is not one JSON value is a LedgerError "name:n: <json's message>"."""
+    for n, line in enumerate(filter(None, map(str.strip, lines)), 1):
+        try:
+            obj = _decode(line)
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise LedgerError(f"{name}:{n}: {e}") from None
+        yield n, line, _fact_from_json(obj)
+
+
 def load_seed_pack(ledger: Ledger) -> list[int]:
     """Load the shipped asserted-fact pack into a ledger."""
     text = (resources.files("ramseykit.data") / "seed_facts.jsonl").read_text()
-    return [ledger.add_fact(_fact_from_json(_decode(line)))
-            for line in filter(None, map(str.strip, text.splitlines()))]
+    return [ledger.add_fact(fact) for _, _, fact in
+            _read_facts(text.splitlines(), "seed_facts.jsonl")]

@@ -378,7 +378,10 @@ def read_dimacs(text: str) -> CnfInstance:
             except (json.JSONDecodeError, RecursionError) as e:
                 raise EncodingError(f"bad 'c meta' line: {e!r}") from None
         elif line.startswith("c fixed "):
-            l, s = (int(x) for x in line[8:].split())
+            try:
+                l, s = (int(x) for x in line[8:].split())
+            except ValueError:
+                raise EncodingError(f"bad 'c fixed' line: {line!r}") from None
             fixed[l] = s
         elif line.startswith("c"):
             continue

@@ -31,7 +31,7 @@ from ramseykit.constructions import (
     product_linear,
     song_product,
 )
-from ramseykit.ledger import BoundFact, LedgerError
+from ramseykit.ledger import BoundFact, Ledger, LedgerError, load_seed_pack
 
 
 @pytest.fixture
@@ -705,9 +705,13 @@ def test_solve_reports_search_effort(tmp_path, capsys):
     ("c meta 5\np cnf 0 0\n", "bad 'c meta' line"),
     ('c meta {"kind": "cyclic", "order": 5, "avoid": [3, 3]}\np cnf 5 0\n',
      "declares 5 variables, 'c meta' and 'c fixed' give 4"),
+    ("c fixed 1\np cnf 0 0\n", "error: bad 'c fixed' line: 'c fixed 1'\n"),
+    ("c fixed x y\np cnf 0 0\n",
+     "error: bad 'c fixed' line: 'c fixed x y'\n"),
 ], ids=["empty", "no-header", "clause-count", "variable-range",
         "zero-literal", "short-header", "negative-variables",
-        "negative-clauses", "meta-not-object", "variable-count"])
+        "negative-clauses", "meta-not-object", "variable-count",
+        "fixed-one-value", "fixed-not-int"])
 def test_solve_rejects_malformed_dimacs(text, message, tmp_path, capsys):
     cnf = tmp_path / "bad.cnf"
     cnf.write_text(text)
@@ -1122,16 +1126,61 @@ _FACT = ('{"id": 1, "kind": "graph_exists", "parameters": [3, 3], '
 def test_store_line_that_is_not_one_object_exits_2(text, tmp_path, capsys):
     """Each store line holds exactly one fact: data after it, or a fact
     split over two lines (which joined would load), is refused with json's
-    own message, and even a command that saves leaves the store as it
-    was."""
+    own message after the store and the line's number, and even a command
+    that saves leaves the store as it was."""
     first = text.splitlines()[0].strip()  # as the reader reads it
     with pytest.raises(json.JSONDecodeError) as refusal:
         json.loads(first)
     path = tmp_path / "facts.jsonl"
     path.write_text(text)
     assert dispatch(["ledger", "--store", str(path), "derive"]) == 2
-    assert capsys.readouterr().err == f"error: {refusal.value}\n"
+    assert capsys.readouterr().err == f"error: {path}:1: {refusal.value}\n"
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize("argv", [
+    ["seed"], ["derive"], ["best", "graph(3,3)"],
+    ["table", "--k", "3", "--r", "2"], ["add", "{c5}", "--avoid", "3,3"],
+    ["assert", "3,3", "5", "--source", "s"],
+], ids=["seed", "derive", "best", "table", "add", "assert"])
+def test_store_line_that_is_not_json_is_named(argv, pentagon_file, tmp_path,
+                                              capsys):
+    """A line that is not JSON is named by the store and its number, which
+    counts the lines a fact can be on, as a fact's id does, before json's
+    own message, which alone once named line 1 of no file."""
+    path = tmp_path / "facts.jsonl"
+    text = _FACT + "\n\nnot json\n"
+    path.write_text(text)
+    argv = [a.format(c5=pentagon_file) for a in argv]
+    assert dispatch(["ledger", "--store", str(path), *argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}:2: Expecting value: line 1 column 1 (char 0)\n")
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("text", ['{"kind": "cyclic"}', None],
+                         ids=["no-order", "truncated"])
+def test_stored_certificate_that_no_longer_parses_is_named(
+        text, pentagon_file, tmp_path, capsys):
+    """A stored certificate overwritten with what no colouring reader
+    accepts is named as `check_certificate` names one that fails: the
+    colouring reader's bare message once named no file."""
+    path = tmp_path / "facts.jsonl"
+    args = ["ledger", "--store", str(path)]
+    assert dispatch([*args, "add", pentagon_file, "--avoid", "3,3",
+                     "--cyclic"]) == 0
+    c5 = Path(pentagon_file)
+    if text is None:
+        text = c5.read_text()[:40]
+    c5.write_text(text)
+    with pytest.raises(colouring.ColouringError) as refusal:
+        colouring.parse_colouring(text)
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert dispatch([*args, "best", "graph(3,3)"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: certificate pentagon.json: {refusal.value}\n")
+    assert path.read_bytes() == before
 
 
 # the rows that refuse a fact's field, which BoundFact checks: the store
@@ -1355,6 +1404,87 @@ def test_ledger_queries_recompute_what_they_print(argv, forged, tmp_path,
     assert captured.out == ""
     assert captured.err == (f"error: fact {2 if forged == 'r7' else 3}: "
                             f"not recomputable by rule {forged}\n")
+
+
+def _forge_r9_store(path):
+    """The seeded store after `derive --rules r7,r8,r9 --depth 3`, with r9's
+    graph (8,8,8; 7173) edited to order 7174; its id."""
+    args = ["ledger", "--store", str(path)]
+    assert dispatch([*args, "seed"]) == 0
+    assert dispatch([*args, "derive", "--rules", "r7,r8,r9", "--depth",
+                     "3"]) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        fact = json.loads(line)
+        if (fact["parameters"], fact["value"]) == ([8, 8, 8], 7173):
+            assert fact["certificate"]["rule"] == "r9"
+            fact["value"] = 7174
+            lines[i] = json.dumps(fact) + "\n"
+            path.write_text("".join(lines))
+            return fact["id"]
+    raise AssertionError("no r9 fact (8,8,8; 7173)")
+
+
+@pytest.mark.parametrize("via", ["best", "table", "expect"])
+def test_every_printed_bound_recomputes_its_chain(via, tmp_path, capsys):
+    """`ledger best`, `ledger table` and a pipeline `expect` step refuse a
+    hand-edited derived fact alike: each reads its bound through
+    `Ledger.proof`."""
+    path = tmp_path / "facts.jsonl"
+    fid = _forge_r9_store(path)
+    before = path.read_bytes()
+    capsys.readouterr()
+    why = f"fact {fid}: not recomputable by rule r9"
+    if via == "expect":
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"steps": [
+            {"op": "expect", "kind": "graph", "parameters": [8, 8, 8],
+             "min_value": 7173}]}))
+        assert dispatch(["pipeline", str(recipe), "--use-store", "--store",
+                         str(path)]) == 1
+        assert capsys.readouterr() == (
+            f"step 1: error: {why}\npipeline stopped at step 1\n", "")
+    else:
+        argv = (["best", "graph(8,8,8)"] if via == "best"
+                else ["table", "--k", "8", "--r", "3"])
+        assert dispatch(["ledger", "--store", str(path), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {why}\n")
+    assert path.read_bytes() == before
+
+
+def _stat(path):
+    st = os.stat(path)
+    return path.read_bytes(), st.st_mtime_ns, st.st_ino
+
+
+def test_store_is_rewritten_only_when_facts_are_added(tmp_path, capsys):
+    """A command that adds no fact leaves the store's bytes, file and
+    modification time as they were; one that adds facts writes what a
+    library save of the same facts writes."""
+    path = tmp_path / "facts.jsonl"
+    args = ["ledger", "--store", str(path)]
+    recipe = tmp_path / "r.json"
+    recipe.write_text(json.dumps({"steps": [{"op": "seed"}]}))
+    want = Ledger()
+    load_seed_pack(want)
+    assert dispatch([*args, "seed"]) == 0
+    want.save(tmp_path / "want.jsonl")
+    assert path.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert dispatch([*args, "derive", "--rules", "r7", "--depth", "1"]) == 0
+    assert want.derive_closure(rules=["r7"], depth=1)
+    want.save(tmp_path / "want.jsonl")
+    assert path.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    capsys.readouterr()
+    os.utime(path, ns=(10**18, 10**18))  # a time no rewrite could keep
+    before = _stat(path)
+    for argv in ([*args, "seed"],
+                 [*args, "derive", "--rules", "r7", "--depth", "1"],
+                 ["pipeline", str(recipe), "--use-store", "--store",
+                  str(path)]):
+        assert dispatch(argv) == 0
+        assert _stat(path) == before, argv
+    assert capsys.readouterr().out == ("loaded 10 seed facts\n"
+                                       "step 1: seeded 10 facts\n")
 
 
 def _product_store(path, kind, flags):
@@ -1849,6 +1979,8 @@ def test_cyclic_flag_on_a_linear_colouring_is_one_refusal(store, tmp_path,
     (["ledger", "best", "what is R?"], "cannot parse query 'what is R?'"),
     (["ledger", "best", "R(3,,3)"], "cannot parse query 'R(3,,3)'"),
     (["pipeline", "no_such_recipe"], "no recipe 'no_such_recipe'"),
+    (["pipeline", "{truncated}"],
+     "recipe '{truncated}': Expecting value: line 1 column 12 (char 11)"),
     (["verify", "{missing}"],
      "[Errno 2] No such file or directory: '{missing}'"),
     (["template-check", "{c5}", "--avoid", "3,3"],
@@ -1866,15 +1998,17 @@ def test_cyclic_flag_on_a_linear_colouring_is_one_refusal(store, tmp_path,
     (["ledger", "table", "--k", "0..1", "--r", "0..1"], "bad range '0..1'"),
     (["ledger", "table", "--k", "3", "--r", "0..2"], "bad range '0..2'"),
 ], ids=["bad-avoid", "bad-query", "empty-query-bound", "missing-recipe",
-        "missing-file", "no-template-colour", "no-avoid", "range-not-int",
+        "truncated-recipe", "missing-file", "no-template-colour", "no-avoid", "range-not-int",
         "range-three-ends", "range-reversed", "range-empty",
         "empty-avoid-stored", "empty-avoid-bare", "query-bound-0",
         "range-k-0", "range-r-0"])
 def test_usage_error_is_one_stderr_line(argv, message, store, pentagon_file,
                                         tmp_path, capsys):
     names = {"c5": pentagon_file, "missing": str(tmp_path / "nope.json"),
-             "bare": str(tmp_path / "bare.json")}
+             "bare": str(tmp_path / "bare.json"),
+             "truncated": str(tmp_path / "r.json")}
     save_colouring(LengthColouring("cyclic", 5, 2, (1, 2)), names["bare"])
+    Path(names["truncated"]).write_text('{"steps": [')
     argv = [a.format(**names) for a in argv]
     assert dispatch(argv) == 2
     captured = capsys.readouterr()

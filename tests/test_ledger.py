@@ -5,6 +5,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -1359,15 +1360,27 @@ def test_load_matches_a_per_line_oracle(store, tmp_path):
 ], ids=["word", "two-objects", "no-space", "two-numbers", "first-half",
         "second-half", "open-list", "bad-literal", "bom", "missing-comma"])
 def test_load_refuses_what_json_loads_refuses(text, tmp_path):
-    """A line that is not exactly one JSON value fails with the error
-    `json.loads` raises on it, message and position included."""
+    """A line that is not exactly one JSON value fails with the message
+    `json.loads` gives for it, position included, after the store and the
+    line's number."""
     with pytest.raises(json.JSONDecodeError) as want:
         json.loads(text)
     path = tmp_path / "facts.jsonl"
     path.write_text(text + "\n", encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError) as got:
+    with pytest.raises(LedgerError) as got:
         Ledger.load(path)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"{path}:1: {want.value}"
+
+
+def test_seed_pack_line_that_is_not_json_is_named(tmp_path, monkeypatch):
+    """The seed pack is read by the store's reader, so a bad line in it is
+    named as a store line is."""
+    (tmp_path / "seed_facts.jsonl").write_text("\nnot json\n")
+    monkeypatch.setattr(led, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(LedgerError, match=re.escape(
+            "seed_facts.jsonl:1: Expecting value: line 1 column 1 (char 0)")):
+        load_seed_pack(Ledger())
 
 
 def test_load_encodes_no_identity(tmp_path, monkeypatch):
