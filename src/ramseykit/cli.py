@@ -434,7 +434,8 @@ def run_pipeline(recipe: dict, store_path: str | None = None) -> tuple[int, list
                                             depth=step.get("depth", 2))
                 log.append(f"step {i}: derived {len(new)} facts")
             elif op == "expect":
-                kind = _KINDS.get(step["kind"])
+                kind = (_KINDS.get(step["kind"])
+                        if isinstance(step["kind"], str) else None)
                 if kind is None:
                     raise ValueError(f"unknown kind {step['kind']!r}")
                 want = step["min_value"]

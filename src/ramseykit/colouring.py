@@ -95,22 +95,13 @@ class LengthColouring:
                 f"1..{self.num_colours}"
             )
 
-    def colour(self, l: int) -> int:
-        """Colour of length l, for any l in 1..order-1."""
-        m = self.order
-        if not (1 <= l <= m - 1):
-            raise ColouringError(f"length {l} out of range 1..{m - 1}")
-        if self.kind == CYCLIC:
-            l = min(l, m - l)
-        return self.colour_of[l - 1]
-
     def as_linear(self) -> "LengthColouring":
         """The same colouring over the full length range 1..order-1."""
         if self.kind == LINEAR:
             return self
-        full = tuple(self.colour(l) for l in range(1, self.order))
         return LengthColouring(
-            LINEAR, self.order, self.num_colours, full,
+            LINEAR, self.order, self.num_colours,
+            tuple(length_colours(self).tolist()),
             avoid=self.avoid, template_colour=self.template_colour,
         )
 
@@ -120,9 +111,10 @@ class LengthColouring:
                 if self.colour_of[l - 1] == s}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitColouring:
-    """Full edge-colour matrix of a coloured complete graph."""
+    """Full edge-colour matrix of a coloured complete graph.  Instances
+    compare by identity; compare matrices with `np.array_equal`."""
 
     order: int
     num_colours: int
@@ -148,25 +140,9 @@ class ExplicitColouring:
         if self.avoid is not None:
             clique_bounds(self.avoid, self.num_colours)
 
-    def colour(self, i: int, j: int) -> int:
-        if i == j:
-            raise ColouringError(f"degenerate edge ({i}, {i})")
-        return int(self.edge_colour[i, j])
-
     def upper_triangle(self) -> list[int]:
         """Row-major list of colours for pairs (i, j), i < j."""
         return self.edge_colour[np.triu_indices(self.order, 1)].tolist()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExplicitColouring)
-            and self.order == other.order
-            and self.num_colours == other.num_colours
-            and np.array_equal(self.edge_colour, other.edge_colour)
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.num_colours, tuple(self.upper_triangle())))
 
 
 def explicit_from_upper_triangle(order: int, num_colours: int,
@@ -224,8 +200,7 @@ def length_colours(c: LengthColouring) -> np.ndarray:
     """The colour of every length 1..order-1; entry l - 1 is c(l).
 
     A cyclic colouring's stored lengths 1..m//2 are followed by the
-    lengths below m/2 reversed, as c(m - l) = c(l), rather than one
-    `colour` call per length.
+    lengths below m/2 reversed, as c(m - l) = c(l).
     """
     stored = np.asarray(c.colour_of)
     if c.kind == LINEAR:
@@ -421,8 +396,13 @@ def _expect_int(obj: dict, key: str) -> int:
 
 
 def load_colouring(path) -> LengthColouring | ExplicitColouring:
+    """The colouring in the file `path`; a refusal names the file."""
     with open(path, encoding="utf-8") as f:
-        return parse_colouring(f.read())
+        text = f.read()
+    try:
+        return parse_colouring(text)
+    except ColouringError as e:
+        raise ColouringError(f"{path}: {e}") from None
 
 
 def save_colouring(c, path) -> None:

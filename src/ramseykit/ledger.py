@@ -512,8 +512,8 @@ class Ledger:
             if colouring is None:
                 try:  # an absolute path replaces base_dir
                     colouring = load_colouring(os.path.join(base_dir, path))
-                except ColouringError as e:
-                    raise LedgerError(f"certificate {path}: {e}") from None
+                except ColouringError as e:  # e names the file
+                    raise LedgerError(f"certificate {e}") from None
             check_certificate(f, colouring, path)
             if cert.get("verified") is not True:
                 f = replace(f, certificate={**cert, "verified": True})

@@ -21,7 +21,8 @@ from math import comb
 
 import numpy as np
 
-from .colouring import CYCLIC, LINEAR, LengthColouring, clique_bounds, length_domain_size
+from .colouring import (CYCLIC, LINEAR, LengthColouring, clique_bounds,
+                        length_colours, length_domain_size)
 from .templates import TF, TemplateGraph, validate_template
 
 DEFAULT_CLAUSE_CAP = 10_000_000
@@ -278,7 +279,7 @@ def encode_linear(m: int, avoid, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIns
 def _extension_fixed(spec: SearchSpec) -> dict[int, int]:
     n = spec.prototype.order
     t = spec.t
-    fixed = {l: spec.prototype.colour(l) for l in range(1, n)}
+    fixed = dict(enumerate(length_colours(spec.prototype).tolist(), start=1))
     fixed[n] = spec.template_colour
     # the band [n+t+1, 2n-1] carries the template colour; its reflections
     # fold back into [n+t, 2n-2], so record canonical representatives
@@ -356,7 +357,8 @@ def read_dimacs(text: str) -> CnfInstance:
     >= 0; the clause count must match it, and every literal must name a
     variable in range.  The variables are those the `c meta` and `c fixed`
     lines imply (`c map` lines are for readers); a file without `c meta`
-    has none, so it can be solved but not decoded.
+    has none, so it can be solved but not decoded.  A length fixed twice
+    is refused.
 
     Each non-comment line after the header is one clause, its closing 0
     optional.  When the lines after the header are all clauses as
@@ -382,6 +384,9 @@ def read_dimacs(text: str) -> CnfInstance:
                 l, s = (int(x) for x in line[8:].split())
             except ValueError:
                 raise EncodingError(f"bad 'c fixed' line: {line!r}") from None
+            if l in fixed:
+                raise EncodingError(f"'c fixed' line {line!r} fixes length "
+                                    f"{l} a second time")
             fixed[l] = s
         elif line.startswith("c"):
             continue

@@ -89,7 +89,25 @@ def test_verify_boolean_entries_exit_2(field, tmp_path, capsys):
     assert dispatch(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {field}: expected a list of integers\n"
+    assert captured.err == \
+        f"error: {path}: {field}: expected a list of integers\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "ledger"])
+def test_refused_colouring_file_is_named(command, store, tmp_path, capsys):
+    """A colouring file that does not parse is named in the refusal; the
+    message once read only `order: missing required field`."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "cyclic"}')
+    argv = (["verify", str(path)] if command == "verify"
+            else ["ledger", "add", str(path)])
+    assert dispatch([*argv, "--avoid", "3,3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: (.*): order: missing required field\n",
+                        err)
+    assert os.path.samefile(err[len("error: "):err.index(": order")], path)
+    assert not os.path.exists(store)
 
 
 @pytest.mark.parametrize("entry", [3, 2**32 + 1, 2**70])
@@ -708,10 +726,14 @@ def test_solve_reports_search_effort(tmp_path, capsys):
     ("c fixed 1\np cnf 0 0\n", "error: bad 'c fixed' line: 'c fixed 1'\n"),
     ("c fixed x y\np cnf 0 0\n",
      "error: bad 'c fixed' line: 'c fixed x y'\n"),
+    # the second line once replaced the first, and the file solved SAT
+    ('c meta {"kind": "cyclic", "order": 5, "avoid": [3, 3]}\n'
+     "c fixed 1 1\nc fixed 1 2\np cnf 2 0\n",
+     "error: 'c fixed' line 'c fixed 1 2' fixes length 1 a second time\n"),
 ], ids=["empty", "no-header", "clause-count", "variable-range",
         "zero-literal", "short-header", "negative-variables",
         "negative-clauses", "meta-not-object", "variable-count",
-        "fixed-one-value", "fixed-not-int"])
+        "fixed-one-value", "fixed-not-int", "fixed-twice"])
 def test_solve_rejects_malformed_dimacs(text, message, tmp_path, capsys):
     cnf = tmp_path / "bad.cnf"
     cnf.write_text(text)
@@ -1163,8 +1185,8 @@ def test_store_line_that_is_not_json_is_named(argv, pentagon_file, tmp_path,
 def test_stored_certificate_that_no_longer_parses_is_named(
         text, pentagon_file, tmp_path, capsys):
     """A stored certificate overwritten with what no colouring reader
-    accepts is named as `check_certificate` names one that fails: the
-    colouring reader's bare message once named no file."""
+    accepts is named once, by the path it was read from: the colouring
+    reader's bare message once named no file."""
     path = tmp_path / "facts.jsonl"
     args = ["ledger", "--store", str(path)]
     assert dispatch([*args, "add", pentagon_file, "--avoid", "3,3",
@@ -1179,7 +1201,8 @@ def test_stored_certificate_that_no_longer_parses_is_named(
     capsys.readouterr()
     assert dispatch([*args, "best", "graph(3,3)"]) == 2
     assert capsys.readouterr() == (
-        "", f"error: certificate pentagon.json: {refusal.value}\n")
+        "", f"error: certificate {tmp_path / 'pentagon.json'}: "
+        f"{refusal.value}\n")
     assert path.read_bytes() == before
 
 
@@ -1734,12 +1757,16 @@ _C5_STEP = {"op": "colouring", "name": "c5", "builtin": "pentagon"}
                  "flags": "x"}],
      ["step 1: colouring 'c5' order 5",
       "step 2: error: flags: expected an object, got 'x'"]),
+    # a list once stopped with Python's "unhashable type: 'list'"
+    ([{"op": "seed"}, {"op": "expect", "kind": ["graph"],
+                       "parameters": [3, 3], "min_value": 5}],
+     ["step 1: seeded 10 facts", "step 2: error: unknown kind ['graph']"]),
 ], ids=["verify-failed", "add-fact-fails", "unknown-op", "missing-op",
         "unknown-kind", "unknown-target", "unknown-builtin",
         "expect-string-bound", "expect-bound-0", "expect-min-true",
         "expect-min-string", "expect-gamma-min-true", "expect-min-nan",
         "derive-depth-true", "derive-rules-string", "add-fact-flags-pairs",
-        "add-fact-flags-string"])
+        "add-fact-flags-string", "expect-kind-list"])
 def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
                                           capsys):
     recipe = tmp_path / "r.json"
@@ -1796,7 +1823,7 @@ _PENTAGON_EXPLICIT = json.loads(serialize_colouring(
      ["template-check", "{}", "--avoid", "0,0"], 2, "",
      "error: avoid: clique bound 0 below 1\n"),
     ({**_PENTAGON_EXPLICIT, "avoid": [0, 0]}, ["verify", "{}"], 2, "",
-     "error: avoid: clique bound 0 below 1\n"),
+     "error: {}: avoid: clique bound 0 below 1\n"),
     ({"name": "r", "steps": [_C5_STEP, {"op": "add_fact", "target": "c5",
                                          "avoid": [3.0, 3]}]},
      ["pipeline", "{}", "--use-store"], 1,
@@ -1827,12 +1854,13 @@ def test_one_bound_rule_at_every_entry(doc, argv, code, out, err, store,
                                        tmp_path, capsys):
     """A bound vector is read through colouring.clique_bounds wherever it
     enters: ints, not bools or floats, each at least 1.  Refused input
-    exits 2, or fails its pipeline step, and writes no store."""
+    exits 2, or fails its pipeline step, and writes no store; a refused
+    colouring file is named."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc) if isinstance(doc, dict)
                     else serialize_colouring(doc))
     assert dispatch([a.format(path) for a in argv]) == code
-    assert capsys.readouterr() == (out, err)
+    assert capsys.readouterr() == (out, err.format(path))
     assert not os.path.exists(store)
 
 

@@ -12,6 +12,7 @@ from ramseykit.colouring import (
     check_cyclic_symmetry,
     expand_to_explicit,
     explicit_from_upper_triangle,
+    length_colours,
     length_domain_size,
     load_colouring,
     parse_colouring,
@@ -44,8 +45,7 @@ def test_pentagon_shape():
     assert p.kind == "cyclic"
     assert p.order == 5
     assert p.num_colours == 2
-    assert p.colour(1) == p.colour(4) == 1
-    assert p.colour(2) == p.colour(3) == 2
+    assert length_colours(p).tolist() == [1, 2, 2, 1]
     assert p.colour_class(1) == {1}  # stored lengths only
     assert p.as_linear().colour_class(1) == {1, 4}
     assert p.as_linear().colour_class(2) == {2, 3}
@@ -55,7 +55,7 @@ def test_single_edge_shape():
     e = single_edge()
     assert e.kind == "linear"
     assert e.order == 2
-    assert e.colour(1) == 1
+    assert length_colours(e).tolist() == [1]
 
 
 def test_constructor_validation():

@@ -11,6 +11,7 @@ from ramseykit.colouring import (
     LengthColouring,
     check_cyclic_symmetry,
     expand_to_explicit,
+    length_colours,
     pentagon,
     single_edge,
 )
@@ -95,7 +96,7 @@ def test_template_compound_order_formula():
 def test_template_colour_never_appears():
     T = double_to_template(pentagon())
     out = template_compound(T, pentagon().as_linear())
-    classes = {out.colour(l) for l in range(1, out.order)}
+    classes = set(length_colours(out).tolist())
     assert classes == {1, 2, 3, 4}  # two from each factor, none left template
 
 

@@ -31,7 +31,8 @@ from ramseykit.sat import (
     write_dimacs,
 )
 
-from conftest import all_cyclic_colourings, all_linear_colourings
+from conftest import (all_cyclic_colourings, all_linear_colourings,
+                      random_colouring)
 
 GOLDEN_SHA_M5 = "36192eba9c0615afdfd0c1506842e4eefa8c9ab3748d450516824acccb8afd16"
 GOLDEN_SHA_M6 = "061eb93191acf613db27b9f97ebe88b17b83d4929482b111805b5ac424a34530"
@@ -362,3 +363,25 @@ def test_top_length_folds_onto_the_template_colour():
             assert fold_length(spec.target_order - 1, n, t) == n
             assert sat._extension_fixed(spec)[n] == spec.template_colour == \
                 proto.num_colours + 1
+
+
+def test_length_readers_match_a_fold_of_the_stored_colours():
+    """as_linear and an extension's fixed prototype lengths give each
+    length l the stored colour of l, or of min(l, m - l) when cyclic, as
+    Python ints (a `c fixed` line writes them)."""
+    rng = random.Random(35)
+    for m in range(2, 61):
+        for kind in ("linear", "cyclic"):
+            c = random_colouring(rng, kind, m, rng.randint(1, 4))
+            folded = [c.colour_of[(l if kind == "linear"
+                                   else min(l, m - l)) - 1]
+                      for l in range(1, m)]
+            full = c.as_linear().colour_of
+            assert full == tuple(folded)
+            assert all(type(x) is int for x in full)
+            if kind == "cyclic":
+                spec = SearchSpec(c, rng.randint(1, 2 * m - 1),
+                                  (3,) * (c.num_colours + 1))
+                fixed = sat._extension_fixed(spec)
+                assert [fixed[l] for l in range(1, m)] == folded
+                assert all(type(x) is int for x in fixed.values())

@@ -121,6 +121,9 @@ def reference_read_dimacs(text):
             meta = json.loads(line[7:])
         elif line.startswith("c fixed "):
             l, s = (int(x) for x in line[8:].split())
+            if l in fixed:
+                raise EncodingError(f"'c fixed' line {line!r} fixes length "
+                                    f"{l} a second time")
             fixed[l] = s
         elif line.startswith("c"):
             continue
@@ -457,6 +460,16 @@ def test_reader_matches_line_reader(seed):
             assert _read_outcome(read_dimacs, case) == want, case
             errors += isinstance(want, tuple)
     assert errors == 150 * 2 * len(_FAULTS)  # every fault is caught
+
+
+def test_reader_and_oracle_refuse_a_length_fixed_twice():
+    text = write_dimacs(encode_extension(SearchSpec(pentagon(), 2, (3,) * 3)))
+    assert "\nc fixed 1 1\n" in text
+    twice = text.replace("\nc fixed 1 1\n", "\nc fixed 1 1\nc fixed 1 2\n")
+    want = _read_outcome(reference_read_dimacs, twice)
+    assert want == (EncodingError, "'c fixed' line 'c fixed 1 2' fixes "
+                    "length 1 a second time")
+    assert _read_outcome(read_dimacs, twice) == want
 
 
 def test_reader_takes_written_clauses_in_bulk():

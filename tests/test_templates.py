@@ -9,6 +9,7 @@ from ramseykit.colouring import (
     ColouringError,
     LengthColouring,
     expand_to_explicit,
+    length_colours,
     pentagon,
     single_edge,
 )
@@ -74,9 +75,10 @@ def test_tiled_colouring_order_and_pattern():
     tiled = tiled_colouring(T, 3)
     assert tiled.order == 3 * 9 + 1 + 4
     # residues 1..4 repeat the pentagon pattern
-    assert tiled.colour(1) == tiled.colour(10) == tiled.colour(19) == 1
-    assert tiled.colour(2) == tiled.colour(11) == 2
-    assert tiled.colour(5) == tiled.colour(14) == 3
+    c = length_colours(tiled)  # c[l - 1] is the colour of length l
+    assert c[0] == c[9] == c[18] == 1
+    assert c[1] == c[10] == 2
+    assert c[4] == c[13] == 3
 
 
 def test_repetition_check_doubled_pentagon():
@@ -363,7 +365,8 @@ def test_repetition_check_returns_witnesses():
     tiled = expand_to_explicit(tiled_colouring(T, 2))
     wit = report.witness[1]
     assert len(wit) == 2
-    assert all(tiled.colour(a, b) == 2 for a, b in combinations(wit, 2))
+    assert all(tiled.edge_colour[a, b] == 2
+               for a, b in combinations(wit, 2))
 
 
 def test_template_usable_is_validate_template(monkeypatch):
