@@ -2,7 +2,7 @@
 
 Colouring existence questions become CNF instances: one boolean variable per
 (length, colour) pair, clique clauses over vertex subsets.  The internal
-DPLL solver settles small instances in milliseconds, and an iterative
+CDCL solver settles small instances in milliseconds, and an iterative
 refinement loop searches for extendable template graphs.
 """
 

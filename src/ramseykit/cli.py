@@ -281,11 +281,11 @@ def cmd_ledger(args) -> int:
         elif args.ledger_cmd == "add":
             avoid = _parse_avoid(args.avoid)
             store_dir = os.path.dirname(path) or "."
-            # relative to the real store directory, where loads climb; read once
+            # relative to the real store directory, where loads climb
             file_dir, name = os.path.split(args.file)
             cert_path = os.path.relpath(os.path.join(
                 os.path.realpath(file_dir), name), os.path.realpath(store_dir))
-            c = col.load_colouring(os.path.join(store_dir, cert_path))
+            c = col.load_colouring(args.file)  # a refusal names it as typed
             flags = ({"cyclic": True} if args.cyclic else
                      {"linear": True} if isinstance(c, col.LengthColouring)
                      else {})  # an explicit colouring has no length form

@@ -521,15 +521,21 @@ class SolveResult:
 
 def solve_internal(instance: CnfInstance,
                    conflict_budget: int = DEFAULT_CONFLICT_BUDGET) -> SolveResult:
-    """Complete chronological DPLL with unit propagation.
+    """Complete CDCL solver: unit propagation, first-UIP clause learning and
+    backjumping (Chaff, DAC 2001; MiniSat, SAT 2003).
 
-    SAT answers carry a model satisfying every clause; UNSAT only after the
-    search space is exhausted; UNKNOWN iff the conflict budget runs out.
-    Decision order: highest occurrence count, ties by lowest variable id;
-    each decision tries True first, then False.
-    Propagation watches two literal positions per clause (Chaff, MiniSat);
-    it reaches the fixpoint or conflict of a clause scan, so the search is
-    the same.
+    SAT answers carry a model satisfying every clause; UNSAT only after a
+    conflict that no decision caused; UNKNOWN iff the conflicts exceed the
+    budget.  Every conflict counts, one before any decision too.
+    Decision order is static: highest occurrence count, ties by lowest
+    variable id; each decision sets its variable True.
+    Propagation watches two literals per clause and records each implied
+    literal's level and reason clause.  A conflict is analysed back to its
+    first unique implication point (UIP); the learned clause is watched like
+    the others and, after a backjump to its second-highest level, implies
+    the UIP's negation.  The backjump resumes the decision order where the
+    first undone decision found it, so decisions stay linear in the
+    variables.  There are no restarts and no clause deletion.
     """
     if conflict_budget < 0:
         raise ValueError(f"budget: must be >= 0, got {conflict_budget}")
@@ -540,18 +546,23 @@ def solve_internal(instance: CnfInstance,
     # indexed by literal: entry -v aliases the upper half of the list
     value = [0] * (2 * num_vars + 1)  # 1 true, -1 false, 0 unassigned
     watches: list[list[list[int]]] = [[] for _ in value]
+    # indexed by a true literal: its decision level, the clause that implied
+    # it (None for a decision or a unit), and its mark in conflict analysis
+    level = [0] * len(value)
+    reason: list[list[int] | None] = [None] * len(value)
+    seen = [False] * len(value)
     trail: list[int] = []  # true literals, in the order they were set
-    # (trail position, decision_order position) of each decision still on
-    # its first value
+    # (trail position, decision_order position) of each decision
     levels: list[tuple[int, int]] = []
     conflicts = decisions = 0
 
-    def assign(lit: int) -> None:
-        value[lit] = 1
-        value[-lit] = -1
+    def assign(lit: int, lv: int, why: list[int] | None) -> None:
+        value[lit], value[-lit] = 1, -1
         trail.append(lit)
+        level[lit], reason[lit] = lv, why
 
     occurrences = [0] * (num_vars + 1)
+    ok = True
     for cl in instance.clauses:
         for lit in cl:
             occurrences[abs(lit)] += 1
@@ -560,25 +571,30 @@ def solve_internal(instance: CnfInstance,
             watches[cl[0]].append(cl)
             watches[cl[1]].append(cl)
         elif value[cl[0]] == 0:  # unit clauses hold before any decision
-            assign(cl[0])
+            assign(cl[0], 0, None)
+        elif value[cl[0]] == -1:  # two unit clauses disagree
+            ok = False
     decision_order = sorted(range(1, num_vars + 1),
                             key=lambda v: (-occurrences[v], v))
     pick = 0  # every variable before decision_order[pick] is assigned
 
-    def propagate(head: int) -> bool:
-        """Propagate the trail from position `head`; False on conflict."""
+    def propagate(head: int) -> list[int] | None:
+        """Propagate the trail from position `head`; the clause whose
+        literals are all false, or None at the fixpoint."""
+        d = len(levels)
         while head < len(trail):
             false_lit = -trail[head]
             head += 1
-            watching = watches[false_lit]
+            watching = iter(watches[false_lit])
             kept = []
-            for i, cl in enumerate(watching):
-                if cl[0] == false_lit:
-                    cl[0], cl[1] = cl[1], false_lit
+            for cl in watching:
                 other = cl[0]
-                if value[other] == 1:
+                if other == false_lit:
+                    other = cl[1]
+                if value[other] == 1:  # satisfied: no need to move a watch
                     kept.append(cl)
                     continue
+                cl[0], cl[1] = other, false_lit
                 for j in range(2, len(cl)):
                     if value[cl[j]] != -1:  # watch it instead
                         cl[1], cl[j] = cl[j], false_lit
@@ -586,17 +602,19 @@ def solve_internal(instance: CnfInstance,
                         break
                 else:  # every position but cl[0] is false
                     kept.append(cl)
-                    if value[other] == -1:
-                        watches[false_lit] = kept + watching[i + 1:]
-                        return False
-                    assign(other)
+                    if value[other]:
+                        kept.extend(watching)
+                        watches[false_lit] = kept
+                        return cl
+                    value[other], value[-other] = 1, -1  # assign(), inlined
+                    trail.append(other)
+                    level[other], reason[other] = d, cl
             watches[false_lit] = kept
-        return True
+        return None
 
-    ok = all(value[cl[0]] == 1 for cl in instance.clauses if len(cl) == 1) \
-        and propagate(0)
+    conflict = propagate(0) if ok else []
     while True:
-        if ok:
+        if conflict is None:
             if len(trail) == num_vars:
                 model = tuple(v if value[v] == 1 else -v
                               for v in range(1, num_vars + 1))
@@ -606,20 +624,56 @@ def solve_internal(instance: CnfInstance,
             lit = decision_order[pick]
             decisions += 1
             levels.append((len(trail), pick))
-        else:
-            conflicts += 1
-            if conflicts > conflict_budget:
-                return SolveResult(UNKNOWN, None, conflicts, decisions)
-            if not levels:
-                return SolveResult(UNSAT, None, conflicts, decisions)
-            # undo to the latest decision still on its first value, flip it
-            pos, pick = levels.pop()
-            lit = -trail[pos]
-            for undone in trail[pos:]:
-                value[undone] = value[-undone] = 0
-            del trail[pos:]
-        assign(lit)
-        ok = propagate(len(trail) - 1)
+            assign(lit, len(levels), None)
+            conflict = propagate(len(trail) - 1)
+            continue
+        conflicts += 1
+        if conflicts > conflict_budget:
+            return SolveResult(UNKNOWN, None, conflicts, decisions)
+        if not levels:
+            return SolveResult(UNSAT, None, conflicts, decisions)
+        # walk the trail back from the conflict, resolving on each literal
+        # of this level, until one literal of this level is left: the UIP
+        d = len(levels)
+        learnt = [0]  # learnt[0] becomes the UIP's negation
+        pending = 0  # marked literals of this level not yet resolved on
+        i = len(trail)
+        lits = conflict
+        while True:
+            for q in lits:
+                if not seen[-q]:
+                    lv = level[-q]
+                    if lv == d:
+                        seen[-q] = True
+                        pending += 1
+                    elif lv:  # a literal false at level 0 is left out
+                        seen[-q] = True
+                        learnt.append(q)
+            i -= 1
+            while not seen[trail[i]]:
+                i -= 1
+            uip = trail[i]
+            seen[uip] = False
+            pending -= 1
+            if not pending:
+                break
+            lits = reason[uip][1:]  # its first literal is uip itself
+        learnt[0] = -uip
+        back = top = 0
+        for j in range(1, len(learnt)):
+            seen[-learnt[j]] = False
+            if level[-learnt[j]] > back:
+                back, top = level[-learnt[j]], j
+        pos, pick = levels[back]
+        for undone in trail[pos:]:
+            value[undone] = value[-undone] = 0
+        del trail[pos:], levels[back:]
+        if top:
+            learnt[1], learnt[top] = learnt[top], learnt[1]
+            watches[learnt[0]].append(learnt)
+            watches[learnt[1]].append(learnt)
+        assign(-uip, back, learnt if top else None)
+        conflict = propagate(len(trail) - 1)
 
 
 @dataclass

@@ -110,6 +110,22 @@ def test_refused_colouring_file_is_named(command, store, tmp_path, capsys):
     assert not os.path.exists(store)
 
 
+@pytest.mark.parametrize("store_dir", [".", "sub"])
+def test_ledger_add_refusal_names_the_path_as_typed(store_dir, tmp_path,
+                                                    monkeypatch, capsys):
+    """`ledger add` reads the file as typed, as `verify` does: with the
+    store in the working directory its refusal once named `./bad.json`."""
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "bad.json").write_text('{"kind": "cyclic"}')
+    monkeypatch.chdir(tmp_path)
+    store = os.path.join(store_dir, "refused.jsonl")
+    assert dispatch(["ledger", "--store", store, "add", "bad.json",
+                     "--avoid", "3,3"]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: bad.json: order: missing required field\n")
+    assert not os.path.exists(store)
+
+
 @pytest.mark.parametrize("entry", [3, 2**32 + 1, 2**70])
 def test_verify_explicit_colour_out_of_range_exit_2(entry, tmp_path, capsys):
     path = tmp_path / "bad.json"

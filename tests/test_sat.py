@@ -227,20 +227,44 @@ def test_solver_budget_gives_unknown():
 
 
 @pytest.mark.parametrize("encode, m, avoid, budget, want", [
-    (encode_linear, 15, (3, 3, 3), None, ("UNSAT", 180, 179, None)),
-    (encode_cyclic, 22, (3, 3, 4), None, ("SAT", 34, 40, "66aa88c8df9f749c")),
-    (encode_cyclic, 24, (3, 3, 4), None, ("SAT", 284, 291, "6f0b8e90f57626d5")),
-    (encode_cyclic, 37, (3, 3, 5), None, ("SAT", 24, 37, "bda0d041d6d9ae4f")),
-    (encode_cyclic, 27, (3, 3, 4), 700, ("UNKNOWN", 701, 704, None)),
+    (encode_linear, 15, (3, 3, 3), None, ("UNSAT", None)),
+    (encode_cyclic, 22, (3, 3, 4), None, ("SAT", None)),
+    (encode_cyclic, 24, (3, 3, 4), None, ("SAT", None)),
+    (encode_cyclic, 37, (3, 3, 5), None, ("SAT", None)),
+    (encode_cyclic, 27, (3, 3, 4), 100, ("UNKNOWN", 101)),
 ])
 def test_solver_search_is_pinned(encode, m, avoid, budget, want):
-    """Status, work counters and model of the chronological search: a
-    rewrite that keeps the clause scan and decision order keeps all four."""
+    """Status, and conflicts where the budget runs out; a SAT model decodes
+    to a colouring that passes `ramsey_check`, and the search is
+    deterministic.  The UNSAT proof of (3,3,4;27) takes 118 conflicts."""
+    inst = encode(m, avoid)
     kwargs = {} if budget is None else {"conflict_budget": budget}
-    result = solve_internal(encode(m, avoid), **kwargs)
-    digest = None if result.model is None else \
-        hashlib.sha256(repr(result.model).encode()).hexdigest()[:16]
-    assert (result.status, result.conflicts, result.decisions, digest) == want
+    result = solve_internal(inst, **kwargs)
+    assert solve_internal(inst, **kwargs) == result
+    assert (result.status, None if budget is None else result.conflicts) \
+        == want
+    if result.status == "SAT":
+        assert ramsey_check(decode_model(result.model, inst), avoid).passes
+
+
+@pytest.mark.parametrize("avoid, orders, unsat", [
+    ((3, 3, 3), range(5, 18), {6, 9, 12, 15, 16, 17}),
+    ((3, 3, 4), range(20, 31), {25, 27, 28, 30}),
+    ((4, 4), range(10, 19), {14, 15, 16, 18}),
+    ((5, 5), [41], set()),
+    ((3, 3, 5), [42, 43, 44], set()),
+], ids=["3,3,3", "3,3,4", "4,4", "5,5", "3,3,5"])
+def test_solver_statuses_on_the_cyclic_corpus(avoid, orders, unsat):
+    """Cyclic statuses as the chronological DPLL found them, in 7 s; every
+    order not listed UNSAT is SAT, and its model decodes to a colouring
+    that passes `ramsey_check`."""
+    for m in orders:
+        inst = encode_cyclic(m, avoid)
+        result = solve_internal(inst)
+        assert result.status == ("UNSAT" if m in unsat else "SAT"), m
+        if result.status == "SAT":
+            colouring = decode_model(result.model, inst)
+            assert ramsey_check(colouring, avoid).passes, m
 
 
 def test_solver_decisions_are_linear_in_variables():
