@@ -73,11 +73,11 @@ def cmd_template_check(args) -> int:
         raise ValueError("file does not carry a template_colour")
     avoid = _parse_avoid(args.avoid)
     base = c.as_linear()
-    failure = validate_template(base, c.template_colour, avoid)
+    failure = validate_template(base, avoid)
     if failure is not None and failure.stage == TF:
         print(f"not a template: {failure}")
         return FAIL
-    T = TemplateGraph(base, c.template_colour)
+    T = TemplateGraph(base)
     print(f"template order {T.order}, phi {T.phi}")
     print(failure or f"repetition q=1..{covering_q(T, avoid)}: ok, "
           "covers every prototype")
@@ -126,10 +126,8 @@ def _template(a, b):
     a = _length("construct template", "a", a)
     b = _length("construct template", "b", b)
     # a colouring without a template colour is doubled into a template
-    if a.template_colour is not None:
-        T = TemplateGraph(a.as_linear(), a.template_colour)
-    else:
-        T = double_to_template(a)
+    T = (TemplateGraph(a.as_linear()) if a.template_colour is not None
+         else double_to_template(a))
     return cons.template_compound(T, b)
 
 
@@ -493,10 +491,8 @@ def _load_recipe(name_or_path: str) -> dict:
 
 
 def cmd_pipeline(args) -> int:
-    if args.store and not args.use_store:
-        raise ValueError("pipeline: --store applies only with --use-store")
     recipe = _load_recipe(args.recipe)
-    store = _store_path(args) if args.use_store else None
+    store = None if args.store is None else _store_path(args)
     with _locked_store(store) if store else nullcontext():
         failed_step, log = run_pipeline(recipe, store_path=store)
     for line in log:
@@ -609,9 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("pipeline", help="run a recipe file")
     pl.add_argument("recipe", help="path or shipped recipe name")
-    pl.add_argument("--store", help="fact store path (needs --use-store)")
-    pl.add_argument("--use-store", action="store_true",
-                    help="apply fact changes to the fact store")
+    pl.add_argument("--store", nargs="?", const="", metavar="PATH",
+                    help="apply fact changes to the fact store PATH "
+                    f"(default ${FACT_STORE_ENV} or {DEFAULT_FACT_STORE})")
     pl.set_defaults(fn=cmd_pipeline)
 
     return p

@@ -488,11 +488,9 @@ class Ledger:
         An explicit certificate is re-verified every time it is offered:
         the fact and its colouring, `colouring` if given (the file its path
         names, already read), else that file under `base_dir`, must pass
-        `check_certificate`, and the fact is stored, and looked up, marked
-        verified.  It is built anew only for what changes, so a store line
-        that already carries its mark and its id is kept as it is.  A
-        derived fact's parents must be stored facts, which come before it,
-        so provenance cannot be rewired by reordering or editing lines.
+        `check_certificate`, and the fact is then stored as it was offered.
+        A derived fact's parents must be stored facts, which come before
+        it, so provenance cannot be rewired by reordering or editing lines.
         """
         cert = f.certificate
         ctype = cert.get("type")
@@ -515,8 +513,6 @@ class Ledger:
                 except ColouringError as e:  # e names the file
                     raise LedgerError(f"certificate {e}") from None
             check_certificate(f, colouring, path)
-            if cert.get("verified") is not True:
-                f = replace(f, certificate={**cert, "verified": True})
         return self._store(f, dominance_key(f)).fact_id
 
     def _store(self, f: BoundFact, key: tuple) -> BoundFact:
@@ -790,9 +786,8 @@ class Ledger:
 
         Each fact must load under its stored id, its line number, which
         is checked before `add_fact` checks that its parents come first;
-        a duplicate line loads as its first copy's id.  A fact that
-        `add_fact` stores as it was read keeps its line, bytes and all, for
-        `save`; an explicit fact just marked verified does not.
+        a duplicate line loads as its first copy's id.  Every fact keeps
+        the line it was read from, bytes and all, for `save`.
         """
         base_dir = os.path.dirname(path) or "."
         ledger = cls()
@@ -805,8 +800,7 @@ class Ledger:
                 if fact.fact_id != fid:
                     raise LedgerError(f"{path}: fact stored as id "
                                       f"{fact.fact_id} loads as id {fid}")
-                if ledger.facts[-1] is fact:
-                    ledger._lines[fid] = line
+                ledger._lines[fid] = line
         _log.debug("loaded %s: %d facts read, %d explicit certificates "
                    "re-verified", path, read, explicit)
         return ledger

@@ -29,6 +29,8 @@ DEFAULT_CLAUSE_CAP = 10_000_000
 DEFAULT_CONFLICT_BUDGET = 1_000_000
 MAX_ITERATIONS = 200  # solves per template search
 
+EXTENSION = "extension"  # the `c meta` kind of `encode_extension`
+
 SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
@@ -299,7 +301,7 @@ def encode_extension(spec: SearchSpec,
     the cliques through 0 at order N of lengths free or fixed to s, so none
     is satisfied by a fixed length; ClauseCapError past `clause_cap` of them.
     """
-    meta = {"kind": "extension", "order": spec.target_order,
+    meta = {"kind": EXTENSION, "order": spec.target_order,
             "avoid": tuple(spec.avoid), "prototype_order": spec.prototype.order,
             "t": spec.t, "template_colour": spec.template_colour}
     return _encode(meta, _extension_fixed(spec), clause_cap)
@@ -357,8 +359,13 @@ def read_dimacs(text: str) -> CnfInstance:
     >= 0; the clause count must match it, and every literal must name a
     variable in range.  The variables are those the `c meta` and `c fixed`
     lines imply (`c map` lines are for readers); a file without `c meta`
-    has none, so it can be solved but not decoded.  A length fixed twice
-    is refused.
+    has none, so it can be solved but not decoded.  A `c meta` kind other
+    than cyclic, linear or extension is refused, and so is a field that
+    is not an integer: the order, an extension's prototype_order and t,
+    whose order must be 2 * prototype_order + t, and any template_colour.
+    A `c fixed` line is refused, by its text, when it fixes a length twice,
+    a length that is not one of the order's canonical lengths, or a colour
+    outside 1..len(avoid).
 
     Each non-comment line after the header is one clause, its closing 0
     optional.  When the lines after the header are all clauses as
@@ -366,6 +373,7 @@ def read_dimacs(text: str) -> CnfInstance:
     in bulk; otherwise line by line, which reports the first fault.
     """
     fixed: dict[int, int] = {}
+    fixed_lines: dict[int, str] = {}  # length -> the line that fixes it
     meta: dict = {}
     clauses: list[tuple[int, ...]] = []
     header = None
@@ -387,7 +395,7 @@ def read_dimacs(text: str) -> CnfInstance:
             if l in fixed:
                 raise EncodingError(f"'c fixed' line {line!r} fixes length "
                                     f"{l} a second time")
-            fixed[l] = s
+            fixed[l], fixed_lines[l] = s, line
         elif line.startswith("c"):
             continue
         elif line.startswith("p"):
@@ -404,7 +412,11 @@ def read_dimacs(text: str) -> CnfInstance:
         else:
             if header is None:
                 raise EncodingError("DIMACS clause before the 'p cnf' header")
-            lits = [int(x) for x in line.split()]
+            try:
+                lits = [int(x) for x in line.split()]
+            except ValueError:
+                raise EncodingError(f"bad DIMACS clause line: {line!r}"
+                                    ) from None
             if lits and lits[-1] == 0:
                 lits = lits[:-1]
             bad = next((x for x in lits if not 1 <= abs(x) <= header[0]), None)
@@ -430,6 +442,17 @@ def read_dimacs(text: str) -> CnfInstance:
                 raise EncodingError(
                     f"DIMACS header declares {num_vars} variables, too few "
                     f"for 'c meta' order {meta['order']}")
+            _check_meta(meta)
+            fold = _fold(meta)
+            for l, s in fixed.items():
+                if not (0 < l < meta["order"] and fold(l) == l):
+                    raise EncodingError(
+                        f"'c fixed' line {fixed_lines[l]!r}: length {l} is "
+                        f"not a canonical length of order {meta['order']}")
+                if not 0 < s <= len(meta["avoid"]):
+                    raise EncodingError(
+                        f"'c fixed' line {fixed_lines[l]!r}: colour {s} out "
+                        f"of range 1..{len(meta['avoid'])}")
             var_map = _var_map(meta, fixed)
         except (KeyError, TypeError) as e:
             raise EncodingError(f"bad 'c meta' line: {e!r}") from None
@@ -438,6 +461,25 @@ def read_dimacs(text: str) -> CnfInstance:
                                 f", 'c meta' and 'c fixed' give "
                                 f"{var_map.num_vars}")
     return CnfInstance(num_vars, tuple(clauses), var_map, fixed, meta)
+
+
+def _check_meta(meta: dict) -> None:
+    """EncodingError unless the `c meta` kind and integer fields, past its
+    order, are ones `_fold` and `decode_model` can read."""
+    kind = meta["kind"]
+    if kind not in (CYCLIC, LINEAR, EXTENSION):  # kind may be unhashable
+        raise EncodingError(f"'c meta' kind {kind!r} is not {CYCLIC}, "
+                            f"{LINEAR} or {EXTENSION}")
+    names = ("prototype_order", "t") if kind == EXTENSION else ()
+    for name in names + ("template_colour",) * ("template_colour" in meta):
+        if type(meta.get(name)) is not int:  # not bool, nor float
+            raise EncodingError(f"'c meta' {name} must be an integer, got "
+                                f"{meta.get(name)!r}")
+    if kind == EXTENSION and not (
+            meta["t"] >= 1 and meta["prototype_order"] >= 1
+            and meta["order"] == 2 * meta["prototype_order"] + meta["t"]):
+        raise EncodingError(f"'c meta' order {meta['order']} is not "
+                            "2 * prototype_order + t, both >= 1")
 
 
 class ModelError(ValueError):
@@ -729,10 +771,9 @@ def search_template(spec: SearchSpec,
             log.append(f"iteration {iteration}: solver budget exhausted")
             return TemplateSearchResult("budget", None, iteration, log)
         colouring = decode_model(result.model, instance)
-        failure = validate_template(colouring, spec.template_colour,
-                                    spec.avoid[:-1])
+        failure = validate_template(colouring, spec.avoid[:-1])
         if failure is None:
-            template = TemplateGraph(colouring, spec.template_colour)
+            template = TemplateGraph(colouring)
             log.append(f"iteration {iteration}: validated template of order "
                        f"{spec.target_order}, phi {template.phi}")
             return TemplateSearchResult("found", template, iteration, log)

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
-from .colouring import LINEAR, ColouringError, LengthColouring, clique_bounds
+from .colouring import LINEAR, LengthColouring, clique_bounds
 from .cliques import CliqueReport, ramsey_check
 
 TF, REPETITION = "tf-template", "repetition"
@@ -23,17 +23,18 @@ class TemplateError(ValueError):
     pass
 
 
-def _tf_violation(c: LengthColouring, s: int) -> tuple[int, ...] | None:
-    """None if colour s is a tf-template class of c.
+def _tf_violation(c: LengthColouring) -> tuple[int, ...] | None:
+    """None if c's template colour is a tf-template class of c.
 
     Otherwise the first triple (x, y, x + y) of the class, or () when the
-    class is sum-free but misses the top length order-1.
+    class is sum-free but misses the top length order-1.  TemplateError if
+    c is not linear or names no template colour.
     """
     if c.kind != LINEAR:
         raise TemplateError("template test requires a linear colouring")
-    if not (1 <= s <= c.num_colours):
-        raise ColouringError(f"colour {s} out of range 1..{c.num_colours}")
-    cls = c.colour_class(s)
+    if c.template_colour is None:
+        raise TemplateError("the colouring names no template colour")
+    cls = c.colour_class(c.template_colour)
     # A monochromatic triangle in a linear colouring is exactly a triple of
     # lengths x, y, x + y in one class.
     ordered = sorted(cls)
@@ -46,16 +47,20 @@ def _tf_violation(c: LengthColouring, s: int) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class TemplateGraph:
-    """A linear colouring with a validated tf-template colour class."""
+    """A linear colouring whose template colour, `base.template_colour`,
+    is a validated tf-template class."""
 
     base: LengthColouring
-    template_colour: int
 
     def __post_init__(self):
-        if _tf_violation(self.base, self.template_colour) is not None:
+        if _tf_violation(self.base) is not None:
             raise TemplateError(
                 f"colour {self.template_colour} is not a tf-template of the base"
             )
+
+    @property
+    def template_colour(self) -> int:
+        return self.base.template_colour
 
     @property
     def order(self) -> int:
@@ -138,7 +143,7 @@ def double_to_template(g: LengthColouring) -> TemplateGraph:
     avoid = lin.avoid + (3,) if lin.avoid is not None else None
     base = LengthColouring(LINEAR, order, tcol, colours, avoid=avoid,
                            template_colour=tcol)
-    return TemplateGraph(base, tcol)
+    return TemplateGraph(base)
 
 
 @dataclass(frozen=True)
@@ -178,11 +183,11 @@ def covering_q(T: TemplateGraph, avoid) -> int:
     return max(1, -(-(span - T.phi) // P))
 
 
-def validate_template(base: LengthColouring, template_colour: int, avoid
-                      ) -> TemplateFailure | None:
+def validate_template(base: LengthColouring, avoid) -> TemplateFailure | None:
     """The first failing stage of the template checks, or None.
 
-    Stages: `template_colour` is a tf-template class of `base`; the q-fold
+    Stages: `base.template_colour` is a tf-template class of `base`
+    (TemplateError if it names none); the q-fold
     tilings stay below the non-template bounds `avoid`.  A compound with a
     prototype of order n has the non-template colour classes of the
     (n-1)-fold tiling, and the q*-fold tiling of `covering_q` holds a copy
@@ -193,10 +198,10 @@ def validate_template(base: LengthColouring, template_colour: int, avoid
     failure reports the least q whose tiling holds its witness.
     """
     avoid = clique_bounds(avoid, base.num_colours - 1)
-    triple = _tf_violation(base, template_colour)
+    triple = _tf_violation(base)
     if triple is not None:
-        return TemplateFailure(TF, template_colour, lengths=triple)
-    T = TemplateGraph(base, template_colour)
+        return TemplateFailure(TF, base.template_colour, lengths=triple)
+    T = TemplateGraph(base)
     last = covering_q(T, avoid)
     for q in [2 ** i for i in range((last - 1).bit_length())] + [last]:
         report = repetition_check(T, q, avoid)
@@ -212,4 +217,4 @@ def validate_template(base: LengthColouring, template_colour: int, avoid
 
 def template_usable(T: TemplateGraph, avoid) -> bool:
     """True iff `validate_template` finds no failure."""
-    return validate_template(T.base, T.template_colour, avoid) is None
+    return validate_template(T.base, avoid) is None

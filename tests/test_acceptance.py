@@ -205,7 +205,7 @@ def test_criterion_06_template_product_identity():
 
 def test_criterion_07_template_validity():
     T = double_to_template(pentagon())
-    tf = _tf_violation(T.base, T.template_colour) is None
+    tf = _tf_violation(T.base) is None
     phi_ok = T.phi == 4
     reps_ok = all(repetition_check(T, q, (3, 3)).passes for q in range(1, 9))
     # the rainbow prototype of order n gives each length its own colour

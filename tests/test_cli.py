@@ -301,7 +301,7 @@ def test_pipeline_stores_only_on_success(store, tmp_path, capsys):
     }
     path = tmp_path / "failing.json"
     path.write_text(json.dumps(recipe))
-    assert dispatch(["pipeline", str(path), "--use-store"]) == 1
+    assert dispatch(["pipeline", str(path), "--store"]) == 1
     assert not os.path.exists(store)
 
 
@@ -614,7 +614,7 @@ def test_pipeline_use_store_takes_the_lock(store, capsys):
     done = threading.Event()
 
     def run():
-        dispatch(["pipeline", "desk_scale_compounds", "--use-store"])
+        dispatch(["pipeline", "desk_scale_compounds", "--store"])
         done.set()
 
     with _locked_store(store):
@@ -746,10 +746,43 @@ def test_solve_reports_search_effort(tmp_path, capsys):
     ('c meta {"kind": "cyclic", "order": 5, "avoid": [3, 3]}\n'
      "c fixed 1 1\nc fixed 1 2\np cnf 2 0\n",
      "error: 'c fixed' line 'c fixed 1 2' fixes length 1 a second time\n"),
+    # each of these once solved, or failed on the bare text of a Python error
+    ("p cnf 2 1\n1 x 0\n", "error: bad DIMACS clause line: '1 x 0'\n"),
+    ('c meta {"kind": "foo", "order": 5, "avoid": [3, 3]}\np cnf 4 0\n',
+     "error: 'c meta' kind 'foo' is not cyclic, linear or extension\n"),
+    ('c meta {"kind": "foo", "order": 5, "avoid": [3, 3], '
+     '"prototype_order": 2, "t": 1}\np cnf 4 0\n',
+     "error: 'c meta' kind 'foo' is not cyclic, linear or extension\n"),
+    ('c meta {"kind": "extension", "order": 7, "avoid": [3, 3], '
+     '"prototype_order": 3, "t": true}\np cnf 4 0\n',
+     "error: 'c meta' t must be an integer, got True\n"),
+    ('c meta {"kind": "extension", "order": 7, "avoid": [3, 3], '
+     '"prototype_order": 3}\np cnf 4 0\n',
+     "error: 'c meta' t must be an integer, got None\n"),
+    ('c meta {"kind": "extension", "order": 7, "avoid": [3, 3], '
+     '"prototype_order": 2, "t": 1}\np cnf 4 0\n',
+     "error: 'c meta' order 7 is not 2 * prototype_order + t, both >= 1\n"),
+    ('c meta {"kind": "cyclic", "order": 5, "avoid": [3, 3], '
+     '"template_colour": "2"}\np cnf 4 0\n',
+     "error: 'c meta' template_colour must be an integer, got '2'\n"),
+    ('c meta {"kind": "cyclic", "order": 5, "avoid": [3, 3]}\n'
+     "c fixed 1 7\np cnf 2 0\n",
+     "error: 'c fixed' line 'c fixed 1 7': colour 7 out of range 1..2\n"),
+    ('c meta {"kind": "cyclic", "order": 5, "avoid": [3, 3]}\n'
+     "c fixed 9 1\np cnf 4 0\n",
+     "error: 'c fixed' line 'c fixed 9 1': length 9 is not a canonical "
+     "length of order 5\n"),
+    ('c meta {"kind": "cyclic", "order": 5, "avoid": [3, 3]}\n'
+     "c fixed 4 1\np cnf 2 0\n",
+     "error: 'c fixed' line 'c fixed 4 1': length 4 is not a canonical "
+     "length of order 5\n"),
 ], ids=["empty", "no-header", "clause-count", "variable-range",
         "zero-literal", "short-header", "negative-variables",
         "negative-clauses", "meta-not-object", "variable-count",
-        "fixed-one-value", "fixed-not-int", "fixed-twice"])
+        "fixed-one-value", "fixed-not-int", "fixed-twice", "clause-token",
+        "meta-kind", "meta-kind-with-extension-fields", "meta-t-bool",
+        "meta-t-missing", "meta-extension-order", "meta-template-colour",
+        "fixed-colour", "fixed-length-past-order", "fixed-length-folded"])
 def test_solve_rejects_malformed_dimacs(text, message, tmp_path, capsys):
     cnf = tmp_path / "bad.cnf"
     cnf.write_text(text)
@@ -911,7 +944,7 @@ def test_pipeline_negative_derive_depth_fails(store, tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(recipe))
     capsys.readouterr()
-    assert dispatch(["pipeline", str(path), "--use-store"]) == 1
+    assert dispatch(["pipeline", str(path), "--store"]) == 1
     assert "step 2: error: depth: must be >= 0, got -1" in \
         capsys.readouterr().out
     with open(store, "rb") as f:
@@ -1479,7 +1512,7 @@ def test_every_printed_bound_recomputes_its_chain(via, tmp_path, capsys):
         recipe.write_text(json.dumps({"steps": [
             {"op": "expect", "kind": "graph", "parameters": [8, 8, 8],
              "min_value": 7173}]}))
-        assert dispatch(["pipeline", str(recipe), "--use-store", "--store",
+        assert dispatch(["pipeline", str(recipe), "--store",
                          str(path)]) == 1
         assert capsys.readouterr() == (
             f"step 1: error: {why}\npipeline stopped at step 1\n", "")
@@ -1518,7 +1551,7 @@ def test_store_is_rewritten_only_when_facts_are_added(tmp_path, capsys):
     before = _stat(path)
     for argv in ([*args, "seed"],
                  [*args, "derive", "--rules", "r7", "--depth", "1"],
-                 ["pipeline", str(recipe), "--use-store", "--store",
+                 ["pipeline", str(recipe), "--store",
                   str(path)]):
         assert dispatch(argv) == 0
         assert _stat(path) == before, argv
@@ -1573,8 +1606,7 @@ def test_pipeline_expectation_recomputes_its_fact(tmp_path, capsys):
         {"op": "expect", "kind": "R", "parameters": [3, 3],
          "min_value": 1000}]}))
     _derived_store(path, 1000, 15)
-    assert dispatch(["pipeline", str(recipe), "--use-store",
-                     "--store", str(path)]) == 1
+    assert dispatch(["pipeline", str(recipe), "--store", str(path)]) == 1
     assert "step 1: error: fact 2: not recomputable by rule r7" in \
         capsys.readouterr().out
 
@@ -1787,7 +1819,7 @@ def test_pipeline_stops_at_a_failing_step(steps, log, store, tmp_path,
                                           capsys):
     recipe = tmp_path / "r.json"
     recipe.write_text(json.dumps({"name": "r", "steps": steps}))
-    assert dispatch(["pipeline", str(recipe), "--use-store"]) == 1
+    assert dispatch(["pipeline", str(recipe), "--store"]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [*log, "pipeline stopped at step 2"]
     assert captured.err == ""
@@ -1842,19 +1874,19 @@ _PENTAGON_EXPLICIT = json.loads(serialize_colouring(
      "error: {}: avoid: clique bound 0 below 1\n"),
     ({"name": "r", "steps": [_C5_STEP, {"op": "add_fact", "target": "c5",
                                          "avoid": [3.0, 3]}]},
-     ["pipeline", "{}", "--use-store"], 1,
+     ["pipeline", "{}", "--store"], 1,
      "step 1: colouring 'c5' order 5\n"
      "step 2: error: avoid: expected a list of integers\n"
      "pipeline stopped at step 2\n", ""),
     ({"name": "r", "steps": [_C5_STEP, {"op": "add_fact", "target": "c5",
                                          "avoid": [True, 3]}]},
-     ["pipeline", "{}", "--use-store"], 1,
+     ["pipeline", "{}", "--store"], 1,
      "step 1: colouring 'c5' order 5\n"
      "step 2: error: avoid: expected a list of integers\n"
      "pipeline stopped at step 2\n", ""),
     ({"name": "r", "steps": [_C5_STEP, {"op": "verify", "target": "c5",
                                          "avoid": 5}]},
-     ["pipeline", "{}", "--use-store"], 1,
+     ["pipeline", "{}", "--store"], 1,
      "step 1: colouring 'c5' order 5\n"
      "step 2: error: avoid: expected a list of integers\n"
      "pipeline stopped at step 2\n", ""),
@@ -1940,7 +1972,7 @@ def test_flag_refusal_is_one_at_every_entry(flags, assert_args, message,
     recipe = tmp_path / "r.json"
     recipe.write_text(json.dumps({"name": "r", "steps": [_C5_STEP, {
         "op": "add_fact", "target": "c5", "avoid": [3, 3], "flags": flags}]}))
-    assert dispatch(["pipeline", str(recipe), "--use-store"]) == 1
+    assert dispatch(["pipeline", str(recipe), "--store"]) == 1
     assert capsys.readouterr() == (
         f"step 1: colouring 'c5' order 5\nstep 2: error: {message}\n"
         "pipeline stopped at step 2\n", "")
@@ -2011,7 +2043,7 @@ def test_cyclic_flag_on_a_linear_colouring_is_one_refusal(store, tmp_path,
         {"op": "add_fact", "target": "c", "avoid": [3, 3],
          "flags": {"cyclic": True}},
         {"op": "derive", "rules": ["r1"], "depth": 1}]}))
-    assert dispatch(["pipeline", str(recipe), "--use-store"]) == 1
+    assert dispatch(["pipeline", str(recipe), "--store"]) == 1
     assert capsys.readouterr() == (
         f"step 1: colouring 'c' order 4\nstep 2: error: certificate 'c' "
         f"{why}\npipeline stopped at step 2\n", "")
@@ -2070,7 +2102,7 @@ _DEEP = "[" * 100_000 + "]" * 100_000
     ("deep.jsonl", _DEEP + "\n", ["ledger", "--store", "{}", "derive"]),
     ("deep.json", _DEEP, ["verify", "{}", "--avoid", "3,3"]),
     ("deep.cnf", f"c meta {_DEEP}\np cnf 0 0\n", ["solve", "{}"]),
-    ("deep_recipe.json", _DEEP, ["pipeline", "{}", "--use-store"]),
+    ("deep_recipe.json", _DEEP, ["pipeline", "{}", "--store"]),
 ], ids=["ledger-best", "ledger-derive", "verify", "solve-meta", "pipeline"])
 def test_nested_json_exits_2(name, text, argv, store, tmp_path, capsys):
     """JSON nested too deeply to decode is refused by each reader with its
@@ -2151,16 +2183,34 @@ def test_ledger_add_parses_its_certificate_once(store, pentagon_file,
     assert "explicit: " in capsys.readouterr().out
 
 
-def test_pipeline_store_needs_use_store(tmp_path, capsys):
-    """--store alone used to run the recipe and leave the named store
-    untouched; now it is refused before the recipe runs."""
-    store = tmp_path / "facts.jsonl"
-    argv = ["pipeline", "desk_scale_compounds", "--store", str(store)]
-    assert dispatch(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == \
-        "error: pipeline: --store applies only with --use-store\n"
-    assert not store.exists()
-    assert dispatch([*argv, "--use-store"]) == 0
-    assert store.exists()
+def test_pipeline_store_forms(tmp_path, monkeypatch, capsys):
+    """`pipeline` writes no store without --store; `--store` alone writes
+    $RAMSEYKIT_FACTS, or ramsey_facts.jsonl when that is unset, as `ledger`
+    does; and `--store PATH` writes PATH.  Each log is the same."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RAMSEYKIT_FACTS", raising=False)
+    argv = ["pipeline", "desk_scale_compounds"]
+    env, named = tmp_path / "env.jsonl", tmp_path / "named.jsonl"
+    default = tmp_path / "ramsey_facts.jsonl"
+    logs = []
+    for extra, env_value, written in (
+            ([], None, None), ([], str(env), None),
+            (["--store"], None, default), (["--store"], str(env), env),
+            (["--store", str(named)], str(env), named)):
+        if env_value is not None:
+            monkeypatch.setenv("RAMSEYKIT_FACTS", env_value)
+        assert dispatch([*argv, *extra]) == 0
+        logs.append(capsys.readouterr())
+        made = sorted(p.name for p in tmp_path.iterdir())
+        assert made == ([written.name, written.name + ".lock"] if written
+                        else []), (extra, env_value)
+        if written:
+            assert dispatch(["ledger", "--store", str(written), "best",
+                             "R(3,3,3,3)"]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == \
+                "fact 6: R(3,3,3,3) >= 42 -- derived[r7] from [3]"
+        for p in tmp_path.iterdir():
+            p.unlink()
+        monkeypatch.delenv("RAMSEYKIT_FACTS", raising=False)
+    assert logs == [logs[0]] * len(logs)
+    assert logs[0].err == ""

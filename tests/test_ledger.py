@@ -233,7 +233,7 @@ def test_explicit_certificate_verified_on_ingest(tmp_path):
     ledger = Ledger()
     good = graph_fact((3, 3), 5, {"type": "explicit", "path": str(path)})
     fid = ledger.add_fact(good)
-    assert ledger.get(fid).certificate["verified"] is True
+    assert ledger.get(fid).certificate == good.certificate  # as offered
 
     bad = graph_fact((2, 3), 5, {"type": "explicit", "path": str(path)})
     with pytest.raises(LedgerError, match="fails verification"):
@@ -399,8 +399,7 @@ def test_load_builds_each_fact_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(BoundFact, "__init__", counting)
     Ledger.load(path)
-    others = len(ledger.facts) - explicit
-    assert others <= len(built) <= others + 2 * explicit
+    assert len(built) == len(ledger.facts)
 
 
 def test_explicit_fact_reverified_when_added_again(tmp_path):
@@ -437,7 +436,7 @@ def test_explicit_fact_offered_with_its_colouring(monkeypatch):
     assert ledger.facts == before
     assert ledger.best_bound(GRAPH, (2, 3)) is None
     fid = ledger.add_fact(graph_fact((3, 3), 5, cert), colouring=pentagon())
-    assert ledger.get(fid).certificate == {**cert, "verified": True}
+    assert ledger.get(fid).certificate == cert
 
 
 def test_gamma_render_keeps_global_precision():
@@ -904,7 +903,7 @@ def _rule_cases():
     # a searched (3,4,3)-template of order 19, phi 7, which is not a doubling
     searched = TemplateGraph(LengthColouring(
         "linear", 19, 3, (1, 2, 2, 1, 2, 2, 1, 3, 1, 2, 3, 3, 3, 3, 3, 2, 1, 3),
-        avoid=(3, 4, 3)), 3)
+        avoid=(3, 4, 3), template_colour=3))
     for T, b in ((double_to_template(c5), c5),
                  (double_to_template(e), c5),
                  (double_to_template(p13), c5), (searched, c5)):
@@ -1205,9 +1204,6 @@ class _IdentityLedger:
         if not set(f.certificate.get("parents", ())) <= set(
                 range(1, len(self.facts) + 1)):
             raise LedgerError("a parent is not stored")
-        if (f.certificate.get("type") == "explicit"
-                and f.certificate.get("verified") is not True):
-            f = replace(f, certificate={**f.certificate, "verified": True})
         identity = f.identity()
         if identity in self._ids:
             return self._ids[identity]
@@ -1240,6 +1236,8 @@ def _random_fact(rng, pent):
                             {"linear": True}, {"template": True, "phi": 0},
                             {"phi": 0, "template": True},
                             {"special_degree": 2, "special_degree_index": 0}))
+        # an explicit certificate as an older store wrote it, with its
+        # "verified" mark, is another certificate
         if params == (3, 3) and value == 5 and rng.random() < 0.3:
             cert = rng.choice(({"type": "explicit", "path": pent},
                                {"path": pent, "type": "explicit",
@@ -1339,18 +1337,16 @@ def test_load_matches_a_per_line_oracle(store, tmp_path):
     path = tmp_path / "facts.jsonl"
     ledger.save(path)
     lines = path.read_text().splitlines(keepends=True)
-    unmarked = None
-    if store == "paley":  # one as written before explicit facts carried it
-        unmarked = len(_seeded().facts) + 1
-        fact = json.loads(lines[unmarked - 1])
-        del fact["certificate"]["verified"]
-        lines[unmarked - 1] = json.dumps(fact) + "\n"
+    if store == "paley":  # one as an older store wrote it, with a mark
+        marked = len(_seeded().facts) + 1
+        fact = json.loads(lines[marked - 1])
+        fact["certificate"]["verified"] = True
+        lines[marked - 1] = json.dumps(fact) + "\n"
     # blank lines and padding, which both readers skip and strip
     path.write_text("\n" + "  \t" + "\n  ".join(lines) + "\n\n")
     got = _same_load(path)
     assert len(got.facts) == len(ledger.facts) > 100
-    assert sorted(got._lines) == [f.fact_id for f in got.facts
-                                  if f.fact_id != unmarked]
+    assert sorted(got._lines) == [f.fact_id for f in got.facts]
 
 
 @pytest.mark.parametrize("text", [
@@ -1424,18 +1420,24 @@ def test_save_writes_back_the_lines_it_read(tmp_path, monkeypatch):
     assert path.read_bytes() == before
 
 
-def test_explicit_line_without_its_mark_is_written_with_it(tmp_path):
+@pytest.mark.parametrize("mark", [{}, {"verified": True}],
+                         ids=["hand-written", "older-mark"])
+def test_explicit_line_saves_back_as_read(mark, tmp_path):
+    """An explicit line is re-verified on load and saved back byte for
+    byte: written by hand without a "verified" mark, or by an older store
+    with one, which is an ordinary certificate field."""
     save_colouring(pentagon(), tmp_path / "pent.json")
     path = tmp_path / "facts.jsonl"
-    kept = _store_line(2, (4, 4), 17, asserted("s"), cyclic=True)
-    path.write_text(_store_line(1, (3, 3), 5, {"type": "explicit",
-                                               "path": "pent.json"},
-                                cyclic=True) + kept)
-    Ledger.load(path).save(path)
-    first, second = path.read_text().splitlines(keepends=True)
-    assert json.loads(first)["certificate"] == {
-        "type": "explicit", "path": "pent.json", "verified": True}
-    assert second == kept
+    path.write_text(
+        _store_line(1, (3, 3), 5, {"type": "explicit", "path": "pent.json",
+                                   **mark}, cyclic=True)
+        + _store_line(2, (4, 4), 17, asserted("s"), cyclic=True))
+    before = path.read_bytes()
+    ledger = Ledger.load(path)
+    assert ledger.get(1).certificate == {"type": "explicit",
+                                         "path": "pent.json", **mark}
+    ledger.save(path)
+    assert path.read_bytes() == before
 
 
 def test_load_rejects_a_duplicate_with_reordered_certificate(tmp_path):

@@ -140,7 +140,11 @@ def reference_read_dimacs(text):
         else:
             if header is None:
                 raise EncodingError("DIMACS clause before the 'p cnf' header")
-            lits = [int(x) for x in line.split()]
+            try:
+                lits = [int(x) for x in line.split()]
+            except ValueError:
+                raise EncodingError(f"bad DIMACS clause line: {line!r}"
+                                    ) from None
             if lits and lits[-1] == 0:
                 lits = lits[:-1]
             bad = next((x for x in lits if not 1 <= abs(x) <= header[0]), None)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -39,25 +40,36 @@ TEMPLATE_343 = LengthColouring(
 
 def test_is_tf_template_positive():
     base = double_to_template(pentagon()).base
-    assert _tf_violation(base, 3) is None
-    assert _tf_violation(base, 1) is not None  # class misses the top length
+    assert _tf_violation(base) is None
+    # class 1 misses the top length
+    assert _tf_violation(replace(base, template_colour=1)) is not None
 
 
 def test_is_tf_template_rejects_triangle():
     # template class {2, 3, 5}: 2 + 3 = 5 is a monochromatic triangle
-    c = LengthColouring("linear", 6, 2, (1, 2, 2, 1, 2))
-    assert _tf_violation(c, 2) is not None
+    c = LengthColouring("linear", 6, 2, (1, 2, 2, 1, 2), template_colour=2)
+    assert _tf_violation(c) is not None
 
 
 def test_is_tf_template_requires_linear():
     with pytest.raises(TemplateError):
-        _tf_violation(pentagon(), 1)
+        _tf_violation(replace(pentagon(), template_colour=1))
 
 
 def test_template_graph_validates():
     # colour class {2, 3} misses the top length 4
     with pytest.raises(TemplateError):
-        TemplateGraph(pentagon().as_linear(), 2)
+        TemplateGraph(replace(pentagon().as_linear(), template_colour=2))
+
+
+def test_no_template_colour_is_refused():
+    """A colouring that names no template colour is no template: both
+    `TemplateGraph` and `validate_template` refuse it."""
+    base = replace(double_to_template(pentagon()).base, template_colour=None)
+    with pytest.raises(TemplateError, match="names no template colour"):
+        TemplateGraph(base)
+    with pytest.raises(TemplateError, match="names no template colour"):
+        validate_template(base, (3, 3))
 
 
 def test_doubling_pentagon():
@@ -106,33 +118,34 @@ def test_template_usable_doubled_edge():
 
 
 def test_frozen_search_template_is_valid():
-    T = TemplateGraph(TEMPLATE_343, 3)
+    T = TemplateGraph(TEMPLATE_343)
     assert T.phi == 7
     assert template_usable(T, (3, 4))
 
 
 def test_validate_template_passes_doubled_pentagon():
     T = double_to_template(pentagon())
-    assert validate_template(T.base, 3, (3, 3)) is None
+    assert validate_template(T.base, (3, 3)) is None
 
 
 def test_validate_template_tf_triangle():
     # template class {2, 3, 5}: the triple is the witness
-    c = LengthColouring("linear", 6, 2, (1, 2, 2, 1, 2))
-    assert validate_template(c, 2, (3,)) == TemplateFailure(
+    c = LengthColouring("linear", 6, 2, (1, 2, 2, 1, 2), template_colour=2)
+    assert validate_template(c, (3,)) == TemplateFailure(
         TF, 2, lengths=(2, 3, 5))
 
 
 def test_validate_template_tf_missing_top_length():
     # class {2, 3} of the linear pentagon is sum-free but misses length 4
-    assert validate_template(pentagon().as_linear(), 2, (3,)) == \
+    base = replace(pentagon().as_linear(), template_colour=2)
+    assert validate_template(base, (3,)) == \
         TemplateFailure(TF, 2, lengths=())
 
 
 def test_validate_template_repetition_witness():
     # colour 2 of the doubled pentagon holds an edge, so bound 2 fails at q=1
     T = double_to_template(pentagon())
-    failure = validate_template(T.base, 3, (3, 2))
+    failure = validate_template(T.base, (3, 2))
     assert failure == TemplateFailure(REPETITION, 2, 1, (3,))
     assert "repetition q=1: FAIL, colour 2" in str(failure)
 
@@ -142,9 +155,10 @@ def _random_template(rng):
     while True:
         order = rng.randint(4, 9)
         colours = [rng.randint(1, 3) for _ in range(order - 2)] + [3]
-        base = LengthColouring("linear", order, 3, tuple(colours))
-        if _tf_violation(base, 3) is None:
-            return TemplateGraph(base, 3)
+        base = LengthColouring("linear", order, 3, tuple(colours),
+                               template_colour=3)
+        if _tf_violation(base) is None:
+            return TemplateGraph(base)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -158,8 +172,8 @@ def test_repetition_check_is_the_tilings_clique_check(seed):
         T = _random_template(rng)
         to = rng.sample((1, 2, 3), 3)  # colour s becomes to[s - 1]
         T = TemplateGraph(LengthColouring(
-            "linear", T.order, 3, tuple(to[s - 1] for s in T.base.colour_of)),
-            to[2])
+            "linear", T.order, 3, tuple(to[s - 1] for s in T.base.colour_of),
+            template_colour=to[2]))
         avoid = (rng.randint(2, 4), rng.randint(2, 4))
         i = T.template_colour - 1
         for q in range(1, 4):
@@ -197,15 +211,16 @@ def test_rainbow_compound_is_a_repetition(seed):
                 (T.base, avoid, n)
 
 
-def _oracle_first_failure(base, s, avoid, last):
+def _oracle_first_failure(base, avoid, last):
     """Stage, colour and q of the first failing check up to the last-fold
     tiling, by exhaustive means: brute-force triangles, then full
     branch-and-bound clique numbers."""
     g = expand_to_explicit(base)
+    s = base.template_colour
     top = base.colour_of[-1] == s
     if not top or max_clique_in_colour(g, s)[0] >= 3:
         return TF, s, None
-    T = TemplateGraph(base, s)
+    T = TemplateGraph(base)
     non_template = T.non_template_colours()
     for q in range(1, last + 1):
         tiled = expand_to_explicit(tiled_colouring(T, q))
@@ -217,13 +232,14 @@ def _oracle_first_failure(base, s, avoid, last):
 
 def test_covering_q():
     # q* = max(1, ceil(((k-1)(P-1) - phi) / P)), P = t-1, k the top bound
-    linear5 = TemplateGraph(LengthColouring("linear", 5, 3, (3, 1, 1, 3)), 3)
+    linear5 = TemplateGraph(LengthColouring("linear", 5, 3, (3, 1, 1, 3),
+                                            template_colour=3))
     assert covering_q(linear5, (3, 3)) == 2  # ceil(6 / 4)
     T = double_to_template(pentagon())
     assert covering_q(T, (3, 3)) == 2  # ceil((16 - 4) / 9)
     assert covering_q(T, (2, 2)) == 1  # ceil((8 - 4) / 9)
     assert covering_q(T, (3, 9)) == 7  # ceil((64 - 4) / 9)
-    assert covering_q(TemplateGraph(TEMPLATE_343, 3), (3, 4)) == 3
+    assert covering_q(TemplateGraph(TEMPLATE_343), (3, 4)) == 3
     edge = double_to_template(single_edge())  # P = 3, phi = 1
     assert [covering_q(edge, (k,)) for k in range(2, 7)] == [1, 1, 2, 3, 3]
 
@@ -236,10 +252,10 @@ def _random_cases(rng, n):
         order = rng.randint(5, 9)
         colours = [rng.choice((1, 2, 2, 3)) for _ in range(order - 2)]
         colours.append(3 if rng.random() < 0.9 else rng.randint(1, 2))
-        base = LengthColouring("linear", order, 3, tuple(colours))
+        base = LengthColouring("linear", order, 3, tuple(colours),
+                               template_colour=3)
         avoid = (rng.randint(2, 5), rng.randint(4, 6))
-        yield base, avoid, _oracle_first_failure(base, 3, avoid,
-                                                 max(avoid) + 2)
+        yield base, avoid, _oracle_first_failure(base, avoid, max(avoid) + 2)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -249,7 +265,7 @@ def test_validate_template_matches_exhaustive_oracle(seed):
     failure's lengths carry its colour in the base."""
     for base, avoid, want in _random_cases(random.Random(seed), 100):
         case = (base, avoid)
-        failure = validate_template(base, 3, avoid)
+        failure = validate_template(base, avoid)
         got = None if failure is None else (failure.stage, failure.colour)
         assert got == (want and want[:2]), case
         if failure is None:
@@ -279,11 +295,11 @@ def test_doubling_schedule_matches_ascending_oracle(monkeypatch):
         for base, avoid, want in _random_cases(random.Random(seed), 100):
             case = (base, avoid)
             calls.clear()
-            failure = validate_template(base, 3, avoid)
+            failure = validate_template(base, avoid)
             if failure is not None and failure.stage == TF:
                 assert calls == [], case
                 continue
-            last = covering_q(TemplateGraph(base, 3), avoid)
+            last = covering_q(TemplateGraph(base), avoid)
             schedule = [q for q in (1, 2, 4) if q < last] + [last]
             if failure is None:
                 assert calls == schedule, case
@@ -295,7 +311,7 @@ def test_doubling_schedule_matches_ascending_oracle(monkeypatch):
                 unchecked.add(want[2])
             assert want[2] <= failure.q <= last, case
             tiled = expand_to_explicit(
-                tiled_colouring(TemplateGraph(base, 3), failure.q))
+                tiled_colouring(TemplateGraph(base), failure.q))
             assert max_clique_in_colour(tiled, failure.colour)[0] >= \
                 avoid[failure.colour - 1], case
     assert 3 in unchecked, unchecked
@@ -306,13 +322,13 @@ def test_failure_between_checked_tilings():
     (3, 2, 2, 2, 3) already holds a colour-2 4-clique, so the failure comes
     from the 4-fold check, and its q is the least tiling that holds the
     witness found there: span 17 over P = 5 and phi = 0 needs q = 4."""
-    base = LengthColouring("linear", 6, 3, (3, 2, 2, 2, 3))
+    base = LengthColouring("linear", 6, 3, (3, 2, 2, 2, 3), template_colour=3)
     avoid = (5, 4)
-    T = TemplateGraph(base, 3)
+    T = TemplateGraph(base)
     assert covering_q(T, avoid) == 4
-    assert _oracle_first_failure(base, 3, avoid, 4) == (REPETITION, 2, 3)
+    assert _oracle_first_failure(base, avoid, 4) == (REPETITION, 2, 3)
     assert repetition_check(T, 4, avoid).witness[1] == (0, 9, 13, 17)
-    failure = validate_template(base, 3, avoid)
+    failure = validate_template(base, avoid)
     assert (failure.stage, failure.colour, failure.q) == (REPETITION, 2, 4)
     assert str(failure) == \
         "repetition q=4: FAIL, colour 2 clique on base lengths [2, 3, 4]"
@@ -334,12 +350,13 @@ def test_compound_of_valid_template_passes():
     templates_passed = 0
     for order in range(4, 7):
         for colours in product((1, 2, 3), repeat=order - 2):
-            base = LengthColouring("linear", order, 3, colours + (3,))
-            if _tf_violation(base, 3) is not None:
+            base = LengthColouring("linear", order, 3, colours + (3,),
+                                   template_colour=3)
+            if _tf_violation(base) is not None:
                 continue
-            T = TemplateGraph(base, 3)
+            T = TemplateGraph(base)
             for avoid in product((3, 4), repeat=2):
-                if validate_template(base, 3, avoid) is not None:
+                if validate_template(base, avoid) is not None:
                     continue
                 templates_passed += 1
                 for B, bounds in protos:
@@ -351,11 +368,12 @@ def test_compound_of_valid_template_passes():
 
 def test_validate_template_checks_avoid_length_first():
     T = double_to_template(pentagon())
-    triangle = LengthColouring("linear", 6, 2, (1, 2, 2, 1, 2))
-    for base, s, avoid in ((T.base, 3, (3,)), (T.base, 3, (3, 3, 3, 3)),
-                           (triangle, 2, (3, 3))):
+    triangle = LengthColouring("linear", 6, 2, (1, 2, 2, 1, 2),
+                               template_colour=2)
+    for base, avoid in ((T.base, (3,)), (T.base, (3, 3, 3, 3)),
+                        (triangle, (3, 3))):
         with pytest.raises(ColouringError, match="avoid: expected"):
-            validate_template(base, s, avoid)
+            validate_template(base, avoid)
 
 
 def test_repetition_check_returns_witnesses():
